@@ -11,10 +11,15 @@ A :class:`RunStore` is a directory holding:
   (serial fallback, pool rebuilds).
 
 Appends are single ``O_APPEND`` writes of one line, so disjoint shard
-processes can safely fill one journal concurrently.  On load, a corrupted,
-truncated, or schema-invalid line (the signature of a crash mid-write) is
-dropped and counted in :attr:`RunStore.recovered_lines`; the unit it
-described simply re-runs.  ``RunStore.open()`` resolves the directory from
+processes can safely fill one journal concurrently.  A store remembers the
+byte offset it has read the journal up to: :meth:`RunStore.refresh` parses
+only the lines appended since then (other shards' or other processes'
+appends), so a long-lived view costs O(new bytes) per refresh, not O(journal).
+On load, a corrupted, truncated, or schema-invalid line (the signature of a
+crash mid-write) is dropped and counted in :attr:`RunStore.recovered_lines`;
+the unit it described simply re-runs.  A journal that got shorter than the
+stored offset (replaced or truncated behind the store's back) is re-read from
+the start.  ``RunStore.open()`` resolves the directory from
 the ``REPRO_RUN_DIR`` environment variable when none is given;
 ``RunStore.ephemeral()`` keeps the journal purely in memory for library
 callers that do not want persistence.
@@ -69,17 +74,49 @@ def _valid_record(record) -> bool:
     return False
 
 
+def read_new_lines(path: Path, offset: int) -> tuple[list[bytes], int, bool]:
+    """The complete lines appended to ``path`` after byte ``offset``.
+
+    Returns ``(lines, new_offset, torn)``: ``new_offset`` sits just past the
+    last newline read, so a trailing partial line is never consumed — it may
+    still be mid-write by another process — and ``torn`` says one is there.
+    A file shorter than ``offset`` (truncated or replaced) is read from the
+    start, which callers see as ``new_offset < offset``; a missing file reads
+    as empty.
+    """
+    try:
+        with open(path, "rb") as handle:
+            if os.fstat(handle.fileno()).st_size < offset:
+                offset = 0
+            handle.seek(offset)
+            data = handle.read()
+    except FileNotFoundError:
+        return [], 0, False
+    end = data.rfind(b"\n") + 1
+    return data[:end].split(b"\n")[:-1], offset + end, end < len(data)
+
+
 class RunStore:
-    """Append-only journal + index of completed work units."""
+    """Append-only journal + index of completed work units.
+
+    A persistent store loads its journal on construction; :meth:`refresh`
+    then admits only the lines appended since the last read, and
+    :meth:`reload` starts over from byte zero.
+    """
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
+        self._reset()
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self.refresh()
+
+    def _reset(self) -> None:
         self.recovered_lines = 0
         self._records: list[dict] = []
         self._index: dict[str, dict] = {}
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._load_journal()
+        #: Journal bytes already parsed (always just past a newline).
+        self._offset = 0
 
     # ------------------------------------------------------------------ constructors
     @classmethod
@@ -136,23 +173,36 @@ class RunStore:
         assert self.directory is not None
         return self.directory / JOURNAL_FILENAME
 
-    def _load_journal(self) -> None:
-        path = self._journal_path()
-        if not path.exists():
+    def refresh(self) -> None:
+        """Admit the journal lines appended since the last read.
+
+        Other shards' and processes' appends become visible; lines this
+        store already parsed are not read again.  A journal shorter than the
+        stored offset triggers a full :meth:`reload`.
+        """
+        if self.directory is None:
             return
-        raw = path.read_text(errors="replace")
-        if raw and not raw.endswith("\n"):
-            # A crash tore the final append mid-line.  Terminate it so later
+        path = self._journal_path()
+        lines, offset, torn = read_new_lines(path, self._offset)
+        if offset < self._offset:
+            self._reset()  # the journal shrank: these lines start from byte 0
+        self._offset = offset
+        if torn:
+            # The journal ends mid-line: a crash tore the final append, or
+            # another process's write is still landing.  Terminate it so later
             # appends land on their own line instead of gluing onto the torn
-            # tail (which would corrupt them too).
-            with open(path, "a") as handle:
-                handle.write("\n")
-        lines = raw.split("\n")
-        for position, line in enumerate(lines):
+            # tail.  O_APPEND writes are serialised per file, so an in-flight
+            # write finishes before this newline and re-reads whole; a torn
+            # one re-reads as an invalid line and is dropped below.
+            with open(path, "ab") as handle:
+                handle.write(b"\n")
+            more, self._offset, _ = read_new_lines(path, self._offset)
+            lines += more
+        for line in lines:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8", errors="replace"))
                 if not _valid_record(record):
                     raise ValueError("not a journal record")
             except ValueError:
@@ -278,13 +328,11 @@ class RunStore:
         return CheckOutcome.from_dict(record["outcome"])
 
     def reload(self) -> None:
-        """Re-read the journal from disk (pick up other shards' appends)."""
+        """Forget everything read so far and re-read the journal from disk."""
         if self.directory is None:
             return
-        self.recovered_lines = 0
-        self._records = []
-        self._index = {}
-        self._load_journal()
+        self._reset()
+        self.refresh()
 
 
 def outcome_from_record(record: Mapping) -> CheckOutcome:

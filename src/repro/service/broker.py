@@ -27,10 +27,19 @@ Lease protocol (at-least-once by construction):
   — the unit requeues and the sweep is journaled as a ``requeue`` event (the
   ``/metrics`` requeue counter);
 * *completion* happens under an exclusive ``flock`` on ``journal.lock``: the
-  journal is re-read inside the lock and the outcome appended only if the
+  broker's view of the journal is refreshed inside the lock — picking up
+  every line another process appended — and the outcome appended only if the
   unit's key is still absent, so two workers racing a requeued unit yield
   exactly one journal record.  (Verdicts are deterministic and
   content-addressed, so the loser's discarded verdict is identical anyway.)
+
+Each broker keeps one long-lived view per run: a :class:`RunStore` whose
+:meth:`~repro.runs.store.RunStore.refresh` parses only the journal bytes
+appended since its last read, the ``units.json`` expansion (written once,
+atomically, never changed) and the event log, read the same tail-only way.
+So a ``lease``, ``complete`` or status poll costs the new bytes, not the
+whole run.  The HTTP server shares one broker across handler threads; a
+per-run ``threading.Lock`` serialises each view's refreshes and appends.
 
 Everything is stdlib-only.  ``fcntl`` is used for the completion lock where
 available (POSIX); elsewhere completion degrades to lease-holder discipline
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -57,7 +67,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..bench.jobs import CheckOutcome
 from ..runs.manifest import RunManifest, WorkUnit
 from ..runs.resolve import ManifestResolver
-from ..runs.store import RunStore
+from ..runs.store import RunStore, read_new_lines
 
 #: Environment variable naming the default broker directory.
 BROKER_DIR_ENV = "REPRO_BROKER_DIR"
@@ -162,8 +172,23 @@ class RunStatus:
         }
 
 
+class _RunView:
+    """One run's incrementally refreshed on-disk state, shared by threads."""
+
+    def __init__(self, store_dir: Path, units_path: Path):
+        self.lock = threading.Lock()  # guards store/events refreshes and appends
+        self.store = RunStore(store_dir)
+        self.units = [
+            WorkUnit.from_dict(entry) for entry in json.loads(units_path.read_text())
+        ]
+        self.keys = [unit.key for unit in self.units]  # unit.key hashes per access
+        self.events: list[dict] = []
+        self.events_offset = 0
+
+
 class FileBroker:
-    """Durable broker over a directory tree; safe for concurrent processes."""
+    """Durable broker over a directory tree; safe for concurrent processes
+    and for the threads of one process."""
 
     def __init__(
         self,
@@ -181,6 +206,8 @@ class FileBroker:
         self.lease_ttl_s = float(lease_ttl_s)
         self._clock = clock
         (self.directory / "runs").mkdir(parents=True, exist_ok=True)
+        self._views: dict[str, _RunView] = {}
+        self._views_lock = threading.Lock()
 
     # ------------------------------------------------------------------ paths
     def _run_dir(self, run_id: str) -> Path:
@@ -251,24 +278,39 @@ class FileBroker:
         entries.sort(key=lambda path: (path.stat().st_mtime, path.name))
         return [path.name for path in entries]
 
+    def _view(self, run_id: str) -> _RunView:
+        """The run's cached view, loaded in full on first use."""
+        with self._views_lock:
+            view = self._views.get(run_id)
+            if view is None:
+                units_path = self._units_path(run_id)
+                if not units_path.exists():
+                    raise BrokerError(f"unknown run {run_id!r}")
+                view = _RunView(self.store_dir(run_id), units_path)
+                self._views[run_id] = view
+            return view
+
     def manifest(self, run_id: str) -> RunManifest:
-        manifest = RunStore(self.store_dir(run_id)).load_manifest()
+        manifest = self._view(run_id).store.load_manifest()
         if manifest is None:
             raise BrokerError(f"unknown run {run_id!r}")
         return manifest
 
     def units(self, run_id: str) -> list[WorkUnit]:
         """The run's unit expansion, in deterministic expansion order."""
-        path = self._units_path(run_id)
-        if not path.exists():
-            raise BrokerError(f"unknown run {run_id!r}")
-        return [WorkUnit.from_dict(entry) for entry in json.loads(path.read_text())]
+        return list(self._view(run_id).units)
 
     def store(self, run_id: str) -> RunStore:
-        """A fresh view of the run's journal (re-read from disk)."""
-        if not self._units_path(run_id).exists():
-            raise BrokerError(f"unknown run {run_id!r}")
-        return RunStore(self.store_dir(run_id))
+        """The run's journal view, refreshed with every line appended since
+        this broker last read it (by any process).
+
+        The store is shared with this broker's other callers and threads:
+        journal through :meth:`complete` and friends, not by appending to it.
+        """
+        view = self._view(run_id)
+        with view.lock:
+            view.store.refresh()
+        return view.store
 
     # ------------------------------------------------------------------ leases
     def _read_lease(self, path: Path) -> dict | None:
@@ -277,44 +319,33 @@ class FileBroker:
         except (OSError, ValueError):
             return None
 
-    def _live_leases(self, run_id: str) -> dict[str, dict]:
-        """unit key → lease payload, for unexpired lease files."""
+    def _scan_leases(
+        self, run_id: str, store: RunStore, *, sweep: bool
+    ) -> tuple[dict[str, dict], int]:
+        """One pass over the lease files: (live leases, units requeued).
+
+        Live = unit key → payload of each unexpired lease on an un-journaled
+        unit.  With ``sweep``, the other files go: unreadable ones and those
+        of already-journaled units are reaped silently (the normal end of a
+        lease whose completion raced the sweep); expired leases on
+        un-journaled units are deleted *and* journaled as ``requeue`` events
+        — that unit goes back on the queue.
+        """
         now = self._clock()
         live: dict[str, dict] = {}
-        leases_dir = self._leases_dir(run_id)
-        if not leases_dir.exists():
-            return live
-        for path in leases_dir.iterdir():
-            payload = self._read_lease(path)
-            if payload is None:
-                continue
-            if payload.get("expires_at", 0.0) > now:
-                live[path.name] = payload
-        return live
-
-    def sweep_expired(self, run_id: str, store: RunStore | None = None) -> int:
-        """Requeue expired leases; returns how many units were requeued.
-
-        Lease files for already-journaled units are reaped silently (the
-        normal end of a lease whose completion raced the sweep); expired
-        leases on un-journaled units are deleted *and* journaled as
-        ``requeue`` events — that unit goes back on the queue.
-        """
-        store = store if store is not None else self.store(run_id)
-        now = self._clock()
         requeued = 0
         leases_dir = self._leases_dir(run_id)
         if not leases_dir.exists():
-            return 0
+            return live, 0
         for path in list(leases_dir.iterdir()):
             payload = self._read_lease(path)
-            if payload is None:
-                self._unlink(path)
+            if payload is None or path.name in store:
+                if sweep:
+                    self._unlink(path)
                 continue
-            if path.name in store:
-                self._unlink(path)
-                continue
-            if payload.get("expires_at", 0.0) <= now:
+            if payload.get("expires_at", 0.0) > now:
+                live[path.name] = payload
+            elif sweep:
                 self._unlink(path)
                 self._event(
                     run_id,
@@ -323,31 +354,36 @@ class FileBroker:
                     worker=payload.get("worker", ""),
                 )
                 requeued += 1
-        return requeued
+        return live, requeued
+
+    def sweep_expired(self, run_id: str) -> int:
+        """Requeue expired leases; returns how many units were requeued."""
+        return self._scan_leases(run_id, self.store(run_id), sweep=True)[1]
 
     def lease(self, run_id: str, worker_id: str, limit: int = 1) -> list[Lease]:
         """Claim up to ``limit`` pending units for ``worker_id``.
 
         Pending = expanded units minus journaled (scored or quarantined)
         minus live-leased, in expansion order.  Expired leases are swept
-        (requeued) first.  Claiming is an atomic hard link per unit, so
-        concurrent workers never double-claim.
+        (requeued) in the same pass over the lease files that finds the live
+        ones.  Claiming is an atomic hard link per unit, so concurrent
+        workers never double-claim.
         """
         if limit < 1:
             return []
         store = self.store(run_id)
-        self.sweep_expired(run_id, store)
-        held = set(self._live_leases(run_id))
+        held, _ = self._scan_leases(run_id, store, sweep=True)
         leases_dir = self._leases_dir(run_id)
         leases_dir.mkdir(parents=True, exist_ok=True)
         expires_at = self._clock() + self.lease_ttl_s
         leases: list[Lease] = []
-        for unit in self.units(run_id):
+        view = self._view(run_id)
+        for key, unit in zip(view.keys, view.units):
             if len(leases) >= limit:
                 break
-            if unit.key in store or unit.key in held:
+            if key in store or key in held:
                 continue
-            path = leases_dir / unit.key
+            path = leases_dir / key
             payload = {
                 "unit": unit.to_dict(),
                 "worker": worker_id,
@@ -398,17 +434,22 @@ class FileBroker:
 
     # ------------------------------------------------------------------ completion
     @contextmanager
-    def _journal_lock(self, run_id: str) -> Iterator[None]:
-        path = self._run_dir(run_id) / LOCK_FILENAME
-        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+    def _locked_store(self, run_id: str) -> Iterator[RunStore]:
+        """The run's store, refreshed under the thread lock and the journal
+        ``flock``: every other process's append is visible before ours."""
+        view = self._view(run_id)
+        with view.lock:
+            path = self._run_dir(run_id) / LOCK_FILENAME
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                if fcntl is not None:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                view.store.refresh()
+                yield view.store
+            finally:
+                if fcntl is not None:
+                    fcntl.flock(fd, fcntl.LOCK_UN)
+                os.close(fd)
 
     def complete(self, lease: Lease, outcome: CheckOutcome) -> bool:
         """Journal a leased unit's verdict exactly once; release the lease.
@@ -416,8 +457,7 @@ class FileBroker:
         Returns False when another worker already journaled the unit (its
         record wins; verdicts are deterministic so nothing is lost).
         """
-        with self._journal_lock(lease.run_id):
-            store = self.store(lease.run_id)  # fresh read inside the lock
+        with self._locked_store(lease.run_id) as store:
             recorded = store.record(lease.unit, outcome)
         self._unlink(lease.path)
         if recorded:
@@ -439,8 +479,7 @@ class FileBroker:
         degradation: tuple[str, ...] = (),
     ) -> bool:
         """Journal a leased unit as poison exactly once; release the lease."""
-        with self._journal_lock(lease.run_id):
-            store = self.store(lease.run_id)
+        with self._locked_store(lease.run_id) as store:
             recorded = store.record_quarantine(
                 lease.unit, attempts=attempts, error=error, degradation=degradation
             )
@@ -455,8 +494,8 @@ class FileBroker:
         self, run_id: str, category: str, message: str, detail: Mapping | None = None
     ) -> bool:
         """Journal a degraded-execution warning under the completion lock."""
-        with self._journal_lock(run_id):
-            return self.store(run_id).record_warning(category, message, detail)
+        with self._locked_store(run_id) as store:
+            return store.record_warning(category, message, detail)
 
     # ------------------------------------------------------------------ events
     def _event(self, run_id: str, kind: str, **payload) -> None:
@@ -471,42 +510,46 @@ class FileBroker:
             os.close(fd)
 
     def events(self, run_id: str) -> list[dict]:
-        """The run's event log in append order (torn lines dropped)."""
-        path = self._events_path(run_id)
-        if not path.exists():
-            return []
-        events: list[dict] = []
-        for line in path.read_text(errors="replace").split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and "event" in record:
-                events.append(record)
-        return events
+        """The run's event log in append order (torn lines dropped).
+
+        Only the lines appended since this broker's last read are parsed.
+        """
+        view = self._view(run_id)
+        with view.lock:
+            lines, offset, _ = read_new_lines(
+                self._events_path(run_id), view.events_offset
+            )
+            if offset < view.events_offset:
+                view.events = []  # the log shrank: these lines start from byte 0
+            view.events_offset = offset
+            for line in lines:
+                try:
+                    record = json.loads(line.decode("utf-8", errors="replace"))
+                except ValueError:
+                    continue
+                if isinstance(record, dict) and "event" in record:
+                    view.events.append(record)
+            return list(view.events)
 
     # ------------------------------------------------------------------ status
     def run_status(self, run_id: str) -> RunStatus:
         """Read-only accounting of one run (does not sweep leases)."""
         manifest = self.manifest(run_id)
         store = self.store(run_id)
-        units = self.units(run_id)
+        keys = self._view(run_id).keys
         quarantined = sum(
             1
             for record in store.quarantined_records()
             if record.get("manifest") == manifest.manifest_hash
         )
-        completed = sum(1 for unit in units if unit.key in store) - quarantined
-        live = self._live_leases(run_id)
-        leased = sum(1 for key in live if key not in store)
+        completed = sum(1 for key in keys if key in store) - quarantined
+        leased = len(self._scan_leases(run_id, store, sweep=False)[0])
         requeues = sum(1 for event in self.events(run_id) if event["event"] == "requeue")
         return RunStatus(
             run_id=run_id,
             name=manifest.name,
             experiment=manifest.experiment,
-            total=len(units),
+            total=len(keys),
             completed=max(0, completed),
             quarantined=quarantined,
             leased=leased,

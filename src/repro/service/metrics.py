@@ -5,7 +5,9 @@ journals (units completed, quarantines, per-check latency via
 ``CheckOutcome.duration_s``), event logs (lease requeues, completion
 timestamps for the units/s gauge) and lease files (in-flight units, queue
 depth) — so the numbers survive server restarts and reflect the whole fleet,
-not one process.  Process-local sources (HTTP request counters, rate-limit
+not one process.  Journals and event logs are read through the broker's
+per-run views, so a scrape parses only the lines appended since the last
+one.  Process-local sources (HTTP request counters, rate-limit
 rejections, the design-database cache) come from the server's in-memory
 :class:`HttpCounters` and the process-wide
 :class:`~repro.verilog.design.DesignDatabase` stats.
@@ -262,15 +264,7 @@ class ServiceMetrics:
                 total.add(int(count), {"reason": reason})
         else:
             total.add(0)
-        designs = MetricFamily(
-            "repro_codegen_design_fallback_total",
-            "counter",
-            "Interpreter fallbacks per design label and reason (codegen coverage).",
-        )
-        for design, reasons in sorted(stats["designs"].items()):
-            for reason, count in sorted(reasons.items()):
-                designs.add(int(count), {"design": design, "reason": reason})
-        return [total, designs]
+        return [total]
 
     def _formal_families(self) -> list[MetricFamily]:
         from ..formal import proof_stats

@@ -147,6 +147,33 @@ class TestJournal:
         assert len(recovered) == 1
         assert "k" * 64 not in recovered
 
+    def test_refresh_admits_only_lines_appended_since_the_last_read(self, tmp_path):
+        writer = RunStore(tmp_path)
+        reader = RunStore(tmp_path)
+        writer.record(unit(0), outcome(0))
+        reader.refresh()
+        assert unit(0).key in reader
+        writer.record(unit(1), outcome(1))
+        writer.record(unit(1), outcome(1))  # idempotent: no second line
+        reader.refresh()
+        reader.refresh()  # nothing new: a no-op
+        assert [r["key"] for r in reader.records()] == [unit(0).key, unit(1).key]
+        assert reader.recovered_lines == 0
+
+    def test_refresh_after_the_journal_shrank_reloads(self, tmp_path):
+        store = RunStore(tmp_path)
+        for index in range(3):
+            store.record(unit(index), outcome(index))
+        store.refresh()  # the offset now sits at the end of all three lines
+        journal = tmp_path / JOURNAL_FILENAME
+        first_line = journal.read_bytes().split(b"\n")[0] + b"\n"
+        journal.write_bytes(first_line)  # replaced behind the store's back
+        store.refresh()
+        assert [r["key"] for r in store.records()] == [unit(0).key]
+        store.record(unit(5), outcome(5))
+        fresh = RunStore(tmp_path)
+        assert list(store.records()) == list(fresh.records())
+
     def test_ephemeral_store_has_no_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         store = RunStore.ephemeral()

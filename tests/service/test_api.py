@@ -250,8 +250,9 @@ class TestEndToEnd:
             )
             text = request(server, "/metrics")[2].decode()
             assert 'repro_codegen_fallback_total{reason="mul-div-mod"} 1' in text
-            assert 'reason="mul-div-mod"' in text
-            assert "repro_codegen_design_fallback_total{" in text
+            # Per-design labels are unbounded (one series per design ever
+            # simulated), so they stay out of the exposition.
+            assert "repro_codegen_design_fallback_total" not in text
         finally:
             codegen.reset_fallback_stats()
 

@@ -8,12 +8,15 @@ deterministic.
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import threading
 
 import pytest
 
 from repro.bench.jobs import CheckOutcome
-from repro.runs.store import JOURNAL_FILENAME
+from repro.runs.store import JOURNAL_FILENAME, RunStore
 from repro.service.broker import AdmissionError, BrokerError, FileBroker
 from conftest import small_manifest
 
@@ -202,3 +205,176 @@ class TestQueueDepth:
         assert broker.queue_depth() == total - 1
         broker.complete(lease, outcome(lease.unit))
         assert broker.queue_depth() == total - 1
+
+
+def drain(broker, run_id, worker_id="worker-a") -> int:
+    """Lease and complete one unit at a time until nothing is pending."""
+    done = 0
+    while leases := broker.lease(run_id, worker_id, limit=1):
+        broker.complete(leases[0], outcome(leases[0].unit))
+        done += 1
+    return done
+
+
+def fresh_view(broker, run_id) -> RunStore:
+    return RunStore(broker.store_dir(run_id))
+
+
+class _CountingFile:
+    """A file proxy that tallies the size of everything ``read`` returns."""
+
+    def __init__(self, handle, tally: list[int]):
+        self._handle = handle
+        self._tally = tally
+
+    def read(self, *args):
+        data = self._handle.read(*args)
+        self._tally[0] += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+def count_journal_reads(monkeypatch) -> list[int]:
+    """Tally journal bytes read through ``open``/``io.open`` (Path.read_* too)."""
+    tally = [0]
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if str(file).endswith(JOURNAL_FILENAME) and "r" in mode:
+            return _CountingFile(handle, tally)
+        return handle
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return tally
+
+
+class TestCachedViews:
+    def test_draining_a_run_reads_the_journal_a_linear_number_of_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """Complexity regression, not a timing test: lease + complete read
+        only the journal tail, so a drain costs O(journal), not O(units²)."""
+        broker = FileBroker(tmp_path / "broker")
+        run_id = broker.submit(small_manifest(num_samples=50, max_tasks=None)).run_id
+        total = len(broker.units(run_id))
+        assert total >= 200
+        read = count_journal_reads(monkeypatch)
+        assert drain(broker, run_id) == total
+        size = (broker.store_dir(run_id) / JOURNAL_FILENAME).stat().st_size
+        assert broker.run_status(run_id).completed == total
+        assert 0 < read[0] <= 3 * size, f"read {read[0]} bytes of a {size}-byte journal"
+
+    def test_two_brokers_see_each_others_completions(self, tmp_path, clock):
+        first = FileBroker(tmp_path / "broker", clock=clock)
+        second = FileBroker(tmp_path / "broker", clock=clock)
+        run_id = first.submit(small_manifest()).run_id
+        units = second.units(run_id)
+        assert second.run_status(run_id).completed == 0  # both views now cached
+
+        lease = first.lease(run_id, "worker-a", limit=1)[0]
+        assert first.complete(lease, outcome(lease.unit))
+        assert second.run_status(run_id).completed == 1
+        assert lease.unit.key in second.store(run_id)
+        leased = second.lease(run_id, "worker-b", limit=len(units))
+        assert lease.unit not in [entry.unit for entry in leased]
+        for entry in leased:
+            assert second.complete(entry, outcome(entry.unit))
+        assert first.run_status(run_id).complete
+        assert list(first.store(run_id).records()) == list(
+            fresh_view(first, run_id).records()
+        )
+
+    def test_racing_completions_across_brokers_journal_once(self, tmp_path, clock):
+        first = FileBroker(tmp_path / "broker", clock=clock)
+        second = FileBroker(tmp_path / "broker", clock=clock)
+        run_id = first.submit(small_manifest()).run_id
+        stale = first.lease(run_id, "worker-a", limit=1)[0]
+        clock.advance(11.0)
+        fresh = second.lease(run_id, "worker-b", limit=1)[0]
+        assert fresh.unit == stale.unit
+
+        barrier = threading.Barrier(2)
+        results: dict[str, bool] = {}
+
+        def finish(name, broker, lease):
+            barrier.wait()
+            results[name] = broker.complete(lease, outcome(lease.unit))
+
+        threads = [
+            threading.Thread(target=finish, args=("first", first, stale)),
+            threading.Thread(target=finish, args=("second", second, fresh)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(results.values()) == [False, True]
+        journal = first.store_dir(run_id) / JOURNAL_FILENAME
+        keys = [json.loads(line)["key"] for line in journal.read_text().splitlines()]
+        assert keys == [stale.unit.key]
+        for broker in (first, second):
+            assert len(broker.store(run_id)) == 1
+
+    def test_torn_tail_then_complete_matches_a_fresh_load(self, broker, queued):
+        run_id, units = queued
+        leases = broker.lease(run_id, "worker-a", limit=2)
+        assert broker.complete(leases[0], outcome(leases[0].unit))
+        journal = broker.store_dir(run_id) / JOURNAL_FILENAME
+        whole = journal.read_bytes()
+        with open(journal, "ab") as handle:
+            handle.write(whole[: len(whole) // 2])  # a crash mid-append
+
+        assert broker.complete(leases[1], outcome(leases[1].unit))
+        cached, fresh = broker.store(run_id), fresh_view(broker, run_id)
+        assert cached.recovered_lines == fresh.recovered_lines == 1
+        assert list(cached.records()) == list(fresh.records())
+        assert [r["key"] for r in cached.records()] == [
+            lease.unit.key for lease in leases
+        ]
+
+    def test_threads_polling_while_another_broker_completes(self, tmp_path, clock):
+        server = FileBroker(tmp_path / "broker", clock=clock)
+        worker = FileBroker(tmp_path / "broker", clock=clock)
+        run_id = server.submit(small_manifest(num_samples=10, max_tasks=None)).run_id
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def poll(index):
+            try:
+                while not done.is_set():
+                    if index % 2:
+                        server.run_status(run_id)
+                    else:
+                        server.store(run_id)
+                        server.events(run_id)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        pollers = [threading.Thread(target=poll, args=(i,)) for i in range(8)]
+        for thread in pollers:
+            thread.start()
+        try:
+            total = drain(worker, run_id)
+        finally:
+            done.set()
+            for thread in pollers:
+                thread.join()
+        assert not errors
+        cached, fresh = server.store(run_id), fresh_view(server, run_id)
+        assert list(cached.records()) == list(fresh.records())
+        assert len(cached) == total
+        assert cached.recovered_lines == fresh.recovered_lines == 0
+        assert server.run_status(run_id) == FileBroker(
+            tmp_path / "broker", clock=clock
+        ).run_status(run_id)
+        assert server.events(run_id) == worker.events(run_id)

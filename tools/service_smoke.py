@@ -4,11 +4,14 @@ The CI ``service-smoke`` job (and ``make service-smoke``) runs this script.
 It boots the HTTP API and a worker as real subprocesses, submits a tiny
 manifest over HTTP, SIGKILLs the worker while the ``REPRO_SERVICE_STALL_S``
 fault hook has it frozen holding leases, and lets a second worker finish the
-run.  It then asserts the service contract:
+run.  It then submits a second tiny manifest and drains it with two worker
+processes at once, each keeping its own incrementally refreshed view of the
+shared journal.  It asserts the service contract:
 
 * every lease the dead worker held expired and was requeued — exactly that
   many ``requeue`` events, no more;
-* the run completed healthy (every unit journaled exactly once);
+* both runs completed healthy, and every unit of the two-worker run has
+  exactly one journal line;
 * ``/metrics`` parses and reports the exact requeue count and a nonzero
   units/s throughput.
 
@@ -66,6 +69,32 @@ def http_json(url: str, data: bytes | None = None) -> dict:
         return json.load(response)
 
 
+def submit_tiny_table4(base_url: str, baseline_key: str) -> tuple[str, int]:
+    """Submit a one-baseline tiny Table IV manifest over HTTP: (run id, units)."""
+    build = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json\n"
+            "from repro.experiments import ExperimentScale\n"
+            "from repro.runs.presets import table4_manifest\n"
+            "manifest = table4_manifest(ExperimentScale.tiny(),"
+            f" baseline_keys=[{baseline_key!r}], include_haven=False)\n"
+            "print(json.dumps(manifest.to_dict()))",
+        ],
+        env=service_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    receipt = http_json(base_url + "/runs", data=build.stdout.encode())
+    return receipt["run_id"], receipt["total_units"]
+
+
+def worker_cmd(broker_dir: Path, *args: str) -> list[str]:
+    return service_cmd(broker_dir, "worker", "--lease-ttl", str(LEASE_TTL_S), *args)
+
+
 def main() -> int:
     broker_dir = Path(tempfile.mkdtemp(prefix="service-smoke-")) / "broker"
     procs: list[subprocess.Popen] = []
@@ -86,37 +115,13 @@ def main() -> int:
         log(f"server up at {base_url}")
 
         # --- submit a tiny manifest over HTTP ------------------------------
-        build = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import json\n"
-                "from repro.experiments import ExperimentScale\n"
-                "from repro.runs.presets import table4_manifest\n"
-                "manifest = table4_manifest(ExperimentScale.tiny(),"
-                " baseline_keys=['gpt-4'], include_haven=False)\n"
-                "print(json.dumps(manifest.to_dict()))",
-            ],
-            env=service_env(),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        receipt = http_json(base_url + "/runs", data=build.stdout.encode())
-        run_id, total = receipt["run_id"], receipt["total_units"]
+        run_id, total = submit_tiny_table4(base_url, "gpt-4")
         log(f"submitted run {run_id[:12]}: {total} units")
         assert total > STALLED_LEASES
 
         # --- a worker leases units, then plays dead ------------------------
         victim = subprocess.Popen(
-            service_cmd(
-                broker_dir,
-                "worker",
-                "--lease-ttl",
-                str(LEASE_TTL_S),
-                "--lease-limit",
-                str(STALLED_LEASES),
-            ),
+            worker_cmd(broker_dir, "--lease-limit", str(STALLED_LEASES)),
             env=service_env(REPRO_SERVICE_STALL_S="300"),
         )
         procs.append(victim)
@@ -137,14 +142,7 @@ def main() -> int:
 
         # --- a survivor sweeps the corpses and drains the run --------------
         survivor = subprocess.Popen(
-            service_cmd(
-                broker_dir,
-                "worker",
-                "--lease-ttl",
-                str(LEASE_TTL_S),
-                "--exit-when-idle",
-            ),
-            env=service_env(),
+            worker_cmd(broker_dir, "--exit-when-idle"), env=service_env()
         )
         procs.append(survivor)
         assert survivor.wait(timeout=600) == 0, "survivor worker failed"
@@ -160,6 +158,27 @@ def main() -> int:
         assert status["requeues"] == len(held), (
             f"expected exactly {len(held)} requeues, saw {status['requeues']}"
         )
+
+        # --- two workers drain a second run at once -------------------------
+        pair_id, pair_total = submit_tiny_table4(base_url, "gpt-3.5")
+        log(f"submitted run {pair_id[:12]}: {pair_total} units for two workers")
+        pair = [
+            subprocess.Popen(worker_cmd(broker_dir, "--exit-when-idle"), env=service_env())
+            for _ in range(2)
+        ]
+        procs.extend(pair)
+        for worker in pair:
+            assert worker.wait(timeout=600) == 0, "a two-worker drain worker failed"
+        pair_status = http_json(f"{base_url}/runs/{pair_id}")
+        assert pair_status["healthy"], f"two-worker run unhealthy: {pair_status}"
+        assert pair_status["completed_units"] == pair_total
+        journal = broker_dir / "runs" / pair_id / "store" / "journal.jsonl"
+        keys = [json.loads(line)["key"] for line in journal.read_text().splitlines()]
+        assert len(keys) == len(set(keys)) == pair_total, (
+            f"{len(keys)} journal lines for {len(set(keys))} keys,"
+            f" expected {pair_total} units journaled exactly once"
+        )
+        log(f"two-worker drain: {pair_total} units, each journaled exactly once")
 
         # --- the metrics endpoint agrees -----------------------------------
         with urllib.request.urlopen(base_url + "/metrics", timeout=15) as response:
