@@ -21,6 +21,13 @@ Times the tracked hot paths and reports before/after numbers:
   vs interpreter vs scalar, on the passing workload *and* on a mutated DUT
   whose per-lane mismatches must agree exactly) runs before timing; the
   acceptance bar is a >=5x speedup over the interpreted ``batch_sim`` path.
+* ``codegen_seq``       — one 64-cycle clocked check of a Moore sequence
+  detector (the state-diagram task shape): the scalar ``TestbenchRunner``
+  vs ``BatchTestbenchRunner``, which resets on the scalar engine and runs the
+  cycles on the design's fused generated loop.  A verdict-parity gate (the
+  passing DUT and a mutated one must agree on pass/fail, check count and
+  failure summary, plus a ``differential=True`` run) precedes timing; the
+  acceptance bar is a >=5x speedup for the whole check.
 * ``ldataset_quick_build`` — a quick-scale end-to-end L-dataset build, the
   workload every layer above the engine feeds into.
 * ``formal_incremental`` — a 50-candidate pass@k sweep (10 unique codes, two
@@ -56,13 +63,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from repro.bench.golden import VectorFunctionGolden
+from repro.bench.golden import SequenceDetectorGolden, VectorFunctionGolden
 from repro.core.dataset.ldataset import LDatasetConfig, LDatasetGenerator
 from repro.logic import bittable
 from repro.logic.bittable import BitTable
 from repro.logic.expr import RandomExpressionGenerator, reference_minterms
 from repro.logic.minimize import Implicant, minimal_cover, prime_implicants, _cover_mask
-from repro.verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+from repro.verilog.simulator.testbench import BatchTestbenchRunner, ResetSpec, TestbenchRunner
 
 #: Benchmark keys whose timings the regression gate tracks (seconds, lower is better).
 TRACKED = (
@@ -70,6 +77,7 @@ TRACKED = (
     ("qm_minimize_8var", "bitset_s"),
     ("batch_sim", "batch_s"),
     ("codegen_sim", "codegen_s"),
+    ("codegen_seq", "codegen_s"),
     ("ldataset_quick_build", "seconds"),
     ("formal_eq", "prove_s"),
     ("formal_incremental", "incremental_s"),
@@ -371,6 +379,83 @@ def bench_codegen_sim(repeat: int = 5) -> dict[str, float]:
     }
 
 
+#: Clock cycles of the sequential-check benchmark.
+CODEGEN_SEQ_CYCLES = 64
+
+#: Moore detector for the serial pattern 1011 (overlapping), synchronous reset.
+CODEGEN_SEQ_SOURCE = """
+module top_module (
+    input clk,
+    input rst,
+    input din,
+    output detected
+);
+    localparam S0 = 3'd0;
+    localparam S1 = 3'd1;
+    localparam S2 = 3'd2;
+    localparam S3 = 3'd3;
+    localparam S4 = 3'd4;
+    reg [2:0] state;
+    reg [2:0] next_state;
+    always @(posedge clk) begin
+        if (rst)
+            state <= S0;
+        else
+            state <= next_state;
+    end
+    always @(*) begin
+        case (state)
+            S0: next_state = din ? S1 : S0;
+            S1: next_state = din ? S1 : S2;
+            S2: next_state = din ? S3 : S0;
+            S3: next_state = din ? S4 : S2;
+            S4: next_state = din ? S1 : S2;
+            default: next_state = S0;
+        endcase
+    end
+    assign detected = (state == S4);
+endmodule
+"""
+
+
+def bench_codegen_seq(repeat: int = 5) -> dict[str, float]:
+    """A whole 64-cycle clocked check: scalar runner vs the fused generated loop.
+
+    Both columns compile through the same (warm) design database and reset
+    on the scalar engine; they differ in the engine that runs the cycles.
+    """
+    rng = random.Random(2024)
+    stimulus = [{"rst": 0, "din": rng.randrange(2)} for _ in range(CODEGEN_SEQ_CYCLES)]
+    stimulus[CODEGEN_SEQ_CYCLES // 2]["rst"] = 1  # a mid-run reset is checked too
+    reset = ResetSpec(signal="rst")
+
+    def golden():
+        return SequenceDetectorGolden(pattern=(1, 0, 1, 1))
+
+    scalar = TestbenchRunner(reset=reset)
+    fused = BatchTestbenchRunner(reset=reset)
+    # Verdict-parity gate: the passing DUT and a mutated (non-overlapping)
+    # one must get the identical outcome from both engines, and the
+    # differential runner re-checks the fused run against the scalar oracle.
+    buggy = CODEGEN_SEQ_SOURCE.replace("S3: next_state = din ? S4 : S2;", "S3: next_state = din ? S4 : S0;")
+    for source, should_pass in ((CODEGEN_SEQ_SOURCE, True), (buggy, False)):
+        slow = scalar.run(source, golden(), stimulus)
+        fast = BatchTestbenchRunner(reset=reset, differential=True).run(source, golden(), stimulus)
+        assert slow.passed is should_pass, slow.failure_summary
+        assert (fast.passed, fast.total_checks, fast.failure_summary) == (
+            slow.passed, slow.total_checks, slow.failure_summary
+        ), "fused sequential run disagreed with the scalar oracle"
+
+    scalar_s = measure(lambda: scalar.run(CODEGEN_SEQ_SOURCE, golden(), stimulus), repeat=repeat)
+    codegen_s = measure(lambda: fused.run(CODEGEN_SEQ_SOURCE, golden(), stimulus), repeat=repeat)
+    return {
+        "cycles": float(CODEGEN_SEQ_CYCLES),
+        "scalar_s": scalar_s,
+        "codegen_s": codegen_s,
+        "speedup": scalar_s / codegen_s,
+    }
+
+
 #: 24 primary inputs: a carry-select adder vs the behavioural `a + b`.  The
 #: exhaustive sweep would need 2**24 (~16.7M) lanes — gated out of the
 #: simulation engines — while the SAT miter proves equivalence outright.
@@ -655,9 +740,9 @@ def bench_compile_cache(repeat: int = 3) -> dict[str, float]:
         "warm_s": warm_s,
         "speedup": cold_s / warm_s,
         # The sweep now runs codegen-warm (backend="auto" is the default):
-        # interpreter fallbacks recorded while it ran, construction-time
-        # x-state settles included.  A jump here means codegen coverage of the
-        # candidate workload regressed.
+        # interpreter fallbacks recorded while it ran (construction-time
+        # settles before any input is driven are not counted).  A jump here
+        # means codegen coverage of the candidate workload regressed.
         "codegen_fallbacks": float(
             codegen_mod.fallback_stats()["total"] - fallbacks_before
         ),
@@ -699,6 +784,7 @@ def collect_results(repeat: int = 5) -> dict:
             "qm_minimize_8var": bench_qm(repeat=repeat),
             "batch_sim": bench_batch_sim(repeat=repeat),
             "codegen_sim": bench_codegen_sim(repeat=repeat),
+            "codegen_seq": bench_codegen_seq(repeat=repeat),
             "ldataset_quick_build": bench_ldataset(),
             "formal_eq": bench_formal_eq(),
             "formal_incremental": bench_formal_incremental(),

@@ -62,6 +62,12 @@ def _render(results: dict) -> str:
             f"codegen_sim               {cs['interpret_s']:<13.6f} {cs['codegen_s']:<13.6f} {cs['speedup']:.1f}x"
             f"  ({int(cs['stimuli'])} stimuli)"
         )
+    sq = benches.get("codegen_seq")
+    if sq is not None:
+        lines.append(
+            f"codegen_seq               {sq['scalar_s']:<13.6f} {sq['codegen_s']:<13.6f} {sq['speedup']:.1f}x"
+            f"  ({int(sq['cycles'])}-cycle clocked check, fused generated loop vs scalar)"
+        )
     cc = benches.get("compile_cache")
     if cc is not None:
         lines.append(

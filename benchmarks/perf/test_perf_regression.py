@@ -8,7 +8,9 @@ assertion:
   legacy per-assignment path measured on the *same* machine in the same run
   (>=10x on 8-variable truth-table extraction, >=3x on QM minimisation, >=4x on
   batched functional-equivalence checking at 64+ stimuli, >=5x for generated
-  straight-line code over the AST-walking batch interpreter at 256 stimuli);
+  straight-line code over the AST-walking batch interpreter at 256 stimuli,
+  >=5x for a 64-cycle clocked check on the fused generated loop over the
+  scalar cycle-serial runner);
 * baseline-relative: no tracked timing may regress more than 2x versus the
   committed ``BENCH_perf.json``.
 
@@ -26,6 +28,7 @@ import pytest
 
 from perf_harness import (
     bench_batch_sim,
+    bench_codegen_seq,
     bench_codegen_sim,
     bench_compile_cache,
     bench_formal_eq,
@@ -46,6 +49,7 @@ def current():
             "qm_minimize_8var": bench_qm(repeat=3),
             "batch_sim": bench_batch_sim(repeat=3),
             "codegen_sim": bench_codegen_sim(repeat=3),
+            "codegen_seq": bench_codegen_seq(repeat=3),
             "formal_eq": bench_formal_eq(repeat=3),
             "formal_incremental": bench_formal_incremental(repeat=3),
             "compile_cache": bench_compile_cache(repeat=3),
@@ -94,6 +98,17 @@ def test_codegen_sim_speedup_holds(current):
     assert result["speedup"] >= 5.0, (
         f"generated straight-line code only {result['speedup']:.1f}x faster than "
         f"the AST-walking batch interpreter at {int(result['stimuli'])} stimuli "
+        f"(need >=5x)"
+    )
+
+
+@pytest.mark.perf
+def test_codegen_seq_speedup_holds(current):
+    result = current["benchmarks"]["codegen_seq"]
+    assert result["cycles"] >= 64, "codegen_seq must measure a 64+ cycle check"
+    assert result["speedup"] >= 5.0, (
+        f"fused generated cycle loop only {result['speedup']:.1f}x faster than "
+        f"the scalar runner on a {int(result['cycles'])}-cycle clocked check "
         f"(need >=5x)"
     )
 

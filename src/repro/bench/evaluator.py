@@ -57,7 +57,8 @@ class EvaluationConfig:
     stimulus_seed: int = 1234
     max_tasks: int | None = None
     #: Batch combinational functional checks into one column-parallel pass
-    #: (sequential designs always keep the cycle-serial scalar oracle).
+    #: and run clocked ones on their fused generated cycle loop after a scalar
+    #: reset (``False``: everything on the cycle-serial scalar oracle).
     use_batch_simulator: bool = True
     #: Re-check every batched run against the scalar oracle (slow; CI use).
     differential_oracle: bool = False

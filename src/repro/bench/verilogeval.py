@@ -198,8 +198,10 @@ def validate_references(
     """Self-consistency sweep: every reference design must pass its own testbench.
 
     Combinational references are checked in one column-parallel batched pass per
-    task (see :mod:`repro.verilog.simulator.batch`); sequential references keep
-    the scalar cycle-serial oracle.  Returns task_id → failure summary.
+    task (see :mod:`repro.verilog.simulator.batch`); sequential references reset
+    on the scalar engine and run their cycles on the fused generated loop (see
+    :class:`~repro.verilog.codegen.SequenceRun`).  Returns task_id → failure
+    summary.
     """
     from .evaluator import check_reference_designs
 

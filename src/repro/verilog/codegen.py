@@ -27,6 +27,19 @@ fixpoint the interpreter reaches (same process order, same iterate-until-
 stable loop, same masked-merge algebra on the value planes), so the
 interpreter remains a bit-exact differential oracle.
 
+Fused clocked runs
+------------------
+
+Designs with edge-triggered processes also get ``codegen_run``: one
+generator per design that keeps every signal bit in locals across a whole
+stimulus sequence.  Each cycle is a list of *input applications* (full input
+tuples); for each it detects bit-0 edges on the inputs, settles, runs the
+triggered processes and settles again — the scalar
+:class:`~repro.verilog.simulator.simulator.ModuleSimulator` schedule — and
+then yields the packed output ports.  :class:`SequenceRun` drives it from a
+scalar simulator's post-reset state once that state passes the program's
+x/z gate; from there two-state code cannot produce x again.
+
 Fallbacks — both design-level rejections and per-call x/z gates — are
 recorded in a process-wide registry (:func:`fallback_stats`) surfaced by the
 evaluator and the service ``/metrics`` endpoint.
@@ -47,11 +60,13 @@ from .simulator.simulator import (
     ElaboratedModule,
     SimulationError,
 )
-from .simulator.values import BatchVector
+from .simulator.values import BatchVector, LogicVector
 
 __all__ = [
     "CodegenArtifact",
     "CodegenRuntime",
+    "SequenceProgram",
+    "SequenceRun",
     "UnsupportedConstruct",
     "export_bittables",
     "fallback_stats",
@@ -111,6 +126,11 @@ def reset_fallback_stats() -> None:
 # compiled-function cache (keyed by source text; artifacts only carry strings)
 # ---------------------------------------------------------------------------
 
+#: Compiled functions kept process-wide; the oldest insertion is evicted
+#: beyond this.  A design contributes up to three functions, so this holds
+#: every function of a full default :class:`~repro.verilog.design.DesignDatabase`.
+COMPILE_CACHE_ENTRIES = 1024
+
 _COMPILE_LOCK = threading.Lock()
 _COMPILE_CACHE: dict[str, object] = {}
 
@@ -124,6 +144,8 @@ def _compiled_function(source: str, name: str):
         fn = namespace[name]
         with _COMPILE_LOCK:
             _COMPILE_CACHE[source] = fn
+            while len(_COMPILE_CACHE) > COMPILE_CACHE_ENTRIES:
+                del _COMPILE_CACHE[next(iter(_COMPILE_CACHE))]
     return fn
 
 
@@ -138,6 +160,39 @@ class UnsupportedConstruct(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+@dataclass(frozen=True)
+class SequenceProgram:
+    """Source and signal lists of one design's fused ``codegen_run``.
+
+    ``state`` — every signal the settle or sequential code reads or writes,
+    so a superset of both gates — is flattened into the generator's locals
+    (and its dump); ``inputs`` are the input ports every application tuple
+    carries, in order; ``outputs`` the output ports each cycle yields,
+    packed; ``edge_inputs`` the input ports some process is edge-sensitive to.
+    """
+
+    source: str
+    state: tuple[tuple[str, int], ...]
+    inputs: tuple[tuple[str, int], ...]
+    outputs: tuple[tuple[str, int], ...]
+    edge_inputs: tuple[str, ...]
+
+    def ready(self, values: dict, driven, applied) -> bool:
+        """Whether ``values`` may hand over before a vector driving ``driven``.
+
+        The handover gate: every state signal must be x/z-free except inputs
+        ``driven`` is about to define, and edge inputs ever ``applied`` must
+        be x/z-free regardless — an edge from x is not a two-state edge.
+        """
+        for name, _ in self.state:
+            if values[name].xz_mask and name not in driven:
+                return False
+        for name in self.edge_inputs:
+            if name in applied and values[name].xz_mask:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -161,6 +216,9 @@ class CodegenArtifact:
     seq_state: tuple[tuple[str, int], ...] = ()
     seq_writes: tuple[tuple[str, int], ...] = ()
     seq_gate: tuple[str, ...] = ()
+    #: Fused cycle loop for clocked designs (``None``: combinational, or a
+    #: design whose processes write an input port).
+    sequence: SequenceProgram | None = None
 
     @property
     def supported(self) -> bool:
@@ -313,8 +371,8 @@ class _Generator:
             if self.widths[name] > MAX_SIGNAL_WIDTH:
                 raise UnsupportedConstruct("wide-signal")
 
-        settle_source, settle_state, settle_writes = self._build_settle(comb, comb_scans)
-        seq_source, seq_state, seq_writes = self._build_sequential(seq, seq_scans)
+        settle_lines, settle_state, settle_writes = self._settle_lines(comb, comb_scans)
+        seq_lines, seq_state, seq_writes = self._sequential_lines(seq, seq_scans)
 
         comb_defined: set[str] = set()
         for scan in comb_scans:
@@ -330,15 +388,24 @@ class _Generator:
             # must be defined too, not just the signals the process reads.
             seq_gate |= scan.external_reads | scan.writes
 
+        sequence = None
+        if seq:
+            sequence = self._build_run(
+                seq, comb_scans + seq_scans,
+                settle_lines, settle_state, seq_lines, seq_state,
+            )
         return CodegenArtifact(
-            settle_source=settle_source,
-            sequential_source=seq_source,
+            settle_source=self._settle_source(settle_lines, settle_state, settle_writes),
+            sequential_source=self._sequential_source(
+                len(seq), seq_lines, seq_state, seq_writes
+            ),
             settle_state=settle_state,
             settle_writes=settle_writes,
             settle_gate=tuple(sorted(settle_gate)),
             seq_state=seq_state,
             seq_writes=seq_writes,
             seq_gate=tuple(sorted(seq_gate)),
+            sequence=sequence,
         )
 
     # ------------------------------------------------------------------ analysis
@@ -545,9 +612,10 @@ class _Generator:
         return names
 
     # ------------------------------------------------------------------ settle
-    def _build_settle(
+    def _settle_lines(
         self, processes: list[Process], scans: list[_ProcessScan]
-    ) -> tuple[str, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
+    ) -> tuple[list[str], tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
+        """One settle pass (sets ``_chg``), its state and its write set."""
         referenced: set[str] = set()
         writes: set[str] = set()
         for scan in scans:
@@ -571,7 +639,9 @@ class _Generator:
                     f"{var} != {save}" for var, save in zip(write_vars, saves)
                 )
                 writer.emit(f"_chg = _chg or {comparison}")
+        return writer.lines, state, write_state
 
+    def _settle_source(self, body: list[str], state, write_state) -> str:
         state_vars = self.state_vars(state)
         return_vars = self.state_vars(write_state)
         lines = ["def codegen_settle(state, FULL, check_deadline, SimulationError):"]
@@ -580,7 +650,7 @@ class _Generator:
         lines.append(f"    for _pass in range({MAX_SETTLE_ITERATIONS}):")
         lines.append('        check_deadline("BatchSimulator.codegen_settle")')
         lines.append("        _chg = False")
-        lines.extend(f"        {line}" for line in writer.lines)
+        lines.extend(f"        {line}" for line in body)
         lines.append("        if not _chg:")
         lines.append("            break")
         lines.append("    else:")
@@ -593,12 +663,13 @@ class _Generator:
             lines.append(f"    return ({', '.join(return_vars)},)")
         else:
             lines.append("    return ()")
-        return "\n".join(lines) + "\n", state, write_state
+        return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------ sequential
-    def _build_sequential(
+    def _sequential_lines(
         self, processes: list[Process], scans: list[_ProcessScan]
-    ) -> tuple[str, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
+    ) -> tuple[list[str], tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
+        """The edge-triggered pass under masks ``_m<i>``, then its commits."""
         referenced: set[str] = set()
         writes: set[str] = set()
         for scan in scans:
@@ -610,21 +681,157 @@ class _Generator:
         writer = _Writer()
         lowerer = _Lowerer(self, writer)
         for index, process in enumerate(processes):
-            writer.emit(f"_m{index} = masks[{index}]")
             lowerer.statement(process.body, f"_m{index}", nonblocking=True)
         lowerer.emit_commits()
+        return writer.lines, state, write_state
 
+    def _sequential_source(
+        self, count: int, body: list[str], state, write_state
+    ) -> str:
         state_vars = self.state_vars(state)
         return_vars = self.state_vars(write_state)
         lines = ["def codegen_sequential(state, masks, FULL):"]
         if state_vars:
             lines.append(f"    ({', '.join(state_vars)},) = state")
-        lines.extend(f"    {line}" for line in writer.lines)
+        lines.extend(f"    _m{index} = masks[{index}]" for index in range(count))
+        lines.extend(f"    {line}" for line in body)
         if return_vars:
             lines.append(f"    return ({', '.join(return_vars)},)")
         else:
             lines.append("    return ()")
-        return "\n".join(lines) + "\n", state, write_state
+        return "\n".join(lines) + "\n"
+
+    # ------------------------------------------------------------------ fused run
+    def _build_run(
+        self,
+        processes: list[Process],
+        scans: list[_ProcessScan],
+        settle_body: list[str],
+        settle_state: tuple[tuple[str, int], ...],
+        seq_body: list[str],
+        seq_state: tuple[tuple[str, int], ...],
+    ) -> SequenceProgram | None:
+        """The fused ``codegen_run`` generator for a clocked design.
+
+        Mirrors ``ModuleSimulator.apply_inputs`` per application: edges on the
+        applied inputs' bit 0, settle, triggered processes, settle.  Two
+        settles are skipped where the scalar engine's are no-ops: the state is
+        settled between applications, so only a changed comb-read input (or a
+        sequential pass) can move the fixpoint.
+        """
+        ports = self.design.ports
+        input_widths = {
+            port.name: port.width
+            for port in ports
+            if port.direction is ast.PortDirection.INPUT
+        }
+        written: set[str] = set()
+        for scan in scans:
+            written |= scan.writes
+        if written & set(input_widths):
+            return None  # a driven input is not a plain stimulus any more
+        state_names = {name for name, _ in settle_state} | {name for name, _ in seq_state}
+        state = tuple((name, self.widths[name]) for name in sorted(state_names))
+        settle_names = {name for name, _ in settle_state}
+        edge_inputs = sorted(
+            {
+                signal
+                for process in processes
+                for _, signal in process.edge_signals()
+                if signal in input_widths
+            }
+        )
+        inputs = tuple(
+            (name, input_widths[name])
+            for name in sorted(input_widths)
+            if name in state_names or name in edge_inputs
+        )
+        if not inputs:
+            return None
+        outputs = tuple(
+            (port.name, port.width)
+            for port in ports
+            if port.direction is ast.PortDirection.OUTPUT and port.name in state_names
+        )
+        slot = {name: index for index, (name, _) in enumerate(inputs)}
+
+        body: list[str] = []
+        if settle_body:
+            body.append("_dirty = 0")
+        body.extend(f"_o{slot[name]} = _p{slot[name]}" for name in edge_inputs)
+        for index, (name, width) in enumerate(inputs):
+            body.append(f"if _i{index} != _p{index}:")
+            body.append(f"    _p{index} = _i{index}")
+            if name in state_names:
+                base = self.varname[name]
+                body.append(f"    {base}_0 = _i{index} & 1")
+                body.extend(
+                    f"    {base}_{bit} = _i{index} >> {bit} & 1" for bit in range(1, width)
+                )
+            if settle_body and name in settle_names:
+                body.append("    _dirty = 1")
+        for index, process in enumerate(processes):
+            terms = []
+            for edge, signal in process.edge_signals():
+                if signal not in slot:
+                    continue  # internal signals are never applied: no edge
+                new, old = f"_i{slot[signal]}", f"_o{slot[signal]}"
+                if edge is ast.EdgeKind.POSEDGE:
+                    terms.append(f"{new} & ~{old} & 1")
+                else:
+                    terms.append(f"{old} & ~{new} & 1")
+            body.append(f"_m{index} = {' | '.join(terms) if terms else '0'}")
+        body.append(f"_seq = {' | '.join(f'_m{index}' for index in range(len(processes)))}")
+        body.append("while True:")
+        if settle_body:
+            body.append("    if _dirty:")
+            body.append(f"        for _pass in range({MAX_SETTLE_ITERATIONS}):")
+            body.append("            _chg = False")
+            body.extend(f"            {line}" for line in settle_body)
+            body.append("            if not _chg:")
+            body.append("                break")
+            body.append("        else:")
+            body.append("            raise SimulationError(settle_error)")
+        body.append("    if not _seq:")
+        body.append("        break")
+        body.extend(f"    {line}" for line in seq_body)
+        body.append("    _seq = 0")
+        if settle_body:
+            body.append("    _dirty = 1")
+
+        state_vars = self.state_vars(state)
+        packed = []
+        for name, width in outputs:
+            base = self.varname[name]
+            packed.append(
+                " | ".join([f"{base}_0"] + [f"{base}_{bit} << {bit}" for bit in range(1, width)])
+            )
+        previous = ", ".join(f"_p{index}" for index in range(len(inputs)))
+        lines = [
+            "def codegen_run(state, check_deadline, SimulationError, settle_error, "
+            f"{previous}):",
+            "    FULL = 1",
+        ]
+        if state_vars:
+            lines.append(f"    ({', '.join(state_vars)},) = state")
+        lines.append("    _events = yield")
+        lines.append("    while True:")
+        applied = ", ".join(f"_i{index}" for index in range(len(inputs)))
+        lines.append(f"        for ({applied},) in _events:")
+        lines.extend(f"            {line}" for line in body)
+        lines.append('        check_deadline("codegen_run")')
+        lines.append(f"        _events = yield ({''.join(f'{p}, ' for p in packed)})")
+        lines.append("        while _events is None:")
+        lines.append(f"            _events = yield ({''.join(f'{v}, ' for v in state_vars)})")
+        if len(lines) > MAX_GENERATED_LINES:
+            raise UnsupportedConstruct("code-size")
+        return SequenceProgram(
+            source="\n".join(lines) + "\n",
+            state=state,
+            inputs=inputs,
+            outputs=outputs,
+            edge_inputs=tuple(edge_inputs),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1096,11 +1303,12 @@ class CodegenRuntime:
             artifact.sequential_source, "codegen_sequential"
         )
 
-    def _gate_ok(self, values: dict, gate: tuple[str, ...]) -> bool:
+    def _gate_ok(self, values: dict, gate: tuple[str, ...], record: bool = True) -> bool:
         for name in gate:
             for column in values[name].xz_cols:
                 if column:
-                    record_fallback(self.label, XZ_STATE)
+                    if record:
+                        record_fallback(self.label, XZ_STATE)
                     return False
         return True
 
@@ -1121,11 +1329,15 @@ class CodegenRuntime:
             if current.value_cols != cols or any(current.xz_cols):
                 values[name] = BatchVector(width, self.lanes, cols, (0,) * width)
 
-    def try_settle(self, store, full_mask: int) -> bool:
-        """Run the generated settle; ``False`` means caller must interpret."""
+    def try_settle(self, store, full_mask: int, record: bool = True) -> bool:
+        """Run the generated settle; ``False`` means caller must interpret.
+
+        ``record=False`` keeps an x/z gate failure out of the fallback
+        registry (the construction-time settle, before any input is driven).
+        """
         artifact = self.artifact
         values = store.values
-        if not self._gate_ok(values, artifact.settle_gate):
+        if not self._gate_ok(values, artifact.settle_gate, record):
             return False
         state = self._extract(values, artifact.settle_state)
         out = self._settle_fn(state, full_mask, check_deadline, SimulationError)
@@ -1142,6 +1354,107 @@ class CodegenRuntime:
         out = self._sequential_fn(state, masks, full_mask)
         self._write_back(values, artifact.seq_writes, out)
         return True
+
+
+class SequenceRun:
+    """One stimulus sequence on a design's fused ``codegen_run``.
+
+    Built from a scalar simulator's signal values at a cycle boundary that
+    passes :meth:`SequenceProgram.ready`; afterwards :meth:`cycle` advances
+    one clock cycle — data application, clock high, clock low — and
+    :meth:`read` returns the value any signal has after it.  The scalar store
+    is not updated: signals the generated code never writes are constant, so
+    they are read from it.
+    """
+
+    __slots__ = (
+        "_program", "_values", "_gen", "_current", "_slots", "_masks", "_clock",
+        "_outputs", "_internal", "_sample", "_driven",
+    )
+
+    def __init__(self, program: SequenceProgram, values: dict, clock: str, design: str):
+        self._program = program
+        self._values = values
+        flat: list[int] = []
+        for name, width in program.state:
+            value = values[name].value
+            flat.extend((value >> bit) & 1 for bit in range(width))
+        self._current = [
+            -1 if values[name].xz_mask else values[name].value for name, _ in program.inputs
+        ]
+        self._slots = {name: index for index, (name, _) in enumerate(program.inputs)}
+        self._masks = [(1 << width) - 1 for _, width in program.inputs]
+        self._clock = self._slots.get(clock)
+        #: Output name → (sample slot, width, packed value → vector cache).
+        self._outputs = {
+            name: (index, width, {}) for index, (name, width) in enumerate(program.outputs)
+        }
+        #: State signals only a dump can read (not outputs, not inputs).
+        self._internal = {name for name, _ in program.state} - set(self._slots)
+        self._internal -= set(self._outputs)
+        #: Raw values of every input driven since the handover.
+        self._driven: dict[str, int] = {}
+        self._sample: tuple = ()
+        fn = _compiled_function(program.source, "codegen_run")
+        self._gen = fn(
+            tuple(flat),
+            check_deadline,
+            SimulationError,
+            f"combinational logic in module {design!r} did not settle after "
+            f"{MAX_SETTLE_ITERATIONS} iterations (combinational loop?)",
+            *self._current,
+        )
+        next(self._gen)
+
+    def cycle(self, data: dict) -> None:
+        """Apply ``data`` (clock excluded), raise and lower the clock."""
+        current = self._current
+        slots = self._slots
+        for name, value in data.items():
+            slot = slots.get(name)
+            if slot is not None:
+                current[slot] = value & self._masks[slot]
+        self._driven.update(data)
+        events = [tuple(current)] if data else []
+        clock = self._clock
+        if clock is not None:
+            current[clock] = 1
+            events.append(tuple(current))
+            current[clock] = 0
+            events.append(tuple(current))
+        self._sample = self._gen.send(events)
+
+    def read(self, name: str) -> LogicVector | None:
+        """The signal's value after the last cycle (``None`` if undeclared)."""
+        output = self._outputs.get(name)
+        if output is not None:
+            index, width, vectors = output
+            value = self._sample[index]
+            vector = vectors.get(value)
+            if vector is None:
+                vector = vectors[value] = LogicVector.from_int(value, width)
+            return vector
+        values = self._values
+        if name not in values:
+            return None
+        if name in self._driven:
+            return LogicVector.from_int(self._driven[name], values[name].width)
+        if name in self._internal:
+            return LogicVector.from_int(self.dump()[name], values[name].width)
+        return values[name]
+
+    def dump(self) -> dict[str, int]:
+        """Every state signal's current value, packed (valid after a cycle)."""
+        flat = self._gen.send(None)
+        packed: dict[str, int] = {}
+        position = 0
+        for name, width in self._program.state:
+            value = 0
+            for bit in range(width):
+                value |= flat[position + bit] << bit
+            packed[name] = value
+            position += width
+        return packed
 
 
 # ---------------------------------------------------------------------------

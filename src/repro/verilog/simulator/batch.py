@@ -80,7 +80,9 @@ class BatchSimulator:
         self._full_mask = (1 << lanes) - 1
         self._codegen = self._build_codegen(design_from_compiled)
         self._run_initial_blocks()
-        self.settle()
+        # Inputs are still undriven here, so an x/z gate failure is expected
+        # and is not a fallback worth counting.
+        self._settle(record_fallback=False)
 
     def _build_codegen(self, design_from_compiled: bool):
         """Codegen runtime for this design, or ``None`` (interpreter only)."""
@@ -182,7 +184,12 @@ class BatchSimulator:
     # ------------------------------------------------------------------ execution
     def settle(self) -> None:
         """Re-evaluate combinational processes until no lane changes."""
-        if self._codegen is not None and self._codegen.try_settle(self.store, self._full_mask):
+        self._settle(record_fallback=True)
+
+    def _settle(self, record_fallback: bool) -> None:
+        if self._codegen is not None and self._codegen.try_settle(
+            self.store, self._full_mask, record_fallback
+        ):
             return
         for _ in range(MAX_SETTLE_ITERATIONS):
             check_deadline("BatchSimulator.settle")

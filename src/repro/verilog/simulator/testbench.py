@@ -166,8 +166,15 @@ class TestbenchRunner:
         golden: GoldenModel,
         stimulus: list[dict[str, int]],
         check_outputs: list[str] | None,
+        program=None,
     ) -> TestbenchResult:
-        """Cycle-serial scoring of a compiled DUT against the golden model."""
+        """Cycle-serial scoring of a compiled DUT against the golden model.
+
+        With ``program`` (the design's
+        :class:`~repro.verilog.codegen.SequenceProgram`), reset still runs on
+        the scalar engine; the cycles from the first boundary whose state
+        passes the program's x/z gate run on generated code instead.
+        """
         try:
             simulator = ModuleSimulator(compiled)
         except VerilogError as exc:
@@ -176,6 +183,11 @@ class TestbenchRunner:
         mismatches: list[Mismatch] = []
         total_checks = 0
         golden.reset()
+        run = None
+        if program is not None:
+            from ..codegen import SequenceRun
+
+            applied = {self.clock}.union(*stimulus)
 
         try:
             if golden.is_sequential:
@@ -184,7 +196,17 @@ class TestbenchRunner:
                 inputs = dict(raw_inputs)
                 if golden.is_sequential:
                     expected = golden.step(inputs)
-                    self._drive_cycle(simulator, inputs)
+                    data = {name: value for name, value in inputs.items() if name != self.clock}
+                    if (
+                        run is None
+                        and program is not None
+                        and program.ready(simulator.signals, data, applied)
+                    ):
+                        run = SequenceRun(program, simulator.signals, self.clock, compiled.name)
+                    if run is None:
+                        self._drive_cycle(simulator, data)
+                    else:
+                        run.cycle(data)
                 else:
                     expected = golden.eval(inputs)
                     simulator.apply_inputs(dict(inputs))
@@ -192,7 +214,10 @@ class TestbenchRunner:
                 for output in outputs_to_check:
                     total_checks += 1
                     expected_value = expected[output]
-                    actual = self._read_output(simulator, output)
+                    if run is None:
+                        actual = self._read_output(simulator, output)
+                    else:
+                        actual = run.read(output)
                     if not self._matches(actual, expected_value):
                         mismatches.append(
                             Mismatch(
@@ -227,17 +252,16 @@ class TestbenchRunner:
         active = 0 if self.reset.active_low else 1
         inactive = 1 - active
         simulator.apply_inputs({self.reset.signal: active})
-        if self.reset.synchronous or True:
-            # Hold reset active across a few clock edges so both synchronous and
-            # asynchronous implementations observe it.
-            for _ in range(self.reset.cycles):
-                simulator.apply_inputs({self.clock: 1})
-                simulator.apply_inputs({self.clock: 0})
+        # Hold reset active across a few clock edges so both synchronous and
+        # asynchronous implementations observe it.
+        for _ in range(self.reset.cycles):
+            simulator.apply_inputs({self.clock: 1})
+            simulator.apply_inputs({self.clock: 0})
         simulator.apply_inputs({self.reset.signal: inactive})
         golden.reset()
 
-    def _drive_cycle(self, simulator: ModuleSimulator, inputs: dict[str, int]) -> None:
-        data_inputs = {name: value for name, value in inputs.items() if name != self.clock}
+    def _drive_cycle(self, simulator: ModuleSimulator, data_inputs: dict[str, int]) -> None:
+        """Apply one cycle's data inputs (clock excluded), raise and lower the clock."""
         if data_inputs:
             simulator.apply_inputs(data_inputs)
         simulator.apply_inputs({self.clock: 1})
@@ -258,16 +282,21 @@ class TestbenchRunner:
 
 
 class BatchTestbenchRunner(TestbenchRunner):
-    """Testbench runner that checks combinational DUTs in one batched pass.
+    """Testbench runner that scores DUTs on the fast engines.
 
     For a purely combinational design and golden model, all stimulus vectors
     become lanes of one :class:`~repro.verilog.simulator.batch.BatchSimulator`
     pass — removing the per-vector Python dispatch that dominates functional
-    pass@k scoring.  Sequential designs (or stimulus sequences with inconsistent
-    key sets, whose vectors inherit values from prior steps) keep the scalar
-    cycle-serial path, which also remains the differential oracle: with
-    ``differential=True`` every batched run is re-checked against
-    :class:`TestbenchRunner` and a divergence raises ``AssertionError``.
+    pass@k scoring.  A clocked design checked against a sequential golden
+    model is reset on the scalar engine and then runs its cycles on the
+    design's fused generated loop (:class:`~repro.verilog.codegen.SequenceRun`).
+    Everything else — combinational stimulus with inconsistent key sets
+    (whose vectors inherit values from prior steps), latches, designs the
+    lowering rejects, stimulus naming a non-input, the ``interpret`` backend
+    — keeps the scalar cycle-serial path, which also remains the
+    differential oracle: with ``differential=True`` every fast run is
+    re-checked against :class:`TestbenchRunner` and a divergence raises
+    ``AssertionError``.
     """
 
     def __init__(
@@ -296,6 +325,20 @@ class BatchTestbenchRunner(TestbenchRunner):
         compiled = self._compile(dut_source, module_name)
         if isinstance(compiled, TestbenchResult):
             return compiled
+        program = self._sequence_program(compiled, golden, stimulus)
+        if program is not None:
+            result = self._run_scalar(compiled, golden, stimulus, check_outputs, program)
+            if self.differential:
+                golden.reset()
+                scalar = self._run_scalar(compiled, golden, stimulus, check_outputs)
+                fast = (result.passed, result.total_checks, result.failure_summary)
+                slow = (scalar.passed, scalar.total_checks, scalar.failure_summary)
+                if fast != slow:
+                    raise AssertionError(
+                        f"generated sequential run diverged from the scalar oracle: "
+                        f"codegen {fast}, scalar {slow}"
+                    )
+            return result
         if (
             not self._batchable(golden, stimulus)
             # Edge-triggered registers and inferred latches carry history across
@@ -317,6 +360,29 @@ class BatchTestbenchRunner(TestbenchRunner):
         return result
 
     # ------------------------------------------------------------------ helpers
+    def _sequence_program(self, compiled, golden: GoldenModel, stimulus):
+        """The fused program for a clocked check, or ``None`` to stay scalar.
+
+        Unusual checks stay scalar so their outcome (error text included) is
+        the scalar engine's own: a clock or stimulus name that is not an input
+        port, a non-integer stimulus value, a rejected design.
+        """
+        artifact = compiled.codegen
+        if (
+            self.backend == "interpret"
+            or not golden.is_sequential
+            or not compiled.has_sequential_processes
+            or artifact is None
+            or artifact.sequence is None
+        ):
+            return None
+        inputs = compiled.input_widths()
+        if self.clock not in inputs or not set().union(*stimulus) <= inputs.keys():
+            return None
+        if not all(isinstance(value, int) for vector in stimulus for value in vector.values()):
+            return None
+        return artifact.sequence
+
     def _batchable(self, golden: GoldenModel, stimulus: list[dict[str, int]]) -> bool:
         if golden.is_sequential or not stimulus:
             return False

@@ -124,6 +124,26 @@ class TestGeneration:
         assert compiled.codegen is not None
         assert compiled.codegen.reject_reason == reason
 
+    def test_clocked_design_gets_a_fused_run(self):
+        program = DesignDatabase().compile(ACCUM).codegen.sequence
+        assert program is not None
+        assert "def codegen_run" in program.source
+        assert [name for name, _ in program.inputs] == ["clk", "d", "rst"]
+        assert program.outputs == (("sum", 5),)
+        assert program.edge_inputs == ("clk",)
+        assert [name for name, _ in program.state] == ["d", "rst", "sum"]
+        assert DesignDatabase().compile(ALU).codegen.sequence is None
+
+    def test_process_driven_input_gets_no_fused_run(self):
+        source = (
+            "module p(input clk, input a, output reg q);"
+            " always @(posedge clk) begin q <= a; end"
+            " assign a = q; endmodule"
+        )
+        artifact = DesignDatabase().compile(source).codegen
+        assert artifact.supported
+        assert artifact.sequence is None
+
     def test_backend_codegen_raises_on_rejected_design(self):
         source = (
             "module d(input [3:0] a, input [3:0] b, output [3:0] y);"
@@ -210,6 +230,30 @@ class TestFallbackRegistry:
         BatchSimulator.from_source(ALU, lanes=4, backend="interpret")
         assert codegen.fallback_stats()["total"] == 0
 
+    def test_fresh_simulator_records_no_fallback(self):
+        # The constructor settles before any input is driven; that x/z gate
+        # failure is not a fallback (a per-call one still counts, see
+        # test_xz_gate_falls_back_per_call_then_recovers).
+        source = "module g(input a, input b, output y); assign y = a & b; endmodule"
+        simulator = BatchSimulator.from_source(source, lanes=4, backend="auto")
+        assert simulator._codegen is not None
+        assert codegen.fallback_stats()["total"] == 0
+        simulator.apply_inputs({"a": 1, "b": 0})
+        assert codegen.fallback_stats()["total"] == 0
+
+
+class TestCompileCache:
+    def test_cache_evicts_oldest_beyond_the_cap(self, monkeypatch):
+        monkeypatch.setattr(codegen, "COMPILE_CACHE_ENTRIES", 4)
+        monkeypatch.setattr(codegen, "_COMPILE_CACHE", {})
+        sources = [f"def fn():\n    return {index}\n" for index in range(10)]
+        for source in sources:
+            assert codegen._compiled_function(source, "fn")() == sources.index(source)
+        assert list(codegen._COMPILE_CACHE) == sources[-4:]
+
+    def test_cap_holds_a_full_design_database(self):
+        assert codegen.COMPILE_CACHE_ENTRIES >= DesignDatabase().max_entries
+
 
 class TestDeadline:
     def test_generated_settle_ticks_the_deadline(self):
@@ -221,6 +265,20 @@ class TestDeadline:
             with pytest.raises(CheckTimeout) as excinfo:
                 runtime.try_settle(simulator.store, simulator._full_mask)
         assert excinfo.value.site == "BatchSimulator.codegen_settle"
+
+    def test_fused_run_ticks_the_deadline_per_cycle(self):
+        compiled = DesignDatabase().compile(ACCUM)
+        simulator = ModuleSimulator(compiled)
+        simulator.apply_inputs({"clk": 0, "rst": 1, "d": 0})
+        simulator.clock_cycle()
+        simulator.apply_inputs({"rst": 0})
+        run = codegen.SequenceRun(compiled.codegen.sequence, simulator.signals, "clk", "accum")
+        run.cycle({"d": 3})
+        assert run.read("sum").to_int() == 3
+        with deadline_scope(0.0):
+            with pytest.raises(CheckTimeout) as excinfo:
+                run.cycle({"d": 1})
+        assert excinfo.value.site == "codegen_run"
 
 
 class TestBitTableExport:
