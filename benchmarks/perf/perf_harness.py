@@ -553,8 +553,9 @@ def bench_formal_incremental(repeat: int = 3) -> dict[str, float]:
     The workload is a 50-candidate pass@k sweep against one reference: the
     baseline rebuilds the reference cone, the Tseitin CNF and a cold CDCL
     instance for every candidate; the session encodes the reference once and
-    proves each candidate under an activation literal on one persistent solver
-    (learned clauses, VSIDS activity and saved phases survive the sweep).
+    proves each candidate's miter, Tseitin-encoded as built with no AIG
+    rewriting, under an activation literal on one persistent solver (learned
+    clauses, VSIDS activity and saved phases survive the sweep).
 
     A verdict-parity gate runs before timing: both engines must agree on every
     candidate, bit for bit, and every refutation must carry a counterexample.

@@ -10,7 +10,10 @@ assertion:
   batched functional-equivalence checking at 64+ stimuli, >=5x for generated
   straight-line code over the AST-walking batch interpreter at 256 stimuli,
   >=5x for a 64-cycle clocked check on the fused generated loop over the
-  scalar cycle-serial runner);
+  scalar cycle-serial runner, >=5x for a 50-candidate pass@k sweep proven on
+  one persistent equivalence session — reference encoded once, each
+  candidate under an activation literal — over a fresh solver per candidate,
+  >=3x for compile-once over cold evaluation of a 50-candidate sweep);
 * baseline-relative: no tracked timing may regress more than 2x versus the
   committed ``BENCH_perf.json``.
 

@@ -25,7 +25,7 @@ state beyond the memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from ..core.llm.base import GenerationConfig
@@ -76,11 +76,6 @@ class EvaluationConfig:
     #: The budget is charged *per proof* even on the shared incremental
     #: session — every candidate of a sweep gets the full limit.
     formal_conflict_limit: int | None = 50_000
-    #: Prove combinational formal checks on a persistent per-worker
-    #: :class:`~repro.formal.incremental.EquivalenceSession` (one solver per
-    #: reference design across the sweep).  Verdict-identical to the
-    #: fresh-solver prover, just faster.
-    formal_incremental: bool = True
     #: k-induction depth for sequential tasks in formal mode — unbounded
     #: equivalence proofs instead of a silent simulation fallback.  ``0``
     #: disables induction (every sequential task simulates, as before).
@@ -106,79 +101,44 @@ class EvaluationConfig:
 
     def single_temperature(self) -> "EvaluationConfig":
         """A copy that only evaluates the first temperature (for quick runs)."""
-        return EvaluationConfig(
-            num_samples=self.num_samples,
-            ks=self.ks,
-            temperatures=(self.temperatures[0],),
-            seed=self.seed,
-            stimulus_seed=self.stimulus_seed,
-            max_tasks=self.max_tasks,
-            use_batch_simulator=self.use_batch_simulator,
-            differential_oracle=self.differential_oracle,
-            simulator_backend=self.simulator_backend,
-            mode=self.mode,
-            formal_conflict_limit=self.formal_conflict_limit,
-            formal_incremental=self.formal_incremental,
-            induction_depth=self.induction_depth,
-            max_workers=self.max_workers,
-            memoize_results=self.memoize_results,
-            check_timeout_s=self.check_timeout_s,
-            max_attempts=self.max_attempts,
-            retry_backoff_s=self.retry_backoff_s,
-            retry_backoff_cap_s=self.retry_backoff_cap_s,
-        )
+        return replace(self, temperatures=self.temperatures[:1])
 
     def to_dict(self) -> dict:
         """JSON-safe serialization (run manifests persist this verbatim)."""
         return {
-            "num_samples": self.num_samples,
-            "ks": list(self.ks),
-            "temperatures": list(self.temperatures),
-            "seed": self.seed,
-            "stimulus_seed": self.stimulus_seed,
-            "max_tasks": self.max_tasks,
-            "use_batch_simulator": self.use_batch_simulator,
-            "differential_oracle": self.differential_oracle,
-            "simulator_backend": self.simulator_backend,
-            "mode": self.mode,
-            "formal_conflict_limit": self.formal_conflict_limit,
-            "formal_incremental": self.formal_incremental,
-            "induction_depth": self.induction_depth,
-            "max_workers": self.max_workers,
-            "memoize_results": self.memoize_results,
-            "check_timeout_s": self.check_timeout_s,
-            "max_attempts": self.max_attempts,
-            "retry_backoff_s": self.retry_backoff_s,
-            "retry_backoff_cap_s": self.retry_backoff_cap_s,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(self).items()
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "EvaluationConfig":
-        return cls(
-            num_samples=int(payload["num_samples"]),
-            ks=tuple(int(k) for k in payload["ks"]),
-            temperatures=tuple(float(t) for t in payload["temperatures"]),
-            seed=int(payload.get("seed", 0)),
-            stimulus_seed=int(payload.get("stimulus_seed", 1234)),
-            max_tasks=payload.get("max_tasks"),
-            use_batch_simulator=bool(payload.get("use_batch_simulator", True)),
-            differential_oracle=bool(payload.get("differential_oracle", False)),
-            simulator_backend=str(payload.get("simulator_backend", "auto")),
-            mode=str(payload.get("mode", "simulation")),
-            formal_conflict_limit=payload.get("formal_conflict_limit"),
-            formal_incremental=bool(payload.get("formal_incremental", True)),
-            induction_depth=int(payload.get("induction_depth", 4)),
-            max_workers=int(payload.get("max_workers", 1)),
-            memoize_results=bool(payload.get("memoize_results", True)),
-            check_timeout_s=(
-                float(payload["check_timeout_s"])
-                if payload.get("check_timeout_s") is not None
-                else None
-            ),
-            max_attempts=int(payload.get("max_attempts", 3)),
-            retry_backoff_s=float(payload.get("retry_backoff_s", 0.05)),
-            retry_backoff_cap_s=float(payload.get("retry_backoff_cap_s", 2.0)),
-        )
+        """Inverse of :meth:`to_dict`; unknown keys are ignored.
+
+        Missing keys take the field default, except ``formal_conflict_limit``,
+        which reads as ``None`` (unbounded) when absent.
+        """
+        values = {
+            spec.name: _coerce(spec.type, payload[spec.name])
+            for spec in fields(cls)
+            if spec.name in payload
+        }
+        values.setdefault("formal_conflict_limit", None)
+        return cls(**values)
+
+
+_COERCE = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _coerce(annotation: str, value):
+    """Coerce a JSON value to an :class:`EvaluationConfig` field annotation."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    if annotation.startswith("tuple["):
+        item = _COERCE[annotation[len("tuple[") : -len(", ...]")]]
+        return tuple(item(entry) for entry in value)
+    return _COERCE[annotation](value)
 
 
 @dataclass
@@ -319,7 +279,6 @@ def task_check_keys(
         config.differential_oracle,
         config.formal_conflict_limit,
         backend=config.simulator_backend,
-        formal_incremental=config.formal_incremental,
         induction_depth=config.induction_depth,
     )
     return stimulus, task_stimulus_key, task_mode_key
@@ -349,7 +308,6 @@ def check_request_for(
         differential=config.differential_oracle,
         backend=config.simulator_backend,
         formal_conflict_limit=config.formal_conflict_limit,
-        formal_incremental=config.formal_incremental,
         induction_depth=config.induction_depth,
         database=database,
         timeout_s=config.check_timeout_s,

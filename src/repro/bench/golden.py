@@ -331,10 +331,14 @@ class VerilogGolden:
     """Golden model backed by simulating a reference Verilog design.
 
     Lets a task be scored against its golden *Verilog* (``reference_source``)
-    when no hand-written Python model exists: :meth:`eval` drives a scalar
-    :class:`~repro.verilog.simulator.ModuleSimulator`, :meth:`step` runs one
-    clock cycle.  Outputs that settle to ``x``/``z`` are omitted from the
-    expected dict (an undefined reference bit constrains nothing).
+    when no hand-written Python model exists: every :meth:`eval` drives a
+    scalar :class:`~repro.verilog.simulator.ModuleSimulator`, :meth:`step`
+    runs one clock cycle.  Outputs that settle to ``x``/``z`` are omitted from
+    the expected dict (an undefined reference bit constrains nothing).
+
+    Formal mode proves combinational references on one persistent
+    :meth:`equivalence_session`; sequential references take the one-shot
+    bounded or k-induction provers.
     """
 
     source: str
@@ -351,58 +355,12 @@ class VerilogGolden:
         self._compiled = compile_design(self.source, self.module_name)
         self._simulator = ModuleSimulator(self._compiled)
         self.is_sequential = self._compiled.has_sequential_processes
-        self._tables: dict[str, list[BitTable]] | None = None
-        self._table_ports: tuple[tuple[str, int], ...] = ()
-        self._pending_inputs: dict[str, int] | None = None
         self._equiv_session = None
-        if not self.is_sequential:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        """Small pure-combinational references collapse to BitTable lookups.
-
-        The exhaustive export only succeeds when every output is fully defined
-        over the whole input space, so a table hit can never disagree with the
-        simulator (which stays as the fallback for partial/oversized inputs).
-        """
-        from ..verilog.codegen import export_bittables
-
-        tables = export_bittables(self._compiled)
-        if tables is None:
-            return
-        names = (
-            self.outputs
-            if self.outputs is not None
-            else tuple(self._simulator.output_names())
-        )
-        if any(name not in tables for name in names):
-            return
-        self._tables = {name: tables[name] for name in names}
-        self._table_ports = tuple(
-            (port.name, port.width) for port in self._compiled.template.input_ports()
-        )
 
     def reset(self) -> None:
         from ..verilog.simulator import ModuleSimulator
 
         self._simulator = ModuleSimulator(self._compiled)
-        self._pending_inputs = None
-
-    def _table_eval(self, inputs: Mapping[str, int]) -> dict[str, int] | None:
-        """Minterm lookup when the stimulus covers exactly the input ports."""
-        if self._tables is None or set(inputs) != {name for name, _ in self._table_ports}:
-            return None
-        index = 0
-        for name, width in self._table_ports:
-            value = int(inputs[name])
-            if not 0 <= value < (1 << width):
-                return None  # out of range: let the simulator path raise
-            index = (index << width) | value
-        self._pending_inputs = {name: int(inputs[name]) for name, _ in self._table_ports}
-        return {
-            name: sum(((table.bits >> index) & 1) << bit for bit, table in enumerate(columns))
-            for name, columns in self._tables.items()
-        }
 
     def _observed(self) -> dict[str, int]:
         names = self.outputs if self.outputs is not None else self._simulator.output_names()
@@ -413,24 +371,11 @@ class VerilogGolden:
                 observed[name] = value.to_int()
         return observed
 
-    def _sync_pending(self) -> None:
-        # A table hit skips the simulator entirely; replay the last looked-up
-        # assignment before mixing in a simulator-path call so both paths see
-        # the same signal history.
-        if self._pending_inputs is not None:
-            pending, self._pending_inputs = self._pending_inputs, None
-            self._simulator.apply_inputs(pending)
-
     def eval(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        looked_up = self._table_eval(inputs)
-        if looked_up is not None:
-            return looked_up
-        self._sync_pending()
         self._simulator.apply_inputs(dict(inputs))
         return self._observed()
 
     def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        self._sync_pending()
         self._simulator.clock_cycle(self.clock, dict(inputs))
         return self._observed()
 
@@ -461,16 +406,15 @@ class VerilogGolden:
         reset: str | None = None,
         reset_active_low: bool = False,
         conflict_limit: int | None = None,
-        incremental: bool = True,
         induction_depth: int | None = None,
     ):
         """SAT-prove a DUT equivalent to this golden reference design.
 
-        Combinational references get a complete proof — incremental by default,
-        on this instance's persistent :meth:`equivalence_session`.  Sequential
-        references need ``sequential_steps`` (bounded equivalence from reset)
-        or ``induction_depth`` (unbounded proof by k-induction; give both and
-        an inconclusive induction falls back to the bounded proof).  SAT
+        Combinational references get a complete proof on this instance's
+        persistent :meth:`equivalence_session`.  Sequential references need
+        ``sequential_steps`` (bounded equivalence from reset) or
+        ``induction_depth`` (unbounded proof by k-induction; give both and an
+        inconclusive induction falls back to the bounded proof).  SAT
         counterexamples are replayed on the simulators before being returned
         (see :func:`formal_equivalence_check`).
         """
@@ -482,9 +426,7 @@ class VerilogGolden:
             raise ValueError(
                 "sequential reference: pass sequential_steps for a bounded proof"
             )
-        session = None
-        if incremental and not self.is_sequential:
-            session = self.equivalence_session()
+        session = None if self.is_sequential else self.equivalence_session()
         return formal_equivalence_check(
             dut_source,
             self.source,
@@ -506,10 +448,10 @@ class GoldenCache:
 
     Golden models are contractually stateless between runs: the testbench
     runner calls ``reset()`` before driving stimulus, and every model in this
-    module fully re-initialises there (for :class:`VerilogGolden` the reset is
-    now a cache-hit template clone).  One instance per task can therefore be
-    reused across all candidates of an evaluation sweep instead of being
-    rebuilt per functional check.
+    module fully re-initialises there (for :class:`VerilogGolden` the reset
+    builds a fresh simulator from the cached elaboration template).  One
+    instance per task can therefore be reused across all candidates of an
+    evaluation sweep instead of being rebuilt per functional check.
     """
 
     def __init__(self) -> None:

@@ -115,7 +115,6 @@ def mode_key(
     differential: bool,
     formal_conflict_limit: int | None,
     backend: str = "auto",
-    formal_incremental: bool = True,
     induction_depth: int = 4,
 ) -> str:
     """Scoring-mode component of a :class:`ResultKey`.
@@ -123,20 +122,17 @@ def mode_key(
     A pinned simulator backend is part of the key (a verdict scored under
     ``interpret`` must not satisfy a ``codegen`` request); the default ``auto``
     is left out so existing durable result stores keep their keys.  The same
-    rule covers the formal-engine knobs: the incremental session is verdict-
-    identical to the one-shot prover so ``formal_incremental`` only enters the
-    key when disabled, and ``induction_depth`` only at non-default values
-    (k-induction at the default depth replaced a simulation fallback, which
-    never produced a *formal-mode pass* for those tasks before — stored passes
-    stay valid).
+    rule covers ``induction_depth``, which only enters the key at non-default
+    values (k-induction at the default depth replaced a simulation fallback,
+    which never produced a *formal-mode pass* for those tasks before — stored
+    passes stay valid).
     """
     engine = "" if backend == "auto" else f"|engine={backend}"
     if mode == "formal":
-        incremental = "" if formal_incremental else "|inc=False"
         induction = "" if induction_depth == 4 else f"|induction={induction_depth}"
         return (
             f"formal:{formal_conflict_limit}|batch={use_batch}"
-            f"|diff={differential}{engine}{incremental}{induction}"
+            f"|diff={differential}{engine}{induction}"
         )
     return f"simulation|batch={use_batch}|diff={differential}{engine}"
 
@@ -162,11 +158,6 @@ class CheckRequest:
     #: interpreter fallback), ``codegen`` or ``interpret``.
     backend: str = "auto"
     formal_conflict_limit: int | None = 50_000
-    #: Formal mode proves candidates on a per-worker persistent
-    #: :class:`~repro.formal.incremental.EquivalenceSession` (one solver per
-    #: reference design, shared across the sweep).  ``False`` restores the
-    #: fresh-solver-per-candidate prover; verdicts are identical either way.
-    formal_incremental: bool = True
     #: k-induction depth for sequential tasks under formal mode (unbounded
     #: proofs; inconclusive inductions fall back to simulation).  ``0``
     #: restores the old behaviour of simulating every sequential task.
@@ -218,9 +209,9 @@ class CheckOutcome:
     #: straight from the journal.
     duration_s: float = 0.0
     #: SAT-search accounting when the verdict came from a formal proof
-    #: (conflicts, decisions, propagations, learned clauses, fraig merges,
-    #: proof method).  Empty — and absent from the journal payload — for
-    #: simulation verdicts, so old journals replay bit-for-bit.
+    #: (conflicts, decisions, propagations, learned clauses, proof method).
+    #: Empty — and absent from the journal payload — for simulation
+    #: verdicts, so old journals replay bit-for-bit.
     proof_stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -369,8 +360,6 @@ def _proof_stats_dict(proof) -> dict:
         "propagations": stats.propagations,
         "learned_clauses": stats.learned_clauses,
     }
-    if proof.fraig_merges:
-        payload["fraig_merges"] = proof.fraig_merges
     if proof.sequential_steps:
         payload["sequential_steps"] = proof.sequential_steps
     return payload
@@ -380,9 +369,8 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
     """Complete SAT equivalence proof against the task's reference design.
 
     Combinational tasks are proven on the worker's persistent
-    :class:`EquivalenceSession` (unless ``request.formal_incremental`` is off);
-    sequential tasks get an **unbounded** k-induction proof at
-    ``request.induction_depth``.  Returns ``None`` (→ simulation fallback) for
+    :class:`EquivalenceSession`; sequential tasks get an **unbounded**
+    k-induction proof at ``request.induction_depth``.  Returns ``None`` (→ simulation fallback) for
     designs outside the provable subset, inconclusive inductions, or an
     exhausted SAT conflict budget.
     """
@@ -407,13 +395,12 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
                 induction_depth=request.induction_depth,
             )
         else:
-            session = _session_for(request) if request.formal_incremental else None
             proof = formal_equivalence_check(
                 request.code,
                 request.reference_source,
                 outputs=request.check_outputs,
                 conflict_limit=request.formal_conflict_limit,
-                session=session,
+                session=_session_for(request),
             )
     except (FormalEncodingError, ConflictLimitExceeded):
         return None  # outside the provable subset / budget: simulate instead

@@ -14,8 +14,6 @@ that gap with a classical formal pipeline, all in pure Python:
   learning, VSIDS activity, Luby restarts);
 * :mod:`~repro.formal.miter` — miter construction, equivalence proofs and
   counterexample extraction;
-* :mod:`~repro.formal.fraig` — simulation-guided fraiging (AIG preprocessing
-  that merges proven-equal nodes before CNF encoding);
 * :mod:`~repro.formal.incremental` — :class:`EquivalenceSession`: one
   persistent solver proving a whole candidate sweep against one reference
   under per-candidate activation literals;
@@ -33,7 +31,6 @@ from .aig import AIG, FALSE, TRUE, FormalEncodingError, FormalError, SymVector
 from .cnf import CNF, tseitin
 from .cone import ConeResult, SequentialUnroller, build_combinational_cone
 from .encode import bittable_to_aig, expr_to_aig
-from .fraig import FraigStats, fraig_reduce
 from .incremental import EquivalenceSession, IncrementalEncoder
 from .induction import InductionInconclusive, prove_sequential_by_induction
 from .miter import (
@@ -58,7 +55,6 @@ __all__ = [
     "EquivalenceSession",
     "FormalEncodingError",
     "FormalError",
-    "FraigStats",
     "IncrementalEncoder",
     "InductionInconclusive",
     "SatResult",
@@ -69,7 +65,6 @@ __all__ = [
     "bittable_to_aig",
     "build_combinational_cone",
     "expr_to_aig",
-    "fraig_reduce",
     "proof_stats",
     "prove_combinational_equivalence",
     "prove_expr_equivalence",

@@ -14,9 +14,7 @@ CDCL instance per candidate, throwing away everything the search learned.
 * each candidate's miter root is guarded by a fresh **activation literal**
   ``act → miter`` and solved under ``assumptions=(act,)``, so one
   :class:`~repro.formal.sat.SatSolver` — with its learned clauses, VSIDS
-  activity and saved phases — survives the whole sweep;
-* before encoding, the miter cone is shrunk by simulation-guided fraiging
-  (:func:`repro.formal.fraig.fraig_reduce`).
+  activity and saved phases — survives the whole sweep.
 
 The conflict budget is **per proof**: every ``prove`` call passes its own
 ``conflict_limit`` into a fresh ``SatStats`` accounting inside
@@ -39,7 +37,6 @@ from typing import Sequence
 from ..verilog.design import get_default_database
 from .aig import AIG, FALSE, TRUE, FormalEncodingError, SymVector
 from .cone import build_combinational_cone
-from .fraig import FraigStats, fraig_reduce
 from .miter import (
     Counterexample,
     EquivalenceResult,
@@ -129,7 +126,6 @@ class _Candidate:
     all_inputs: dict[str, SymVector] = field(default_factory=dict)
     dut_outputs: dict[str, SymVector] = field(default_factory=dict)
     checked: list[str] = field(default_factory=list)
-    fraig_merges: int = 0
     #: Filled for verdicts that need no solver call (structural equality /
     #: missing outputs); ``prove`` returns it directly.
     precomputed: EquivalenceResult | None = None
@@ -155,19 +151,11 @@ class EquivalenceSession:
         outputs: Sequence[str] | None = None,
         reference_module_name: str | None = None,
         conflict_limit: int | None = 50_000,
-        fraig: bool = True,
-        fraig_rows: int = 64,
-        fraig_seed: int = 0x5EED,
-        fraig_conflict_limit: int = 500,
         database=None,
     ):
         database = database if database is not None else get_default_database()
         self._database = database
         self.conflict_limit = conflict_limit
-        self.fraig = fraig
-        self.fraig_rows = fraig_rows
-        self.fraig_seed = fraig_seed
-        self._fraig_conflict_limit = fraig_conflict_limit
         self.aig = AIG()
         self.reference_compiled = database.compile(
             reference_source, reference_module_name
@@ -215,38 +203,6 @@ class EquivalenceSession:
             else:
                 shared[port.name] = self._free_input(port.name, port.width)
         return shared
-
-    # ------------------------------------------------------------------ fraig probes
-    def _probe_equal(self, a: int, b: int) -> tuple[bool, dict[str, int] | None]:
-        """Fraig's equality oracle, run on the *session* solver.
-
-        Each probe is a temporary activation-gated miter ``act → (a ⊕ b)``
-        solved under ``assumptions=(act,)`` and retired with a unit
-        ``¬act`` afterwards — so merge confirmations ride the same learned
-        clauses as the candidate proofs instead of paying for a fresh
-        Tseitin encoding and solver per pair.
-        """
-        root = self.aig.XOR(a, b)
-        if root == FALSE:
-            return True, None
-        if root == TRUE:
-            return False, {}
-        activation = self.encoder.new_var()
-        root_literal = self.encoder.literal(root)
-        self.solver.add_clause((-activation, root_literal))
-        try:
-            outcome = self.solver.solve(
-                assumptions=(activation,), conflict_limit=self._fraig_conflict_limit
-            )
-        finally:
-            self.solver.add_clause((-activation,))  # retire the probe
-        if not outcome.satisfiable:
-            return True, None
-        witness = {
-            name: 1 if outcome.model.get(var, False) else 0
-            for name, var in self.encoder.input_vars.items()
-        }
-        return False, witness
 
     # ------------------------------------------------------------------ candidates
     def _admit(self, dut_source: str, module_name: str | None) -> _Candidate:
@@ -296,21 +252,11 @@ class EquivalenceSession:
             )
             for name in candidate.checked
         )
-        if self.fraig and root not in (TRUE, FALSE):
-            (root,), fraig_stats = fraig_reduce(
-                self.aig,
-                [root],
-                rows=self.fraig_rows,
-                seed=self.fraig_seed,
-                prove_equal=self._probe_equal,
-            )
-            candidate.fraig_merges = fraig_stats.merges
         if root == FALSE:
             candidate.precomputed = EquivalenceResult(
                 equivalent=True,
                 checked_outputs=candidate.checked,
                 method="structural",
-                fraig_merges=candidate.fraig_merges,
             )
             self._candidates[key] = candidate
             return candidate
@@ -363,7 +309,6 @@ class EquivalenceSession:
                 stats=outcome.stats,
                 checked_outputs=candidate.checked,
                 method="sat",
-                fraig_merges=candidate.fraig_merges,
             )
         assignment = {
             name: _decode_vector(self.encoder, outcome.model, vector)
@@ -383,5 +328,4 @@ class EquivalenceSession:
             counterexample=counterexample,
             stats=outcome.stats,
             checked_outputs=candidate.checked,
-            fraig_merges=candidate.fraig_merges,
         )

@@ -84,9 +84,6 @@ class EquivalenceResult:
     #: 0 for combinational proofs, k for k-step bounded sequential equivalence
     #: (and the induction depth for ``method == "induction"``).
     sequential_steps: int = 0
-    #: AIG nodes removed by fraig preprocessing before CNF encoding (0 when
-    #: the proof ran without fraiging, e.g. the one-shot provers).
-    fraig_merges: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent

@@ -68,7 +68,6 @@ __all__ = [
     "SequenceProgram",
     "SequenceRun",
     "UnsupportedConstruct",
-    "export_bittables",
     "fallback_stats",
     "generate",
     "record_fallback",
@@ -1456,66 +1455,3 @@ class SequenceRun:
             position += width
         return packed
 
-
-# ---------------------------------------------------------------------------
-# BitTable export for pure-combinational cones
-# ---------------------------------------------------------------------------
-
-
-def export_bittables(
-    compiled, *, max_input_bits: int = 12
-) -> dict[str, list] | None:
-    """Exhaustively evaluate a pure-combinational design into ``BitTable``s.
-
-    Returns ``{output_name: [BitTable for bit 0 (LSB), bit 1, ...]}`` or
-    ``None`` when the design is sequential, too wide, or produced x/z.  The
-    table variable names follow the input ports in declaration order, each
-    expanded MSB-first (``name`` for 1-bit ports, ``name[i]`` otherwise), so
-    the first name is the most significant minterm index bit — the
-    :class:`~repro.logic.bittable.BitTable` convention.
-    """
-    from ..logic.bittable import BitTable
-    from .design import coerce_compiled
-    from .simulator.batch import BatchSimulator
-
-    design = coerce_compiled(compiled)
-    if design.has_sequential_processes:
-        return None
-    template = design.template
-    inputs = template.input_ports()
-    total = sum(port.width for port in inputs)
-    if total == 0 or total > max_input_bits:
-        return None
-    lanes = 1 << total
-
-    def pattern(bit: int) -> int:
-        # Lane j carries bit ((j >> bit) & 1): the classic truth-table column.
-        block = (1 << (1 << bit)) - 1
-        period = 1 << (bit + 1)
-        out = 0
-        for start in range(1 << bit, lanes, period):
-            out |= block << start
-        return out
-
-    names: list[str] = []
-    vectors: dict[str, BatchVector] = {}
-    cursor = 0
-    for port in inputs:
-        cols: list[int] = [0] * port.width
-        for bit in range(port.width - 1, -1, -1):
-            names.append(port.name if port.width == 1 else f"{port.name}[{bit}]")
-            cols[bit] = pattern(total - 1 - cursor)
-            cursor += 1
-        vectors[port.name] = BatchVector(
-            port.width, lanes, tuple(cols), (0,) * port.width
-        )
-
-    simulator = BatchSimulator(design, lanes=lanes)
-    simulator.apply_inputs(vectors)
-    tables: dict[str, list] = {}
-    for port in template.output_ports():
-        vector = simulator.store.get(port.name)
-        if any(vector.xz_cols):
-            return None
-        tables[port.name] = [BitTable(names, column) for column in vector.value_cols]
-    return tables

@@ -88,8 +88,8 @@ class TestbenchResult:
     mismatches: list[Mismatch] = field(default_factory=list)
     error: str | None = None
     #: SAT-search accounting when the verdict came from a formal proof
-    #: (conflicts, decisions, propagations, learned clauses, fraig merges,
-    #: proof method); ``None`` for simulation verdicts.
+    #: (conflicts, decisions, propagations, learned clauses, proof method);
+    #: ``None`` for simulation verdicts.
     proof_stats: dict | None = None
 
     @property

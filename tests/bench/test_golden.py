@@ -200,6 +200,61 @@ class TestVerilogGolden:
         observed = golden.eval({"a": 1})
         assert observed == {"y": 1}  # z never driven -> stays x -> unconstrained
 
+    def test_eval_matches_scalar_simulator_exhaustively(self):
+        from repro.verilog.design import compile_design
+        from repro.verilog.simulator import ModuleSimulator
+
+        source = (
+            "module ref(input [2:0] a, input inv, output [2:0] y, output p);\n"
+            "    assign y = inv ? ~a : a;\n"
+            "    assign p = ^a;\n"
+            "endmodule\n"
+        )
+        golden = VerilogGolden(source)
+        scalar = ModuleSimulator(compile_design(source))
+        for a in range(8):
+            for inv in range(2):
+                scalar.apply_inputs({"a": a, "inv": inv})
+                expected = {"y": scalar.get_int("y"), "p": scalar.get_int("p")}
+                assert golden.eval({"a": a, "inv": inv}) == expected
+
+    def test_partial_and_out_of_range_stimuli_follow_the_simulator(self):
+        from repro.verilog.design import compile_design
+        from repro.verilog.simulator import ModuleSimulator
+
+        golden = VerilogGolden(self.ADDER)
+        scalar = ModuleSimulator(compile_design(self.ADDER))
+        # Full vectors, a vector that drives only one port (the other keeps
+        # its last value), and values wider than the 4-bit ports.
+        stimuli = ({"a": 9, "b": 8}, {"a": 1}, {"b": 3}, {"a": 16, "b": 0}, {"a": -1})
+        for stimulus in stimuli:
+            scalar.apply_inputs(dict(stimulus))
+            expected = {"sum": scalar.get_int("sum"), "cout": scalar.get_int("cout")}
+            assert golden.eval(stimulus) == expected, stimulus
+        assert golden.eval({"a": 1}) == {"sum": 1, "cout": 0}
+
+    def test_reset_forgets_driven_inputs(self):
+        source = "module ref(input a, input b, output y); assign y = a & b; endmodule"
+        golden = VerilogGolden(source)
+        assert golden.eval({"a": 1, "b": 1}) == {"y": 1}
+        assert golden.eval({"a": 1}) == {"y": 1}  # b is still driven
+        golden.reset()
+        assert golden.eval({"a": 1}) == {}  # b is x again: y is unconstrained
+
+    def test_combinational_proofs_share_one_session(self):
+        from repro.formal import prove_combinational_equivalence
+
+        golden = VerilogGolden(self.ADDER)
+        session = golden.equivalence_session()
+        swapped = self.ADDER.replace("a + b", "b + a")
+        wrong = self.ADDER.replace("a + b", "a - b")
+        for dut, expected in ((swapped, True), (wrong, False), (self.ADDER, True)):
+            assert golden.prove_equivalent(dut).equivalent is expected
+            fresh = prove_combinational_equivalence(dut, self.ADDER)
+            assert fresh.equivalent is expected
+        assert golden.equivalence_session() is session
+        assert session.proofs == 3
+
 
 class TestBatchEquivalenceCheck:
     REFERENCE = (

@@ -10,6 +10,9 @@ result keys stay byte-stable at default knob values.
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields, replace
+
 from repro.bench.evaluator import EvaluationConfig, check_request_for, task_check_keys
 from repro.bench.families import make_counter_task, make_expression_task
 from repro.bench.jobs import (
@@ -63,15 +66,12 @@ class TestModeKeyStability:
         )
 
     def test_non_default_knobs_enter_the_key(self):
-        assert mode_key(
-            "formal", True, False, 50_000, formal_incremental=False
-        ).endswith("|inc=False")
         assert mode_key("formal", True, False, 50_000, induction_depth=7).endswith(
             "|induction=7"
         )
         # Simulation mode ignores the formal knobs entirely.
         assert mode_key(
-            "simulation", True, False, None, formal_incremental=False, induction_depth=9
+            "simulation", True, False, None, induction_depth=9
         ) == "simulation|batch=True|diff=False"
 
 
@@ -166,38 +166,101 @@ class TestCombinationalFormalMode:
         assert again.passed
         assert jobs._worker_sessions[key] is session
 
-    def test_incremental_off_matches_session_verdict(self):
-        task = make_expression_task("expr_fresh", "unit", seed=3)
-        on = _formal_request(task, task.reference_source)
-        off = _formal_request(task, task.reference_source, formal_incremental=False)
-        assert on.key.mode != off.key.mode  # distinct durable keys
-        _, with_session = execute_check(on)
-        _, without = execute_check(off)
-        assert with_session.passed == without.passed
+    def test_proof_stats_keys(self):
+        task = make_expression_task("expr_stats", "unit", seed=3)
+        _, result = execute_check(_formal_request(task, task.reference_source))
+        assert result.passed
+        assert set(result.proof_stats) == {
+            "method",
+            "conflicts",
+            "decisions",
+            "propagations",
+            "learned_clauses",
+        }
+
+    def test_journaled_fraig_merges_still_replay(self):
+        # Outcomes journaled while simulation-guided fraiging existed carry a
+        # ``fraig_merges`` count in ``proof_stats``; they must load unchanged.
+        outcome = CheckOutcome(
+            sample_index=0,
+            temperature=0.2,
+            syntax_ok=True,
+            functional_passed=True,
+            total_checks=1,
+            proof_stats={"method": "sat", "conflicts": 3, "fraig_merges": 2},
+        )
+        payload = json.loads(json.dumps(outcome.to_dict()))
+        restored = CheckOutcome.from_dict(payload)
+        assert restored == outcome
+        assert restored.proof_stats["fraig_merges"] == 2
 
 
 class TestConfigSerialization:
+    def test_every_field_roundtrips(self):
+        config = EvaluationConfig(
+            num_samples=3,
+            ks=(1, 2),
+            temperatures=(0.1, 0.9),
+            seed=7,
+            stimulus_seed=99,
+            max_tasks=5,
+            use_batch_simulator=False,
+            differential_oracle=True,
+            simulator_backend="interpret",
+            mode="formal",
+            formal_conflict_limit=123,
+            induction_depth=6,
+            max_workers=2,
+            memoize_results=False,
+            check_timeout_s=1.5,
+            max_attempts=5,
+            retry_backoff_s=0.5,
+            retry_backoff_cap_s=4.0,
+        )
+        defaults = EvaluationConfig()
+        for spec in fields(EvaluationConfig):
+            assert getattr(config, spec.name) != getattr(defaults, spec.name), spec.name
+        payload = json.loads(json.dumps(config.to_dict()))
+        assert list(payload) == [spec.name for spec in fields(EvaluationConfig)]
+        assert payload["ks"] == [1, 2] and payload["temperatures"] == [0.1, 0.9]
+        assert EvaluationConfig.from_dict(payload) == config
+        single = config.single_temperature()
+        assert single.temperatures == (0.1,)
+        assert single == replace(config, temperatures=(0.1,))
+
     def test_new_knobs_roundtrip(self):
         config = EvaluationConfig(
             num_samples=1,
             ks=(1,),
             temperatures=(0.2,),
-            formal_incremental=False,
             induction_depth=6,
         )
         restored = EvaluationConfig.from_dict(config.to_dict())
-        assert restored.formal_incremental is False
         assert restored.induction_depth == 6
         single = config.single_temperature()
-        assert single.formal_incremental is False
         assert single.induction_depth == 6
 
     def test_old_payloads_get_defaults(self):
         payload = EvaluationConfig(
             num_samples=1, ks=(1,), temperatures=(0.2,)
         ).to_dict()
-        payload.pop("formal_incremental")
         payload.pop("induction_depth")
+        payload.pop("formal_conflict_limit")
         restored = EvaluationConfig.from_dict(payload)
-        assert restored.formal_incremental is True
         assert restored.induction_depth == 4
+        assert restored.formal_conflict_limit is None
+
+    def test_legacy_formal_incremental_payload_loads_on_the_default_key(self):
+        task = make_expression_task("expr_legacy", "unit", seed=3)
+        default = EvaluationConfig(
+            num_samples=1, ks=(1,), temperatures=(0.2,), mode="formal"
+        )
+        payload = default.to_dict()
+        payload["formal_incremental"] = False
+        legacy = EvaluationConfig.from_dict(payload)
+        assert legacy == default
+        assert (
+            task_check_keys(task, legacy, 0.2)[2]
+            == task_check_keys(task, default, 0.2)[2]
+            == "formal:50000|batch=True|diff=False"
+        )

@@ -88,8 +88,8 @@ def test_session_matches_fresh_prover_on_randomized_sweeps(seed):
                 ), f"counterexample did not replay: {result.counterexample.inputs}"
 
 
-def test_session_without_fraig_matches_fresh_prover():
-    session = EquivalenceSession(REFERENCE, fraig=False)
+def test_session_matches_fresh_prover():
+    session = EquivalenceSession(REFERENCE)
     for code, expected in _random_sweep(99, length=12):
         assert session.prove(code).equivalent == expected
 
@@ -130,16 +130,15 @@ def test_conflict_budget_is_per_proof_not_per_session():
     candidates = [_candidate(body) for body in GOOD_TEMPLATES] + [
         _roundtrip(REFERENCE)
     ]
-    # Per-proof cost ceiling, measured on fresh sessions (fraig off so every
-    # proof is a real CDCL search, not a structural fold).
+    # Per-proof cost ceiling, measured on fresh sessions.
     costs = []
     for code in candidates:
-        fresh = EquivalenceSession(REFERENCE, fraig=False)
+        fresh = EquivalenceSession(REFERENCE)
         costs.append(fresh.prove(code).stats.conflicts)
     assert max(costs) > 0, "workload no longer exercises the SAT search"
     budget = max(costs) + 5
 
-    session = EquivalenceSession(REFERENCE, fraig=False, conflict_limit=budget)
+    session = EquivalenceSession(REFERENCE, conflict_limit=budget)
     total = 0
     for _ in range(4):  # sweep the pool repeatedly to accumulate conflicts
         for code in candidates:
@@ -154,7 +153,7 @@ def test_conflict_budget_is_per_proof_not_per_session():
 
 
 def test_conflict_limit_still_enforced_per_proof():
-    session = EquivalenceSession(REFERENCE, fraig=False)
+    session = EquivalenceSession(REFERENCE)
     with pytest.raises(ConflictLimitExceeded):
         session.prove(_candidate(GOOD_TEMPLATES[2]), conflict_limit=1)
     # The session survives an exhausted budget: later proofs run normally.
@@ -175,16 +174,136 @@ def test_proof_registry_records_session_verdicts():
         reset_proof_stats()
 
 
-def test_result_carries_sat_and_fraig_accounting():
+def test_result_carries_sat_accounting():
     session = EquivalenceSession(REFERENCE)
     result = session.prove(_candidate(GOOD_TEMPLATES[1]))
     assert result.equivalent
     stats = result.stats
     assert stats.propagations >= 0 and stats.decisions >= 0
-    assert result.fraig_merges >= 0
     # Width-mismatched shared inputs are rejected exactly like the fresh path.
     wide = _candidate(GOOD_TEMPLATES[0]).replace("input [3:0] a", "input [4:0] a")
     from repro.formal import FormalEncodingError
 
     with pytest.raises(FormalEncodingError):
         session.prove(wide)
+
+
+# --------------------------------------------------------------------------
+# Redundant structure: the session proves it by CDCL search alone (no AIG
+# rewriting before the encoding), so equal functions built from unrelated
+# gates must still meet in the solver, and near-identical structures with a
+# different function must still be told apart.
+
+_CONE_INPUTS = [f"i{n}" for n in range(6)]
+
+
+def _cone_module(wires: list[str], roots: list[str]) -> str:
+    ports = ", ".join(f"input {name}" for name in _CONE_INPUTS)
+    outputs = ", ".join(f"output o{n}" for n in range(len(roots)))
+    body = "".join(
+        f"    wire w{n};\n    assign w{n} = {expr};\n" for n, expr in enumerate(wires)
+    )
+    body += "".join(f"    assign o{n} = {root};\n" for n, root in enumerate(roots))
+    return f"module cone({ports}, {outputs});\n{body}endmodule\n"
+
+
+def _rewrite(op: str, a: str, b: str) -> str:
+    """The same gate as ``a op b``, rebuilt with no shared structure."""
+    if op == "&":
+        return f"~(~({a}) | ~({b}))"
+    if op == "|":
+        return f"~(~({a}) & ~({b}))"
+    return f"(({a}) & ~({b})) | (~({a}) & ({b}))"
+
+
+def _random_cones(seed: int, num_gates: int = 24) -> tuple[str, str, str]:
+    """(reference, De Morgan rewrite, one-gate mutant) of a random gate cone."""
+    rng = random.Random(seed)
+    literals = list(_CONE_INPUTS)
+    gates = []
+    for n in range(num_gates):
+        op = rng.choice("&|^")
+        a, b = (rng.choice(literals) for _ in range(2))
+        a = f"~{a}" if rng.randint(0, 1) else a
+        b = f"~{b}" if rng.randint(0, 1) else b
+        gates.append((op, a, b))
+        literals.append(f"w{n}")
+    roots = [rng.choice(literals[len(_CONE_INPUTS):]) for _ in range(3)]
+    reference = _cone_module([f"{a} {op} {b}" for op, a, b in gates], roots)
+    rewrite = _cone_module([_rewrite(op, a, b) for op, a, b in gates], roots)
+    target = rng.randrange(num_gates)
+    mutated = [
+        f"{a} {'|&^'['&|^'.index(op)] if n == target else op} {b}"
+        for n, (op, a, b) in enumerate(gates)
+    ]
+    return reference, rewrite, _cone_module(mutated, roots)
+
+
+def _exhaustively_equal(code: str, reference: str) -> bool:
+    vectors = [
+        {name: (value >> bit) & 1 for bit, name in enumerate(_CONE_INPUTS)}
+        for value in range(1 << len(_CONE_INPUTS))
+    ]
+    return not batch_equivalence_mismatches(code, reference, vectors)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_session_matches_exhaustive_simulation_on_redundant_cones(seed):
+    reference, rewrite, mutant = _random_cones(seed)
+    session = EquivalenceSession(reference)
+    for code in (reference, rewrite, mutant):
+        expected = _exhaustively_equal(code, reference)
+        incremental = session.prove(code)
+        fresh = prove_combinational_equivalence(code, reference)
+        assert incremental.equivalent == fresh.equivalent == expected, code
+        if not expected:
+            assert batch_equivalence_mismatches(
+                code, reference, [incremental.counterexample.inputs]
+            ), f"counterexample did not replay: {incremental.counterexample.inputs}"
+    assert _exhaustively_equal(rewrite, reference)
+
+
+def test_session_proves_xor_encodings_without_shared_structure():
+    reference = "module x(input a, input b, output y); assign y = a ^ b; endmodule"
+    session = EquivalenceSession(reference)
+    for body in ("(a & ~b) | (~a & b)", "~((a & b) | (~a & ~b))"):
+        code = f"module x(input a, input b, output y); assign y = {body}; endmodule"
+        assert session.prove(code).equivalent
+        assert prove_combinational_equivalence(code, reference).equivalent
+
+
+def test_session_refutes_a_complemented_output():
+    reference = "module x(input a, input b, output y); assign y = a & b; endmodule"
+    code = "module x(input a, input b, output y); assign y = ~(~~a & ~~b); endmodule"
+    result = EquivalenceSession(reference).prove(code)
+    assert not result.equivalent
+    assert not prove_combinational_equivalence(code, reference).equivalent
+    assert batch_equivalence_mismatches(code, reference, [result.counterexample.inputs])
+
+
+def test_session_separates_structurally_similar_functions():
+    # Every candidate pairs the same four input gates; only the pairing of
+    # the outputs differs, so most gates look alike to a shallow comparison.
+    def ring(step: int) -> str:
+        gates = "".join(
+            f"    wire g{n};\n    assign g{n} = i{n} & i{(n + 1) % 4};\n"
+            for n in range(4)
+        )
+        outputs = "".join(
+            f"    assign o{n} = g{n} & g{(n + step) % 4};\n" for n in range(4)
+        )
+        return (
+            "module ring(input i0, input i1, input i2, input i3, "
+            "output o0, output o1, output o2, output o3);\n"
+            f"{gates}{outputs}endmodule\n"
+        )
+
+    reference = ring(2)
+    session = EquivalenceSession(reference)
+    assert session.prove(ring(2)).equivalent
+    for step in (1, 3):
+        result = session.prove(ring(step))
+        assert not result.equivalent
+        assert batch_equivalence_mismatches(
+            ring(step), reference, [result.counterexample.inputs]
+        )

@@ -1,11 +1,10 @@
-"""Codegen back end: lowering, equivalence, fallback recording, BitTable export.
+"""Codegen back end: lowering, equivalence, fallback recording.
 
 The generated straight-line functions must be *observationally identical* to
 the interpreter on every supported design — these tests pin the contract at
 three levels: artifact generation (what is accepted, what is rejected and
 why), runtime equivalence (codegen vs interpreter, lane by lane), and the
-integration seams (fallback registry, deadline ticks, disk-cached artifacts,
-truth-table export).
+integration seams (fallback registry, deadline ticks, disk-cached artifacts).
 """
 
 from __future__ import annotations
@@ -280,39 +279,3 @@ class TestDeadline:
                 run.cycle({"d": 1})
         assert excinfo.value.site == "codegen_run"
 
-
-class TestBitTableExport:
-    def test_export_matches_scalar_simulator(self):
-        source = """
-        module f(input [2:0] a, input inv, output [2:0] y, output p);
-            assign y = inv ? ~a : a;
-            assign p = ^a;
-        endmodule
-        """
-        compiled = DesignDatabase().compile(source)
-        tables = codegen.export_bittables(compiled)
-        assert tables is not None
-        assert set(tables) == {"y", "p"}
-        assert len(tables["y"]) == 3 and len(tables["p"]) == 1
-
-        scalar = ModuleSimulator(compiled)
-        for a in range(8):
-            for inv in range(2):
-                scalar.apply_inputs({"a": a, "inv": inv})
-                assignment = {"inv": inv}
-                for bit in range(3):
-                    assignment[f"a[{bit}]"] = (a >> bit) & 1
-                y = sum(
-                    tables["y"][bit].evaluate(assignment) << bit for bit in range(3)
-                )
-                assert y == scalar.get_int("y")
-                assert tables["p"][0].evaluate(assignment) == scalar.get_int("p")
-
-    def test_sequential_designs_do_not_export(self):
-        assert codegen.export_bittables(DesignDatabase().compile(ACCUM)) is None
-
-    def test_oversized_input_space_does_not_export(self):
-        source = (
-            "module w(input [12:0] a, output [12:0] y); assign y = ~a; endmodule"
-        )
-        assert codegen.export_bittables(DesignDatabase().compile(source)) is None
