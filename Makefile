@@ -1,6 +1,6 @@
 PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench bench-update perf-tests formal chaos service-smoke
+.PHONY: test test-fast coverage bench bench-update perf-tests formal chaos service-smoke e2e-verdicts
 
 # Functional suite only; the perf gate is machine-sensitive, run it via
 # `make bench` / `make perf-tests`.
@@ -44,3 +44,13 @@ bench-update:
 # Just the perf-marked pytest gate.
 perf-tests:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -q -m perf benchmarks/perf
+
+# End-to-end verdict check: one repetition of each e2ebench workload (quick
+# Table IV simulation, Table V formal, the HTTP service queue) compared with
+# the committed e2ebench/reference.json; run.py exits 1 on `correct: false`.
+E2E_WORKLOADS := table4-sim table5-formal service-queue
+
+e2e-verdicts:
+	set -e; for workload in $(E2E_WORKLOADS); do \
+		python e2ebench/run.py --workload $$workload --seconds 0.1 --trace 0; \
+	done

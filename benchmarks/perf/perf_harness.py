@@ -16,11 +16,12 @@ Times the tracked hot paths and reports before/after numbers:
   ``BatchTestbenchRunner`` pass (the differential check that both agree runs
   before timing, so ``make bench`` always exercises the batch engine against
   the scalar oracle).
-* ``codegen_sim``       — the same ALU workload on the code-generating back
-  end vs the batch AST interpreter.  A three-way differential gate (codegen
-  vs interpreter vs scalar, on the passing workload *and* on a mutated DUT
-  whose per-lane mismatches must agree exactly) runs before timing; the
-  acceptance bar is a >=5x speedup over the interpreted ``batch_sim`` path.
+* ``codegen_sim``       — the same ALU workload's 256 vectors swept as lanes
+  of one ``BatchSimulator`` on generated code vs one after another on the
+  scalar ``ModuleSimulator``, the oracle.  A differential gate (codegen vs
+  scalar, on the passing workload *and* on a mutated DUT whose per-lane
+  mismatches must agree exactly) runs before timing; the acceptance bar is a
+  >=5x speedup over the scalar sweep.
 * ``codegen_seq``       — one 64-cycle clocked check of a Moore sequence
   detector (the state-diagram task shape): the scalar ``TestbenchRunner``
   vs ``BatchTestbenchRunner``, which resets on the scalar engine and runs the
@@ -285,97 +286,98 @@ def bench_batch_sim(repeat: int = 5) -> dict[str, float]:
 
 
 def bench_codegen_sim(repeat: int = 5) -> dict[str, float]:
-    """Code-generated vs interpreted execution of the batched ALU workload.
+    """Generated code vs the scalar oracle on the batched ALU workload.
 
-    Both columns run the identical column-parallel ``BatchTestbenchRunner``
-    pass; only the execution engine differs, so the speedup isolates the
-    AST-walking tax the code generator removes.
+    The tracked column is one column-parallel ``BatchSimulator`` sweep of the
+    256 vectors on generated code; the comparison column is a scalar
+    ``ModuleSimulator`` sweep of the same 256 vectors, one after another.
     """
-    golden, stimulus = _batch_sim_workload()
-    interpret_runner = BatchTestbenchRunner(backend="interpret")
-    codegen_runner = BatchTestbenchRunner(backend="codegen")
+    from repro.verilog import codegen as codegen_mod
+    from repro.verilog.design import compile_design
+    from repro.verilog.simulator.batch import BatchSimulator
+    from repro.verilog.simulator.simulator import ModuleSimulator
+    from repro.verilog.simulator.values import BatchVector, LogicVector
 
-    # Three-way differential gate before timing.  The passing workload:
-    # codegen with differential=True re-runs the scalar oracle internally, and
-    # the interpreter must also pass.
-    assert BatchTestbenchRunner(backend="codegen", differential=True).run(
+    golden, stimulus = _batch_sim_workload()
+    fallbacks_before = codegen_mod.fallback_stats()["total"]
+
+    # Differential gate before timing.  The passing workload: the batched
+    # runner with differential=True re-runs the scalar oracle internally, and
+    # the scalar runner must pass too.
+    assert BatchTestbenchRunner(differential=True).run(
         BATCH_SIM_SOURCE, golden, stimulus
     ).passed, "codegen back end disagreed with the scalar oracle"
-    assert interpret_runner.run(BATCH_SIM_SOURCE, golden, stimulus).passed
-    # And a mutated DUT: all three engines must report the identical per-lane
+    assert TestbenchRunner().run(BATCH_SIM_SOURCE, golden, stimulus).passed
+    # And a mutated DUT: both engines must report the identical per-lane
     # mismatches, not merely the same pass/fail bit.
     buggy = BATCH_SIM_SOURCE.replace("result = a - b;", "result = a + b;")
     scalar_fail = TestbenchRunner().run(buggy, golden, stimulus)
-    interpret_fail = interpret_runner.run(buggy, golden, stimulus)
-    codegen_fail = codegen_runner.run(buggy, golden, stimulus)
-    assert not scalar_fail.passed and not interpret_fail.passed and not codegen_fail.passed
-    assert (
-        [str(m) for m in codegen_fail.mismatches]
-        == [str(m) for m in interpret_fail.mismatches]
-        == [str(m) for m in scalar_fail.mismatches]
-    ), "engines disagreed on the mutated DUT's mismatches"
+    codegen_fail = BatchTestbenchRunner().run(buggy, golden, stimulus)
+    assert not scalar_fail.passed and not codegen_fail.passed
+    assert [str(m) for m in codegen_fail.mismatches] == [
+        str(m) for m in scalar_fail.mismatches
+    ], "engines disagreed on the mutated DUT's mismatches"
+    assert codegen_mod.fallback_stats()["total"] == fallbacks_before, (
+        "the codegen_sim workload left generated code"
+    )
 
-    # Timed region: the column-parallel sweep itself (apply + settle over all
-    # 256 lanes).  The runner's per-lane golden-model comparison is identical
-    # Python on both sides and would drown the engine delta being tracked.
-    from repro.verilog.design import compile_design
-    from repro.verilog.simulator.batch import BatchSimulator
-    from repro.verilog.simulator.values import BatchVector, LogicVector
-
+    # Timed region: the sweep itself (apply + settle over all 256 vectors).
+    # The runner's per-lane golden-model comparison is identical Python on
+    # both sides and would drown the engine delta being tracked.
     compiled = compile_design(BATCH_SIM_SOURCE)
     lanes = BATCH_SIM_STIMULI
     widths = compiled.input_widths()
-    columns = {
-        name: [vector[name] for vector in stimulus] for name in ("a", "b", "op")
-    }
-    # A second stimulus set, so every timed application propagates real value
-    # changes instead of settling an already-settled state.  Both sets are
-    # packed up front: list→column packing is identical work on either engine
-    # and would otherwise drown the delta being tracked.
-    def pack(plain: dict) -> dict:
-        return {
+    # A second stimulus set, so every timed sweep propagates real value
+    # changes instead of settling an already-settled state.
+    vector_sets = [
+        stimulus,
+        [
+            {"a": vector["a"] ^ 0xFF, "b": vector["b"] ^ 0x55, "op": vector["op"] ^ 0x3}
+            for vector in stimulus
+        ],
+    ]
+    # Both sets are packed into columns up front: list→column packing is not
+    # work the scalar sweep does and would otherwise blur the delta.
+    packed = [
+        {
             name: BatchVector.from_vectors(
-                [LogicVector.from_int(value, widths[name]) for value in values],
+                [LogicVector.from_int(vector[name], widths[name]) for vector in vectors],
                 widths[name],
             )
-            for name, values in plain.items()
+            for name in ("a", "b", "op")
         }
-
-    stimuli = [
-        pack(columns),
-        pack(
-            {
-                "a": [value ^ 0xFF for value in columns["a"]],
-                "b": [value ^ 0x55 for value in columns["b"]],
-                "op": [value ^ 0x3 for value in columns["op"]],
-            }
-        ),
+        for vectors in vector_sets
     ]
 
-    def sweeper(backend: str):
-        simulator = BatchSimulator(compiled, lanes=lanes, backend=backend)
-        simulator.apply_inputs(stimuli[0])  # defined state: the x/z gate passes
-        state = {"flip": False}
+    batch = BatchSimulator(compiled, lanes=lanes)
+    scalar = ModuleSimulator(compiled)
+    scalar_outputs: list[dict[str, LogicVector]] = []
+    state = {"batch": 0, "scalar": 0}
 
-        def sweep():
-            state["flip"] = not state["flip"]
-            simulator.apply_inputs(stimuli[state["flip"]])
+    def codegen_sweep():
+        state["batch"] ^= 1
+        batch.apply_inputs(packed[state["batch"]])
 
-        return simulator, sweep
+    def scalar_sweep():
+        state["scalar"] ^= 1
+        scalar_outputs.clear()
+        for vector in vector_sets[state["scalar"]]:
+            scalar.apply_inputs(vector)
+            scalar_outputs.append({name: scalar.get(name) for name in ("result", "flags")})
 
-    fast, fast_sweep = sweeper("codegen")
-    slow, slow_sweep = sweeper("interpret")
+    codegen_sweep()
+    scalar_sweep()
     for name in ("result", "flags"):
-        assert fast.get(name).value_cols == slow.get(name).value_cols, (
+        assert batch.get(name).to_vectors() == [outputs[name] for outputs in scalar_outputs], (
             "engine sweeps diverged on the timing workload"
         )
-    interpret_s = measure(slow_sweep, repeat=repeat)
-    codegen_s = measure(fast_sweep, repeat=repeat)
+    scalar_s = measure(scalar_sweep, repeat=repeat)
+    codegen_s = measure(codegen_sweep, repeat=repeat)
     return {
         "stimuli": float(BATCH_SIM_STIMULI),
-        "interpret_s": interpret_s,
+        "scalar_s": scalar_s,
         "codegen_s": codegen_s,
-        "speedup": interpret_s / codegen_s,
+        "speedup": scalar_s / codegen_s,
     }
 
 
@@ -740,10 +742,9 @@ def bench_compile_cache(repeat: int = 3) -> dict[str, float]:
         "cold_s": cold_s,
         "warm_s": warm_s,
         "speedup": cold_s / warm_s,
-        # The sweep now runs codegen-warm (backend="auto" is the default):
-        # interpreter fallbacks recorded while it ran (construction-time
-        # settles before any input is driven are not counted).  A jump here
-        # means codegen coverage of the candidate workload regressed.
+        # The sweep runs on generated code where it can: checks that left it
+        # for the scalar simulator while it ran.  A jump here means codegen
+        # coverage of the candidate workload regressed.
         "codegen_fallbacks": float(
             codegen_mod.fallback_stats()["total"] - fallbacks_before
         ),

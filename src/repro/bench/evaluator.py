@@ -56,16 +56,11 @@ class EvaluationConfig:
     seed: int = 0
     stimulus_seed: int = 1234
     max_tasks: int | None = None
-    #: Batch combinational functional checks into one column-parallel pass
-    #: and run clocked ones on their fused generated cycle loop after a scalar
-    #: reset (``False``: everything on the cycle-serial scalar oracle).
-    use_batch_simulator: bool = True
-    #: Re-check every batched run against the scalar oracle (slow; CI use).
+    #: Re-check every generated-code run (combinational checks as batch
+    #: lanes, clocked ones on the fused cycle loop after a scalar reset)
+    #: against the scalar oracle and raise on any divergence (slow; CI use).
+    #: Checks generated code cannot take run on the scalar oracle anyway.
     differential_oracle: bool = False
-    #: Batched-runner execution engine: ``auto`` compiles designs to
-    #: straight-line Python and falls back to the AST interpreter per design,
-    #: ``codegen`` requires generated code, ``interpret`` pins the interpreter.
-    simulator_backend: str = "auto"
     #: ``"simulation"`` scores with stimulus sweeps; ``"formal"`` upgrades
     #: combinational tasks to complete SAT equivalence proofs against the
     #: reference design (sequential tasks and unprovable constructs fall back
@@ -275,10 +270,9 @@ def task_check_keys(
     )
     task_mode_key = mode_key(
         config.mode,
-        config.use_batch_simulator,
+        True,
         config.differential_oracle,
         config.formal_conflict_limit,
-        backend=config.simulator_backend,
         induction_depth=config.induction_depth,
     )
     return stimulus, task_stimulus_key, task_mode_key
@@ -304,9 +298,7 @@ def check_request_for(
         clock=task.clock,
         reset=task.reset,
         mode=config.mode,
-        use_batch=config.use_batch_simulator,
         differential=config.differential_oracle,
-        backend=config.simulator_backend,
         formal_conflict_limit=config.formal_conflict_limit,
         induction_depth=config.induction_depth,
         database=database,
@@ -549,24 +541,23 @@ def check_reference_designs(
     suite: BenchmarkSuite,
     stimulus_seed: int = 1234,
     max_tasks: int | None = None,
-    use_batch: bool = True,
     differential: bool = False,
-    backend: str = "auto",
 ) -> dict[str, str]:
     """Check every task's golden Verilog reference against its Python golden model.
 
     This is the suite self-consistency sweep the benchmark builders expose
     (``verilogeval.validate_references`` etc.): the reference design must pass
-    its own functional testbench.  Combinational tasks run column-parallel via
-    :class:`BatchTestbenchRunner`; pass ``differential=True`` to re-check every
-    batched run against the scalar oracle.  Reference designs and golden
-    models are cached (design database + :class:`~repro.bench.golden.GoldenCache`),
-    so repeated sweeps stop rebuilding them.
+    its own functional testbench.  Checks run on
+    :class:`~repro.verilog.simulator.testbench.BatchTestbenchRunner`; pass
+    ``differential=True`` to re-check every generated-code run against the
+    scalar oracle.  Reference designs and golden models are cached (design
+    database + :class:`~repro.bench.golden.GoldenCache`), so repeated sweeps
+    stop rebuilding them.
 
     Returns:
         task_id → failure summary for every failing task (empty == all passed).
     """
-    from ..verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+    from ..verilog.simulator.testbench import BatchTestbenchRunner
 
     goldens = GoldenCache()
     failures: dict[str, str] = {}
@@ -574,12 +565,7 @@ def check_reference_designs(
     if max_tasks is not None:
         tasks = tasks[:max_tasks]
     for task in tasks:
-        if use_batch:
-            runner: TestbenchRunner = BatchTestbenchRunner(
-                clock=task.clock, reset=task.reset, differential=differential, backend=backend
-            )
-        else:
-            runner = TestbenchRunner(clock=task.clock, reset=task.reset)
+        runner = BatchTestbenchRunner(clock=task.clock, reset=task.reset, differential=differential)
         result = runner.run(
             task.reference_source,
             goldens.get(task),

@@ -518,36 +518,35 @@ def batch_equivalence_mismatches(
     outputs: Sequence[str] | None = None,
     module_name: str | None = None,
     reference_module_name: str | None = None,
-    backend: str = "auto",
 ) -> list[LaneMismatch]:
     """Batched combinational equivalence sweep with structured counterexamples.
 
-    Both designs are elaborated once and evaluated over every stimulus vector in
-    a single column-parallel pass.  Returns one :class:`LaneMismatch` per
+    Both designs are elaborated once and evaluated over every stimulus vector,
+    each on its own independent lane
+    (:func:`~repro.verilog.simulator.batch.simulate_lanes`: one generated-code
+    pass per design, or one fresh scalar simulator per vector for a design
+    generated code cannot take).  Returns one :class:`LaneMismatch` per
     mismatching vector, ordered by lane (empty list == equivalent on the
     sweep).  An output that is ``x``/``z`` in the *reference* constrains
     nothing; an ``x``/``z`` DUT output mismatches any defined reference value.
-    ``backend`` selects the :class:`BatchSimulator` execution engine for both
-    sides (SAT counterexample replay rides the default ``auto``).
     """
-    from ..verilog.simulator.batch import BatchSimulator
+    from ..verilog.design import compile_design
+    from ..verilog.errors import SimulationError
+    from ..verilog.simulator.batch import simulate_lanes
 
     if not input_vectors:
         return []
     names = set(input_vectors[0])
     if any(set(vector) != names for vector in input_vectors):
         raise ValueError("equivalence sweeps require a consistent input-name set")
-    lanes = len(input_vectors)
-    dut = BatchSimulator.from_source(
-        dut_source, lanes=lanes, module_name=module_name, backend=backend
-    )
-    reference = BatchSimulator.from_source(
-        reference_source, lanes=lanes, module_name=reference_module_name, backend=backend
-    )
-    inputs = {name: [vector[name] for vector in input_vectors] for name in names}
-    dut.apply_inputs(inputs)
-    reference.apply_inputs(dict(inputs))
-    checked = list(outputs) if outputs is not None else reference.output_names()
+    dut = compile_design(dut_source, module_name)
+    reference = compile_design(reference_source, reference_module_name)
+    if outputs is not None:
+        checked = list(outputs)
+    else:
+        checked = [port.name for port in reference.output_ports()]
+    expected_values = simulate_lanes(reference, input_vectors, checked)
+    actual_values = simulate_lanes(dut, input_vectors, checked)
     mismatches: dict[int, LaneMismatch] = {}
 
     def lane_record(lane: int) -> LaneMismatch:
@@ -558,16 +557,17 @@ def batch_equivalence_mismatches(
         return record
 
     for name in checked:
-        expected = reference.get(name)
-        actual = dut.get(name) if name in dut.signals else None
-        for lane in range(lanes):
-            expected_lane = expected.lane(lane)
+        expected = expected_values.get(name)
+        if expected is None:
+            raise SimulationError(f"read of undeclared signal {name!r}")
+        actual = actual_values.get(name)
+        for lane, expected_lane in enumerate(expected):
             if expected_lane.has_unknown:
                 continue
             if actual is None:
                 lane_record(lane).missing_outputs.append(name)
                 continue
-            actual_lane = actual.lane(lane)
+            actual_lane = actual[lane]
             if actual_lane.has_unknown:
                 record = lane_record(lane)
                 record.expected[name] = expected_lane.to_int()
@@ -588,7 +588,6 @@ def batch_equivalence_check(
     outputs: Sequence[str] | None = None,
     module_name: str | None = None,
     reference_module_name: str | None = None,
-    backend: str = "auto",
 ) -> list[int]:
     """Index-list view of :func:`batch_equivalence_mismatches` (legacy API).
 
@@ -605,7 +604,6 @@ def batch_equivalence_check(
             outputs=outputs,
             module_name=module_name,
             reference_module_name=reference_module_name,
-            backend=backend,
         )
     ]
 

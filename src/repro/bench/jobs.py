@@ -114,27 +114,23 @@ def mode_key(
     use_batch: bool,
     differential: bool,
     formal_conflict_limit: int | None,
-    backend: str = "auto",
     induction_depth: int = 4,
 ) -> str:
     """Scoring-mode component of a :class:`ResultKey`.
 
-    A pinned simulator backend is part of the key (a verdict scored under
-    ``interpret`` must not satisfy a ``codegen`` request); the default ``auto``
-    is left out so existing durable result stores keep their keys.  The same
-    rule covers ``induction_depth``, which only enters the key at non-default
-    values (k-induction at the default depth replaced a simulation fallback,
-    which never produced a *formal-mode pass* for those tasks before — stored
-    passes stay valid).
+    Existing durable result stores keep their keys: the evaluator always
+    passes ``use_batch=True``, and ``induction_depth`` only enters the key at
+    non-default values (k-induction at the default depth replaced a
+    simulation fallback, which never produced a *formal-mode pass* for those
+    tasks before — stored passes stay valid).
     """
-    engine = "" if backend == "auto" else f"|engine={backend}"
     if mode == "formal":
         induction = "" if induction_depth == 4 else f"|induction={induction_depth}"
         return (
             f"formal:{formal_conflict_limit}|batch={use_batch}"
-            f"|diff={differential}{engine}{induction}"
+            f"|diff={differential}{induction}"
         )
-    return f"simulation|batch={use_batch}|diff={differential}{engine}"
+    return f"simulation|batch={use_batch}|diff={differential}"
 
 
 # --------------------------------------------------------------------------- requests
@@ -152,11 +148,11 @@ class CheckRequest:
     clock: str = "clk"
     reset: ResetSpec | None = None
     mode: str = "simulation"
+    #: Score on :class:`BatchTestbenchRunner` (generated code where it can);
+    #: the retry layer clears it to degrade a failed attempt to the scalar
+    #: :class:`TestbenchRunner` (``batch->scalar``).
     use_batch: bool = True
     differential: bool = False
-    #: Execution engine for the batched runner: ``auto`` (generated code with
-    #: interpreter fallback), ``codegen`` or ``interpret``.
-    backend: str = "auto"
     formal_conflict_limit: int | None = 50_000
     #: k-induction depth for sequential tasks under formal mode (unbounded
     #: proofs; inconclusive inductions fall back to simulation).  ``0``
@@ -325,7 +321,6 @@ def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
                 reset=request.reset,
                 differential=request.differential,
                 database=request.database,
-                backend=request.backend,
             )
         else:
             runner = TestbenchRunner(
@@ -597,7 +592,7 @@ def _apply_degradation(item: _WorkItem, kind: str) -> None:
 
     A deadline blown in formal mode drops the proof attempt (the SAT search is
     the open-ended part); a deadline or in-check error in batched simulation
-    drops to the scalar interpreter.  A worker *crash* does not degrade: the
+    drops to the scalar simulator.  A worker *crash* does not degrade: the
     retry must reproduce the fault-free verdict bit-for-bit, and a crash says
     nothing about which execution path is at fault.
     """

@@ -79,7 +79,6 @@ def build_rtllm(config: RTLLMConfig | None = None) -> BenchmarkSuite:
 def validate_references(
     config: RTLLMConfig | None = None,
     max_tasks: int | None = None,
-    use_batch: bool = True,
     differential: bool = False,
 ) -> dict[str, str]:
     """Self-consistency sweep over the RTLLM suite (batched where combinational)."""
@@ -88,6 +87,5 @@ def validate_references(
     return check_reference_designs(
         build_rtllm(config),
         max_tasks=max_tasks,
-        use_batch=use_batch,
         differential=differential,
     )

@@ -192,7 +192,6 @@ def validate_references(
     config: SuiteConfig | None = None,
     splits: tuple[str, ...] = ("machine", "human"),
     max_tasks: int | None = None,
-    use_batch: bool = True,
     differential: bool = False,
 ) -> dict[str, str]:
     """Self-consistency sweep: every reference design must pass its own testbench.
@@ -211,7 +210,6 @@ def validate_references(
             check_reference_designs(
                 build_verilogeval_machine(config),
                 max_tasks=max_tasks,
-                use_batch=use_batch,
                 differential=differential,
             )
         )
@@ -220,7 +218,6 @@ def validate_references(
             check_reference_designs(
                 build_verilogeval_human(config),
                 max_tasks=max_tasks,
-                use_batch=use_batch,
                 differential=differential,
             )
         )

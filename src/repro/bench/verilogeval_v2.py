@@ -80,7 +80,6 @@ def build_verilogeval_v2(config: V2Config | None = None) -> BenchmarkSuite:
 def validate_references(
     config: V2Config | None = None,
     max_tasks: int | None = None,
-    use_batch: bool = True,
     differential: bool = False,
 ) -> dict[str, str]:
     """Self-consistency sweep over the v2 suite (batched where combinational)."""
@@ -89,7 +88,6 @@ def validate_references(
     return check_reference_designs(
         build_verilogeval_v2(config),
         max_tasks=max_tasks,
-        use_batch=use_batch,
         differential=differential,
     )
 

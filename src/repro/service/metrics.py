@@ -257,7 +257,7 @@ class ServiceMetrics:
         total = MetricFamily(
             "repro_codegen_fallback_total",
             "counter",
-            "Simulations that fell back to the AST interpreter, by reason.",
+            "Simulation checks that fell back to the scalar simulator, by reason.",
         )
         if stats["total"]:
             for reason, count in sorted(stats["reasons"].items()):

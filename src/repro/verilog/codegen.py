@@ -1,12 +1,12 @@
-"""Straight-line Python code generation for batched Verilog simulation.
+"""Straight-line Python code generation: the fast simulation engine.
 
-The batch interpreter (:mod:`repro.verilog.simulator.batch`) walks AST nodes
-per expression per settle iteration and allocates a
-:class:`~repro.verilog.simulator.values.BatchVector` per operator.  For the
-large class of designs whose constructs all have a straight-line form, this
-module lowers the elaborated processes once into a specialised Python
-function over bare integer columns — no AST, no objects, no four-state
-planes — which ``compile()``s once and is cached process-wide by source text.
+For the large class of designs whose constructs all have a straight-line
+form, this module lowers the elaborated processes once into specialised
+Python functions over bare integer columns — no AST, no objects, no
+four-state planes — which ``compile()`` once and are cached process-wide by
+source text.  The scalar
+:class:`~repro.verilog.simulator.simulator.ModuleSimulator` is the oracle
+and takes every check generated code cannot.
 
 Two-state soundness
 -------------------
@@ -17,15 +17,24 @@ bit it consumes is 0/1.  That is sound because
 * designs whose semantics inherently produce x/z (undef sources, inferred
   latches, x/z literals, out-of-range selects, division) are **rejected at
   generation time** with a recorded reason, and
-* at every call the runtime checks a *gate set* — the signals the generated
-  code reads from outside its own recomputation, plus every write target
-  whose old value can survive a masked merge — and falls back to the
-  interpreter for that call while any of them still carries x/z bits.
+* before every settle the runtime checks a *gate set* — the signals the
+  generated code reads from outside its own recomputation, plus every write
+  target whose old value can survive a masked merge — and refuses the call
+  while any of them still carries x/z bits; the check then leaves generated
+  code for the scalar simulator.
 
 Under those two conditions the generated settle loop reaches exactly the
-fixpoint the interpreter reaches (same process order, same iterate-until-
-stable loop, same masked-merge algebra on the value planes), so the
-interpreter remains a bit-exact differential oracle.
+fixpoint the scalar simulator reaches (same process order, same
+iterate-until-stable loop), so the scalar simulator is a bit-exact
+differential oracle.
+
+Combinational lanes
+-------------------
+
+``codegen_settle`` settles every combinational process over column-packed
+lanes: bit ``j`` of a column is one signal bit on stimulus lane ``j``, so one
+call scores a whole stimulus set (:class:`CodegenRuntime`, driven by
+:class:`~repro.verilog.simulator.batch.BatchSimulator`).
 
 Fused clocked runs
 ------------------
@@ -40,9 +49,10 @@ then yields the packed output ports.  :class:`SequenceRun` drives it from a
 scalar simulator's post-reset state once that state passes the program's
 x/z gate; from there two-state code cannot produce x again.
 
-Fallbacks — both design-level rejections and per-call x/z gates — are
-recorded in a process-wide registry (:func:`fallback_stats`) surfaced by the
-evaluator and the service ``/metrics`` endpoint.
+Checks that leave generated code for the scalar simulator — design-level
+rejections and x/z gate refusals — are recorded in a process-wide registry
+(:func:`fallback_stats`) surfaced by the evaluator and the service
+``/metrics`` endpoint.
 """
 
 from __future__ import annotations
@@ -95,7 +105,7 @@ _FALLBACK_DESIGNS: dict[str, dict[str, int]] = {}
 
 
 def record_fallback(design: str, reason: str) -> None:
-    """Count one interpreter fallback for ``design`` with ``reason``."""
+    """Count one check of ``design`` that left generated code, with ``reason``."""
     with _REGISTRY_LOCK:
         _FALLBACK_REASONS[reason] = _FALLBACK_REASONS.get(reason, 0) + 1
         per_design = _FALLBACK_DESIGNS.setdefault(design, {})
@@ -126,7 +136,7 @@ def reset_fallback_stats() -> None:
 # ---------------------------------------------------------------------------
 
 #: Compiled functions kept process-wide; the oldest insertion is evicted
-#: beyond this.  A design contributes up to three functions, so this holds
+#: beyond this.  A design contributes up to two functions, so this holds
 #: every function of a full default :class:`~repro.verilog.design.DesignDatabase`.
 COMPILE_CACHE_ENTRIES = 1024
 
@@ -205,16 +215,12 @@ class CodegenArtifact:
 
     reject_reason: str | None = None
     settle_source: str | None = None
-    sequential_source: str | None = None
     #: Signals (name, width) flattened into the settle state tuple, in order.
     settle_state: tuple[tuple[str, int], ...] = ()
     #: Signals the settle function may modify (suffix of its return tuple).
     settle_writes: tuple[tuple[str, int], ...] = ()
     #: Signals that must be x/z-free for the settle call to be sound.
     settle_gate: tuple[str, ...] = ()
-    seq_state: tuple[tuple[str, int], ...] = ()
-    seq_writes: tuple[tuple[str, int], ...] = ()
-    seq_gate: tuple[str, ...] = ()
     #: Fused cycle loop for clocked designs (``None``: combinational, or a
     #: design whose processes write an input port).
     sequence: SequenceProgram | None = None
@@ -371,7 +377,6 @@ class _Generator:
                 raise UnsupportedConstruct("wide-signal")
 
         settle_lines, settle_state, settle_writes = self._settle_lines(comb, comb_scans)
-        seq_lines, seq_state, seq_writes = self._sequential_lines(seq, seq_scans)
 
         comb_defined: set[str] = set()
         for scan in comb_scans:
@@ -381,29 +386,19 @@ class _Generator:
             settle_gate |= scan.external_reads
             settle_gate |= scan.writes - scan.full_defined
         settle_gate -= comb_defined
-        seq_gate: set[str] = set()
-        for scan in seq_scans:
-            # Old values of sequential targets survive masked merges, so they
-            # must be defined too, not just the signals the process reads.
-            seq_gate |= scan.external_reads | scan.writes
 
         sequence = None
         if seq:
+            seq_lines, seq_state = self._sequential_lines(seq, seq_scans)
             sequence = self._build_run(
                 seq, comb_scans + seq_scans,
                 settle_lines, settle_state, seq_lines, seq_state,
             )
         return CodegenArtifact(
             settle_source=self._settle_source(settle_lines, settle_state, settle_writes),
-            sequential_source=self._sequential_source(
-                len(seq), seq_lines, seq_state, seq_writes
-            ),
             settle_state=settle_state,
             settle_writes=settle_writes,
             settle_gate=tuple(sorted(settle_gate)),
-            seq_state=seq_state,
-            seq_writes=seq_writes,
-            seq_gate=tuple(sorted(seq_gate)),
             sequence=sequence,
         )
 
@@ -563,7 +558,7 @@ class _Generator:
     def _reject_comb_cycles(self, scans: list[_ProcessScan]) -> None:
         """Reject combinational feedback: the two-state fixpoint can differ.
 
-        The interpreter leaves a feedback loop at x (no change, settles
+        The scalar simulator leaves a feedback loop at x (no change, settles
         immediately); the value-plane-only generated code would settle it at
         an arbitrary defined value.  Acyclic dataflow converges identically
         in both engines, so only true cycles among comb-written signals need
@@ -667,38 +662,19 @@ class _Generator:
     # ------------------------------------------------------------------ sequential
     def _sequential_lines(
         self, processes: list[Process], scans: list[_ProcessScan]
-    ) -> tuple[list[str], tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
-        """The edge-triggered pass under masks ``_m<i>``, then its commits."""
+    ) -> tuple[list[str], tuple[tuple[str, int], ...]]:
+        """The edge-triggered pass under masks ``_m<i>``, its commits, its state."""
         referenced: set[str] = set()
-        writes: set[str] = set()
         for scan in scans:
             referenced |= scan.external_reads | scan.writes
-            writes |= scan.writes
         state = tuple((name, self.widths[name]) for name in sorted(referenced))
-        write_state = tuple((name, self.widths[name]) for name in sorted(writes))
 
         writer = _Writer()
         lowerer = _Lowerer(self, writer)
         for index, process in enumerate(processes):
             lowerer.statement(process.body, f"_m{index}", nonblocking=True)
         lowerer.emit_commits()
-        return writer.lines, state, write_state
-
-    def _sequential_source(
-        self, count: int, body: list[str], state, write_state
-    ) -> str:
-        state_vars = self.state_vars(state)
-        return_vars = self.state_vars(write_state)
-        lines = ["def codegen_sequential(state, masks, FULL):"]
-        if state_vars:
-            lines.append(f"    ({', '.join(state_vars)},) = state")
-        lines.extend(f"    _m{index} = masks[{index}]" for index in range(count))
-        lines.extend(f"    {line}" for line in body)
-        if return_vars:
-            lines.append(f"    return ({', '.join(return_vars)},)")
-        else:
-            lines.append("    return ()")
-        return "\n".join(lines) + "\n"
+        return writer.lines, state
 
     # ------------------------------------------------------------------ fused run
     def _build_run(
@@ -1282,76 +1258,38 @@ def _part_bounds(mode: str, first: int, second: int) -> tuple[int, int]:
 
 
 class CodegenRuntime:
-    """Per-simulator executor for a supported :class:`CodegenArtifact`.
+    """Per-simulator executor of a supported artifact's generated settle.
 
-    Holds the compiled functions plus the design's gate/state signal lists
-    and marshals between the simulator's :class:`BatchSignalStore` (the
-    source of truth) and the flat column tuples the generated code consumes.
+    Marshals between the simulator's column-packed signal values (the
+    source of truth) and the flat column tuple the generated code consumes.
     """
 
-    __slots__ = ("artifact", "label", "lanes", "_settle_fn", "_sequential_fn")
+    __slots__ = ("artifact", "lanes", "_settle_fn")
 
-    def __init__(self, artifact: CodegenArtifact, lanes: int, label: str):
+    def __init__(self, artifact: CodegenArtifact, lanes: int):
         if not artifact.supported:
             raise ValueError(f"design rejected by codegen: {artifact.reject_reason}")
         self.artifact = artifact
-        self.label = label
         self.lanes = lanes
         self._settle_fn = _compiled_function(artifact.settle_source, "codegen_settle")
-        self._sequential_fn = _compiled_function(
-            artifact.sequential_source, "codegen_sequential"
-        )
 
-    def _gate_ok(self, values: dict, gate: tuple[str, ...], record: bool = True) -> bool:
-        for name in gate:
-            for column in values[name].xz_cols:
-                if column:
-                    if record:
-                        record_fallback(self.label, XZ_STATE)
-                    return False
-        return True
-
-    def _extract(self, values: dict, state: tuple[tuple[str, int], ...]) -> tuple:
+    def try_settle(self, values: dict, full_mask: int) -> bool:
+        """Settle ``values`` in place; ``False`` (nothing run) when the x/z gate refuses."""
+        artifact = self.artifact
+        for name in artifact.settle_gate:
+            if any(values[name].xz_cols):
+                return False
         flat: list[int] = []
-        for name, _ in state:
+        for name, _ in artifact.settle_state:
             flat.extend(values[name].value_cols)
-        return tuple(flat)
-
-    def _write_back(
-        self, values: dict, writes: tuple[tuple[str, int], ...], out: tuple
-    ) -> None:
+        out = self._settle_fn(tuple(flat), full_mask, check_deadline, SimulationError)
         position = 0
-        for name, width in writes:
+        for name, width in artifact.settle_writes:
             cols = out[position : position + width]
             position += width
             current = values[name]
             if current.value_cols != cols or any(current.xz_cols):
                 values[name] = BatchVector(width, self.lanes, cols, (0,) * width)
-
-    def try_settle(self, store, full_mask: int, record: bool = True) -> bool:
-        """Run the generated settle; ``False`` means caller must interpret.
-
-        ``record=False`` keeps an x/z gate failure out of the fallback
-        registry (the construction-time settle, before any input is driven).
-        """
-        artifact = self.artifact
-        values = store.values
-        if not self._gate_ok(values, artifact.settle_gate, record):
-            return False
-        state = self._extract(values, artifact.settle_state)
-        out = self._settle_fn(state, full_mask, check_deadline, SimulationError)
-        self._write_back(values, artifact.settle_writes, out)
-        return True
-
-    def try_sequential(self, store, masks: list[int], full_mask: int) -> bool:
-        """Run the generated edge-triggered pass; ``False`` → interpret."""
-        artifact = self.artifact
-        values = store.values
-        if not self._gate_ok(values, artifact.seq_gate):
-            return False
-        state = self._extract(values, artifact.seq_state)
-        out = self._sequential_fn(state, masks, full_mask)
-        self._write_back(values, artifact.seq_writes, out)
         return True
 
 

@@ -64,10 +64,11 @@ from .simulator.simulator import ElaboratedModule, PortInfo, elaborate_module
 
 #: Bump when the pickled on-disk layout changes; stale entries are recompiled.
 #: The version is embedded in the on-disk *file name* (see ``_disk_path``), so
-#: a layout change — like v2's codegen artifact or v3's fused sequence
-#: program — invalidates old entries by key rather than surfacing as unpickle
-#: errors or silently missing fields.
-DISK_FORMAT_VERSION = 3
+#: a layout change — like v2's codegen artifact, v3's fused sequence program
+#: or v4's artifact without the per-edge sequential function — invalidates
+#: old entries by key rather than surfacing as unpickle errors or silently
+#: missing fields.
+DISK_FORMAT_VERSION = 4
 
 #: Conventional clock/reset input names used by the inference analyses (the
 #: same conventions :mod:`repro.verilog.analyzer` and the bench families use).
@@ -483,9 +484,12 @@ def _select_module(design_file: ast.SourceFile, name: str | None) -> ast.Module:
 
 
 def _latch_risk(template: ElaboratedModule) -> bool:
-    """Whether any level-sensitive always block may hold state (inferred latch)."""
-    from .simulator.batch import _assignment_sets
+    """Whether any level-sensitive always block may hold state (inferred latch).
 
+    A level-sensitive ``always`` that conditionally skips assigning one of
+    its targets keeps the previous value — history a cycle-serial run
+    carries across vectors but independent batch lanes do not have.
+    """
     for process in template.processes:
         if process.kind is not ProcessKind.COMBINATIONAL or process.label != "always":
             continue
@@ -501,8 +505,6 @@ def _undef_sources(template: ElaboratedModule) -> frozenset[str]:
     These stay ``x`` forever, so any output in their cone is undef-tainted —
     the same signals the formal front end turns into tagged undef inputs.
     """
-    from .simulator.batch import _assignment_sets
-
     assigned: set[str] = set()
     for process in template.processes:
         maybe, _ = _assignment_sets(process.body)
@@ -515,6 +517,74 @@ def _undef_sources(template: ElaboratedModule) -> frozenset[str]:
         if value.xz_mask:
             undef.add(name)
     return frozenset(undef)
+
+
+def _assignment_sets(statement: ast.Statement | None) -> tuple[set[str], set[str]]:
+    """``(maybe-assigned, definitely-assigned)`` signal names for a statement.
+
+    Conservative latch analysis: partial writes (bit/part selects) and loop
+    bodies never count as *definite*; an ``if`` without ``else`` or a ``case``
+    without ``default`` makes nothing definite.
+    """
+    if statement is None or isinstance(statement, ast.NullStatement):
+        return set(), set()
+    if isinstance(statement, ast.Block):
+        maybe: set[str] = set()
+        definite: set[str] = set()
+        for inner in statement.statements:
+            inner_maybe, inner_definite = _assignment_sets(inner)
+            maybe |= inner_maybe
+            definite |= inner_definite
+        return maybe, definite
+    if isinstance(statement, (ast.BlockingAssign, ast.NonBlockingAssign)):
+        target = statement.target
+        if isinstance(target, ast.Identifier):
+            return {target.name}, {target.name}
+        if isinstance(target, ast.Concat):
+            maybe = set()
+            definite = set()
+            for part in target.parts:
+                part_maybe, part_definite = _assignment_sets(
+                    ast.BlockingAssign(target=part, value=statement.value)
+                )
+                maybe |= part_maybe
+                definite |= part_definite
+            return maybe, definite
+        if isinstance(target, (ast.BitSelect, ast.PartSelect)):
+            base = target.target
+            while isinstance(base, (ast.BitSelect, ast.PartSelect)):
+                base = base.target
+            name = base.name if isinstance(base, ast.Identifier) else None
+            return ({name} if name else set()), set()
+        return set(), set()
+    if isinstance(statement, ast.IfStatement):
+        then_maybe, then_definite = _assignment_sets(statement.then_branch)
+        else_maybe, else_definite = _assignment_sets(statement.else_branch)
+        definite = then_definite & else_definite if statement.else_branch is not None else set()
+        return then_maybe | else_maybe, definite
+    if isinstance(statement, ast.CaseStatement):
+        maybe = set()
+        definite: set[str] | None = None
+        has_default = False
+        for item in statement.items:
+            item_maybe, item_definite = _assignment_sets(item.body)
+            maybe |= item_maybe
+            definite = item_definite if definite is None else definite & item_definite
+            has_default |= item.is_default
+        if definite is None or not has_default:
+            definite = set()
+        return maybe, definite
+    if isinstance(statement, (ast.ForLoop, ast.WhileLoop, ast.RepeatLoop)):
+        body_maybe, _ = _assignment_sets(statement.body)
+        extra: set[str] = set()
+        if isinstance(statement, ast.ForLoop):
+            init_maybe, _ = _assignment_sets(statement.init)
+            step_maybe, _ = _assignment_sets(statement.step)
+            extra = init_maybe | step_maybe
+        return body_maybe | extra, set()
+    if isinstance(statement, (ast.DelayStatement, ast.EventWait)):
+        return _assignment_sets(statement.body)
+    return set(), set()
 
 
 def _sequential_edge_signals(template: ElaboratedModule) -> list[str]:

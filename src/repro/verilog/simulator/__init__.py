@@ -1,20 +1,14 @@
-"""Event-free functional Verilog simulator used for functional pass@k scoring."""
+"""Event-free functional Verilog simulator used for functional pass@k scoring.
 
-from .values import BatchVector, LogicVector, batch_concat_all, concat_all
-from .eval import (
-    BatchEvalContext,
-    BatchExpressionEvaluator,
-    EvalContext,
-    ExpressionEvaluator,
-)
-from .scheduler import (
-    BatchSignalStore,
-    BatchStatementExecutor,
-    Process,
-    ProcessKind,
-    SignalStore,
-    StatementExecutor,
-)
+Two engines: the scalar four-state :class:`ModuleSimulator` (the oracle,
+which takes every design) and generated code — :class:`BatchSimulator` for
+combinational lanes and the fused clocked loop the testbench runner hands
+over to after reset.
+"""
+
+from .values import BatchVector, LogicVector, concat_all
+from .eval import EvalContext, ExpressionEvaluator
+from .scheduler import Process, ProcessKind, SignalStore, StatementExecutor
 from .simulator import (
     ModuleSimulator,
     elaborate_module,
@@ -23,8 +17,10 @@ from .simulator import (
 )
 from .batch import (
     BatchSimulator,
+    LaneFallback,
     differential_combinational,
     simulate_combinational_batch,
+    simulate_lanes,
 )
 from .testbench import (
     BatchTestbenchRunner,
@@ -40,14 +36,9 @@ from .testbench import (
 __all__ = [
     "BatchVector",
     "LogicVector",
-    "batch_concat_all",
     "concat_all",
-    "BatchEvalContext",
-    "BatchExpressionEvaluator",
     "EvalContext",
     "ExpressionEvaluator",
-    "BatchSignalStore",
-    "BatchStatementExecutor",
     "Process",
     "ProcessKind",
     "SignalStore",
@@ -57,8 +48,10 @@ __all__ = [
     "resolve_parameters",
     "simulate_combinational",
     "BatchSimulator",
+    "LaneFallback",
     "differential_combinational",
     "simulate_combinational_batch",
+    "simulate_lanes",
     "BatchTestbenchRunner",
     "CombinationalGolden",
     "GoldenModel",

@@ -20,13 +20,8 @@ from dataclasses import dataclass, field
 
 from .. import ast_nodes as ast
 from ..errors import SimulationError
-from .eval import (
-    BatchEvalContext,
-    BatchExpressionEvaluator,
-    EvalContext,
-    ExpressionEvaluator,
-)
-from .values import BatchVector, LogicVector
+from .eval import EvalContext, ExpressionEvaluator
+from .values import LogicVector
 
 #: Upper bound on loop iterations inside a single process activation.  Real RTL in
 #: the supported subset never needs more; the cap converts accidental infinite
@@ -369,370 +364,3 @@ def _target_name(expression: ast.Expression) -> str:
     if isinstance(expression, (ast.BitSelect, ast.PartSelect)):
         return _target_name(expression.target)
     raise SimulationError("assignment target must be a simple signal reference")
-
-
-# --------------------------------------------------------------------------- batch execution
-@dataclass
-class BatchSignalStore:
-    """Column-packed value store: every signal holds one value per stimulus lane."""
-
-    lanes: int
-    widths: dict[str, int] = field(default_factory=dict)
-    values: dict[str, BatchVector] = field(default_factory=dict)
-
-    @classmethod
-    def from_scalar(cls, store: SignalStore, lanes: int) -> "BatchSignalStore":
-        """Broadcast an elaborated scalar store across ``lanes`` stimuli."""
-        batch = cls(lanes=lanes)
-        for name, width in store.widths.items():
-            batch.widths[name] = width
-            batch.values[name] = BatchVector.broadcast(store.values[name], lanes)
-        return batch
-
-    def get(self, name: str) -> BatchVector:
-        if name not in self.values:
-            raise SimulationError(f"read of undeclared signal {name!r}")
-        return self.values[name]
-
-    def set(self, name: str, value: BatchVector, mask: int | None = None) -> bool:
-        """Write ``value`` on the lanes in ``mask``; return whether anything changed."""
-        if name not in self.values:
-            raise SimulationError(f"write to undeclared signal {name!r}")
-        resized = value.resized(self.widths[name])
-        current = self.values[name]
-        if mask is not None and mask != current.lane_mask:
-            resized = resized.select_lanes(mask, current)
-        changed = resized != current
-        self.values[name] = resized
-        return changed
-
-    def set_lane(self, name: str, lane: int, value: LogicVector) -> None:
-        """Write a single lane of a signal (slow path for lane fallbacks)."""
-        width = self.widths[name]
-        replacement = BatchVector.broadcast(value.resized(width), self.lanes)
-        self.set(name, replacement, mask=1 << lane)
-
-    def snapshot(self) -> dict[str, BatchVector]:
-        """A shallow copy of the current values (values are immutable)."""
-        return dict(self.values)
-
-
-class BatchStatementExecutor:
-    """Interpret procedural statements over all stimulus lanes at once.
-
-    Control flow becomes *masked execution*: an ``if`` evaluates its condition
-    to per-lane truth masks and runs both branches, each restricted to the lanes
-    that took it; assignments merge their result into the store only on the
-    active lanes.  This reproduces the scalar executor's behaviour lane by lane
-    (including the rule that unknown conditions execute neither branch).
-    """
-
-    def __init__(
-        self,
-        store: BatchSignalStore,
-        parameters: dict[str, int],
-        functions: dict[str, ast.FunctionDeclaration],
-    ):
-        self.store = store
-        self.parameters = parameters
-        self.functions = functions
-        self.nonblocking_updates: list[tuple[ast.Expression, BatchVector, int]] = []
-        self.display_log: list[str] = []
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.store.lanes) - 1
-
-    # ------------------------------------------------------------------ evaluation plumbing
-    def _make_evaluator(self) -> BatchExpressionEvaluator:
-        context = BatchEvalContext(
-            signals=self.store.values,
-            parameters=self.parameters,
-            functions=self.functions,
-            lanes=self.store.lanes,
-            lane_evaluator=self._lane_evaluator,
-        )
-        return BatchExpressionEvaluator(context)
-
-    def _lane_evaluator(self, lane: int) -> ExpressionEvaluator:
-        """A scalar evaluator (with full function-call support) for one lane."""
-        scalar_store = SignalStore()
-        for name, width in self.store.widths.items():
-            scalar_store.widths[name] = width
-            scalar_store.values[name] = self.store.values[name].lane(lane)
-        scalar_executor = StatementExecutor(scalar_store, self.parameters, self.functions)
-        return scalar_executor._make_evaluator()
-
-    # ------------------------------------------------------------------ statement execution
-    def execute(
-        self,
-        statement: ast.Statement | None,
-        active: int,
-        allow_nonblocking: bool = True,
-    ) -> None:
-        """Execute ``statement`` on the lanes selected by the ``active`` mask."""
-        if not active or statement is None or isinstance(statement, ast.NullStatement):
-            return
-        if isinstance(statement, ast.Block):
-            for inner in statement.statements:
-                self.execute(inner, active, allow_nonblocking)
-            return
-        if isinstance(statement, ast.BlockingAssign):
-            value = self._make_evaluator().evaluate(statement.value)
-            self._assign(statement.target, value, active)
-            return
-        if isinstance(statement, ast.NonBlockingAssign):
-            value = self._make_evaluator().evaluate(statement.value)
-            if allow_nonblocking:
-                self.nonblocking_updates.append((statement.target, value, active))
-            else:
-                self._assign(statement.target, value, active)
-            return
-        if isinstance(statement, ast.IfStatement):
-            evaluator = self._make_evaluator()
-            condition = evaluator.evaluate(statement.condition)
-            true_mask, false_mask, _ = evaluator._truth_masks(condition)
-            # Unknown-condition lanes execute neither branch (the scalar rule).
-            self.execute(statement.then_branch, active & true_mask, allow_nonblocking)
-            self.execute(statement.else_branch, active & false_mask, allow_nonblocking)
-            return
-        if isinstance(statement, ast.CaseStatement):
-            self._execute_case(statement, active, allow_nonblocking)
-            return
-        if isinstance(statement, ast.ForLoop):
-            self._execute_for(statement, active, allow_nonblocking)
-            return
-        if isinstance(statement, ast.WhileLoop):
-            remaining = active
-            iterations = 0
-            while True:
-                evaluator = self._make_evaluator()
-                true_mask, _, _ = evaluator._truth_masks(evaluator.evaluate(statement.condition))
-                remaining &= true_mask
-                if not remaining:
-                    break
-                self.execute(statement.body, remaining, allow_nonblocking)
-                iterations += 1
-                if iterations > MAX_LOOP_ITERATIONS:
-                    raise SimulationError("while loop exceeded the iteration limit")
-            return
-        if isinstance(statement, ast.RepeatLoop):
-            self._execute_repeat(statement, active, allow_nonblocking)
-            return
-        if isinstance(statement, ast.DelayStatement):
-            self.execute(statement.body, active, allow_nonblocking)
-            return
-        if isinstance(statement, ast.EventWait):
-            self.execute(statement.body, active, allow_nonblocking)
-            return
-        if isinstance(statement, ast.SystemTaskCall):
-            self._execute_system_task(statement, active)
-            return
-        raise SimulationError(f"unsupported statement {type(statement).__name__}")
-
-    def commit_nonblocking(self) -> bool:
-        """Apply queued non-blocking assignments; return whether anything changed."""
-        changed = False
-        for target, value, mask in self.nonblocking_updates:
-            changed |= self._assign(target, value, mask)
-        self.nonblocking_updates.clear()
-        return changed
-
-    # ------------------------------------------------------------------ helpers
-    def _execute_case(self, statement: ast.CaseStatement, active: int, allow_nonblocking: bool) -> None:
-        evaluator = self._make_evaluator()
-        subject = evaluator.evaluate(statement.subject)
-        remaining = active
-        default_item: ast.CaseItem | None = None
-        for item in statement.items:
-            if item.is_default:
-                default_item = item
-                continue
-            for expression in item.expressions:
-                if not remaining:
-                    break
-                candidate = evaluator.evaluate(expression)
-                match_mask = self._case_match_mask(statement.kind, subject, candidate) & remaining
-                if match_mask:
-                    self.execute(item.body, match_mask, allow_nonblocking)
-                    remaining &= ~match_mask
-        if default_item is not None and remaining:
-            self.execute(default_item.body, remaining, allow_nonblocking)
-
-    def _case_match_mask(self, kind: str, subject: BatchVector, candidate: BatchVector) -> int:
-        """Lanes on which ``candidate`` matches ``subject`` under the case kind."""
-        width = max(subject.width, candidate.width)
-        s = subject.resized(width)
-        c = candidate.resized(width)
-        full = subject.lane_mask
-        match = full
-        for bit in range(width):
-            sv, sx = s.value_cols[bit], s.xz_cols[bit]
-            cv, cx = c.value_cols[bit], c.xz_cols[bit]
-            equal = ~(sv ^ cv) & ~(sx ^ cx)
-            if kind == "casez":
-                skip = (cx & cv) | (sx & sv)  # either side is z
-            elif kind == "casex":
-                skip = cx | sx
-            else:
-                skip = 0
-            match &= equal | skip
-        return match & full
-
-    def _execute_for(self, statement: ast.ForLoop, active: int, allow_nonblocking: bool) -> None:
-        self.execute(statement.init, active, allow_nonblocking)
-        remaining = active
-        iterations = 0
-        while True:
-            evaluator = self._make_evaluator()
-            true_mask, _, _ = evaluator._truth_masks(evaluator.evaluate(statement.condition))
-            remaining &= true_mask
-            if not remaining:
-                break
-            self.execute(statement.body, remaining, allow_nonblocking)
-            self.execute(statement.step, remaining, allow_nonblocking)
-            iterations += 1
-            if iterations > MAX_LOOP_ITERATIONS:
-                raise SimulationError("for loop exceeded the iteration limit")
-
-    def _execute_repeat(self, statement: ast.RepeatLoop, active: int, allow_nonblocking: bool) -> None:
-        count_value = self._make_evaluator().evaluate(statement.count)
-        counts = [vector.to_int_or(0) for vector in count_value.to_vectors()]
-        if max(counts, default=0) > MAX_LOOP_ITERATIONS:
-            raise SimulationError("repeat loop exceeded the iteration limit")
-        for iteration in range(max(counts, default=0)):
-            mask = 0
-            for lane, count in enumerate(counts):
-                if iteration < count:
-                    mask |= 1 << lane
-            mask &= active
-            if not mask:
-                continue
-            self.execute(statement.body, mask, allow_nonblocking)
-
-    def _execute_system_task(self, statement: ast.SystemTaskCall, active: int) -> None:
-        if statement.name in ("$display", "$write", "$monitor", "$strobe"):
-            rendered: list[str] = []
-            evaluator = self._make_evaluator()
-            for argument in statement.args:
-                if isinstance(argument, ast.StringLiteral):
-                    rendered.append(argument.value)
-                else:
-                    try:
-                        value = evaluator.evaluate(argument)
-                        text = str(value.lane(0)) if self.store.lanes == 1 else str(value)
-                        rendered.append(text)
-                    except SimulationError:
-                        rendered.append("<error>")
-            self.display_log.append(" ".join(rendered))
-
-    def _assign(self, target: ast.Expression, value: BatchVector, mask: int) -> bool:
-        if not mask:
-            return False
-        if isinstance(target, ast.Identifier):
-            return self.store.set(target.name, value, mask)
-        if isinstance(target, ast.BitSelect):
-            return self._assign_bit_select(target, value, mask)
-        if isinstance(target, ast.PartSelect):
-            return self._assign_part_select(target, value, mask)
-        if isinstance(target, ast.Concat):
-            changed = False
-            widths = [self._target_width(part) for part in target.parts]
-            total = sum(widths)
-            value = value.resized(total)
-            offset = total
-            for part, width in zip(target.parts, widths):
-                offset -= width
-                changed |= self._assign(part, value.slice(offset + width - 1, offset), mask)
-            return changed
-        raise SimulationError(f"unsupported assignment target {type(target).__name__}")
-
-    def _assign_bit_select(self, target: ast.BitSelect, value: BatchVector, mask: int) -> bool:
-        name = _target_name(target)
-        evaluator = self._make_evaluator()
-        index = evaluator.evaluate(target.index)
-        current = self.store.get(name)
-        uniform = index.uniform_value()
-        if uniform is not None:
-            if uniform.has_unknown:
-                return False  # unknown index: no write, matching the scalar rule
-            position = uniform.to_int()
-            return self.store.set(name, current.replaced(position, position, value, mask), mask)
-        # Per-possible-position masked writes; lanes with unknown indices skip.
-        # The loop is bounded by what the index operand can encode so that
-        # from_int(position) never wraps onto a lower index value.
-        changed = False
-        unknown = index.unknown_lanes()
-        merged = current
-        for position in range(min(current.width, 1 << index.width)):
-            position_value = BatchVector.broadcast(
-                LogicVector.from_int(position, index.width), self.store.lanes
-            )
-            eq_mask = evaluator._truth_masks(evaluator._evaluate_relational("==", index, position_value))[0]
-            eq_mask &= mask & ~unknown
-            if not eq_mask:
-                continue
-            merged = merged.replaced(position, position, value, eq_mask)
-        if merged != current:
-            changed = self.store.set(name, merged, mask)
-        return changed
-
-    def _assign_part_select(self, target: ast.PartSelect, value: BatchVector, mask: int) -> bool:
-        name = _target_name(target)
-        evaluator = self._make_evaluator()
-        msb_value = evaluator.evaluate(target.msb)
-        lsb_value = evaluator.evaluate(target.lsb)
-        msb_uniform = msb_value.uniform_value()
-        lsb_uniform = lsb_value.uniform_value()
-        current = self.store.get(name)
-        if (
-            msb_uniform is not None
-            and lsb_uniform is not None
-            and not msb_uniform.has_unknown
-            and not lsb_uniform.has_unknown
-        ):
-            first = msb_uniform.to_int()
-            second = lsb_uniform.to_int()
-            if target.mode == ":":
-                msb, lsb = first, second
-            elif target.mode == "+:":
-                msb, lsb = first + second - 1, first
-            else:
-                msb, lsb = first, first - second + 1
-            return self.store.set(name, current.replaced(msb, lsb, value, mask), mask)
-        # Lane-divergent bounds: fall back to per-lane scalar bound evaluation.
-        changed = False
-        for lane in range(self.store.lanes):
-            if not (mask >> lane) & 1:
-                continue
-            scalar = self._lane_evaluator(lane)
-            try:
-                first = scalar.evaluate_constant(target.msb)
-                second = scalar.evaluate_constant(target.lsb)
-            except (SimulationError, ValueError):
-                continue
-            if target.mode == ":":
-                msb, lsb = first, second
-            elif target.mode == "+:":
-                msb, lsb = first + second - 1, first
-            else:
-                msb, lsb = first, first - second + 1
-            current = self.store.get(name)
-            changed |= self.store.set(name, current.replaced(msb, lsb, value, 1 << lane), 1 << lane)
-        return changed
-
-    def _target_width(self, target: ast.Expression) -> int:
-        if isinstance(target, ast.Identifier):
-            return self.store.widths.get(target.name, 1)
-        if isinstance(target, ast.BitSelect):
-            return 1
-        if isinstance(target, ast.PartSelect):
-            evaluator = self._make_evaluator()
-            if target.mode == ":":
-                msb = evaluator.evaluate_uniform_constant(target.msb)
-                lsb = evaluator.evaluate_uniform_constant(target.lsb)
-                return abs(msb - lsb) + 1
-            return evaluator.evaluate_uniform_constant(target.lsb)
-        if isinstance(target, ast.Concat):
-            return sum(self._target_width(part) for part in target.parts)
-        raise SimulationError(f"unsupported assignment target {type(target).__name__}")

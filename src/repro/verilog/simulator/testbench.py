@@ -4,6 +4,12 @@ Functional correctness in the benchmark suites is decided the same way the paper
 does it with a commercial simulator and reference testbenches: the generated
 module (DUT) is simulated against a stimulus sequence and its outputs are compared
 cycle-by-cycle with a golden reference model implemented in Python.
+
+:class:`TestbenchRunner` scores every check on the scalar four-state
+simulator, the oracle.  :class:`BatchTestbenchRunner` scores on generated code
+where it can — combinational checks as lanes of one batch pass, clocked ones
+on the fused cycle loop after a scalar reset — and hands every other check to
+the scalar path.
 """
 
 from __future__ import annotations
@@ -282,7 +288,7 @@ class TestbenchRunner:
 
 
 class BatchTestbenchRunner(TestbenchRunner):
-    """Testbench runner that scores DUTs on the fast engines.
+    """Testbench runner that scores DUTs on generated code where it can.
 
     For a purely combinational design and golden model, all stimulus vectors
     become lanes of one :class:`~repro.verilog.simulator.batch.BatchSimulator`
@@ -292,8 +298,8 @@ class BatchTestbenchRunner(TestbenchRunner):
     design's fused generated loop (:class:`~repro.verilog.codegen.SequenceRun`).
     Everything else — combinational stimulus with inconsistent key sets
     (whose vectors inherit values from prior steps), latches, designs the
-    lowering rejects, stimulus naming a non-input, the ``interpret`` backend
-    — keeps the scalar cycle-serial path, which also remains the
+    lowering rejects, stimulus the x/z gate refuses, stimulus naming a
+    non-input — runs on the scalar cycle-serial path, which also remains the
     differential oracle: with ``differential=True`` every fast run is
     re-checked against :class:`TestbenchRunner` and a divergence raises
     ``AssertionError``.
@@ -306,13 +312,9 @@ class BatchTestbenchRunner(TestbenchRunner):
         max_mismatches: int = 32,
         differential: bool = False,
         database=None,
-        backend: str = "auto",
     ):
         super().__init__(clock=clock, reset=reset, max_mismatches=max_mismatches, database=database)
         self.differential = differential
-        #: Forwarded to :class:`BatchSimulator`: ``auto`` rides generated code
-        #: when the design supports it, ``interpret`` pins the AST walker.
-        self.backend = backend
 
     def run(
         self,
@@ -369,8 +371,7 @@ class BatchTestbenchRunner(TestbenchRunner):
         """
         artifact = compiled.codegen
         if (
-            self.backend == "interpret"
-            or not golden.is_sequential
+            not golden.is_sequential
             or not compiled.has_sequential_processes
             or artifact is None
             or artifact.sequence is None
@@ -396,17 +397,14 @@ class BatchTestbenchRunner(TestbenchRunner):
         stimulus: list[dict[str, int]],
         check_outputs: list[str] | None,
     ) -> TestbenchResult:
-        from .batch import BatchSimulator
-
-        try:
-            simulator = BatchSimulator(compiled, lanes=len(stimulus), backend=self.backend)
-        except VerilogError as exc:
-            return TestbenchResult(passed=False, error=str(exc))
+        """One batch pass over all vectors; the scalar path when generated code cannot."""
+        from .batch import BatchSimulator, LaneFallback
 
         golden.reset()
         mismatches: list[Mismatch] = []
         total_checks = 0
         try:
+            simulator = BatchSimulator(compiled, lanes=len(stimulus))
             expected_per_lane = [golden.eval(dict(vector)) for vector in stimulus]
             inputs = {
                 name: [vector[name] for vector in stimulus] for name in stimulus[0]
@@ -436,6 +434,9 @@ class BatchTestbenchRunner(TestbenchRunner):
                             raise _EarlyStop()
         except _EarlyStop:
             pass
+        except LaneFallback:
+            golden.reset()
+            return self._run_scalar(compiled, golden, stimulus, check_outputs)
         except VerilogError as exc:
             return TestbenchResult(
                 passed=False, total_checks=total_checks, mismatches=mismatches, error=str(exc)

@@ -7,12 +7,12 @@ are kept: ``value`` holds the 0/1 payload and ``xz_mask`` marks bits that are
 (0) from ``z`` (1)).  This mirrors the common two-plane encoding used by real
 event-driven simulators.
 
-:class:`BatchVector` is the column-packed batch counterpart used by the batched
-simulator (:mod:`repro.verilog.simulator.batch`): one signal value per *lane*
-(stimulus), stored transposed so that bit ``j`` of column ``b`` is bit ``b`` of
-the signal on lane ``j``.  Word-wide integer operations over columns then
-evaluate all lanes at once — the :class:`~repro.logic.bittable.BitTable` trick
-lifted to stateful multi-bit RTL.
+:class:`BatchVector` is the column-packed lane counterpart the batched
+simulator (:mod:`repro.verilog.simulator.batch`) reads and writes: one signal
+value per *lane* (stimulus), stored transposed so that bit ``j`` of column
+``b`` is bit ``b`` of the signal on lane ``j``.  Generated code evaluates all
+lanes at once with word-wide integer operations over those columns — the
+:class:`~repro.logic.bittable.BitTable` trick lifted to multi-bit RTL.
 """
 
 from __future__ import annotations
@@ -293,17 +293,7 @@ class BatchVector:
         xz_cols = tuple(lane_mask if (vector.xz_mask >> bit) & 1 else 0 for bit in range(vector.width))
         return cls(width=vector.width, lanes=lanes, value_cols=value_cols, xz_cols=xz_cols)
 
-    @classmethod
-    def unknown(cls, width: int, lanes: int) -> "BatchVector":
-        """An all-``x`` batch (every bit of every lane unknown)."""
-        return cls.broadcast(LogicVector.unknown(width), lanes)
-
     # ------------------------------------------------------------------ queries
-    @property
-    def lane_mask(self) -> int:
-        """Mask with one bit set per lane."""
-        return _mask(self.lanes)
-
     def lane(self, index: int) -> LogicVector:
         """Extract lane ``index`` back into a scalar :class:`LogicVector`."""
         if not 0 <= index < self.lanes:
@@ -318,26 +308,6 @@ class BatchVector:
     def to_vectors(self) -> list[LogicVector]:
         """Unpack every lane (inverse of :meth:`from_vectors`)."""
         return [self.lane(index) for index in range(self.lanes)]
-
-    def unknown_lanes(self) -> int:
-        """Mask of lanes holding at least one ``x``/``z`` bit."""
-        mask = 0
-        for column in self.xz_cols:
-            mask |= column
-        return mask
-
-    def uniform_value(self) -> LogicVector | None:
-        """The shared scalar value if every lane is identical, else ``None``."""
-        full = self.lane_mask
-        value = 0
-        xz = 0
-        for bit in range(self.width):
-            v, x = self.value_cols[bit], self.xz_cols[bit]
-            if v not in (0, full) or x not in (0, full):
-                return None
-            value |= (1 if v else 0) << bit
-            xz |= (1 if x else 0) << bit
-        return LogicVector(width=self.width, value=value, xz_mask=xz)
 
     # ------------------------------------------------------------------ manipulation
     def resized(self, width: int) -> "BatchVector":
@@ -359,80 +329,8 @@ class BatchVector:
             xz_cols=self.xz_cols + pad,
         )
 
-    def select_lanes(self, mask: int, other: "BatchVector") -> "BatchVector":
-        """Per-lane merge: this value on lanes in ``mask``, ``other`` elsewhere.
-
-        Both operands must share width and lane count (resize first).
-        """
-        if other.width != self.width or other.lanes != self.lanes:
-            raise ValueError("select_lanes requires matching width and lane count")
-        keep = ~mask
-        value_cols = tuple(
-            (self.value_cols[bit] & mask) | (other.value_cols[bit] & keep) for bit in range(self.width)
-        )
-        xz_cols = tuple(
-            (self.xz_cols[bit] & mask) | (other.xz_cols[bit] & keep) for bit in range(self.width)
-        )
-        return BatchVector(width=self.width, lanes=self.lanes, value_cols=value_cols, xz_cols=xz_cols)
-
-    def slice(self, msb: int, lsb: int) -> "BatchVector":
-        """Bits ``[msb:lsb]`` of every lane (out-of-range bits become x)."""
-        if msb < lsb:
-            msb, lsb = lsb, msb
-        full = self.lane_mask
-        value_cols = []
-        xz_cols = []
-        for index in range(lsb, msb + 1):
-            if 0 <= index < self.width:
-                value_cols.append(self.value_cols[index])
-                xz_cols.append(self.xz_cols[index])
-            else:
-                value_cols.append(0)
-                xz_cols.append(full)
-        return BatchVector(
-            width=msb - lsb + 1, lanes=self.lanes, value_cols=tuple(value_cols), xz_cols=tuple(xz_cols)
-        )
-
-    def replaced(self, msb: int, lsb: int, replacement: "BatchVector", mask: int | None = None) -> "BatchVector":
-        """Copy with bits ``[msb:lsb]`` replaced by ``replacement`` on ``mask`` lanes."""
-        if msb < lsb:
-            msb, lsb = lsb, msb
-        if mask is None:
-            mask = self.lane_mask
-        replacement = replacement.resized(msb - lsb + 1)
-        value_cols = list(self.value_cols)
-        xz_cols = list(self.xz_cols)
-        for offset in range(replacement.width):
-            index = lsb + offset
-            if index < 0 or index >= self.width:
-                continue
-            keep = ~mask
-            value_cols[index] = (value_cols[index] & keep) | (replacement.value_cols[offset] & mask)
-            xz_cols[index] = (xz_cols[index] & keep) | (replacement.xz_cols[offset] & mask)
-        return BatchVector(width=self.width, lanes=self.lanes, value_cols=tuple(value_cols), xz_cols=tuple(xz_cols))
-
-    def concat(self, other: "BatchVector") -> "BatchVector":
-        """Per-lane ``{self, other}`` (self occupies the most-significant bits)."""
-        if other.lanes != self.lanes:
-            raise ValueError("concat requires matching lane counts")
-        return BatchVector(
-            width=self.width + other.width,
-            lanes=self.lanes,
-            value_cols=other.value_cols + self.value_cols,
-            xz_cols=other.xz_cols + self.xz_cols,
-        )
-
     def __str__(self) -> str:
         shown = ", ".join(str(self.lane(index)) for index in range(min(self.lanes, 4)))
         more = f", ... {self.lanes - 4} more" if self.lanes > 4 else ""
         return f"BatchVector[{shown}{more}]"
 
-
-def batch_concat_all(parts: Sequence[BatchVector]) -> BatchVector:
-    """Concatenate batch parts MSB-first (``parts[0]`` most significant)."""
-    if not parts:
-        raise ValueError("cannot concatenate an empty list")
-    result = parts[0]
-    for part in parts[1:]:
-        result = result.concat(part)
-    return result

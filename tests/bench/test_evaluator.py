@@ -131,14 +131,36 @@ class TestEvaluator:
         assert config.single_temperature().temperatures == (0.2,)
 
     def test_batch_and_scalar_runners_agree(self, tiny_human_suite):
-        batched = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), use_batch_simulator=True)
-        scalar = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), use_batch_simulator=False)
-        backend = SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])
-        fast = BenchmarkEvaluator(batched).evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
-        slow = BenchmarkEvaluator(scalar).evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
-        for fast_task, slow_task in zip(fast.task_results, slow.task_results):
-            assert fast_task.num_functional_passes == slow_task.num_functional_passes, fast_task.task_id
-            assert fast_task.num_syntax_passes == slow_task.num_syntax_passes
+        """Every candidate of a sweep: the batched runner reproduces the scalar one."""
+        from repro.verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+
+        pipeline = HaVenPipeline(
+            SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"]), use_sicot=False
+        )
+        checked = 0
+        for task in tiny_human_suite:
+            generation = pipeline.generate(
+                prompt=task.prompt,
+                interface=task.interface,
+                reference_source=task.reference_source,
+                demands=task.demands,
+                config=GenerationConfig(temperature=0.2, num_samples=2, seed=0),
+                prompt_style=task.prompt_style,
+                task_id=task.task_id,
+            )
+            stimulus = task.stimulus(1234)
+            for sample in generation.samples:
+                options = {"clock": task.clock, "reset": task.reset}
+                fast = BatchTestbenchRunner(**options).run(
+                    sample.code, task.golden(), stimulus, check_outputs=task.check_outputs
+                )
+                slow = TestbenchRunner(**options).run(
+                    sample.code, task.golden(), stimulus, check_outputs=task.check_outputs
+                )
+                fast_outcome = (fast.passed, fast.total_checks, fast.failure_summary)
+                assert fast_outcome == (slow.passed, slow.total_checks, slow.failure_summary)
+                checked += 1
+        assert checked == 2 * len(tiny_human_suite)
 
     def test_differential_oracle_mode_runs_clean(self, tiny_human_suite):
         config = EvaluationConfig(
@@ -148,27 +170,27 @@ class TestEvaluator:
         result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
         assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
 
-    def test_codegen_and_interpreter_backends_agree(self, tiny_human_suite):
-        """Identical verdicts — task by task — under both execution engines."""
+    def test_differential_oracle_sweep_matches_default_sweep(self, tiny_human_suite):
+        """Identical verdicts — task by task — with every fast run re-checked."""
         backend = SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])
 
-        def sweep(simulator_backend):
+        def sweep(differential_oracle):
             config = EvaluationConfig(
                 num_samples=2,
                 ks=(1,),
                 temperatures=(0.2,),
-                simulator_backend=simulator_backend,
+                differential_oracle=differential_oracle,
             )
             return BenchmarkEvaluator(config).evaluate(
                 HaVenPipeline(backend, use_sicot=False), tiny_human_suite
             )
 
-        fast, slow = sweep("auto"), sweep("interpret")
-        assert fast.functional_pass_at_k() == slow.functional_pass_at_k()
-        for fast_task, slow_task in zip(fast.task_results, slow.task_results):
-            assert fast_task.task_id == slow_task.task_id
-            assert fast_task.num_functional_passes == slow_task.num_functional_passes
-            assert fast_task.num_syntax_passes == slow_task.num_syntax_passes
+        fast, checked = sweep(False), sweep(True)
+        assert fast.functional_pass_at_k() == checked.functional_pass_at_k()
+        for fast_task, checked_task in zip(fast.task_results, checked.task_results):
+            assert fast_task.task_id == checked_task.task_id
+            assert fast_task.num_functional_passes == checked_task.num_functional_passes
+            assert fast_task.num_syntax_passes == checked_task.num_syntax_passes
 
     def test_codegen_coverage_snapshot(self, tiny_human_suite, config):
         evaluator = BenchmarkEvaluator(config)

@@ -364,6 +364,62 @@ class TestBatchEquivalenceMismatches:
         assert batch_equivalence_check(dut, self.REFERENCE, vectors) == lanes
 
 
+class TestRejectedDesignReplay:
+    """A design generated code rejects replays on one scalar simulator per vector.
+
+    The expected lists were produced by the batch interpreter this path
+    replaced; the scalar lanes must reproduce them record for record.
+    """
+
+    REFERENCE = TestBatchEquivalenceCheck.REFERENCE
+
+    def test_non_constant_shift_dut(self):
+        from repro.bench.golden import LaneMismatch, batch_equivalence_mismatches
+        from repro.verilog import codegen
+
+        dut = (
+            "module dut(input [3:0] a, input [3:0] b, output gt, output eq);\n"
+            "    assign gt = (a >> b[1:0]) > (b >> 2);\n"
+            "    assign eq = a == b;\n"
+            "endmodule\n"
+        )
+        vectors = [{"a": a, "b": b} for a in (0, 3, 9, 14) for b in (0, 2, 5, 13)]
+        codegen.reset_fallback_stats()
+        assert batch_equivalence_mismatches(dut, self.REFERENCE, vectors) == [
+            LaneMismatch(lane=5, inputs={"a": 3, "b": 2}, expected={"gt": 1}, actual={"gt": 0}),
+            LaneMismatch(lane=11, inputs={"a": 9, "b": 13}, expected={"gt": 0}, actual={"gt": 1}),
+        ]
+        assert codegen.fallback_stats()["reasons"] == {"non-constant-shift": 1}
+        codegen.reset_fallback_stats()
+
+    def test_xz_literal_dut_with_missing_output(self):
+        from repro.bench.golden import LaneMismatch, batch_equivalence_mismatches
+
+        dut = (
+            "module dut(input [3:0] a, input [3:0] b, output gt);\n"
+            "    assign gt = b[3] ? 1'bx : (a >> b[1:0]) > b;\n"
+            "endmodule\n"
+        )
+        vectors = [{"a": 0, "b": 13}, {"a": 3, "b": 2}, {"a": 0, "b": 0}]
+        assert batch_equivalence_mismatches(dut, self.REFERENCE, vectors) == [
+            LaneMismatch(
+                lane=0,
+                inputs={"a": 0, "b": 13},
+                expected={"gt": 0},
+                actual={"gt": "1'bx"},
+                missing_outputs=["eq"],
+            ),
+            LaneMismatch(
+                lane=1,
+                inputs={"a": 3, "b": 2},
+                expected={"gt": 1},
+                actual={"gt": 0},
+                missing_outputs=["eq"],
+            ),
+            LaneMismatch(lane=2, inputs={"a": 0, "b": 0}, missing_outputs=["eq"]),
+        ]
+
+
 class TestStimulusHelpers:
     def test_random_vectors_deterministic(self):
         first = random_vectors({"a": 4, "b": 2}, 10, seed=3)

@@ -196,6 +196,12 @@ class TestCombinationalFormalMode:
 
 
 class TestConfigSerialization:
+    def test_removed_engine_knobs_are_ignored_on_load(self):
+        # Manifests written before the engine-selection knobs went still load.
+        payload = EvaluationConfig(mode="formal").to_dict()
+        payload.update(use_batch_simulator=False, simulator_backend="interpret")
+        assert EvaluationConfig.from_dict(payload) == EvaluationConfig(mode="formal")
+
     def test_every_field_roundtrips(self):
         config = EvaluationConfig(
             num_samples=3,
@@ -204,9 +210,7 @@ class TestConfigSerialization:
             seed=7,
             stimulus_seed=99,
             max_tasks=5,
-            use_batch_simulator=False,
             differential_oracle=True,
-            simulator_backend="interpret",
             mode="formal",
             formal_conflict_limit=123,
             induction_depth=6,

@@ -164,8 +164,15 @@ class TestReferenceValidation:
 
     def test_scalar_and_batched_validation_agree(self):
         from repro.bench.evaluator import check_reference_designs
+        from repro.verilog.simulator.testbench import TestbenchRunner
 
         suite = build_verilogeval_machine(SuiteConfig(num_tasks=8, seed=21))
-        batched = check_reference_designs(suite, use_batch=True)
-        scalar = check_reference_designs(suite, use_batch=False)
-        assert set(batched) == set(scalar) == set()
+        assert check_reference_designs(suite) == {}
+        for task in suite:
+            scalar = TestbenchRunner(clock=task.clock, reset=task.reset).run(
+                task.reference_source,
+                task.golden(),
+                task.stimulus(1234),
+                check_outputs=task.check_outputs,
+            )
+            assert scalar.passed, (task.task_id, scalar.failure_summary)

@@ -207,22 +207,18 @@ class TestSerialFaults:
         assert "wall-clock budget" in execution.error
 
     def test_hung_codegen_backed_check_is_quarantined(self):
-        """A hang in a codegen-pinned check is cut exactly like an interpreted one.
+        """A hang in a codegen-backed check is cut exactly like a scalar one.
 
         The generated settle loops tick ``check_deadline`` per pass (pinned by
         the codegen unit tests); this proves the integration: a cooperative
-        hang inside a ``backend="codegen"`` check burns its attempts against
-        the same deadline budget and quarantines only the poison unit.
+        hang inside a batched check — every one rides generated code — burns
+        its attempts against the same deadline budget and quarantines only
+        the poison unit.
         """
-        from dataclasses import replace
-
         install_faults(
             [FaultSpec("hang", task_id="chaos_and", hang_s=30.0, cooperative=True)]
         )
-        requests = {
-            task_id: replace(request, backend="codegen")
-            for task_id, request in _requests().items()
-        }
+        requests = _requests()
         started = time.monotonic()
         report = run_checks(
             list(requests.values()),

@@ -238,16 +238,16 @@ class TestEndToEnd:
 
     def test_codegen_fallbacks_surface_in_metrics(self, server):
         from repro.verilog import codegen
-        from repro.verilog.simulator import BatchSimulator
+        from repro.verilog.simulator import BatchSimulator, LaneFallback
 
         codegen.reset_fallback_stats()
         try:
-            BatchSimulator.from_source(
-                "module slow(input [3:0] a, input [3:0] b, output [3:0] y);"
-                " assign y = a % b; endmodule",
-                lanes=4,
-                backend="auto",
-            )
+            with pytest.raises(LaneFallback):
+                BatchSimulator.from_source(
+                    "module slow(input [3:0] a, input [3:0] b, output [3:0] y);"
+                    " assign y = a % b; endmodule",
+                    lanes=4,
+                )
             text = request(server, "/metrics")[2].decode()
             assert 'repro_codegen_fallback_total{reason="mul-div-mod"} 1' in text
             # Per-design labels are unbounded (one series per design ever

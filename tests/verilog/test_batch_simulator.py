@@ -1,11 +1,14 @@
-"""Differential property tests: BatchSimulator vs the scalar ModuleSimulator.
+"""Differential property tests: generated code vs the scalar ModuleSimulator.
 
-The batched engine must be *bit-exact* with the scalar oracle on every signal of
-every lane — combinational and clocked.  Random modules are generated from a
-seeded grammar over the supported RTL subset (bitwise/arithmetic/relational
-operators, ternaries, concats, part selects, shifts by constants and by
-signals, if/case procedural logic, sync/async resets) and driven with random
-stimuli; any divergence is a bug in the column algebra.
+The generated-code engine must be *bit-exact* with the scalar oracle on every
+signal of every lane — combinational lanes of a :class:`BatchSimulator` and
+clocked checks on the fused cycle loop of :class:`BatchTestbenchRunner`.
+Random modules are generated from a seeded grammar over the supported RTL
+subset (bitwise/arithmetic/relational operators, ternaries, concats, part
+selects, shifts by constants, if/case procedural logic, sync/async resets)
+and driven with random stimuli; any divergence is a bug in the lowering.
+Checks generated code cannot take must leave it, with a recorded reason, and
+score exactly as the scalar runner scores them.
 """
 
 from __future__ import annotations
@@ -14,14 +17,23 @@ import random
 
 import pytest
 
+from repro.bench.golden import VerilogGolden
+from repro.verilog import codegen
+from repro.verilog.design import compile_design
 from repro.verilog.simulator import (
     BatchSimulator,
+    BatchTestbenchRunner,
     BatchVector,
+    CombinationalGolden,
+    LaneFallback,
     LogicVector,
     ModuleSimulator,
+    ResetSpec,
+    TestbenchRunner,
     differential_combinational,
     simulate_combinational,
     simulate_combinational_batch,
+    simulate_lanes,
 )
 
 
@@ -145,6 +157,17 @@ def _random_vectors(rng: random.Random, widths: dict[str, int], count: int) -> l
     ]
 
 
+@pytest.fixture(autouse=True)
+def _clean_fallback_registry():
+    codegen.reset_fallback_stats()
+    yield
+    codegen.reset_fallback_stats()
+
+
+def _outcome(result):
+    return result.passed, result.total_checks, result.failure_summary
+
+
 # --------------------------------------------------------------------------- combinational
 class TestCombinationalDifferential:
     @pytest.mark.parametrize("seed", range(24))
@@ -155,6 +178,8 @@ class TestCombinationalDifferential:
         # differential_combinational raises SimulationError on any divergence.
         outputs = differential_combinational(source, vectors)
         assert len(outputs) == len(vectors)
+        # Every module of the grammar lowers: this compared generated code.
+        assert codegen.fallback_stats()["total"] == 0
 
     def test_all_internal_signals_match_not_only_outputs(self):
         source, widths = _random_combinational(5)
@@ -168,23 +193,29 @@ class TestCombinationalDifferential:
             for name in scalar.signals:
                 assert batch.get_lane(name, lane) == scalar.get(name), (name, lane)
 
-    def test_x_propagation_matches(self):
+    def test_x_input_leaves_generated_code(self):
         source = (
             "module m(input [3:0] a, input [3:0] b, output [4:0] s, output e);\n"
             "    assign s = a + b;\n"
             "    assign e = a == b;\n"
             "endmodule\n"
         )
-        # Lane 1 drives b with x bits; the scalar oracle must agree bit for bit.
+        # Lane 1 drives b with x bits: the x/z gate refuses generated code,
+        # and the scalar lanes must agree with the scalar oracle bit for bit.
         a_values = [LogicVector.from_int(3, 4), LogicVector.from_int(9, 4)]
         b_values = [LogicVector.from_int(5, 4), LogicVector.from_string("1x00")]
         batch = BatchSimulator.from_source(source, lanes=2)
-        batch.apply_inputs({"a": a_values, "b": b_values})
+        with pytest.raises(LaneFallback) as excinfo:
+            batch.apply_inputs({"a": a_values, "b": b_values})
+        assert excinfo.value.reason == codegen.XZ_STATE
+        vectors = [{"a": a, "b": b} for a, b in zip(a_values, b_values)]
+        lanes = simulate_lanes(source, vectors)
         for lane in range(2):
             scalar = ModuleSimulator.from_source(source)
-            scalar.apply_inputs({"a": a_values[lane], "b": b_values[lane]})
-            assert batch.get_lane("s", lane) == scalar.get("s")
-            assert batch.get_lane("e", lane) == scalar.get("e")
+            scalar.apply_inputs(dict(vectors[lane]))
+            assert lanes["s"][lane] == scalar.get("s")
+            assert lanes["e"][lane] == scalar.get("e")
+        assert codegen.fallback_stats()["reasons"] == {codegen.XZ_STATE: 2}
 
     def test_data_dependent_shift_matches(self):
         source = (
@@ -195,7 +226,9 @@ class TestCombinationalDifferential:
             "endmodule\n"
         )
         vectors = [{"en": e, "sel": s} for e in (0, 1) for s in range(8)]
-        differential_combinational(source, vectors)
+        outputs = differential_combinational(source, vectors)
+        assert [o["out"].to_int() for o in outputs[8:]] == [1 << s for s in range(8)]
+        assert codegen.fallback_stats()["reasons"] == {"non-constant-shift": 1}
 
     def test_inconsistent_stimulus_keys_rejected(self):
         from repro.verilog.errors import SimulationError
@@ -236,7 +269,6 @@ class TestIndexWrapRegressions:
             "    end\n"
             "endmodule\n"
         )
-        # Mixed lanes force the non-uniform masked-write path.
         vectors = [{"sel": 0}, {"sel": 1}, {"sel": 7}]
         outputs = differential_combinational(source, vectors)
         assert [o["out"].to_int() for o in outputs] == [1, 2, 128]
@@ -254,7 +286,9 @@ class TestLatchFallback:
     )
 
     def test_latch_risk_detected(self):
-        assert BatchSimulator.from_source(self.LATCH, lanes=2).has_latch_risk()
+        assert compile_design(self.LATCH).has_latch_risk
+        with pytest.raises(LaneFallback, match="latch"):
+            BatchSimulator.from_source(self.LATCH, lanes=2)
         complete = (
             "module m(input en, input [3:0] d, output reg [3:0] q);\n"
             "    always @(*) begin\n"
@@ -262,7 +296,7 @@ class TestLatchFallback:
             "    end\n"
             "endmodule\n"
         )
-        assert not BatchSimulator.from_source(complete, lanes=2).has_latch_risk()
+        assert not compile_design(complete).has_latch_risk
         case_with_default = (
             "module m(input [1:0] op, output reg [1:0] y);\n"
             "    always @(*) begin\n"
@@ -273,15 +307,13 @@ class TestLatchFallback:
             "    end\n"
             "endmodule\n"
         )
-        assert not BatchSimulator.from_source(case_with_default, lanes=2).has_latch_risk()
+        assert not compile_design(case_with_default).has_latch_risk
         case_without_default = case_with_default.replace(
             "            default: y = 2'd0;\n", ""
         )
-        assert BatchSimulator.from_source(case_without_default, lanes=2).has_latch_risk()
+        assert compile_design(case_without_default).has_latch_risk
 
     def test_latchy_dut_scored_identically_to_scalar_runner(self):
-        from repro.verilog.simulator import BatchTestbenchRunner, CombinationalGolden, TestbenchRunner
-
         # The golden mirrors the latch's history semantics, so the scalar
         # serial run passes; the batched runner must reach the same verdict.
         state = {"q": 0}
@@ -300,57 +332,114 @@ class TestLatchFallback:
         assert scalar.passed and batched.passed
 
 
+# --------------------------------------------------------------------------- leaving generated code
+class TestChecksLeavingGeneratedCode:
+    """A check generated code cannot take scores exactly as the scalar runner scores it."""
+
+    def _pin(self, source, golden, stimulus, reason):
+        scalar = TestbenchRunner().run(source, golden, stimulus)
+        codegen.reset_fallback_stats()
+        batched = BatchTestbenchRunner().run(source, golden, stimulus)
+        assert _outcome(batched) == _outcome(scalar)
+        assert [str(m) for m in batched.mismatches] == [str(m) for m in scalar.mismatches]
+        stats = codegen.fallback_stats()
+        assert stats["reasons"] == {reason: 1}
+        return batched
+
+    def test_non_constant_shift(self):
+        source = (
+            "module m(input [3:0] a, input [1:0] n, output [3:0] y);\n"
+            "    assign y = a << n;\n"
+            "endmodule\n"
+        )
+        # The golden rotates instead of shifting: some vectors mismatch.
+        golden = CombinationalGolden(
+            lambda ins: {"y": ((ins["a"] << ins["n"]) | (ins["a"] >> (4 - ins["n"]))) & 15}
+        )
+        stimulus = [{"a": a, "n": n} for a in (1, 9, 12) for n in range(4)]
+        result = self._pin(source, golden, stimulus, "non-constant-shift")
+        assert not result.passed and result.total_checks == len(stimulus)
+
+    def test_undriven_input_port(self):
+        source = "module m(input a, input b, output y); assign y = a & b; endmodule"
+        golden = CombinationalGolden(lambda ins: {"y": 0})
+        # b is never driven, so it stays x: lane a=1 reads back x.
+        result = self._pin(source, golden, [{"a": 0}, {"a": 1}], codegen.XZ_STATE)
+        assert "got 1'bx" in result.failure_summary
+
+    def test_initial_block(self):
+        source = (
+            "module m(input [3:0] a, output [3:0] y);\n"
+            "    reg [3:0] k;\n"
+            "    initial k = 4'd5;\n"
+            "    assign y = a + k;\n"
+            "endmodule\n"
+        )
+        golden = CombinationalGolden(lambda ins: {"y": (ins["a"] + 5) & 15})
+        result = self._pin(source, golden, [{"a": a} for a in range(16)], "initial")
+        assert result.passed
+
+    def test_clocked_design_is_not_a_lane_design(self):
+        source = (
+            "module m(input clk, input d, output reg q);\n"
+            "    always @(posedge clk) q <= d;\n"
+            "endmodule\n"
+        )
+        with pytest.raises(LaneFallback, match="sequential"):
+            BatchSimulator.from_source(source, lanes=2)
+        assert codegen.fallback_stats()["reasons"] == {"sequential": 1}
+
+
 # --------------------------------------------------------------------------- clocked
 class TestClockedDifferential:
+    """Clocked checks: reset on the scalar engine, cycles on the fused loop."""
+
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_clocked_module_matches_scalar_lanes(self, seed):
+    def test_random_clocked_module_matches_scalar_oracle(self, seed):
         source, widths = _random_clocked(seed)
+        assert compile_design(source).codegen.sequence is not None
         rng = random.Random(seed + 500)
-        lanes = 6
         cycles = 10
-        sequences = [
-            [
+        for _ in range(6):
+            stimulus = [
                 {
                     "rst": 1 if cycle == 0 else (1 if rng.random() < 0.1 else 0),
                     **{name: rng.randrange(1 << width) for name, width in widths.items()},
                 }
                 for cycle in range(cycles)
             ]
-            for _ in range(lanes)
-        ]
-        batch = BatchSimulator.from_source(source, lanes=lanes)
-        scalars = [ModuleSimulator.from_source(source) for _ in range(lanes)]
-        for cycle in range(cycles):
-            data = {
-                name: [sequences[lane][cycle][name] for lane in range(lanes)]
-                for name in sequences[0][cycle]
-            }
-            batch.clock_cycle("clk", data)
-            for lane in range(lanes):
-                scalars[lane].clock_cycle("clk", sequences[lane][cycle])
-            for lane in range(lanes):
-                for name in scalars[lane].signals:
-                    assert batch.get_lane(name, lane) == scalars[lane].get(name), (
-                        seed,
-                        cycle,
-                        lane,
-                        name,
-                    )
+            # The golden simulates the same source on the scalar engine, so
+            # every output of every cycle is compared with the oracle.
+            options = {"reset": ResetSpec(signal="rst"), "max_mismatches": 1000}
+            scalar = TestbenchRunner(**options).run(source, VerilogGolden(source), stimulus)
+            fused = BatchTestbenchRunner(differential=True, **options).run(
+                source, VerilogGolden(source), stimulus
+            )
+            assert fused.passed, fused.failure_summary
+            assert _outcome(fused) == _outcome(scalar)
 
-    def test_per_lane_edges_trigger_masked_sequential(self):
-        # Lanes disagree on the clock edge itself: only lanes seeing 0->1 tick.
+    def test_initial_block_counter_matches_oracle(self):
         source = (
             "module m(input clk, output reg [3:0] q);\n"
             "    initial q = 4'd0;\n"
             "    always @(posedge clk) q <= q + 4'd1;\n"
             "endmodule\n"
         )
-        batch = BatchSimulator.from_source(source, lanes=3)
-        batch.apply_inputs({"clk": [0, 0, 0]})
-        batch.apply_inputs({"clk": [1, 0, 1]})
-        assert [batch.get_lane("q", lane).to_int() for lane in range(3)] == [1, 0, 1]
-        batch.apply_inputs({"clk": [0, 1, 0]})
-        assert [batch.get_lane("q", lane).to_int() for lane in range(3)] == [1, 1, 1]
+
+        class Golden:
+            is_sequential = True
+
+            def reset(self):
+                self.q = 0
+
+            def step(self, inputs):
+                self.q = (self.q + 1) % 16
+                return {"q": self.q}
+
+        stimulus = [{}] * 20
+        scalar = TestbenchRunner().run(source, Golden(), stimulus)
+        fused = BatchTestbenchRunner(differential=True).run(source, Golden(), stimulus)
+        assert scalar.passed and _outcome(fused) == _outcome(scalar)
 
     def test_async_reset_matches_oracle_mid_sequence(self):
         source = (
@@ -361,21 +450,32 @@ class TestClockedDifferential:
             "    end\n"
             "endmodule\n"
         )
+
+        class Golden:
+            is_sequential = True
+
+            def reset(self):
+                self.count = 0
+
+            def step(self, inputs):
+                if inputs["rst"]:
+                    self.count = 0
+                elif inputs["en"]:
+                    self.count = (self.count + 1) % 16
+                return {"count": self.count}
+
         rng = random.Random(7)
-        lanes = 4
-        batch = BatchSimulator.from_source(source, lanes=lanes)
-        scalars = [ModuleSimulator.from_source(source) for _ in range(lanes)]
-        batch.pulse("rst")
-        for scalar in scalars:
-            scalar.pulse("rst")
-        for cycle in range(12):
-            resets = [1 if rng.random() < 0.2 else 0 for _ in range(lanes)]
-            enables = [rng.randint(0, 1) for _ in range(lanes)]
-            batch.clock_cycle("clk", {"rst": resets, "en": enables})
-            for lane in range(lanes):
-                scalars[lane].clock_cycle("clk", {"rst": resets[lane], "en": enables[lane]})
-            for lane in range(lanes):
-                assert batch.get_lane("count", lane) == scalars[lane].get("count"), (cycle, lane)
+        for _ in range(4):
+            stimulus = [
+                {"rst": 1 if rng.random() < 0.2 else 0, "en": rng.randint(0, 1)}
+                for _ in range(12)
+            ]
+            options = {"reset": ResetSpec(signal="rst")}
+            scalar = TestbenchRunner(**options).run(source, Golden(), stimulus)
+            fused = BatchTestbenchRunner(differential=True, **options).run(
+                source, Golden(), stimulus
+            )
+            assert scalar.passed and _outcome(fused) == _outcome(scalar)
 
 
 # --------------------------------------------------------------------------- BatchVector
@@ -392,19 +492,16 @@ class TestBatchVector:
     def test_broadcast_is_uniform(self):
         value = LogicVector.from_string("1x0z")
         packed = BatchVector.broadcast(value, 9)
-        assert packed.uniform_value() == value
         assert all(packed.lane(index) == value for index in range(9))
 
-    def test_select_lanes_merges_per_lane(self):
-        a = BatchVector.from_ints([1, 2, 3, 4], 4)
-        b = BatchVector.from_ints([9, 9, 9, 9], 4)
-        merged = a.select_lanes(0b0101, b)
-        assert [merged.lane(index).to_int() for index in range(4)] == [1, 9, 3, 9]
+    def test_from_ints_packs_one_value_per_lane(self):
+        packed = BatchVector.from_ints([1, 2, 3, 20], 4)
+        assert [packed.lane(index).to_int() for index in range(4)] == [1, 2, 3, 4]
 
-    def test_resize_and_concat_match_scalar(self):
+    def test_resize_matches_scalar(self):
         vectors = [LogicVector.from_int(v, 3) for v in (1, 5, 7)]
         packed = BatchVector.from_vectors(vectors)
         widened = packed.resized(5)
         assert [widened.lane(index) for index in range(3)] == [v.resized(5) for v in vectors]
-        joined = packed.concat(packed)
-        assert [joined.lane(index) for index in range(3)] == [v.concat(v) for v in vectors]
+        narrowed = packed.resized(2)
+        assert [narrowed.lane(index) for index in range(3)] == [v.resized(2) for v in vectors]

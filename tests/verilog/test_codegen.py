@@ -1,10 +1,11 @@
 """Codegen back end: lowering, equivalence, fallback recording.
 
 The generated straight-line functions must be *observationally identical* to
-the interpreter on every supported design — these tests pin the contract at
-three levels: artifact generation (what is accepted, what is rejected and
-why), runtime equivalence (codegen vs interpreter, lane by lane), and the
-integration seams (fallback registry, deadline ticks, disk-cached artifacts).
+the scalar simulator on every supported design — these tests pin the
+contract at three levels: artifact generation (what is accepted, what is
+rejected and why), runtime equivalence (codegen vs scalar oracle, lane by
+lane), and the integration seams (fallback registry, deadline ticks,
+disk-cached artifacts).
 """
 
 from __future__ import annotations
@@ -14,8 +15,15 @@ import pytest
 from repro.deadline import CheckTimeout, deadline_scope
 from repro.verilog import codegen
 from repro.verilog.design import DesignDatabase
-from repro.verilog.simulator import BatchSimulator, ModuleSimulator
-from repro.verilog.simulator.simulator import SimulationError
+from repro.verilog.simulator import (
+    BatchSimulator,
+    BatchTestbenchRunner,
+    CombinationalGolden,
+    LaneFallback,
+    ModuleSimulator,
+    ResetSpec,
+    TestbenchRunner,
+)
 
 ALU = """
 module alu(
@@ -73,13 +81,36 @@ def _columns(simulator: BatchSimulator, names: list[str]) -> dict[str, list[str]
     return out
 
 
+def _scalar_columns(source: str, lane_inputs: list[dict], names: list[str]) -> dict[str, list[str]]:
+    """The same view from one fresh scalar simulator per lane (the oracle)."""
+    out: dict[str, list[str]] = {name: [] for name in names}
+    for inputs in lane_inputs:
+        simulator = ModuleSimulator.from_source(source)
+        simulator.apply_inputs(dict(inputs))
+        for name in names:
+            out[name].append(simulator.get(name).to_verilog_literal())
+    return out
+
+
+class _AccumGolden:
+    """Python model of ACCUM: synchronous reset, accumulate ``d`` per cycle."""
+
+    is_sequential = True
+
+    def reset(self):
+        self.sum = 0
+
+    def step(self, inputs):
+        self.sum = 0 if inputs["rst"] else (self.sum + inputs["d"]) % 32
+        return {"sum": self.sum}
+
+
 class TestGeneration:
     def test_supported_design_produces_sources(self):
         compiled = DesignDatabase().compile(ALU)
         artifact = compiled.codegen
         assert artifact is not None and artifact.supported
         assert "def codegen_settle" in artifact.settle_source
-        assert "def codegen_sequential" in artifact.sequential_source
         assert set(artifact.settle_gate) == {"a", "b", "op"}
         assert {name for name, _ in artifact.settle_writes} == {"t", "y", "carry"}
 
@@ -143,99 +174,91 @@ class TestGeneration:
         assert artifact.supported
         assert artifact.sequence is None
 
-    def test_backend_codegen_raises_on_rejected_design(self):
+    def test_rejected_design_raises_lane_fallback(self):
         source = (
             "module d(input [3:0] a, input [3:0] b, output [3:0] y);"
             " assign y = a / b; endmodule"
         )
-        with pytest.raises(SimulationError, match="mul-div-mod"):
-            BatchSimulator.from_source(source, lanes=4, backend="codegen")
+        with pytest.raises(LaneFallback, match="mul-div-mod") as excinfo:
+            BatchSimulator.from_source(source, lanes=4)
+        assert excinfo.value.reason == "mul-div-mod"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="backend"):
-            BatchSimulator.from_source(ALU, lanes=2, backend="jit")
+    def test_zero_lanes_rejected(self):
+        from repro.verilog.errors import SimulationError
+
+        with pytest.raises(SimulationError, match="at least one stimulus lane"):
+            BatchSimulator.from_source(ALU, lanes=0)
 
 
 class TestEquivalence:
-    def test_combinational_matches_interpreter(self):
+    def test_combinational_matches_scalar_oracle(self):
         lanes = 64
         rng_inputs = {
             "a": [(7 * lane + 3) % 16 for lane in range(lanes)],
             "b": [(11 * lane + 5) % 16 for lane in range(lanes)],
             "op": [lane % 4 for lane in range(lanes)],
         }
-        fast = BatchSimulator.from_source(ALU, lanes=lanes, backend="codegen")
-        slow = BatchSimulator.from_source(ALU, lanes=lanes, backend="interpret")
-        assert fast._codegen is not None
-        assert slow._codegen is None
+        fast = BatchSimulator.from_source(ALU, lanes=lanes)
         fast.apply_inputs(rng_inputs)
-        slow.apply_inputs(dict(rng_inputs))
-        assert _columns(fast, ["y", "carry"]) == _columns(slow, ["y", "carry"])
-
-    def test_clocked_matches_interpreter(self):
-        lanes = 16
-        fast = BatchSimulator.from_source(ACCUM, lanes=lanes, backend="auto")
-        slow = BatchSimulator.from_source(ACCUM, lanes=lanes, backend="interpret")
-        stimulus = [
-            {"clk": 0, "rst": 1, "d": [0] * lanes},
-            {"clk": 1},
-            {"clk": 0, "rst": 0, "d": [lane % 16 for lane in range(lanes)]},
-            {"clk": 1},
-            {"clk": 0, "d": [(3 * lane + 1) % 16 for lane in range(lanes)]},
-            {"clk": 1},
+        lane_inputs = [
+            {name: values[lane] for name, values in rng_inputs.items()} for lane in range(lanes)
         ]
-        for step in stimulus:
-            fast.apply_inputs(dict(step))
-            slow.apply_inputs(dict(step))
-            assert _columns(fast, ["sum"]) == _columns(slow, ["sum"])
+        assert _columns(fast, ["y", "carry"]) == _scalar_columns(ALU, lane_inputs, ["y", "carry"])
+        assert codegen.fallback_stats()["total"] == 0
 
-    def test_xz_gate_falls_back_per_call_then_recovers(self):
-        # Before the first reset the register is x: the gate refuses the
-        # generated sequential pass and the interpreter runs that call.
-        lanes = 4
-        simulator = BatchSimulator.from_source(ACCUM, lanes=lanes, backend="auto")
-        assert simulator._codegen is not None
-        simulator.apply_inputs({"clk": 0, "rst": 0, "d": 1})
-        simulator.apply_inputs({"clk": 1})
-        stats = codegen.fallback_stats()
-        assert stats["reasons"].get(codegen.XZ_STATE, 0) >= 1
-        assert simulator.get("sum").lane(0).has_unknown
-        # A reset cycle defines the state; from here the generated pass runs.
-        simulator.apply_inputs({"clk": 0, "rst": 1})
-        simulator.apply_inputs({"clk": 1})
-        simulator.apply_inputs({"clk": 0, "rst": 0, "d": 3})
-        simulator.apply_inputs({"clk": 1})
-        before = codegen.fallback_stats()["total"]
-        simulator.apply_inputs({"clk": 0, "d": 2})
-        simulator.apply_inputs({"clk": 1})
-        assert codegen.fallback_stats()["total"] == before
-        assert simulator.get("sum").lane(0).to_int() == 5
+    def test_clocked_matches_scalar_oracle(self):
+        stimulus = [{"rst": 0, "d": cycle % 16} for cycle in range(16)]
+        stimulus += [{"rst": int(cycle % 5 == 0), "d": (3 * cycle + 1) % 16} for cycle in range(16)]
+        options = {"reset": ResetSpec(signal="rst")}
+        scalar = TestbenchRunner(**options).run(ACCUM, _AccumGolden(), stimulus)
+        fused = BatchTestbenchRunner(differential=True, **options).run(
+            ACCUM, _AccumGolden(), stimulus
+        )
+        assert scalar.passed
+        assert (fused.passed, fused.total_checks) == (scalar.passed, scalar.total_checks)
+
+    def test_xz_gate_refuses_then_a_defined_call_runs(self):
+        # An undriven input is x: the gate refuses the generated settle and
+        # the call raises; once every read input is driven the same
+        # simulator settles on generated code.
+        simulator = BatchSimulator.from_source(ALU, lanes=4)
+        with pytest.raises(LaneFallback):
+            simulator.apply_inputs({"a": 1, "b": 2})
+        assert codegen.fallback_stats()["reasons"] == {codegen.XZ_STATE: 1}
+        simulator.apply_inputs({"op": 0})
+        assert codegen.fallback_stats()["total"] == 1
+        assert simulator.get("y").lane(0).to_int() == 3
 
 
 class TestFallbackRegistry:
-    def test_auto_records_design_rejection(self):
+    def test_design_rejection_is_recorded(self):
         source = (
             "module d(input [3:0] a, input [3:0] b, output [3:0] y);"
             " assign y = a % b; endmodule"
         )
-        simulator = BatchSimulator.from_source(source, lanes=4, backend="auto")
-        assert simulator._codegen is None
+        with pytest.raises(LaneFallback):
+            BatchSimulator.from_source(source, lanes=4)
         stats = codegen.fallback_stats()
         assert stats["total"] >= 1
         assert "mul-div-mod" in stats["reasons"]
         assert any("mul-div-mod" in reasons for reasons in stats["designs"].values())
 
-    def test_interpret_backend_records_nothing(self):
-        BatchSimulator.from_source(ALU, lanes=4, backend="interpret")
-        assert codegen.fallback_stats()["total"] == 0
+    def test_one_record_per_check_that_leaves(self):
+        source = (
+            "module d(input [3:0] a, input [1:0] n, output [3:0] y);"
+            " assign y = a << n; endmodule"
+        )
+        golden = CombinationalGolden(lambda ins: {"y": (ins["a"] << ins["n"]) & 15})
+        stimulus = [{"a": a, "n": n} for a in range(4) for n in range(4)]
+        for _ in range(3):
+            assert BatchTestbenchRunner().run(source, golden, stimulus).passed
+        assert codegen.fallback_stats()["reasons"] == {"non-constant-shift": 3}
 
     def test_fresh_simulator_records_no_fallback(self):
-        # The constructor settles before any input is driven; that x/z gate
-        # failure is not a fallback (a per-call one still counts, see
-        # test_xz_gate_falls_back_per_call_then_recovers).
+        # Nothing settles before inputs are driven, so a fresh simulator has
+        # nothing to refuse.
         source = "module g(input a, input b, output y); assign y = a & b; endmodule"
-        simulator = BatchSimulator.from_source(source, lanes=4, backend="auto")
-        assert simulator._codegen is not None
+        simulator = BatchSimulator.from_source(source, lanes=4)
         assert codegen.fallback_stats()["total"] == 0
         simulator.apply_inputs({"a": 1, "b": 0})
         assert codegen.fallback_stats()["total"] == 0
@@ -256,13 +279,11 @@ class TestCompileCache:
 
 class TestDeadline:
     def test_generated_settle_ticks_the_deadline(self):
-        simulator = BatchSimulator.from_source(ALU, lanes=8, backend="codegen")
-        runtime = simulator._codegen
-        assert runtime is not None
+        simulator = BatchSimulator.from_source(ALU, lanes=8)
         simulator.apply_inputs({"a": 1, "b": 2, "op": 0})
         with deadline_scope(0.0):
             with pytest.raises(CheckTimeout) as excinfo:
-                runtime.try_settle(simulator.store, simulator._full_mask)
+                simulator.settle()
         assert excinfo.value.site == "BatchSimulator.codegen_settle"
 
     def test_fused_run_ticks_the_deadline_per_cycle(self):

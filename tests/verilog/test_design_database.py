@@ -216,7 +216,7 @@ class TestDiskTier:
         assert loaded.codegen.supported
         assert loaded.codegen.settle_source == compiled.codegen.settle_source
         # The reloaded artifact must drive the generated back end.
-        simulator = BatchSimulator(loaded, lanes=2, backend="codegen")
+        simulator = BatchSimulator(loaded, lanes=2)
         simulator.apply_inputs({"a": [0, 1]})
         assert simulator.get("y").lane(0).to_int() == 1
         assert simulator.get("y").lane(1).to_int() == 0

@@ -439,10 +439,11 @@ class TestFusedSequentialRuns:
                 runner.run(counter_source, CounterGoldenLocal(), stimulus)
         assert 0 < fused_cycles["cycles"] < len(stimulus)
 
-    def test_interpret_backend_stays_scalar(self, fused_cycles, counter_source):
+    def test_rejected_design_stays_scalar(self, fused_cycles, counter_source):
+        # A clocked design the lowering rejects has no fused program: every
+        # cycle runs on the scalar engine, with the scalar verdict.
+        rejected = counter_source.replace("count + 1'b1", "(count + 1'b1) % 5'd16")
         stimulus = [{"rst": 0, "en": 1}] * 4
-        result = BatchTestbenchRunner(reset=ResetSpec(signal="rst"), backend="interpret").run(
-            counter_source, CounterGoldenLocal(), stimulus
-        )
+        result = _agree(rejected, CounterGoldenLocal, stimulus, reset=ResetSpec(signal="rst"))
         assert result.passed
         assert fused_cycles["cycles"] == 0

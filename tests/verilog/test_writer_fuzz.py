@@ -8,13 +8,15 @@ yield a structurally identical AST (dataclass equality), and the emission must
 be a fixed point (``write(parse(write(m))) == write(m)``).
 
 The same generator doubles as the execution-fuzz corpus: every module is also
-driven through a *three-way differential* — codegen back end vs batch
-interpreter vs the scalar ``ModuleSimulator`` — comparing every output signal
-on every lane after every input application (x/z bits included).  Clocked
-modules additionally run multi-cycle sequences on the fused generated loop
+driven through a differential — generated code vs the scalar
+``ModuleSimulator`` oracle.  Combinational modules run as lanes of one
+``BatchSimulator`` compared on every output signal of every lane after every
+input application (x/z bits included); clocked modules run testbench checks
+whose cycles ride the fused generated loop
 (:class:`~repro.verilog.codegen.SequenceRun`), handed over from the scalar
 engine after reset and compared with it on every output and every state
-signal after every cycle.
+signal after every cycle; rejected modules must leave generated code with
+their rejection reason.
 """
 
 from __future__ import annotations
@@ -26,7 +28,15 @@ import pytest
 from repro.verilog.codegen import SequenceRun
 from repro.verilog.design import DesignDatabase
 from repro.verilog.parser import parse_module
-from repro.verilog.simulator import BatchSimulator, ModuleSimulator
+from repro.bench.golden import VerilogGolden
+from repro.verilog.simulator import (
+    BatchSimulator,
+    BatchTestbenchRunner,
+    LaneFallback,
+    ModuleSimulator,
+    ResetSpec,
+    TestbenchRunner,
+)
 from repro.verilog.simulator.values import LogicVector
 from repro.verilog.writer import write_module
 
@@ -202,13 +212,12 @@ def _snapshot(batch: BatchSimulator, scalars, outputs: list[str]) -> None:
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_three_way_differential_execution(seed):
-    """codegen == batch interpreter == scalar simulator, every output, every lane.
+def test_codegen_differential_execution(seed):
+    """Generated code == scalar simulator, every output, every lane or cycle.
 
-    Generated modules that the lowering rejects (e.g. uninitialised regs
-    surfacing as undef sources) still run here — ``auto`` then *is* the
-    interpreter, and the differential degenerates to batch-vs-scalar, which is
-    exactly the fallback contract being checked.
+    A module the lowering rejects (e.g. uninitialised regs surfacing as undef
+    sources) must refuse lanes with its rejection reason; its checks then
+    run on the scalar engine, which is the fallback contract.
     """
     source = _SourceGen(seed).module()
     compiled = DesignDatabase().compile(source)
@@ -216,30 +225,46 @@ def test_three_way_differential_execution(seed):
     data_inputs = sorted(set(widths) - {"clk", "rst"})
     outputs = [port.name for port in compiled.template.output_ports()]
     rng = random.Random(seed * 7919 + 1)
-
-    fast = BatchSimulator(compiled, lanes=_FUZZ_LANES, backend="auto")
-    slow = BatchSimulator(compiled, lanes=_FUZZ_LANES, backend="interpret")
-    scalars = [ModuleSimulator(compiled) for _ in range(_FUZZ_LANES)]
-
-    for step in range(_FUZZ_STEPS):
-        data = {
+    steps = [
+        {
             name: [rng.randrange(1 << widths[name]) for _ in range(_FUZZ_LANES)]
             for name in data_inputs
         }
-        rst = 1 if step == 0 else 0
-        for phase in (
-            {**data, "rst": [rst] * _FUZZ_LANES, "clk": [0] * _FUZZ_LANES},
-            {"clk": [1] * _FUZZ_LANES},
-            {"clk": [0] * _FUZZ_LANES},
-        ):
-            fast.apply_inputs({name: list(values) for name, values in phase.items()})
-            slow.apply_inputs({name: list(values) for name, values in phase.items()})
-            for lane, scalar in enumerate(scalars):
-                scalar.apply_inputs(
-                    {name: values[lane] for name, values in phase.items()}
-                )
-            _snapshot(fast, scalars, outputs)
-            _snapshot(slow, scalars, outputs)
+        for _ in range(_FUZZ_STEPS)
+    ]
+
+    if not compiled.codegen.supported:
+        with pytest.raises(LaneFallback) as excinfo:
+            BatchSimulator(compiled, lanes=_FUZZ_LANES)
+        assert excinfo.value.reason == compiled.codegen.reject_reason
+        return
+
+    if compiled.has_sequential_processes:
+        # One clocked check per lane's sequence: the fused loop against the
+        # scalar runner, mismatch for mismatch (differential=True also
+        # re-checks it internally).
+        options = {"reset": ResetSpec(signal="rst"), "max_mismatches": 1000}
+        for lane in range(_FUZZ_LANES):
+            stimulus = [
+                {"rst": int(index == 0), **{name: values[lane] for name, values in step.items()}}
+                for index, step in enumerate(steps)
+            ]
+            fast = BatchTestbenchRunner(differential=True, **options).run(
+                source, VerilogGolden(source), stimulus
+            )
+            slow = TestbenchRunner(**options).run(source, VerilogGolden(source), stimulus)
+            assert [str(m) for m in fast.mismatches] == [str(m) for m in slow.mismatches]
+            assert fast.total_checks == slow.total_checks
+        return
+
+    fast = BatchSimulator(compiled, lanes=_FUZZ_LANES)
+    scalars = [ModuleSimulator(compiled) for _ in range(_FUZZ_LANES)]
+    for index, step in enumerate(steps):
+        applied = {**step, "rst": [int(index == 0)] * _FUZZ_LANES, "clk": [0] * _FUZZ_LANES}
+        fast.apply_inputs({name: list(values) for name, values in applied.items()})
+        for lane, scalar in enumerate(scalars):
+            scalar.apply_inputs({name: values[lane] for name, values in applied.items()})
+        _snapshot(fast, scalars, outputs)
 
 
 _FUSED_CYCLES = 12
