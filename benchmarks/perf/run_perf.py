@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update", action="store_true", help="rewrite the committed baseline")
     parser.add_argument("--check", action="store_true", help="fail on >threshold regression vs baseline")
     parser.add_argument("--threshold", type=float, default=2.0, help="regression factor (default 2.0)")
-    parser.add_argument("--repeat", type=int, default=5, help="measurement rounds per benchmark")
+    parser.add_argument("--repeat", type=int, default=5, help="minimum measurement rounds per benchmark")
     args = parser.parse_args(argv)
 
     results = collect_results(repeat=args.repeat)

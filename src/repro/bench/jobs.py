@@ -7,7 +7,8 @@ request is:
 * **content-addressed** by a :class:`ResultKey` (candidate-code hash ×
   stimulus/task hash × mode), so identical candidates sampled at different
   temperatures, runs, or pipelines are scored exactly once and every repeat is
-  a dict lookup in the evaluator's memo;
+  a dict lookup in the caller's verdict memo (the run engine keeps one per
+  engine, the in-memory evaluator one per evaluator);
 * **self-contained** (code, golden factory, stimulus, reset spec, scoring
   flags), so it can be executed in the parent process or shipped to a worker
   process unchanged.

@@ -77,6 +77,8 @@ class StreamingAggregator:
             tuple[str, str], dict[str, dict[float, dict[int, CheckOutcome]]]
         ] = {}
         self._seen = 0
+        #: (store generation, records fed) as of the last :meth:`feed_store`.
+        self._fed_from: tuple[int, int] = (-1, 0)
         #: Unit keys journaled as quarantined (poison units; never scored).
         self._quarantined_keys: set[str] = set()
 
@@ -105,8 +107,20 @@ class StreamingAggregator:
         return True
 
     def feed_store(self, store: RunStore) -> "StreamingAggregator":
-        for record in store.records():
+        """Ingest the store's records not yet fed from it.
+
+        A repeated call on the same store feeds only the records appended
+        since the last one.  Once the store starts its records over (its
+        journal shrank, or it was reloaded), or for a different store, every
+        record is fed again; :meth:`feed` keeps the latest outcome per sample.
+        """
+        generation, fed = self._fed_from
+        if generation != store.generation:
+            fed = 0
+        for record in store.records(fed):
             self.feed(record)
+            fed += 1
+        self._fed_from = (store.generation, fed)
         return self
 
     # ------------------------------------------------------------------ progress

@@ -13,6 +13,16 @@ a :class:`~repro.bench.jobs.CheckOutcome`; units already journaled are never
 re-executed, which is the whole resume story: kill the process at any point,
 re-invoke, and it continues where the journal ends.
 
+Planning is per group, but the verdict memo is per engine: every settled
+(non-quarantined) :class:`~repro.bench.jobs.CheckExecution` is kept by its
+``ResultKey`` for the engine's lifetime, so a candidate that several
+profiles, groups or service leases produce for the same task is checked once
+per run.  A memo hit journals exactly what a duplicate inside one group does
+(the first execution's attempts, degradation, duration and proof stats).
+Quarantined executions never enter the memo, so a later group re-attempts
+them.  With ``EvaluationConfig.memoize_results`` off, nothing is shared
+between groups (the guaranteed-cold baseline).
+
 Sharding: ``run(shard_index=i, shard_count=n)`` executes the units whose
 position in the deterministic expansion order is ``i (mod n)``.  Disjoint
 shards can fill one store concurrently; the merged journal aggregates to the
@@ -103,6 +113,8 @@ class RunEngine:
         self.store = store
         self.resolver = resolver or ManifestResolver(manifest)
         self.checker = SyntaxChecker()
+        #: Run-wide verdict memo: settled executions by content address.
+        self._verdicts: dict[ResultKey, CheckExecution] = {}
         store.write_manifest(manifest)
 
     # ------------------------------------------------------------------ planning
@@ -175,6 +187,11 @@ class RunEngine:
         through the broker's completion lock).  Results come back in plan
         order; execution warnings from the fault-tolerant check layer go to
         ``warning_sink`` as ``(category, message, detail)``.
+
+        Units are planned per ``(profile, suite)`` group; a check request is
+        built only for a result key that is neither already requested in
+        this call nor settled in the engine's verdict memo (see the module
+        docstring).
         """
         # Group pending units by (profile, suite) preserving expansion order,
         # then by (task, temperature) → missing sample indices.
@@ -186,6 +203,7 @@ class RunEngine:
         config = self.manifest.config
         results: list[UnitResult] = []
         for (profile_id, suite_id), task_units in groups.items():
+            memo = self._verdicts if config.memoize_results else {}
             pipeline = self.resolver.pipeline(profile_id)
             suite_spec = next(s for s in self.manifest.suites if s.suite_id == suite_id)
             tasks = {task.task_id: task for task in self.resolver.tasks(suite_spec)}
@@ -234,19 +252,22 @@ class RunEngine:
                         mode=task_mode_key,
                     )
                     plans.append(_UnitPlan(unit=unit, outcome=outcome, result_key=key))
-                    if key not in requests:
+                    if key not in requests and key not in memo:
                         requests[key] = check_request_for(
                             task, sample.code, key, stimulus, config
                         )
 
-            memo: dict[ResultKey, CheckExecution] = {}
+            executions: dict[ResultKey, CheckExecution] = {}
             if requests:
                 report = run_checks(
                     list(requests.values()),
                     max_workers=config.max_workers,
                     policy=ExecutionPolicy.from_config(config),
                 )
-                memo = report.executions
+                executions = report.executions
+                for key, execution in executions.items():
+                    if not execution.quarantined:
+                        memo[key] = execution
                 if warning_sink is not None:
                     for warning in report.warnings:
                         warning_sink(
@@ -257,7 +278,8 @@ class RunEngine:
 
             for plan in plans:
                 if plan.result_key is not None:
-                    execution = memo[plan.result_key]
+                    key = plan.result_key
+                    execution = executions[key] if key in executions else memo[key]
                     if execution.quarantined:
                         results.append(
                             UnitResult(

@@ -28,6 +28,7 @@ callers that do not want persistence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -96,6 +97,9 @@ def read_new_lines(path: Path, offset: int) -> tuple[list[bytes], int, bool]:
     return data[:end].split(b"\n")[:-1], offset + end, end < len(data)
 
 
+_GENERATIONS = itertools.count()
+
+
 class RunStore:
     """Append-only journal + index of completed work units.
 
@@ -113,6 +117,10 @@ class RunStore:
 
     def _reset(self) -> None:
         self.recovered_lines = 0
+        #: Changes whenever ``records()`` starts over (construction, a shrunk
+        #: journal, :meth:`reload`) and is unique across stores, so a
+        #: (generation, count) pair names a prefix of one store's records.
+        self.generation = next(_GENERATIONS)
         self._records: list[dict] = []
         self._index: dict[str, dict] = {}
         #: Journal bytes already parsed (always just past a newline).
@@ -309,9 +317,9 @@ class RunStore:
     def completed_keys(self) -> set[str]:
         return set(self._index)
 
-    def records(self) -> Iterator[dict]:
-        """Journal records in append order."""
-        return iter(list(self._records))
+    def records(self, start: int = 0) -> Iterator[dict]:
+        """Journal records in append order, from the ``start``-th on."""
+        return iter(self._records[start:])
 
     def quarantined_records(self) -> list[dict]:
         """Quarantine records in append order."""

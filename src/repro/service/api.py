@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -75,6 +76,7 @@ class ReproServiceServer(ThreadingHTTPServer):
         self.metrics = ServiceMetrics(broker, self.http_counters)
         #: run id → cached StreamingAggregator (resolver reuse across scrapes).
         self._aggregators: dict[str, StreamingAggregator] = {}
+        self._aggregators_lock = threading.Lock()
         super().__init__((config.host, config.port), _Handler)
 
     @property
@@ -82,15 +84,26 @@ class ReproServiceServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def aggregator(self, run_id: str) -> StreamingAggregator:
-        aggregator = self._aggregators.get(run_id)
-        if aggregator is None:
-            aggregator = StreamingAggregator(self.broker.manifest(run_id))
-            self._aggregators[run_id] = aggregator
-        # feed() dedups by sample index, so re-feeding the whole journal on
-        # every request is idempotent — only new records change the state.
-        aggregator.feed_store(self.broker.store(run_id))
-        return aggregator
+    def render_report(self, run_id: str) -> str:
+        """The run's report plus a progress footer, from the journal so far.
+
+        The run's aggregator is cached across requests and fed only the
+        records journaled since the previous one.
+        """
+        store = self.broker.store(run_id)
+        with self._aggregators_lock:
+            aggregator = self._aggregators.get(run_id)
+            if aggregator is None:
+                aggregator = StreamingAggregator(self.broker.manifest(run_id))
+                self._aggregators[run_id] = aggregator
+            aggregator.feed_store(store)
+            progress = aggregator.progress()
+            report = aggregator.report()
+        footer = (
+            f"\n[rendered from {progress.completed}/{progress.total} units"
+            f" ({progress.percent:.1f}% complete)]\n"
+        )
+        return report + "\n" + footer
 
 
 @dataclass
@@ -216,14 +229,7 @@ class _Handler(BaseHTTPRequestHandler):
         if match:
             run_id = match.group("run_id")
             if match.group("rest"):
-                aggregator = server.aggregator(run_id)
-                progress = aggregator.progress()
-                report = aggregator.report()
-                footer = (
-                    f"\n[rendered from {progress.completed}/{progress.total} units"
-                    f" ({progress.percent:.1f}% complete)]\n"
-                )
-                return _text_response(200, report + "\n" + footer)
+                return _text_response(200, server.render_report(run_id))
             return _json_response(200, server.broker.run_status(run_id).to_dict())
         return _error(404, f"no such route: GET {path}")
 

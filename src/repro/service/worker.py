@@ -15,6 +15,11 @@ worker`` runs one per process).  Its loop:
 4. journal each result through the broker's completion lock —
    at-least-once delivery with exactly-one journal record per unit.
 
+The worker keeps one :class:`~repro.runs.engine.RunEngine` per run, so the
+engine's verdict memo is shared across that run's leases: a candidate several
+leases produce for the same task is checked once.  The engine is dropped once
+the run is complete.
+
 A worker that dies mid-lease (``SIGKILL``, OOM, power loss) simply stops
 heartbeating; its leases expire and the units requeue to the surviving fleet.
 Nothing is lost and nothing double-counts: completion is idempotent per
@@ -97,12 +102,24 @@ class ServiceWorker:
                 if leases:
                     worked = True
                     self._execute_leases(run_id, leases)
+                elif run_id in self._engines and self._run_finished(run_id):
+                    # A finished run's engine (and its verdict memo) is freed;
+                    # an incomplete run keeps it for requeued units.
+                    del self._engines[run_id]
             if worked:
                 continue
             if self.exit_when_idle and self._all_complete():
                 break
             self._stopped.wait(self.poll_s)
         return self.stats
+
+    def _run_finished(self, run_id: str) -> bool:
+        # A journal shorter than the unit list cannot hold every unit: that
+        # length test keeps the lease scan and events read of run_status out
+        # of the idle polls that wait on other workers' leases.
+        if len(self.broker.store(run_id)) < len(self.broker.units(run_id)):
+            return False
+        return self.broker.run_status(run_id).complete
 
     def _all_complete(self) -> bool:
         run_ids = self.broker.run_ids()

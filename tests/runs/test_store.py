@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.jobs import CheckOutcome
+from repro.runs.aggregate import StreamingAggregator
 from repro.runs.manifest import WorkUnit
 from repro.runs.store import JOURNAL_FILENAME, RunStore, RunStoreError
 from test_manifest import tiny_manifest
@@ -173,6 +174,26 @@ class TestJournal:
         store.record(unit(5), outcome(5))
         fresh = RunStore(tmp_path)
         assert list(store.records()) == list(fresh.records())
+
+    def test_aggregator_feeds_only_records_it_has_not_seen(self, tmp_path, monkeypatch):
+        fed = []
+        monkeypatch.setattr(StreamingAggregator, "feed", lambda self, record: fed.append(record["key"]))
+        store = RunStore(tmp_path)
+        store.record(unit(0), outcome(0))
+        aggregator = StreamingAggregator(tiny_manifest())
+        aggregator.feed_store(store)
+        store.record(unit(1), outcome(1))
+        aggregator.feed_store(store)
+        assert fed == [unit(0).key, unit(1).key]
+
+        fed.clear()
+        store.reload()  # the store starts over: every record is fed again
+        aggregator.feed_store(store)
+        assert fed == [unit(0).key, unit(1).key]
+
+        fed.clear()
+        aggregator.feed_store(RunStore(tmp_path))  # another store: all of it
+        assert fed == [unit(0).key, unit(1).key]
 
     def test_ephemeral_store_has_no_files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

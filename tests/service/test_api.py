@@ -11,14 +11,16 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
 from repro.runs.aggregate import StreamingAggregator
 from repro.runs.engine import RunEngine
-from repro.runs.store import RunStore
+from repro.runs.store import JOURNAL_FILENAME, RunStore
 from repro.service import FileBroker, ServiceWorker
 from repro.service.api import ReproServiceServer, ServiceConfig
 from conftest import small_manifest
@@ -201,6 +203,107 @@ class TestEndToEnd:
         service_report = body.decode()
         assert service_report.startswith(serial_report)
         assert "100.0% complete" in service_report
+
+    def test_second_report_feeds_only_new_records(self, server, monkeypatch):
+        manifest = small_manifest()
+        _, _, body = submit(server, manifest)
+        run_id = json.loads(body)["run_id"]
+
+        def drain(units):
+            ServiceWorker(server.broker, "report-worker", lease_limit=units, max_loops=1).run_forever()
+
+        drain(2)
+        assert request(server, f"/runs/{run_id}/report")[0] == 200
+
+        fed = []
+        original = StreamingAggregator.feed
+
+        def counting(aggregator, record):
+            fed.append(record["key"])
+            return original(aggregator, record)
+
+        monkeypatch.setattr(StreamingAggregator, "feed", counting)
+        before = len(server.broker.store(run_id))
+        drain(3)
+        store = server.broker.store(run_id)
+        assert len(store) == before + 3
+
+        code, _, body = request(server, f"/runs/{run_id}/report")
+        assert code == 200
+        assert fed == [record["key"] for record in store.records(before)]
+
+        fresh = StreamingAggregator(manifest).feed_store(store)
+        progress = fresh.progress()
+        assert progress.completed == 5
+        assert body.decode() == (
+            fresh.report()
+            + "\n\n"
+            + f"[rendered from {progress.completed}/{progress.total} units"
+            + f" ({progress.percent:.1f}% complete)]\n"
+        )
+
+    def test_report_after_the_journal_is_truncated_and_regrown(self, server):
+        manifest = small_manifest()
+        _, _, body = submit(server, manifest)
+        run_id = json.loads(body)["run_id"]
+        ServiceWorker(server.broker, "report-worker", lease_limit=3, max_loops=1).run_forever()
+        code, _, first = request(server, f"/runs/{run_id}/report")
+        assert code == 200
+
+        # The journal is replaced by as many records with flipped verdicts:
+        # the store starts over, then regrows to the length already fed.
+        journal = server.broker.store_dir(run_id) / JOURNAL_FILENAME
+        regrown = []
+        for line in journal.read_bytes().splitlines():
+            record = json.loads(line)
+            record["outcome"]["functional_passed"] = not record["outcome"]["functional_passed"]
+            regrown.append(json.dumps(record) + "\n")
+        assert len(regrown) == 3
+        journal.write_bytes(b"")
+        assert len(server.broker.store(run_id)) == 0
+        journal.write_text("".join(regrown))
+
+        code, _, second = request(server, f"/runs/{run_id}/report")
+        assert code == 200
+        fresh = StreamingAggregator(manifest).feed_store(server.broker.store(run_id))
+        assert not first.decode().startswith(fresh.report())
+        assert second.decode().startswith(fresh.report())
+
+    def test_concurrent_reports_feed_each_record_once(self, server, monkeypatch):
+        manifest = small_manifest(num_samples=6)
+        _, _, body = submit(server, manifest)
+        run_id = json.loads(body)["run_id"]
+        fed = Counter()
+        original = StreamingAggregator.feed
+
+        def counting(aggregator, record):
+            fed[record["key"]] += 1
+            time.sleep(0.005)  # widen the window in which another poller may feed
+            return original(aggregator, record)
+
+        monkeypatch.setattr(StreamingAggregator, "feed", counting)
+        stop = threading.Event()
+
+        def poll():
+            while not stop.is_set():
+                server.render_report(run_id)
+
+        pollers = [threading.Thread(target=poll, daemon=True) for _ in range(6)]
+        try:
+            for poller in pollers:
+                poller.start()
+            ServiceWorker(server.broker, "racing-worker", lease_limit=1, exit_when_idle=True).run_forever()
+        finally:
+            stop.set()
+            for poller in pollers:
+                poller.join(timeout=10)
+        assert not any(poller.is_alive() for poller in pollers)
+
+        report = server.render_report(run_id)
+        store = server.broker.store(run_id)
+        assert fed == Counter(record["key"] for record in store.records())
+        fresh = StreamingAggregator(manifest).feed_store(store)
+        assert report.startswith(fresh.report())
 
     def test_metrics_are_parseable_prometheus_text(self, server):
         manifest = small_manifest()

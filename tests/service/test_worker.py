@@ -1,0 +1,61 @@
+"""ServiceWorker engine lifetime: one engine per run, freed once the run completes."""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.service.worker as worker_module
+from repro.service import FileBroker, ServiceWorker
+from conftest import small_manifest
+
+
+@pytest.fixture()
+def engines_built(monkeypatch):
+    """Every RunEngine the worker module constructs, in order."""
+    built = []
+    original = worker_module.RunEngine
+
+    def counting(*args, **kwargs):
+        engine = original(*args, **kwargs)
+        built.append(engine)
+        return engine
+
+    monkeypatch.setattr(worker_module, "RunEngine", counting)
+    return built
+
+
+def test_completed_run_releases_its_engine(tmp_path, engines_built):
+    broker = FileBroker(tmp_path / "broker")
+    run_id = broker.submit(small_manifest()).run_id
+    worker = ServiceWorker(broker, "w", lease_limit=2, exit_when_idle=True)
+    worker.run_forever()
+
+    assert broker.run_status(run_id).complete
+    assert len(engines_built) == 1
+    assert run_id not in worker._engines
+
+
+def test_requeued_unit_of_incomplete_run_finds_its_engine(
+    tmp_path, clock, engines_built, monkeypatch
+):
+    broker = FileBroker(tmp_path / "broker", lease_ttl_s=10.0, clock=clock)
+    run_id = broker.submit(small_manifest()).run_id
+    # A worker that dies holding one unit keeps the run incomplete.
+    broker.lease(run_id, "dead-worker", 1)
+
+    status_calls = []
+    run_status = broker.run_status
+    monkeypatch.setattr(broker, "run_status", lambda run: status_calls.append(run) or run_status(run))
+    worker = ServiceWorker(broker, "w", lease_limit=100, poll_s=0.0, max_loops=2)
+    worker.run_forever()  # loop 1 drains the rest, loop 2 finds nothing to lease
+    # The idle poll sees a journal shorter than the unit list: no status read.
+    assert status_calls == []
+    status = broker.run_status(run_id)
+    assert not status.complete and status.leased == 1
+    assert worker._engines[run_id] is engines_built[0]
+
+    clock.advance(11.0)  # the dead worker's lease expires and requeues
+    worker.run_forever()  # loop 1 runs the requeued unit, loop 2 frees the engine
+    assert broker.run_status(run_id).complete
+    assert len(engines_built) == 1
+    assert run_id not in worker._engines
