@@ -1,4 +1,4 @@
-"""Benchmark evaluation orchestrator: generate → compile → check jobs → pass@k.
+"""Benchmark evaluation: the check core, pass@k scoring and the in-memory evaluator.
 
 The evaluator scores a generation pipeline (backend + optional SI-CoT) on a
 benchmark suite the same way the paper does:
@@ -11,29 +11,35 @@ benchmark suite the same way the paper does:
   correctness);
 * per-task (n, c) counts are aggregated with the unbiased pass@k estimator.
 
-Since the compile-once refactor the evaluation is *job-based*: each unique
-``(candidate design, stimulus, mode)`` triple becomes one
-:class:`~repro.bench.jobs.CheckRequest`, executed exactly once and memoised by
-its content-addressed :class:`~repro.bench.jobs.ResultKey`.  Repeated
-candidates — across samples, temperatures, whole ``evaluate`` calls — cost a
-dict lookup; syntax checking and DUT elaboration ride the shared
+:func:`check_samples` is the one implementation of draw → syntax check →
+check job → verdict, shared by the resumable run engine
+(:meth:`repro.runs.engine.RunEngine.execute_units`) and
+:class:`BenchmarkEvaluator`.  Each unique ``(candidate design, stimulus,
+mode)`` triple becomes one :class:`~repro.bench.jobs.CheckRequest`, executed
+once and memoised by its content-addressed
+:class:`~repro.bench.jobs.ResultKey`.  Repeated candidates — across samples,
+temperatures, whole ``evaluate`` calls — cost a dict lookup; syntax checking
+and DUT elaboration ride the shared
 :class:`~repro.verilog.design.DesignDatabase`.  With
 ``EvaluationConfig(max_workers=N)`` independent checks execute concurrently on
-a process pool (with a transparent serial fallback), since tasks share no
-state beyond the memo.
+a process pool (with a transparent serial fallback).  :func:`task_result` and
+:func:`best_temperature` score per task for the evaluator and for the
+streaming aggregator alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from itertools import chain, count
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core.llm.base import GenerationConfig
 from ..core.pipeline import HaVenPipeline
 from ..verilog.syntax_checker import SyntaxChecker
-from ..verilog.simulator.testbench import TestbenchResult
 from .golden import GoldenCache
 from .jobs import (
+    CheckExecution,
+    CheckOutcome,
     CheckRequest,
     ExecutionPolicy,
     ResultKey,
@@ -44,6 +50,9 @@ from .jobs import (
 )
 from .passk import compute_pass_at_k
 from .task import BenchmarkSuite, BenchmarkTask
+
+#: Failure examples kept per (task, temperature), in sample order.
+MAX_FAILURE_EXAMPLES = 3
 
 
 @dataclass
@@ -252,8 +261,7 @@ def task_check_keys(
     """Stimulus plus the (stimulus, mode) halves of every :class:`ResultKey`.
 
     This is the single definition of how a task's checking side is
-    content-addressed; the in-memory evaluator and the resumable run engine
-    both build their keys here so their verdicts land on the same addresses.
+    content-addressed; :func:`check_samples` builds every key here.
     With memoisation off, the key is salted per temperature so nothing is
     shared between temperature sweeps (the guaranteed-cold baseline).
     """
@@ -269,10 +277,9 @@ def task_check_keys(
         salt=salt,
     )
     task_mode_key = mode_key(
-        config.mode,
-        True,
-        config.differential_oracle,
-        config.formal_conflict_limit,
+        mode=config.mode,
+        differential=config.differential_oracle,
+        formal_conflict_limit=config.formal_conflict_limit,
         induction_depth=config.induction_depth,
     )
     return stimulus, task_stimulus_key, task_mode_key
@@ -307,19 +314,165 @@ def check_request_for(
 
 
 @dataclass
-class _TemperaturePlan:
-    """Generated samples for one (task, temperature) evaluation job."""
+class SampleCheck:
+    """One drawn sample after checking: its outcome and the execution behind it."""
 
-    task: BenchmarkTask
-    temperature: float
-    codes: list[str]
-    syntax_ok: list[bool]
-    syntax_errors: list[str]
-    keys: list[ResultKey | None]
+    outcome: CheckOutcome
+    #: ``None`` (both) when the sample failed the syntax check.
+    key: ResultKey | None = None
+    execution: CheckExecution | None = None
+
+    @property
+    def quarantined(self) -> bool:
+        return self.execution is not None and self.execution.quarantined
+
+
+def check_samples(
+    pipeline: HaVenPipeline,
+    draws: Sequence[tuple[BenchmarkTask, float, Sequence[int] | None]],
+    config: EvaluationConfig,
+    memo: dict[ResultKey, CheckExecution],
+    checker: SyntaxChecker,
+    database=None,
+    warning_sink: Callable[[dict], object] | None = None,
+) -> list[list[SampleCheck]]:
+    """Generate, syntax-check and functionally check every drawn sample.
+
+    Each draw is ``(task, temperature, sample indices)``: the indices are
+    drawn one by one (``generate_at``), ``None`` draws the whole
+    ``range(num_samples)`` with one ``generate`` call.
+
+    This is the check core of both the run engine and
+    :class:`BenchmarkEvaluator`.  A check request is built only for a
+    :class:`ResultKey` that is neither already requested in this call nor
+    settled in ``memo``; the requests run in one :func:`run_checks` batch, and
+    its settled (non-quarantined) executions enter ``memo``.  Execution
+    warnings go to ``warning_sink`` as the report's dicts.
+
+    Returns one list per draw, in draw order, of each sample's
+    :class:`SampleCheck`.  Every compiled sample's outcome carries its
+    execution's verdict; a quarantined one carries the synthetic failure.
+    """
+    checks: list[list[SampleCheck]] = []
+    requests: dict[ResultKey, CheckRequest] = {}
+    for task, temperature, indices in draws:
+        generation = pipeline.generate(
+            prompt=task.prompt,
+            interface=task.interface,
+            reference_source=task.reference_source,
+            demands=task.demands,
+            config=GenerationConfig(
+                temperature=temperature,
+                num_samples=config.num_samples,
+                seed=config.seed,
+            ),
+            prompt_style=task.prompt_style,
+            task_id=task.task_id,
+            sample_indices=indices,
+        )
+        stimulus, task_stimulus_key, task_mode_key = task_check_keys(task, config, temperature)
+        drawn: list[SampleCheck] = []
+        for index, sample in zip(indices or count(), generation.samples):
+            compile_result = checker.check(sample.code)
+            check = SampleCheck(
+                CheckOutcome(
+                    sample_index=index,
+                    temperature=temperature,
+                    syntax_ok=compile_result.ok,
+                    syntax_error=(
+                        "" if compile_result.ok else "; ".join(compile_result.error_messages[:1])
+                    ),
+                    design_key=design_key(sample.code),
+                )
+            )
+            drawn.append(check)
+            if not compile_result.ok:
+                continue
+            check.key = ResultKey(
+                design_key=check.outcome.design_key,
+                stimulus_key=task_stimulus_key,
+                mode=task_mode_key,
+            )
+            if check.key not in requests and check.key not in memo:
+                requests[check.key] = check_request_for(
+                    task, sample.code, check.key, stimulus, config, database=database
+                )
+        checks.append(drawn)
+
+    executions: dict[ResultKey, CheckExecution] = {}
+    if requests:
+        report = run_checks(
+            list(requests.values()),
+            max_workers=config.max_workers,
+            policy=ExecutionPolicy.from_config(config),
+        )
+        executions = report.executions
+        for key, execution in executions.items():
+            if not execution.quarantined:
+                memo[key] = execution
+        if warning_sink is not None:
+            for warning in report.warnings:
+                warning_sink(warning)
+
+    for check in chain.from_iterable(checks):
+        if check.key is None:
+            continue
+        execution = executions[check.key] if check.key in executions else memo[check.key]
+        check.execution = execution
+        result = execution.result
+        check.outcome.functional_passed = result.passed
+        check.outcome.failure_summary = result.failure_summary
+        check.outcome.total_checks = result.total_checks
+        check.outcome.attempts = execution.attempts
+        check.outcome.degradation = list(execution.degradation)
+        check.outcome.duration_s = execution.duration_s
+        if getattr(result, "proof_stats", None):
+            check.outcome.proof_stats = dict(result.proof_stats)
+    return checks
+
+
+def task_result(
+    task: BenchmarkTask,
+    temperature: float,
+    outcomes: Sequence[CheckOutcome],
+    num_quarantined: int = 0,
+) -> TaskResult:
+    """Score one (task, temperature): counts plus capped failure examples.
+
+    ``outcomes`` are in sample order; the first :data:`MAX_FAILURE_EXAMPLES`
+    syntax errors or functional failure summaries become the examples.
+    """
+    functional_passes = syntax_passes = 0
+    failures: list[str] = []
+    for outcome in outcomes:
+        syntax_passes += outcome.syntax_ok
+        if outcome.syntax_ok and outcome.functional_passed:
+            functional_passes += 1
+        elif len(failures) < MAX_FAILURE_EXAMPLES:
+            failures.append(outcome.failure_summary if outcome.syntax_ok else outcome.syntax_error)
+    return TaskResult(
+        task_id=task.task_id,
+        category=task.category,
+        num_samples=len(outcomes),
+        num_functional_passes=functional_passes,
+        num_syntax_passes=syntax_passes,
+        temperature=temperature,
+        failure_examples=failures,
+        num_quarantined=num_quarantined,
+    )
+
+
+def best_temperature(candidates: Iterable[TaskResult]) -> TaskResult | None:
+    """The candidate with the most functional passes; the first wins ties."""
+    return max(candidates, key=lambda result: result.num_functional_passes, default=None)
 
 
 class BenchmarkEvaluator:
-    """Run a pipeline over a suite and score it (job-based orchestration).
+    """Run a pipeline over a suite and score it in memory.
+
+    A thin wrapper over :func:`check_samples`, the run engine's check core:
+    one call draws every (task, temperature) of the suite in full, and each
+    task scores at its best temperature.
 
     Args:
         config: sampling/scoring plan.
@@ -339,183 +492,74 @@ class BenchmarkEvaluator:
         #: Only *settled* verdicts enter it — quarantined checks (transient
         #: infra faults that burned every attempt) are deliberately excluded,
         #: so they are re-attempted instead of permanently scored as failures.
-        self.memo: dict[ResultKey, TestbenchResult] = {}
-        #: Structured execution warnings (serial fallback, pool degradation)
-        #: accumulated across ``evaluate`` calls; callers may drain this.
+        #: Stays empty with ``memoize_results`` off.
+        self.memo: dict[ResultKey, CheckExecution] = {}
+        #: Structured execution warnings (serial fallback, pool degradation,
+        #: quarantines) accumulated across ``evaluate`` calls; callers may
+        #: drain this.
         self.warnings: list[dict] = []
 
-    def codegen_coverage(self) -> dict:
-        """Process-wide codegen adoption: fallback totals and per-design reasons.
-
-        Mirrors what ``GET /metrics`` exports — an empty ``designs`` map means
-        every design this process simulated ran on generated code.
-        """
-        from ..verilog import codegen
-
-        return codegen.fallback_stats()
-
-    # ------------------------------------------------------------------ public API
     def evaluate(self, pipeline: HaVenPipeline, suite: BenchmarkSuite) -> SuiteResult:
-        """Evaluate ``pipeline`` on ``suite`` with the configured sampling plan."""
-        tasks = list(suite)
-        if self.config.max_tasks is not None:
-            tasks = tasks[: self.config.max_tasks]
-        if not self.config.memoize_results:
-            self.memo.clear()
+        """Evaluate ``pipeline`` on ``suite`` with the configured sampling plan.
 
-        # Phase 1+2: draw samples and syntax-check them (both deterministic and
-        # cheap relative to simulation), building one check request per unique
-        # compiled candidate not already in the memo.
-        plans: list[_TemperaturePlan] = []
-        pending: dict[ResultKey, CheckRequest] = {}
-        for task in tasks:
-            for temperature in self.config.temperatures:
-                plans.append(self._plan_temperature(pipeline, task, temperature, pending))
-
-        # Phase 3: execute the deduplicated checks (worker pool when
-        # configured) under the configured fault-tolerance policy.  Settled
-        # verdicts enter the cross-run memo; quarantined ones (transient infra
-        # faults, not candidate failures) stay local to this call, so the next
-        # evaluate() re-attempts them instead of replaying a synthetic failure.
-        quarantined: dict[ResultKey, TestbenchResult] = {}
-        if pending:
-            report = run_checks(
-                list(pending.values()),
-                max_workers=self.config.max_workers,
-                policy=ExecutionPolicy.from_config(self.config),
+        A quarantined sample counts as a non-pass (``num_quarantined``) whose
+        failure example is the quarantine summary, and each quarantined key
+        adds one ``"quarantined"`` warning.
+        """
+        if not self.config.temperatures:
+            raise ValueError("EvaluationConfig.temperatures is empty: no sample can be drawn")
+        tasks = list(suite)[: self.config.max_tasks]
+        draws = [
+            (task, temperature, None) for task in tasks for temperature in self.config.temperatures
+        ]
+        checked = check_samples(
+            pipeline,
+            draws,
+            self.config,
+            self.memo if self.config.memoize_results else {},
+            self.checker,
+            database=self.database,
+            warning_sink=self.warnings.append,
+        )
+        quarantined = {
+            check.key: (task, check.execution)
+            for (task, _, _), samples in zip(draws, checked)
+            for check in samples
+            if check.quarantined
+        }
+        for key, (task, execution) in quarantined.items():
+            self.warnings.append(
+                {
+                    "category": "quarantined",
+                    "message": (
+                        f"check for task {task.task_id!r} quarantined "
+                        f"after {execution.attempts} attempt(s): {execution.error}"
+                    ),
+                    "detail": {
+                        "task_id": task.task_id,
+                        "design_key": key.design_key,
+                        "attempts": execution.attempts,
+                        "error": execution.error,
+                    },
+                }
             )
-            for key, execution in report.executions.items():
-                if execution.quarantined:
-                    quarantined[key] = execution.result
-                else:
-                    self.memo[key] = execution.result
-            self.warnings.extend(report.warnings)
-            for key, execution in report.quarantined().items():
-                self.warnings.append(
-                    {
-                        "category": "quarantined",
-                        "message": (
-                            f"check for task {pending[key].task_id!r} quarantined "
-                            f"after {execution.attempts} attempt(s): {execution.error}"
-                        ),
-                        "detail": {
-                            "task_id": pending[key].task_id,
-                            "design_key": key.design_key,
-                            "attempts": execution.attempts,
-                            "error": execution.error,
-                        },
-                    }
-                )
-
-        # Phase 4: assemble per-task results, best temperature first.
-        result = SuiteResult(suite_name=suite.name, model_name=pipeline.name, ks=self.config.ks)
-        index = 0
-        for task in tasks:
-            best: TaskResult | None = None
-            for _ in self.config.temperatures:
-                candidate = self._assemble(plans[index], quarantined)
-                index += 1
-                if best is None or candidate.num_functional_passes > best.num_functional_passes:
-                    best = candidate
-            assert best is not None
-            result.task_results.append(best)
-        if not self.config.memoize_results:
-            self.memo.clear()
-        return result
-
-    # ------------------------------------------------------------------ planning
-    def _plan_temperature(
-        self,
-        pipeline: HaVenPipeline,
-        task: BenchmarkTask,
-        temperature: float,
-        pending: dict[ResultKey, CheckRequest],
-    ) -> _TemperaturePlan:
-        config = GenerationConfig(
-            temperature=temperature,
-            num_samples=self.config.num_samples,
-            seed=self.config.seed,
-        )
-        generation = pipeline.generate(
-            prompt=task.prompt,
-            interface=task.interface,
-            reference_source=task.reference_source,
-            demands=task.demands,
-            config=config,
-            prompt_style=task.prompt_style,
-            task_id=task.task_id,
-        )
-        stimulus, task_stimulus_key, task_mode_key = task_check_keys(
-            task, self.config, temperature
-        )
-
-        plan = _TemperaturePlan(
-            task=task,
-            temperature=temperature,
-            codes=[],
-            syntax_ok=[],
-            syntax_errors=[],
-            keys=[],
-        )
-        for sample in generation.samples:
-            plan.codes.append(sample.code)
-            compile_result = self.checker.check(sample.code)
-            plan.syntax_ok.append(compile_result.ok)
-            plan.syntax_errors.append(
-                "" if compile_result.ok else "; ".join(compile_result.error_messages[:1])
+        scored = iter(
+            task_result(
+                task,
+                temperature,
+                [check.outcome for check in samples],
+                num_quarantined=sum(check.quarantined for check in samples),
             )
-            if not compile_result.ok:
-                plan.keys.append(None)
-                continue
-            key = ResultKey(
-                design_key=design_key(sample.code),
-                stimulus_key=task_stimulus_key,
-                mode=task_mode_key,
-            )
-            plan.keys.append(key)
-            if key not in self.memo and key not in pending:
-                pending[key] = check_request_for(
-                    task, sample.code, key, stimulus, self.config, database=self.database
-                )
-        return plan
-
-    # ------------------------------------------------------------------ assembly
-    def _assemble(
-        self,
-        plan: _TemperaturePlan,
-        quarantined: Mapping[ResultKey, TestbenchResult],
-    ) -> TaskResult:
-        functional_passes = 0
-        syntax_passes = 0
-        num_quarantined = 0
-        failures: list[str] = []
-        for index in range(len(plan.codes)):
-            if not plan.syntax_ok[index]:
-                if len(failures) < 3:
-                    failures.append(plan.syntax_errors[index])
-                continue
-            syntax_passes += 1
-            key = plan.keys[index]
-            assert key is not None
-            check = self.memo.get(key)
-            if check is None:
-                # Quarantined this call: counted as a non-pass, surfaced
-                # distinctly, and never memoized as a candidate failure.
-                check = quarantined[key]
-                num_quarantined += 1
-            if check.passed:
-                functional_passes += 1
-            elif len(failures) < 3:
-                failures.append(check.failure_summary)
-        return TaskResult(
-            task_id=plan.task.task_id,
-            category=plan.task.category,
-            num_samples=len(plan.codes),
-            num_functional_passes=functional_passes,
-            num_syntax_passes=syntax_passes,
-            temperature=plan.temperature,
-            failure_examples=failures,
-            num_quarantined=num_quarantined,
+            for (task, temperature, _), samples in zip(draws, checked)
+        )
+        # Draws are task-major: each task's temperatures are consecutive.
+        return SuiteResult(
+            suite_name=suite.name,
+            model_name=pipeline.name,
+            ks=self.config.ks,
+            task_results=[
+                best_temperature(next(scored) for _ in self.config.temperatures) for _ in tasks
+            ],
         )
 
 

@@ -1,8 +1,9 @@
 """Evaluation jobs: memoisable, parallelisable functional checks.
 
-The benchmark evaluator decomposes a suite evaluation into *check requests* —
-one per unique ``(candidate design, stimulus, scoring mode)`` triple.  Each
-request is:
+The check core (:func:`repro.bench.evaluator.check_samples`, shared by the
+run engine and the in-memory evaluator) decomposes an evaluation into *check
+requests* — one per unique ``(candidate design, stimulus, scoring mode)``
+triple.  Each request is:
 
 * **content-addressed** by a :class:`ResultKey` (candidate-code hash ×
   stimulus/task hash × mode), so identical candidates sampled at different
@@ -111,27 +112,28 @@ def stimulus_key(
 
 
 def mode_key(
+    *,
     mode: str,
-    use_batch: bool,
     differential: bool,
     formal_conflict_limit: int | None,
     induction_depth: int = 4,
 ) -> str:
     """Scoring-mode component of a :class:`ResultKey`.
 
-    Existing durable result stores keep their keys: the evaluator always
-    passes ``use_batch=True``, and ``induction_depth`` only enters the key at
-    non-default values (k-induction at the default depth replaced a
-    simulation fallback, which never produced a *formal-mode pass* for those
-    tasks before — stored passes stay valid).
+    Existing durable result stores keep their keys: every check scores on
+    the batched runner, so the key keeps its constant ``batch=True`` field,
+    and ``induction_depth`` only enters the key at non-default values
+    (k-induction at the default depth replaced a simulation fallback, which
+    never produced a *formal-mode pass* for those tasks before — stored
+    passes stay valid).
     """
     if mode == "formal":
         induction = "" if induction_depth == 4 else f"|induction={induction_depth}"
         return (
-            f"formal:{formal_conflict_limit}|batch={use_batch}"
+            f"formal:{formal_conflict_limit}|batch=True"
             f"|diff={differential}{induction}"
         )
-    return f"simulation|batch={use_batch}|diff={differential}"
+    return f"simulation|batch=True|diff={differential}"
 
 
 # --------------------------------------------------------------------------- requests

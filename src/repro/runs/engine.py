@@ -1,19 +1,19 @@
 """The run engine: execute a manifest's work units into a store, resumably.
 
-Execution is planned per ``(profile, suite)`` group.  For every task ×
-temperature with pending units, only the missing sample indices are drawn from
-the pipeline's deterministic sample stream (``generate_at`` — so a resumed or
-sharded run reproduces the serial samples bit-for-bit), syntax-checked, and the
-compiled candidates become content-addressed
-:class:`~repro.bench.jobs.CheckRequest`\\ s deduplicated by
-:class:`~repro.bench.jobs.ResultKey` and executed through
-:func:`~repro.bench.jobs.run_checks` (process pool when the manifest's
-``EvaluationConfig.max_workers`` says so).  Each finished unit is journaled as
-a :class:`~repro.bench.jobs.CheckOutcome`; units already journaled are never
+Execution is grouped per ``(profile, suite)``.  For every task × temperature
+with pending units, only the missing sample indices are drawn from the
+pipeline's deterministic sample stream (``generate_at`` — so a resumed or
+sharded run reproduces the serial samples bit-for-bit).  Drawing,
+syntax-checking, deduplicating by :class:`~repro.bench.jobs.ResultKey` and
+executing through :func:`~repro.bench.jobs.run_checks` (process pool when the
+manifest's ``EvaluationConfig.max_workers`` says so) is
+:func:`~repro.bench.evaluator.check_samples`, the check core the in-memory
+evaluator shares.  Each finished unit is journaled as a
+:class:`~repro.bench.jobs.CheckOutcome`; units already journaled are never
 re-executed, which is the whole resume story: kill the process at any point,
 re-invoke, and it continues where the journal ends.
 
-Planning is per group, but the verdict memo is per engine: every settled
+Checks run per group, but the verdict memo is per engine: every settled
 (non-quarantined) :class:`~repro.bench.jobs.CheckExecution` is kept by its
 ``ResultKey`` for the engine's lifetime, so a candidate that several
 profiles, groups or service leases produce for the same task is checked once
@@ -34,17 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..bench.evaluator import check_request_for, task_check_keys
-from ..bench.jobs import (
-    CheckExecution,
-    CheckOutcome,
-    CheckRequest,
-    ExecutionPolicy,
-    ResultKey,
-    design_key,
-    run_checks,
-)
-from ..core.llm.base import GenerationConfig
+from ..bench.evaluator import SampleCheck, check_samples
+from ..bench.jobs import CheckExecution, CheckOutcome, ResultKey
 from ..verilog.syntax_checker import SyntaxChecker
 from .manifest import RunManifest, WorkUnit
 from .resolve import ManifestResolver
@@ -91,13 +82,19 @@ class UnitResult:
 WarningSink = Callable[[str, str, dict | None], object]
 
 
-@dataclass
-class _UnitPlan:
-    """One pending unit while its check is in flight."""
-
-    unit: WorkUnit
-    outcome: CheckOutcome
-    result_key: ResultKey | None  # None when the sample failed syntax
+def _unit_result(unit: WorkUnit, check: SampleCheck) -> UnitResult:
+    """A checked sample as a unit result: its outcome, or its quarantine."""
+    if not check.quarantined:
+        return UnitResult(unit=unit, outcome=check.outcome)
+    execution = check.execution
+    return UnitResult(
+        unit=unit,
+        quarantine=QuarantineInfo(
+            attempts=execution.attempts,
+            error=execution.error,
+            degradation=tuple(execution.degradation),
+        ),
+    )
 
 
 class RunEngine:
@@ -188,120 +185,42 @@ class RunEngine:
         order; execution warnings from the fault-tolerant check layer go to
         ``warning_sink`` as ``(category, message, detail)``.
 
-        Units are planned per ``(profile, suite)`` group; a check request is
-        built only for a result key that is neither already requested in
-        this call nor settled in the engine's verdict memo (see the module
-        docstring).
+        Units are checked per ``(profile, suite)`` group, one
+        :func:`~repro.bench.evaluator.check_samples` call each, against the
+        engine's verdict memo (see the module docstring).
         """
         # Group pending units by (profile, suite) preserving expansion order,
-        # then by (task, temperature) → missing sample indices.
+        # then by (task, temperature) → the sample indices to draw.
         groups: dict[tuple[str, str], dict[tuple[str, float], list[WorkUnit]]] = {}
         for unit in pending:
             group = groups.setdefault((unit.profile_id, unit.suite_id), {})
             group.setdefault((unit.task_id, unit.temperature), []).append(unit)
 
+        forward = None
+        if warning_sink is not None:
+
+            def forward(warning: dict) -> None:
+                warning_sink(warning["category"], warning["message"], warning.get("detail"))
+
         config = self.manifest.config
         results: list[UnitResult] = []
         for (profile_id, suite_id), task_units in groups.items():
-            memo = self._verdicts if config.memoize_results else {}
             pipeline = self.resolver.pipeline(profile_id)
             suite_spec = next(s for s in self.manifest.suites if s.suite_id == suite_id)
             tasks = {task.task_id: task for task in self.resolver.tasks(suite_spec)}
-
-            plans: list[_UnitPlan] = []
-            requests: dict[ResultKey, CheckRequest] = {}
-            for (task_id, temperature), unit_list in task_units.items():
-                task = tasks[task_id]
-                indices = [unit.sample_index for unit in unit_list]
-                generation = pipeline.generate(
-                    prompt=task.prompt,
-                    interface=task.interface,
-                    reference_source=task.reference_source,
-                    demands=task.demands,
-                    config=GenerationConfig(
-                        temperature=temperature,
-                        num_samples=config.num_samples,
-                        seed=config.seed,
-                    ),
-                    prompt_style=task.prompt_style,
-                    task_id=task.task_id,
-                    sample_indices=indices,
-                )
-                stimulus, task_stimulus_key, task_mode_key = task_check_keys(
-                    task, config, temperature
-                )
-                for unit, sample in zip(unit_list, generation.samples):
-                    compile_result = self.checker.check(sample.code)
-                    outcome = CheckOutcome(
-                        sample_index=unit.sample_index,
-                        temperature=temperature,
-                        syntax_ok=compile_result.ok,
-                        syntax_error=(
-                            ""
-                            if compile_result.ok
-                            else "; ".join(compile_result.error_messages[:1])
-                        ),
-                        design_key=design_key(sample.code),
-                    )
-                    if not compile_result.ok:
-                        plans.append(_UnitPlan(unit=unit, outcome=outcome, result_key=None))
-                        continue
-                    key = ResultKey(
-                        design_key=outcome.design_key,
-                        stimulus_key=task_stimulus_key,
-                        mode=task_mode_key,
-                    )
-                    plans.append(_UnitPlan(unit=unit, outcome=outcome, result_key=key))
-                    if key not in requests and key not in memo:
-                        requests[key] = check_request_for(
-                            task, sample.code, key, stimulus, config
-                        )
-
-            executions: dict[ResultKey, CheckExecution] = {}
-            if requests:
-                report = run_checks(
-                    list(requests.values()),
-                    max_workers=config.max_workers,
-                    policy=ExecutionPolicy.from_config(config),
-                )
-                executions = report.executions
-                for key, execution in executions.items():
-                    if not execution.quarantined:
-                        memo[key] = execution
-                if warning_sink is not None:
-                    for warning in report.warnings:
-                        warning_sink(
-                            warning["category"],
-                            warning["message"],
-                            warning.get("detail"),
-                        )
-
-            for plan in plans:
-                if plan.result_key is not None:
-                    key = plan.result_key
-                    execution = executions[key] if key in executions else memo[key]
-                    if execution.quarantined:
-                        results.append(
-                            UnitResult(
-                                unit=plan.unit,
-                                quarantine=QuarantineInfo(
-                                    attempts=execution.attempts,
-                                    error=execution.error,
-                                    degradation=tuple(execution.degradation),
-                                ),
-                            )
-                        )
-                        continue
-                    result = execution.result
-                    plan.outcome.functional_passed = result.passed
-                    plan.outcome.failure_summary = result.failure_summary
-                    plan.outcome.total_checks = result.total_checks
-                    plan.outcome.attempts = execution.attempts
-                    plan.outcome.degradation = list(execution.degradation)
-                    plan.outcome.duration_s = execution.duration_s
-                    if getattr(result, "proof_stats", None):
-                        plan.outcome.proof_stats = dict(result.proof_stats)
-                results.append(UnitResult(unit=plan.unit, outcome=plan.outcome))
+            checked = check_samples(
+                pipeline,
+                [
+                    (tasks[task_id], temperature, [unit.sample_index for unit in unit_list])
+                    for (task_id, temperature), unit_list in task_units.items()
+                ],
+                config,
+                self._verdicts if config.memoize_results else {},
+                self.checker,
+                warning_sink=forward,
+            )
+            for unit_list, samples in zip(task_units.values(), checked):
+                results.extend(map(_unit_result, unit_list, samples))
         return results
 
     # ------------------------------------------------------------------ status

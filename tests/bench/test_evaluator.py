@@ -126,6 +126,11 @@ class TestEvaluator:
         result = evaluator.evaluate(HaVenPipeline(BrokenBackend(), use_sicot=False), tiny_human_suite)
         assert any(task_result.failure_examples for task_result in result.task_results)
 
+    def test_empty_temperature_sweep_is_rejected(self, tiny_human_suite):
+        evaluator = BenchmarkEvaluator(EvaluationConfig(num_samples=1, temperatures=()))
+        with pytest.raises(ValueError, match="temperatures"):
+            evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+
     def test_single_temperature_config_helper(self):
         config = EvaluationConfig(temperatures=(0.2, 0.5, 0.8))
         assert config.single_temperature().temperatures == (0.2,)
@@ -193,11 +198,33 @@ class TestEvaluator:
             assert fast_task.num_syntax_passes == checked_task.num_syntax_passes
 
     def test_codegen_coverage_snapshot(self, tiny_human_suite, config):
+        from repro.verilog import codegen
+
         evaluator = BenchmarkEvaluator(config)
         evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
-        coverage = evaluator.codegen_coverage()
+        coverage = codegen.fallback_stats()
         assert set(coverage) == {"total", "reasons", "designs"}
         assert coverage["total"] == sum(coverage["reasons"].values())
+
+    def test_generate_called_once_per_task_and_temperature(self, tiny_human_suite):
+        """A backend with only ``generate`` gets one call per draw, not per sample."""
+
+        class CountingBackend(PerfectBackend):
+            def __init__(self):
+                self.calls: list[tuple[str, float, int]] = []
+
+            def generate(self, context, config):
+                self.calls.append((context.task_id, config.temperature, config.num_samples))
+                return super().generate(context, config)
+
+        backend = CountingBackend()
+        config = EvaluationConfig(num_samples=3, ks=(1,), temperatures=(0.2, 0.8), max_tasks=4)
+        pipeline = HaVenPipeline(backend, use_sicot=False)
+        BenchmarkEvaluator(config).evaluate(pipeline, tiny_human_suite)
+        tasks = [task.task_id for task in tiny_human_suite][:4]
+        assert backend.calls == [
+            (task_id, temperature, 3) for task_id in tasks for temperature in (0.2, 0.8)
+        ]
 
 
 class TestAggregationEdgeCases:
@@ -244,6 +271,53 @@ class TestAggregationEdgeCases:
         assert result.functional_pass_at_k() == {1: 0.0, 5: 0.0}
         assert result.category_pass_at_1() == {}
         assert result.by_category() == {}
+
+
+class TestScoringHelpers:
+    """``task_result``/``best_temperature``: shared by the evaluator and the aggregator."""
+
+    def test_task_result_counts_and_caps_failures_in_sample_order(self, tiny_human_suite):
+        from repro.bench.evaluator import MAX_FAILURE_EXAMPLES, task_result
+        from repro.bench.jobs import CheckOutcome
+
+        def sample(index, syntax_ok, passed=False):
+            return CheckOutcome(
+                sample_index=index,
+                temperature=0.5,
+                syntax_ok=syntax_ok,
+                syntax_error="" if syntax_ok else f"syntax {index}",
+                functional_passed=passed,
+                failure_summary="" if passed or not syntax_ok else f"mismatch {index}",
+            )
+
+        outcomes = [
+            sample(0, True, passed=True),
+            sample(1, False),
+            sample(2, True),
+            sample(3, True, passed=True),
+            sample(4, False),
+            sample(5, True),
+        ]
+        task = next(iter(tiny_human_suite))
+        result = task_result(task, 0.5, outcomes, num_quarantined=1)
+        assert MAX_FAILURE_EXAMPLES == 3
+        assert (result.task_id, result.category) == (task.task_id, task.category)
+        assert result.temperature == 0.5
+        assert result.num_samples == 6
+        assert (result.num_syntax_passes, result.num_functional_passes) == (4, 2)
+        assert result.failure_examples == ["syntax 1", "mismatch 2", "syntax 4"]
+        assert result.num_quarantined == 1
+
+    def test_best_temperature_first_wins_ties(self):
+        from repro.bench.evaluator import TaskResult, best_temperature
+
+        def scored(temperature, passes):
+            return TaskResult("t", "c", 4, passes, 4, temperature)
+
+        best = best_temperature([scored(0.2, 1), scored(0.5, 3), scored(0.8, 3)])
+        assert best.temperature == 0.5
+        assert best_temperature([scored(0.2, 2), scored(0.8, 2)]).temperature == 0.2
+        assert best_temperature([]) is None
 
 
 class TestFormalMode:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 
+import pytest
+
 from repro.bench.evaluator import EvaluationConfig, check_request_for, task_check_keys
 from repro.bench.families import make_counter_task, make_expression_task
 from repro.bench.jobs import (
@@ -58,21 +60,27 @@ class TestModeKeyStability:
         # Durable result stores index by this string: the new knobs must not
         # shift it at their default values.
         assert (
-            mode_key("formal", True, False, 50_000)
+            mode_key(mode="formal", differential=False, formal_conflict_limit=50_000)
             == "formal:50000|batch=True|diff=False"
         )
-        assert mode_key("simulation", True, False, None) == (
+        assert mode_key(mode="simulation", differential=False, formal_conflict_limit=None) == (
             "simulation|batch=True|diff=False"
         )
 
     def test_non_default_knobs_enter_the_key(self):
-        assert mode_key("formal", True, False, 50_000, induction_depth=7).endswith(
-            "|induction=7"
-        )
+        assert mode_key(
+            mode="formal", differential=False, formal_conflict_limit=50_000, induction_depth=7
+        ).endswith("|induction=7")
         # Simulation mode ignores the formal knobs entirely.
         assert mode_key(
-            "simulation", True, False, None, induction_depth=9
+            mode="simulation", differential=False, formal_conflict_limit=None, induction_depth=9
         ) == "simulation|batch=True|diff=False"
+
+    def test_positional_call_is_rejected(self):
+        # The old signature took a use_batch flag second; a stale positional
+        # call must fail loudly rather than bind its arguments one slot off.
+        with pytest.raises(TypeError):
+            mode_key("simulation", True, False, None)
 
 
 class TestCheckOutcomeProofStats:

@@ -189,7 +189,7 @@ def _check_requests(copies: int = 1) -> list[CheckRequest]:
                 task.reset,
                 reference_source=task.reference_source,
             ),
-            mode=mode_key("simulation", True, False, None),
+            mode=mode_key(mode="simulation", differential=False, formal_conflict_limit=None),
         )
         for _ in range(copies):
             requests.append(

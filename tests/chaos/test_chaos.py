@@ -130,7 +130,7 @@ def _requests(mode: str = "simulation") -> dict[str, CheckRequest]:
                 task.reset,
                 reference_source=task.reference_source,
             ),
-            mode=mode_key(mode, True, False, None),
+            mode=mode_key(mode=mode, differential=False, formal_conflict_limit=None),
         )
         requests[task.task_id] = CheckRequest(
             key=key,
@@ -371,6 +371,48 @@ class TestEvaluatorQuarantine:
         assert by_task["chaos_xor"].num_quarantined == 0
         assert by_task["chaos_xor"].num_functional_passes == 1
         assert any(key.design_key == xor_key for key in evaluator.memo)
+
+
+    def test_one_warning_per_quarantined_key(self):
+        """Every sample of the key counts as quarantined; the key warns once."""
+        from repro.bench.evaluator import BenchmarkEvaluator
+
+        class ReferenceBackend(LLMBackend):
+            name = "Reference"
+
+            def generate(self, context, config):
+                return [
+                    GeneratedSample(code=context.reference_source, sample_index=index)
+                    for index in range(config.num_samples)
+                ]
+
+        install_faults([FaultSpec("raise", task_id="chaos_xor")])
+        config = EvaluationConfig(
+            num_samples=3,
+            ks=(1,),
+            temperatures=(0.2, 0.8),
+            max_attempts=1,
+            retry_backoff_s=0.001,
+        )
+        evaluator = BenchmarkEvaluator(config)
+        result = evaluator.evaluate(
+            HaVenPipeline(ReferenceBackend(), use_sicot=False), _chaos_suite()
+        )
+        by_task = {entry.task_id: entry for entry in result.task_results}
+        xor = by_task["chaos_xor"]
+        assert (xor.num_samples, xor.num_quarantined, xor.num_functional_passes) == (3, 3, 0)
+        assert xor.temperature == 0.2
+        assert len(xor.failure_examples) == 3 and xor.failure_examples[0]
+        assert all(by_task[t].num_functional_passes == 3 for t in ("chaos_and", "chaos_or"))
+
+        warnings = [w for w in evaluator.warnings if w["category"] == "quarantined"]
+        assert len(warnings) == 1
+        [warning] = warnings
+        assert warning["message"].startswith(
+            "check for task 'chaos_xor' quarantined after 1 attempt(s): "
+        )
+        assert set(warning["detail"]) == {"task_id", "design_key", "attempts", "error"}
+        assert warning["detail"]["task_id"] == "chaos_xor"
 
 
 # --------------------------------------------------------------------------- engine chaos

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-import repro.runs.engine as engine_module
+import repro.bench.evaluator as check_core
 from repro.experiments import ExperimentScale
 from repro.runs.engine import RunEngine
 from repro.runs.faults import FaultSpec, clear_faults, install_faults
@@ -44,13 +44,13 @@ def resolver(manifest):
 def check_log(monkeypatch):
     """Every ``run_checks`` call the engine makes, as its list of result keys."""
     calls: list[list] = []
-    original = engine_module.run_checks
+    original = check_core.run_checks
 
     def spy(requests, **kwargs):
         calls.append([request.key for request in requests])
         return original(requests, **kwargs)
 
-    monkeypatch.setattr(engine_module, "run_checks", spy)
+    monkeypatch.setattr(check_core, "run_checks", spy)
     return calls
 
 
@@ -154,7 +154,7 @@ class TestRunWideMemo:
 
         # The fault fires during the first group's checks only.
         calls: list[list] = []
-        original = engine_module.run_checks
+        original = check_core.run_checks
 
         def first_call_faulty(requests, **kwargs):
             calls.append([request.task_id for request in requests])
@@ -163,7 +163,7 @@ class TestRunWideMemo:
             finally:
                 clear_faults()
 
-        monkeypatch.setattr(engine_module, "run_checks", first_call_faulty)
+        monkeypatch.setattr(check_core, "run_checks", first_call_faulty)
         install_faults([FaultSpec("raise", task_id=task_id)])
         try:
             results = RunEngine(manifest, RunStore.ephemeral(), resolver).execute_units(

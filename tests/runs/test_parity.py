@@ -1,12 +1,18 @@
-"""Bit-for-bit parity: the run engine vs the old monolithic in-memory path.
+"""Bit-for-bit parity: the run engine vs the in-memory evaluator, plus a fixed digest.
 
-The pre-refactor ``run_table4``/``run_table6`` logic (shared
-``BenchmarkEvaluator`` over the built suites) is replicated inline here as the
-oracle; the refactored drivers must reproduce it exactly — including the
-per-task sample/pass counts and the capped failure-example strings.
+The pre-refactor ``run_table4``/``run_table6`` logic (a shared
+``BenchmarkEvaluator`` over the built suites) is replicated inline here; the
+run-engine drivers must reproduce it exactly — including the per-task
+sample/pass counts and the capped failure-example strings.  Both paths share
+one check core (``repro.bench.evaluator.check_samples``), so their agreement
+alone cannot catch a change to that core: the evaluator's results are also
+pinned to a sha256 digest recorded before the two paths were merged.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -28,6 +34,22 @@ from repro.runs.presets import table4_manifest
 from repro.runs.store import RunStore
 
 BASELINES = ["gpt-4", "rtlcoder-deepseek"]
+
+#: sha256 of the tiny-scale ``legacy_results`` as canonical JSON (see
+#: :func:`results_digest`), recorded when the evaluator and the run engine
+#: still had separate check loops; stable across ``PYTHONHASHSEED`` values.
+LEGACY_RESULTS_DIGEST = "39d7dd667f463f20682f3c1830628360fb57f2ec7e8d6330b6062fe12ec71f22"
+
+
+def results_digest(results: dict[str, dict[str, SuiteResult]]) -> str:
+    payload = {
+        f"{key}/{suite}": result.to_dict()
+        for key, by_suite in results.items()
+        for suite, result in by_suite.items()
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +85,10 @@ def legacy_results(scale):
 
 
 class TestTable4Parity:
+    def test_results_match_fixed_digest(self, legacy_results):
+        legacy, _ = legacy_results
+        assert results_digest(legacy) == LEGACY_RESULTS_DIGEST
+
     def test_rows_bit_for_bit(self, scale, legacy_results):
         _, legacy_rows = legacy_results
         new_rows = run_table4(scale, baseline_keys=BASELINES, include_haven=False)
