@@ -70,7 +70,12 @@ from repro.logic import bittable
 from repro.logic.bittable import BitTable
 from repro.logic.expr import RandomExpressionGenerator, reference_minterms
 from repro.logic.minimize import Implicant, minimal_cover, prime_implicants, _cover_mask
-from repro.verilog.simulator.testbench import BatchTestbenchRunner, ResetSpec, TestbenchRunner
+from repro.verilog.simulator.testbench import (
+    BatchTestbenchRunner,
+    ExpectedTrace,
+    ResetSpec,
+    TestbenchRunner,
+)
 
 #: Benchmark keys whose timings the regression gate tracks (seconds, lower is better).
 TRACKED = (
@@ -637,7 +642,7 @@ COMPILE_CACHE_STIMULI = 32
 
 
 def _alu_golden() -> VectorFunctionGolden:
-    """Golden model of the benchmark ALU (module-level: picklable for workers)."""
+    """Golden model of the benchmark ALU."""
 
     def alu(inputs):
         a, b, op = inputs["a"], inputs["b"], inputs["op"]
@@ -692,6 +697,7 @@ def bench_compile_cache(repeat: int = 3) -> dict[str, float]:
         for _ in range(COMPILE_CACHE_STIMULI)
     ]
     mode = mode_key(mode="simulation", differential=False, formal_conflict_limit=None)
+    expected = ExpectedTrace.record(_alu_golden(), stimulus)
 
     def requests_for(salted: bool) -> list:
         requests = []
@@ -713,7 +719,7 @@ def bench_compile_cache(repeat: int = 3) -> dict[str, float]:
                     key=key,
                     code=code,
                     task_id=f"compile_cache{index}" if salted else "compile_cache",
-                    golden_factory=_alu_golden,
+                    expected=expected,
                     stimulus=stimulus,
                 )
             )

@@ -21,10 +21,9 @@ once and memoised by its content-addressed
 temperatures, whole ``evaluate`` calls — cost a dict lookup; syntax checking
 and DUT elaboration ride the shared
 :class:`~repro.verilog.design.DesignDatabase`.  With
-``EvaluationConfig(max_workers=N)`` independent checks execute concurrently on
-a process pool (with a transparent serial fallback).  :func:`task_result` and
-:func:`best_temperature` score per task for the evaluator and for the
-streaming aggregator alike.
+``EvaluationConfig(max_workers=N)`` the checks execute on a process pool.
+:func:`task_result` and :func:`best_temperature` score per task for the
+evaluator and for the streaming aggregator alike.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core.llm.base import GenerationConfig
 from ..core.pipeline import HaVenPipeline
+from ..verilog.simulator.testbench import ExpectedTrace
 from ..verilog.syntax_checker import SyntaxChecker
 from .golden import GoldenCache
 from .jobs import (
@@ -84,9 +84,9 @@ class EvaluationConfig:
     #: equivalence proofs instead of a silent simulation fallback.  ``0``
     #: disables induction (every sequential task simulates, as before).
     induction_depth: int = 4
-    #: Worker processes for functional checks (1 = serial in-process).  Checks
-    #: whose golden factories cannot be pickled, and any pool failure, fall
-    #: back to serial execution automatically.
+    #: Worker processes for functional checks (1 = serial in-process).  A
+    #: process pool that cannot start or keeps breaking hands its remaining
+    #: checks back to serial execution.
     max_workers: int = 1
     #: Memoise check verdicts by ``(design, stimulus, mode)`` across samples,
     #: temperatures and ``evaluate`` calls.  Disable to force every check cold
@@ -290,6 +290,7 @@ def check_request_for(
     code: str,
     key: ResultKey,
     stimulus: list[dict[str, int]],
+    expected: ExpectedTrace,
     config: EvaluationConfig,
     database=None,
 ) -> CheckRequest:
@@ -298,7 +299,7 @@ def check_request_for(
         key=key,
         code=code,
         task_id=task.task_id,
-        golden_factory=task.golden_factory,
+        expected=expected,
         stimulus=stimulus,
         reference_source=task.reference_source,
         check_outputs=task.check_outputs,
@@ -345,9 +346,10 @@ def check_samples(
     This is the check core of both the run engine and
     :class:`BenchmarkEvaluator`.  A check request is built only for a
     :class:`ResultKey` that is neither already requested in this call nor
-    settled in ``memo``; the requests run in one :func:`run_checks` batch, and
-    its settled (non-quarantined) executions enter ``memo``.  Execution
-    warnings go to ``warning_sink`` as the report's dicts.
+    settled in ``memo``; it carries the task golden's outputs, recorded once
+    per stimulus key (:meth:`ExpectedTrace.record`).  The requests run in one
+    :func:`run_checks` batch, and its settled (non-quarantined) executions
+    enter ``memo``.  Execution warnings go to ``warning_sink`` as dicts.
 
     Returns one list per draw, in draw order, of each sample's
     :class:`SampleCheck`.  Every compiled sample's outcome carries its
@@ -355,6 +357,7 @@ def check_samples(
     """
     checks: list[list[SampleCheck]] = []
     requests: dict[ResultKey, CheckRequest] = {}
+    traces: dict[str, ExpectedTrace] = {}
     for task, temperature, indices in draws:
         generation = pipeline.generate(
             prompt=task.prompt,
@@ -394,8 +397,11 @@ def check_samples(
                 mode=task_mode_key,
             )
             if check.key not in requests and check.key not in memo:
+                if task_stimulus_key not in traces:
+                    traces[task_stimulus_key] = ExpectedTrace.record(task.golden(), stimulus)
+                expected = traces[task_stimulus_key]
                 requests[check.key] = check_request_for(
-                    task, sample.code, check.key, stimulus, config, database=database
+                    task, sample.code, check.key, stimulus, expected, config, database=database
                 )
         checks.append(drawn)
 
@@ -477,10 +483,9 @@ class BenchmarkEvaluator:
     Args:
         config: sampling/scoring plan.
         database: :class:`~repro.verilog.design.DesignDatabase` shared by the
-            syntax checker and the simulation-path runners (defaults to the
-            process-wide database).  Setting one pins functional checks to
-            in-parent execution (databases do not cross process boundaries);
-            the formal prover always rides the process-wide database.
+            syntax checker and the runners of checks that run in this
+            process (defaults to the process-wide database); pool workers
+            compile through their own process-wide database.
     """
 
     def __init__(self, config: EvaluationConfig | None = None, database=None):
@@ -494,9 +499,8 @@ class BenchmarkEvaluator:
         #: so they are re-attempted instead of permanently scored as failures.
         #: Stays empty with ``memoize_results`` off.
         self.memo: dict[ResultKey, CheckExecution] = {}
-        #: Structured execution warnings (serial fallback, pool degradation,
-        #: quarantines) accumulated across ``evaluate`` calls; callers may
-        #: drain this.
+        #: Structured execution warnings (pool degradation, quarantines)
+        #: accumulated across ``evaluate`` calls; callers may drain this.
         self.warnings: list[dict] = []
 
     def evaluate(self, pipeline: HaVenPipeline, suite: BenchmarkSuite) -> SuiteResult:

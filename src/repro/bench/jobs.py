@@ -10,15 +10,13 @@ triple.  Each request is:
   temperatures, runs, or pipelines are scored exactly once and every repeat is
   a dict lookup in the caller's verdict memo (the run engine keeps one per
   engine, the in-memory evaluator one per evaluator);
-* **self-contained** (code, golden factory, stimulus, reset spec, scoring
-  flags), so it can be executed in the parent process or shipped to a worker
-  process unchanged.
+* **self-contained** (code, the golden's recorded outputs, stimulus, reset
+  spec, scoring flags), so it can be executed in the parent process or
+  shipped to a worker process unchanged.
 
 :func:`run_checks` executes a batch of requests *fault-tolerantly*.  With
-``max_workers > 1`` it uses a process pool for the requests whose payloads
-pickle (golden factories are often closures, which do not — those stay in the
-parent, and the fallback is recorded as a structured warning), and it
-survives the execution layer misbehaving:
+``max_workers > 1`` it runs them on a process pool, and it survives the
+execution layer misbehaving:
 
 * **deadlines** — every attempt runs under a cooperative wall-clock budget
   (:mod:`repro.deadline`; the simulators' settle loops and the CDCL search
@@ -42,19 +40,19 @@ from __future__ import annotations
 
 import hashlib
 import math
-import pickle
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..deadline import CheckTimeout, deadline_scope
 from ..verilog.simulator.testbench import (
     BatchTestbenchRunner,
+    ExpectedTrace,
+    ReplayGolden,
     ResetSpec,
     TestbenchResult,
     TestbenchRunner,
 )
-from .golden import GoldenCache
 
 
 # --------------------------------------------------------------------------- keys
@@ -144,7 +142,9 @@ class CheckRequest:
     key: ResultKey
     code: str
     task_id: str
-    golden_factory: Callable[[], object]
+    #: The task golden's outputs over ``stimulus``; every attempt scores
+    #: against a fresh :class:`ReplayGolden` of it.
+    expected: ExpectedTrace
     stimulus: list[dict[str, int]] = field(default_factory=list)
     reference_source: str = ""
     check_outputs: list[str] | None = None
@@ -161,10 +161,10 @@ class CheckRequest:
     #: proofs; inconclusive inductions fall back to simulation).  ``0``
     #: restores the old behaviour of simulating every sequential task.
     induction_depth: int = 4
-    #: Optional :class:`~repro.verilog.design.DesignDatabase` for the runners
-    #: (None → process-wide default).  A database does not pickle, so setting
-    #: one pins the request to in-parent execution — exactly where the
-    #: database lives.
+    #: Optional :class:`~repro.verilog.design.DesignDatabase` for checks run
+    #: in this process (None → process-wide default).  It is a parent-side
+    #: cache and never shipped: pool workers compile through their own
+    #: process-wide database.
     database: object | None = None
     #: Wall-clock budget for one execution attempt (None → no deadline, or
     #: the :class:`ExecutionPolicy` default when run through ``run_checks``).
@@ -252,14 +252,9 @@ class CheckOutcome:
         )
 
 
-#: Per-process golden cache for check execution (each pool worker process gets
-#: its own copy via fork/spawn, so models never cross process boundaries).
-_worker_goldens = GoldenCache()
-
 #: Per-process incremental equivalence sessions, keyed by (reference design
 #: key, checked-output tuple): every candidate of a sweep that lands on this
-#: worker proves against the same persistent solver.  Like the golden cache,
-#: sessions never cross process boundaries.
+#: worker proves against the same persistent solver, which stays in that process.
 _worker_sessions: dict[tuple[str, tuple[str, ...] | None], object] = {}
 #: Insertion-ordered eviction cap — a worker serving many distinct references
 #: (e.g. a whole suite) keeps the most recent sessions, each of which owns a
@@ -298,8 +293,8 @@ def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
 
     Mirrors the scoring semantics the evaluator has always had: formal mode
     attempts a complete SAT equivalence proof first and transparently falls
-    back to the stimulus sweep; simulation mode runs the (batched, where
-    combinational) testbench against the task's golden model.
+    back to the stimulus sweep; simulation mode runs the batched testbench
+    against a replay of the task golden's expected outputs.
 
     The whole attempt runs under ``request.timeout_s`` (if set): the
     simulators' settle loops and the SAT search tick the deadline, so a
@@ -310,12 +305,8 @@ def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
         from ..runs.faults import maybe_inject
 
         maybe_inject(request.task_id, request.key.design_key, request.attempt)
-        # The cache id includes the reference-source hash: task ids repeat
-        # across differently-seeded suite builds, the reference text does not.
-        golden_id = f"{request.task_id}:{design_key(request.reference_source)}"
-        golden = _worker_goldens.get_by_factory(golden_id, request.golden_factory)
         if request.mode == "formal":
-            formal = _formal_check(request, golden)
+            formal = _formal_check(request)
             if formal is not None:
                 return request.key, formal
         if request.use_batch:
@@ -329,6 +320,7 @@ def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
             runner = TestbenchRunner(
                 clock=request.clock, reset=request.reset, database=request.database
             )
+        golden = ReplayGolden(request.expected)
         result = runner.run(
             request.code, golden, request.stimulus, check_outputs=request.check_outputs
         )
@@ -363,7 +355,7 @@ def _proof_stats_dict(proof) -> dict:
     return payload
 
 
-def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
+def _formal_check(request: CheckRequest) -> TestbenchResult | None:
     """Complete SAT equivalence proof against the task's reference design.
 
     Combinational tasks are proven on the worker's persistent
@@ -376,7 +368,7 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
     from ..verilog.errors import VerilogError
     from .golden import formal_equivalence_check
 
-    sequential = bool(getattr(golden, "is_sequential", False))
+    sequential = request.expected.is_sequential
     if sequential and request.induction_depth < 1:
         return None
     try:
@@ -513,35 +505,11 @@ class ExecutionReport:
         """Verdicts keyed by :class:`ResultKey` (the pre-fault-tolerance API)."""
         return {key: execution.result for key, execution in self.executions.items()}
 
-    def quarantined(self) -> dict[ResultKey, CheckExecution]:
-        return {
-            key: execution
-            for key, execution in self.executions.items()
-            if execution.quarantined
-        }
-
     def warn(self, category: str, message: str, **detail) -> None:
         entry: dict = {"category": category, "message": message}
         if detail:
             entry["detail"] = detail
         self.warnings.append(entry)
-
-    def latency_percentiles(
-        self, quantiles: Sequence[float] = (0.5, 0.99)
-    ) -> dict[float, float]:
-        """Settling-attempt latency percentiles over non-quarantined verdicts.
-
-        Nearest-rank on the sorted samples; empty when no execution carries a
-        measured duration (e.g. a report rebuilt from pre-duration journals).
-        """
-        samples = sorted(
-            execution.duration_s
-            for execution in self.executions.values()
-            if not execution.quarantined and execution.attempt_durations
-        )
-        if not samples:
-            return {}
-        return {q: percentile(samples, q) for q in quantiles}
 
 
 def percentile(sorted_samples: Sequence[float], q: float) -> float:
@@ -809,7 +777,7 @@ def _execute_pool(
                 continue
             item.request.attempt = item.attempt
             try:
-                future = pool.submit(timed_execute_check, item.request)
+                future = pool.submit(timed_execute_check, replace(item.request, database=None))
             except Exception:
                 held.extend(pending[index:])
                 queue = held
@@ -993,12 +961,10 @@ def run_checks(
 ) -> ExecutionReport:
     """Execute every request once, fault-tolerantly; see the module docstring.
 
-    ``max_workers > 1`` dispatches picklable requests to a process pool;
-    requests whose golden factories are closures (common in the bench
-    families) stay in the parent, with the fallback recorded as a
-    ``serial-fallback`` warning.  Every unique key gets exactly one
-    :class:`CheckExecution` — quarantined keys carry a synthetic failed
-    verdict, so callers indexing :meth:`ExecutionReport.results` never KeyError.
+    ``max_workers > 1`` dispatches the requests to a process pool.  Every
+    unique key gets exactly one :class:`CheckExecution` — quarantined keys
+    carry a synthetic failed verdict, so callers indexing
+    :meth:`ExecutionReport.results` never KeyError.
     """
     policy = policy if policy is not None else ExecutionPolicy()
     report = ExecutionReport()
@@ -1012,29 +978,7 @@ def run_checks(
             request = replace(request, timeout_s=policy.timeout_s)
         items.append(_WorkItem(request=request))
 
-    serial_items = items
     if max_workers > 1 and len(items) > 1:
-        parallel: list[_WorkItem] = []
-        serial_items = []
-        for item in items:
-            try:
-                pickle.dumps(item.request)
-                parallel.append(item)
-            except Exception:
-                serial_items.append(item)
-        if serial_items:
-            report.warn(
-                "serial-fallback",
-                f"{len(serial_items)} of {len(items)} check request(s) do not"
-                " pickle; executing in parent",
-                count=len(serial_items),
-                total=len(items),
-                example_task=serial_items[0].request.task_id,
-            )
-        if len(parallel) > 1:
-            serial_items.extend(_execute_pool(parallel, max_workers, policy, report))
-        else:
-            serial_items.extend(parallel)
-
-    _execute_serial(serial_items, policy, report)
+        items = _execute_pool(items, max_workers, policy, report)
+    _execute_serial(items, policy, report)
     return report

@@ -8,7 +8,7 @@ A :class:`RunStore` is a directory holding:
   completed work unit, plus ``quarantine`` records for poison units that
   burned every execution attempt (resume skips them instead of re-running
   them forever) and ``warning`` records for degraded-execution events
-  (serial fallback, pool rebuilds).
+  (pool rebuilds, a pool that cannot start).
 
 Appends are single ``O_APPEND`` writes of one line, so disjoint shard
 processes can safely fill one journal concurrently.  A store remembers the
@@ -289,7 +289,7 @@ class RunStore:
     def record_warning(
         self, category: str, message: str, detail: Mapping | None = None
     ) -> bool:
-        """Journal a degraded-execution warning (serial fallback, pool churn).
+        """Journal a degraded-execution warning (pool churn, an unavailable pool).
 
         Warnings are keyed by their content hash, so the same condition
         reported by several shards (or re-invocations) lands once.

@@ -58,6 +58,54 @@ class CombinationalGolden:
         return self.function(inputs)
 
 
+@dataclass(frozen=True)
+class ExpectedTrace:
+    """A golden model's outputs over one stimulus, recorded as plain data.
+
+    The runners reset a golden and then drive it with nothing but the
+    stimulus, in order, so its outputs do not depend on the design under
+    test.  Unlike a golden model (often a closure), a trace pickles.
+    """
+
+    is_sequential: bool
+    outputs: tuple[dict[str, int], ...]
+    #: What the golden raised on vector ``len(outputs)``, if it raised.
+    error: Exception | None = None
+
+    @classmethod
+    def record(cls, golden: GoldenModel, stimulus: list[dict[str, int]]) -> "ExpectedTrace":
+        """Drive ``golden`` as the runners do: reset, then ``step``/``eval`` per vector."""
+        golden.reset()
+        drive = golden.step if golden.is_sequential else golden.eval
+        outputs: list[dict[str, int]] = []
+        try:
+            for vector in stimulus:
+                outputs.append(drive(dict(vector)))
+        except Exception as exc:
+            return cls(golden.is_sequential, tuple(outputs), exc.with_traceback(None))
+        return cls(golden.is_sequential, tuple(outputs))
+
+
+class ReplayGolden:
+    """Golden model that answers each ``eval``/``step`` with the next recorded outputs."""
+
+    def __init__(self, trace: ExpectedTrace):
+        self.trace = trace
+        self.is_sequential = trace.is_sequential
+        self._index = 0
+
+    def reset(self) -> None:
+        self._index = 0
+
+    def eval(self, inputs: Mapping[str, int]) -> dict[str, int]:
+        index, self._index = self._index, self._index + 1
+        if index == len(self.trace.outputs) and self.trace.error is not None:
+            raise self.trace.error.with_traceback(None)
+        return self.trace.outputs[index]
+
+    step = eval
+
+
 @dataclass
 class ResetSpec:
     """How to reset the DUT before applying stimulus."""

@@ -25,6 +25,7 @@ from repro.bench.jobs import (
     mode_key,
     run_checks,
 )
+from repro.verilog.simulator.testbench import ExpectedTrace
 
 #: Seed 1 → 4-bit counter, no enable, synchronous reset (inside the provable
 #: sequential subset); seed 4 → enable flavour, also synchronous.
@@ -52,7 +53,8 @@ def _formal_request(task, code, **overrides):
     )
     stimulus, stim_key, mkey = task_check_keys(task, config, 0.2)
     key = ResultKey(design_key=design_key(code), stimulus_key=stim_key, mode=mkey)
-    return check_request_for(task, code, key, stimulus, config)
+    expected = ExpectedTrace.record(task.golden(), stimulus)
+    return check_request_for(task, code, key, stimulus, expected, config)
 
 
 class TestModeKeyStability:

@@ -52,6 +52,7 @@ from repro.runs.faults import (
 )
 from repro.runs.manifest import ProfileSpec, RunManifest, SuiteSpec
 from repro.runs.store import RunStore
+from repro.verilog.simulator.testbench import ExpectedTrace
 
 pytestmark = pytest.mark.chaos
 
@@ -136,7 +137,7 @@ def _requests(mode: str = "simulation") -> dict[str, CheckRequest]:
             key=key,
             code=task.reference_source,
             task_id=task.task_id,
-            golden_factory=task.golden_factory,
+            expected=ExpectedTrace.record(task.golden(), stimulus),
             stimulus=stimulus,
             reference_source=task.reference_source,
             check_outputs=task.check_outputs,
@@ -146,6 +147,10 @@ def _requests(mode: str = "simulation") -> dict[str, CheckRequest]:
             formal_conflict_limit=None,
         )
     return requests
+
+
+def _quarantined(report) -> dict:
+    return {key: e for key, e in report.executions.items() if e.quarantined}
 
 
 def _fast_policy(**overrides) -> ExecutionPolicy:
@@ -183,7 +188,7 @@ class TestSerialFaults:
         assert poisoned.attempts == 2
         assert not poisoned.result.passed
         assert "quarantined after 2 attempt(s)" in poisoned.result.failure_summary
-        assert report.quarantined() == {requests["chaos_and"].key: poisoned}
+        assert _quarantined(report) == {requests["chaos_and"].key: poisoned}
         for task_id in ("chaos_xor", "chaos_or"):
             assert report.executions[requests[task_id].key].result.passed
 
@@ -273,7 +278,7 @@ class TestPoolFaults:
             max_workers=2,
             policy=_fast_policy(timeout_s=10.0, backoff_s=0.01),
         )
-        assert not report.quarantined()
+        assert not _quarantined(report)
         for request in requests.values():
             assert report.executions[request.key].result.passed
         # The crashing request needed at least the post-crash attempt; a crash
@@ -298,7 +303,7 @@ class TestPoolFaults:
             max_workers=2,
             policy=_fast_policy(timeout_s=0.75, max_attempts=3, hard_grace_s=0.15),
         )
-        assert not report.quarantined()
+        assert not _quarantined(report)
         assert not report.warnings
         for request in requests.values():
             execution = report.executions[request.key]
@@ -327,7 +332,7 @@ class TestPoolFaults:
         # The worker never returns: only the parent's hard deadline (plus the
         # pool kill) can clear it.  30s of injected hang must not be waited.
         assert elapsed < 10.0
-        quarantined = report.quarantined()
+        quarantined = _quarantined(report)
         assert set(quarantined) == {requests["chaos_and"].key}
         execution = quarantined[requests["chaos_and"].key]
         assert execution.timed_out

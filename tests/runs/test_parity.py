@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,6 +89,22 @@ class TestTable4Parity:
     def test_results_match_fixed_digest(self, legacy_results):
         legacy, _ = legacy_results
         assert results_digest(legacy) == LEGACY_RESULTS_DIGEST
+
+    def test_pool_results_match_fixed_digest(self, scale):
+        """The same grid on a two-worker pool, where every check leaves the parent."""
+        suites = build_suites(scale)
+        evaluator = BenchmarkEvaluator(replace(scale.evaluation_config(), max_workers=2))
+        results = {
+            key: {
+                name: evaluator.evaluate(
+                    baseline_pipeline(key, use_sicot=False, seed=scale.seed), suite
+                )
+                for name, suite in suites.items()
+            }
+            for key in BASELINES
+        }
+        assert results_digest(results) == LEGACY_RESULTS_DIGEST
+        assert evaluator.warnings == []
 
     def test_rows_bit_for_bit(self, scale, legacy_results):
         _, legacy_rows = legacy_results

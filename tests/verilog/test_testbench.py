@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.deadline import CheckTimeout, deadline_scope
@@ -9,6 +11,8 @@ from repro.verilog import codegen
 from repro.verilog.simulator.testbench import (
     BatchTestbenchRunner,
     CombinationalGolden,
+    ExpectedTrace,
+    ReplayGolden,
     ResetSpec,
     run_functional_check,
 )
@@ -447,3 +451,102 @@ class TestFusedSequentialRuns:
         result = _agree(rejected, CounterGoldenLocal, stimulus, reset=ResetSpec(signal="rst"))
         assert result.passed
         assert fused_cycles["cycles"] == 0
+
+
+# --------------------------------------------------------------------------- expected traces
+def _replay_agrees(source, golden_factory, stimulus, **runner_options):
+    """Both runners score ``source`` the same against the live golden and its trace.
+
+    The trace travels through pickle, as it does to a pool worker, and one
+    replay serves both runners: each run must rewind it with ``reset``.
+    """
+    check_outputs = runner_options.pop("check_outputs", None)
+    trace = pickle.loads(pickle.dumps(ExpectedTrace.record(golden_factory(), stimulus)))
+    replay = ReplayGolden(trace)
+    for runner in (Runner(**runner_options), BatchTestbenchRunner(**runner_options)):
+        live = runner.run(source, golden_factory(), stimulus, check_outputs=check_outputs)
+        replayed = runner.run(source, replay, stimulus, check_outputs=check_outputs)
+        assert _outcome(replayed) == _outcome(live)
+    return trace
+
+
+class TestExpectedTraceReplay:
+    def test_every_suite_task_scores_the_same_against_its_trace(self):
+        """Reference and one corrupted candidate, every task of the five tiny suites."""
+        import random
+
+        from repro.bench.symbolic_suite import build_symbolic_suite
+        from repro.bench.verilogeval import SuiteConfig
+        from repro.core.llm.corruption import CorruptionInjector
+        from repro.core.taxonomy import HallucinationSubtype
+        from repro.experiments import ExperimentScale, build_suites
+
+        scale = ExperimentScale.tiny()
+        suites = dict(build_suites(scale))
+        suites["symbolic"] = build_symbolic_suite(
+            SuiteConfig(num_tasks=scale.human_tasks, seed=scale.seed + 11)
+        )
+        injector = CorruptionInjector(random.Random(5))
+        failed = sequential = 0
+        for suite in suites.values():
+            for task in suite:
+                stimulus = task.stimulus(1234)
+                corrupted = injector.inject(
+                    task.reference_source, HallucinationSubtype.INCORRECT_LOGICAL_EXPRESSION
+                ).code
+                for code in (task.reference_source, corrupted):
+                    trace = _replay_agrees(
+                        code,
+                        task.golden_factory,
+                        stimulus,
+                        clock=task.clock,
+                        reset=task.reset,
+                        check_outputs=task.check_outputs,
+                    )
+                    assert trace.error is None
+                    assert trace.is_sequential == task.golden().is_sequential
+                    assert len(trace.outputs) == len(stimulus)
+                sequential += trace.is_sequential
+                failed += not Runner(clock=task.clock, reset=task.reset).run(
+                    corrupted, task.golden(), stimulus, check_outputs=task.check_outputs
+                ).passed
+        assert sum(len(suite) for suite in suites.values()) >= 20
+        assert sequential > 0
+        assert failed > 0  # the corrupted candidates exercise the mismatch path
+
+    def test_verilog_golden_keeps_inputs_across_partial_vectors(self):
+        from repro.bench.golden import VerilogGolden
+
+        adder = (
+            "module add(input [3:0] a, input [3:0] b, output [4:0] s);\n"
+            "    assign s = a + b;\nendmodule\n"
+        )
+        stimulus = [{"a": 1, "b": 2}, {"a": 5}, {"b": 7}, {}]
+        trace = _replay_agrees(adder, lambda: VerilogGolden(adder), stimulus)
+        assert [outputs["s"] for outputs in trace.outputs] == [3, 7, 12, 12]
+        _replay_agrees(adder.replace("a + b", "a - b"), lambda: VerilogGolden(adder), stimulus)
+
+        register = (
+            "module r(input clk, input [3:0] d, output reg [3:0] q);\n"
+            "    always @(posedge clk) q <= d;\nendmodule\n"
+        )
+        stimulus = [{"d": 5}, {}, {"d": 9}, {}]
+        trace = _replay_agrees(register, lambda: VerilogGolden(register), stimulus)
+        assert trace.is_sequential
+        assert [outputs["q"] for outputs in trace.outputs] == [5, 5, 9, 9]
+
+    def test_golden_error_is_raised_again_at_its_vector(self):
+        from repro.bench.golden import TableGolden
+
+        source = "module t(input a, input b, output y);\n    assign y = a & b;\nendmodule\n"
+        stimulus = [{"a": 0, "b": 1}, {"a": 1, "b": 1}, {"a": 2, "b": 0}, {"a": 0, "b": 0}]
+        golden = TableGolden(("a", "b"), {3: 1}, "y")
+        trace = pickle.loads(pickle.dumps(ExpectedTrace.record(golden, stimulus)))
+        assert trace.outputs == ({"y": 0}, {"y": 1})
+        message = "stimulus value 2 for input 'a' does not fit in 1 bit"
+        for runner in (Runner(), BatchTestbenchRunner()):
+            for model in (TableGolden(("a", "b"), {3: 1}, "y"), ReplayGolden(trace)):
+                with pytest.raises(ValueError, match=message):
+                    runner.run(source, model, stimulus)
+        # Stopped before the bad vector, neither raises.
+        assert _replay_agrees(source, lambda: golden, stimulus[:2]).error is None
