@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, field
 
 from ...verilog.analyzer import AnalysisResult, Attribute, ModuleAnalyzer, Topic
+from ...verilog.design import get_default_database
 from ...verilog.errors import VerilogError
-from ...verilog.parser import parse_module
 from ...verilog.syntax_checker import SyntaxChecker
 from ..exemplars import Exemplar, ExemplarLibrary
 from .records import InstructionCodePair, InstructionDataset, PairOrigin
@@ -211,7 +211,7 @@ class KDatasetGenerator:
 
     def _interface_description(self, code: str) -> str:
         try:
-            module = parse_module(code)
+            module = get_default_database().parse_module(code)
         except VerilogError:
             return ""
         inputs = [port.name for port in module.ports if port.direction and port.direction.value == "input"]

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 
 from ...verilog.analyzer import ModuleAnalyzer, Topic
+from ...verilog.design import get_default_database
 from ...verilog.errors import VerilogError
-from ...verilog.parser import parse_module
 from .corpus import CorpusSample
 from .records import InstructionCodePair, InstructionDataset, PairOrigin
 
@@ -57,7 +57,7 @@ class SimulatedDescriptionWriter:
     def describe(self, code: str) -> str:
         """Produce a vanilla (generic) instruction for a code sample."""
         try:
-            module = parse_module(code)
+            module = get_default_database().parse_module(code)
         except VerilogError:
             return self.describe_unparsable(code)
         return self.describe_module(module, self.analyzer.analyze(module))
@@ -102,7 +102,7 @@ class VanillaDatasetGenerator:
         dataset = InstructionDataset(name="vanilla")
         for sample in samples:
             try:
-                module = parse_module(sample.code)
+                module = get_default_database().parse_module(sample.code)
             except VerilogError:
                 module = None
             if module is None:

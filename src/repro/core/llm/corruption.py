@@ -8,8 +8,11 @@ where an asynchronous one was requested, ``def`` instead of ``module``...).  The
 benchmark evaluator then compiles and simulates that code, so pass/fail is decided
 mechanistically by the toolchain rather than asserted.
 
-All corruptions operate on source text (with a parse step where needed) and are
-deterministic given the random generator handed in by the caller.
+All corruptions operate on source text and are deterministic given the random
+generator handed in by the caller.  Where a corruption must still parse, the
+check goes through the shared parse tier of
+:class:`~repro.verilog.design.DesignDatabase`, so a candidate the syntax
+checker later scores is lexed and parsed once.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import random
 import re
 from dataclasses import dataclass
 
+from ...verilog.design import get_default_database
 from ...verilog.errors import VerilogError
-from ...verilog.parser import parse_module
 from ..taxonomy import HallucinationRecord, HallucinationSubtype
 
 
@@ -215,7 +218,7 @@ class CorruptionInjector:
         else:
             candidate = source[: match.start()] + source[match.end() :]
         try:
-            parse_module(candidate)
+            get_default_database().parse_module(candidate)
         except VerilogError:
             return None
         return candidate

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import ast_nodes as ast
-from .parser import parse_module
+from .design import get_default_database
 
 
 class Topic(enum.Enum):
@@ -131,8 +131,11 @@ class ModuleAnalyzer:
         return result
 
     def analyze_source(self, source: str, name: str | None = None) -> AnalysisResult:
-        """Parse ``source`` and analyze the selected (or first) module."""
-        return self.analyze(parse_module(source, name))
+        """Parse ``source`` and analyze the selected (or first) module.
+
+        The parse goes through the default design database's shared parse tier.
+        """
+        return self.analyze(get_default_database().parse_module(source, name))
 
     # ------------------------------------------------------------------ helpers
     def _gather_identifier_names(self, module: ast.Module) -> set[str]:

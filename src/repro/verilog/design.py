@@ -36,7 +36,11 @@ Caching tiers:
 
 The parse tier (source hash → :class:`~repro.verilog.ast_nodes.SourceFile`)
 is shared with :class:`~repro.verilog.syntax_checker.SyntaxChecker`, which
-also memoises full compile-check results here.
+also memoises full compile-check results here, and with every other parse in
+the package: :meth:`DesignDatabase.parse_module` is the tier-backed form of
+:func:`~repro.verilog.parser.parse_module` that the analyzer, the dataset
+generators and the corruption injector call, so each unique source is lexed
+and parsed once per process (while it stays in the LRU).
 
 A process-wide default instance is available via :func:`get_default_database`;
 ``ModuleSimulator.from_source`` and friends route through it, so existing
@@ -55,8 +59,8 @@ from pathlib import Path
 
 from . import ast_nodes as ast
 from . import errors as _errors
-from .errors import ParseError, VerilogError
-from .parser import parse_source
+from .errors import VerilogError
+from .parser import parse_source, select_module
 from .codegen import CodegenArtifact
 from .codegen import generate as _generate_codegen
 from .simulator.scheduler import ProcessKind, SignalStore
@@ -218,6 +222,11 @@ def _raise_recorded(record: _FailureRecord) -> None:
 class DesignDatabase:
     """Content-addressed cache over the shared Verilog front end.
 
+    :meth:`compile` serves elaborated designs; :meth:`parse` and
+    :meth:`parse_module` serve parsed ASTs for callers that only need the
+    syntax tree.  Every AST it returns is shared by all callers of the same
+    source and is read-only: mutate a copy, never the returned object.
+
     Args:
         max_entries: LRU capacity of each in-memory tier; ``0`` disables
             caching (every call recompiles — the guaranteed-cold path used by
@@ -310,6 +319,15 @@ class DesignDatabase:
             self._insert(self._parses, digest, parsed)
             return parsed
 
+    def parse_module(self, source: str, name: str | None = None) -> ast.Module:
+        """:func:`~repro.verilog.parser.parse_module` through the parse tier.
+
+        Selects the named (or first) module of :meth:`parse`'s shared AST and
+        raises the same errors as ``parser.parse_module``.  The module is
+        shared with every other caller of this source — read it, never mutate it.
+        """
+        return select_module(self.parse(source), name)
+
     # The syntax checker memoises whole CompileResults here so the *semantic*
     # pass is also run once per distinct source.
     def cached_check(self, source: str) -> object | None:
@@ -345,7 +363,7 @@ class DesignDatabase:
         overrides: dict[str, int],
     ) -> CompiledDesign:
         design_file = self.parse(source)
-        module = _select_module(design_file, module_name)
+        module = select_module(design_file, module_name)
         return _compile_from_module(key, module, overrides)
 
     # ------------------------------------------------------------------ LRU plumbing
@@ -471,18 +489,6 @@ def coerce_compiled(
 
 
 # --------------------------------------------------------------------------- analyses
-def _select_module(design_file: ast.SourceFile, name: str | None) -> ast.Module:
-    """Module selection with the exact semantics of ``parse_module``."""
-    if not design_file.modules:
-        raise ParseError("source contains no module definition")
-    if name is None:
-        return design_file.modules[0]
-    module = design_file.find_module(name)
-    if module is None:
-        raise ParseError(f"module {name!r} not found in source")
-    return module
-
-
 def _latch_risk(template: ElaboratedModule) -> bool:
     """Whether any level-sensitive always block may hold state (inferred latch).
 

@@ -1,12 +1,20 @@
-"""Hand-written lexer for the Verilog-2001 subset used throughout the project.
+"""Regex-driven lexer for the Verilog-2001 subset used throughout the project.
 
-The lexer is deliberately simple and fully deterministic: it performs a single
-left-to-right scan, strips comments, and produces :class:`~repro.verilog.tokens.Token`
-objects.  It is the first stage of the "industry-standard compiler" substitute used
-for dataset verification and syntax pass@k scoring (see DESIGN.md).
+One compiled master pattern does the scanning: each match skips any run of
+whitespace, ``//`` and ``/* */`` comments and compiler directives, then names
+the token that follows in one of its named groups.  Malformed input is matched
+by dedicated error groups (an unterminated comment or string, a based number
+without a valid base or digits, a stray character), so every position of the
+source is consumed by exactly one match and the scan is a single
+``finditer`` pass.  The output is a list of
+:class:`~repro.verilog.tokens.Token` objects terminated by an EOF token.  It
+is the first stage of the "industry-standard compiler" substitute used for
+dataset verification and syntax pass@k scoring (see DESIGN.md).
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import LexerError
 from .tokens import (
@@ -18,15 +26,56 @@ from .tokens import (
     TokenKind,
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789$")
-_DIGITS = set("0123456789")
-_BASE_CHARS = {
-    "b": set("01xXzZ?_"),
-    "o": set("01234567xXzZ?_"),
-    "d": set("0123456789_"),
-    "h": set("0123456789abcdefABCDEFxXzZ?_"),
+
+def _char_class(chars) -> str:
+    return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
+
+
+_BASED_DIGITS = "(?:[bB][01xXzZ?_]+|[oO][0-7xXzZ?_]+|[dD][0-9_]+|[hH][0-9a-fA-FxXzZ?_]+)"
+
+# Each match skips whitespace, comments and compiler directives, then matches
+# one group.  Alternation order matters only where two groups can start with
+# the same character: ``/*`` (a comment, else an unterminated-comment error)
+# before the ``/`` operator, valid numbers before the number error group, and
+# the multi-character operators in the longest-first order of
+# ``MULTI_CHAR_OPERATORS``.  An unsized based number (``'b1``) takes no sign
+# marker; a quote that does not start one is an unexpected character, except
+# at the end of input, where it is a number with an empty base.  ``EOF`` and
+# ``BAD_CHAR`` match at any position, so a match never fails and the skip
+# prefix never backtracks.
+_MASTER = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)*(?:"
+    + "|".join(
+        [
+            r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_$]*)",
+            r"(?P<PUNCTUATION>" + _char_class(PUNCTUATION) + ")",
+            r"(?P<NUMBER>(?:[0-9][0-9_]*'[sS]?|')" + _BASED_DIGITS
+            + r"|[0-9][0-9_]*(?![0-9_'])(?:\.[0-9]+)?)",
+            r"(?P<BAD_COMMENT>/\*)",
+            r"(?P<OPERATOR>"
+            + "|".join(re.escape(op) for op in MULTI_CHAR_OPERATORS)
+            + "|" + _char_class(SINGLE_CHAR_OPERATORS) + ")",
+            r'"(?P<STRING>[^"\\\n]*(?:\\[^\n][^"\\\n]*)*)"',
+            r"\\(?P<ESCAPED>[^ \t\r\n]+)",
+            r"(?P<SYSTEM_IDENTIFIER>\$[A-Za-z0-9_$]*)",
+            r"(?P<BAD_NUMBER>[0-9][0-9_]*'|'(?=[bodhBODH]|\Z))",
+            r'(?P<BAD_STRING>")',
+            r"(?P<BAD_ESCAPE>\\)",
+            r"(?P<EOF>\Z)",
+            r"(?P<BAD_CHAR>.)",
+        ]
+    )
+    + ")",
+    re.DOTALL,
+)
+
+_PLAIN_KINDS = {
+    "PUNCTUATION": TokenKind.PUNCTUATION,
+    "NUMBER": TokenKind.NUMBER,
+    "OPERATOR": TokenKind.OPERATOR,
+    "SYSTEM_IDENTIFIER": TokenKind.SYSTEM_IDENTIFIER,
 }
+_NUMBER_BASES = frozenset("bodh")
 
 
 class Lexer:
@@ -40,173 +89,75 @@ class Lexer:
 
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
 
-    # ------------------------------------------------------------------ helpers
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column)
-
-    def _emit(self, kind: TokenKind, text: str, line: int, column: int) -> None:
-        self.tokens.append(Token(kind, text, line, column))
-
-    # ------------------------------------------------------------------ scanning
     def tokenize(self) -> list[Token]:
-        """Scan the whole source and return tokens terminated by an EOF token."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                self._skip_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            elif ch == "`":
-                self._skip_compiler_directive()
-            elif ch in _IDENT_START:
-                self._scan_identifier()
-            elif ch == "\\":
-                self._scan_escaped_identifier()
-            elif ch == "$":
-                self._scan_system_identifier()
-            elif ch in _DIGITS or (ch == "'" and self._peek(1).lower() in "bodh"):
-                self._scan_number()
-            elif ch == '"':
-                self._scan_string()
+        """Scan the whole source and return a new token list ending in an EOF token.
+
+        Raises:
+            LexerError: at the first malformed token, with its line and column.
+        """
+        source = self.source
+        tokens: list[Token] = []
+        append = tokens.append
+        keyword, identifier = TokenKind.KEYWORD, TokenKind.IDENTIFIER
+        line, line_start = 1, 0
+        # Tokens never span a newline, so the line of a token is settled by
+        # counting the newlines that precede its start.
+        next_newline = source.find("\n")
+        if next_newline < 0:
+            next_newline = len(source)
+        for match in _MASTER.finditer(source):
+            kind = match.lastgroup
+            start = match.start(kind)
+            while start > next_newline:
+                line += 1
+                line_start = next_newline + 1
+                next_newline = source.find("\n", line_start)
+                if next_newline < 0:
+                    next_newline = len(source)
+            if kind == "IDENT":
+                text = match[kind]
+                append(
+                    Token(keyword if text in KEYWORDS else identifier, text, line, start - line_start + 1)
+                )
+            elif kind in _PLAIN_KINDS:
+                append(Token(_PLAIN_KINDS[kind], match[kind], line, start - line_start + 1))
+            # A string or escaped identifier sits at its opening quote or
+            # backslash, one character before its text.
+            elif kind == "STRING":
+                append(Token(TokenKind.STRING, match[kind], line, start - line_start))
+            elif kind == "ESCAPED":
+                append(Token(identifier, match[kind], line, start - line_start))
+            elif kind == "EOF":
+                # After trailing whitespace the end of input matches twice.
+                append(Token(TokenKind.EOF, "", line, start - line_start + 1))
+                break
             else:
-                self._scan_operator_or_punctuation()
-        self._emit(TokenKind.EOF, "", self.line, self.column)
-        return self.tokens
+                raise self._error(match, line, line_start)
+        return tokens
 
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.source) and self._peek() != "\n":
-            self._advance()
-
-    def _skip_block_comment(self) -> None:
-        start_line, start_col = self.line, self.column
-        self._advance(2)
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise LexerError("unterminated block comment", start_line, start_col)
-
-    def _skip_compiler_directive(self) -> None:
-        # `timescale, `define, `include ... are skipped up to end of line.  The
-        # synthesizable subset we model does not require macro expansion.
-        while self.pos < len(self.source) and self._peek() != "\n":
-            self._advance()
-
-    def _scan_identifier(self) -> None:
-        line, column = self.line, self.column
-        start = self.pos
-        while self.pos < len(self.source) and self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        self._emit(kind, text, line, column)
-
-    def _scan_escaped_identifier(self) -> None:
-        line, column = self.line, self.column
-        self._advance()  # backslash
-        start = self.pos
-        while self.pos < len(self.source) and self._peek() not in " \t\r\n":
-            self._advance()
-        text = self.source[start : self.pos]
-        if not text:
-            raise LexerError("empty escaped identifier", line, column)
-        self._emit(TokenKind.IDENTIFIER, text, line, column)
-
-    def _scan_system_identifier(self) -> None:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # $
-        while self.pos < len(self.source) and self._peek() in _IDENT_CONT:
-            self._advance()
-        self._emit(TokenKind.SYSTEM_IDENTIFIER, self.source[start : self.pos], line, column)
-
-    def _scan_number(self) -> None:
-        line, column = self.line, self.column
-        start = self.pos
-        # Optional decimal size before the base specifier.
-        while self.pos < len(self.source) and self._peek() in _DIGITS | {"_"}:
-            self._advance()
-        if self._peek() == "'":
-            self._advance()
-            signed_marker = self._peek().lower()
-            if signed_marker == "s":
-                self._advance()
-            base = self._peek().lower()
-            if base not in _BASE_CHARS:
-                raise self._error(f"invalid number base {base!r}")
-            self._advance()
-            allowed = _BASE_CHARS[base]
-            digit_start = self.pos
-            while self.pos < len(self.source) and self._peek() in allowed:
-                self._advance()
-            if self.pos == digit_start:
-                raise self._error("based number is missing digits")
+    def _error(self, match: re.Match[str], line: int, line_start: int) -> LexerError:
+        """The error a ``BAD_*`` match stands for, at the scanner's position."""
+        source, kind = self.source, match.lastgroup
+        pos = match.start(kind)
+        if kind == "BAD_NUMBER":
+            # The group ends at the quote: an optional sign marker, then the base.
+            pos = match.end(kind)
+            if source[pos : pos + 1].lower() == "s":
+                pos += 1
+            base = source[pos : pos + 1].lower()
+            if base in _NUMBER_BASES:
+                message, pos = "based number is missing digits", pos + 1
+            else:
+                message = f"invalid number base {base!r}"
         else:
-            # Possibly a real literal (e.g. delays in testbench code).
-            if self._peek() == "." and self._peek(1) in _DIGITS:
-                self._advance()
-                while self.pos < len(self.source) and self._peek() in _DIGITS:
-                    self._advance()
-        self._emit(TokenKind.NUMBER, self.source[start : self.pos], line, column)
-
-    def _scan_string(self) -> None:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        start = self.pos
-        while self.pos < len(self.source) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            if self._peek() == "\n":
-                raise LexerError("unterminated string literal", line, column)
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexerError("unterminated string literal", line, column)
-        text = self.source[start : self.pos]
-        self._advance()  # closing quote
-        self._emit(TokenKind.STRING, text, line, column)
-
-    def _scan_operator_or_punctuation(self) -> None:
-        line, column = self.line, self.column
-        for op in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                self._emit(TokenKind.OPERATOR, op, line, column)
-                return
-        ch = self._peek()
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            self._emit(TokenKind.OPERATOR, ch, line, column)
-            return
-        if ch in PUNCTUATION:
-            self._advance()
-            self._emit(TokenKind.PUNCTUATION, ch, line, column)
-            return
-        raise self._error(f"unexpected character {ch!r}")
+            message = {
+                "BAD_COMMENT": "unterminated block comment",
+                "BAD_STRING": "unterminated string literal",
+                "BAD_ESCAPE": "empty escaped identifier",
+                "BAD_CHAR": f"unexpected character {source[pos]!r}",
+            }[kind]
+        return LexerError(message, line, pos - line_start + 1)
 
 
 def tokenize(source: str) -> list[Token]:

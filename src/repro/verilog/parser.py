@@ -20,8 +20,8 @@ from .errors import ParseError
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-# Binary operator precedence, lowest first.  Each level is left-associative
-# except ``**`` which is handled right-associatively in ``_parse_binary``.
+# Binary operator precedence, lowest first.  Every level, ``**`` included, is
+# left-associative.
 _BINARY_PRECEDENCE: list[tuple[str, ...]] = [
     ("||",),
     ("&&",),
@@ -35,6 +35,8 @@ _BINARY_PRECEDENCE: list[tuple[str, ...]] = [
     ("*", "/", "%"),
     ("**",),
 ]
+
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_PRECEDENCE) for op in ops}
 
 _UNARY_OPERATORS = {"+", "-", "!", "~", "&", "|", "^", "~&", "~|", "~^", "^~"}
 
@@ -628,12 +630,14 @@ class Parser:
             return ast.Ternary(condition=condition, if_true=if_true, if_false=if_false)
         return condition
 
-    def _parse_binary(self, level: int) -> ast.Expression:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        operators = _BINARY_PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
-        while self.current.kind is TokenKind.OPERATOR and self.current.text in operators:
+    def _parse_binary(self, min_level: int) -> ast.Expression:
+        """Precedence climbing over ``_BINARY_PRECEDENCE``: the operand chain of
+        every operator at ``min_level`` or above, grouped to the left."""
+        left = self._parse_unary()
+        while self.current.kind is TokenKind.OPERATOR:
+            level = _BINARY_LEVEL.get(self.current.text)
+            if level is None or level < min_level:
+                break
             op = self._advance().text
             right = self._parse_binary(level + 1)
             left = ast.BinaryOp(op=op, left=left, right=right)
@@ -766,6 +770,22 @@ def parse_source(source: str) -> ast.SourceFile:
     return Parser(tokenize(source)).parse()
 
 
+def select_module(design: ast.SourceFile, name: str | None = None) -> ast.Module:
+    """Return the module named ``name`` (or the first one) of a parsed source.
+
+    Raises:
+        ParseError: if the source has no module, or the named module is missing.
+    """
+    if not design.modules:
+        raise ParseError("source contains no module definition")
+    if name is None:
+        return design.modules[0]
+    module = design.find_module(name)
+    if module is None:
+        raise ParseError(f"module {name!r} not found in source")
+    return module
+
+
 def parse_module(source: str, name: str | None = None) -> ast.Module:
     """Parse source text and return a single module.
 
@@ -776,12 +796,4 @@ def parse_module(source: str, name: str | None = None) -> ast.Module:
     Raises:
         ParseError: if the source has no module, or the named module is missing.
     """
-    design = parse_source(source)
-    if not design.modules:
-        raise ParseError("source contains no module definition")
-    if name is None:
-        return design.modules[0]
-    module = design.find_module(name)
-    if module is None:
-        raise ParseError(f"module {name!r} not found in source")
-    return module
+    return select_module(parse_source(source), name)

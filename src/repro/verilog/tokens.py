@@ -9,7 +9,7 @@ logic) plus the constructs needed for dataset verification.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -90,7 +90,6 @@ KEYWORDS = frozenset(
         "tri",
         "time",
         "event",
-        "negedge",
         "defparam",
     }
 )
@@ -124,9 +123,8 @@ SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>!~&|^=?")
 PUNCTUATION = frozenset("()[]{}:;,.#@")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (an immutable named tuple).
 
     Attributes:
         kind: the lexical category.

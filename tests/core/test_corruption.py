@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import re
 
 import pytest
 
+from repro.bench.symbolic_suite import build_symbolic_suite
+from repro.bench.verilogeval import SuiteConfig
 from repro.core.llm.corruption import CorruptionInjector
 from repro.core.taxonomy import HallucinationSubtype
-from repro.verilog.syntax_checker import compiles
+from repro.experiments import ExperimentScale, build_suites
+from repro.verilog.design import DesignDatabase, set_default_database
+from repro.verilog.syntax_checker import SyntaxChecker, compiles
 from repro.verilog.simulator.testbench import CombinationalGolden, ResetSpec, run_functional_check
 from repro.symbolic.state_diagram import parse_state_diagram
 
@@ -139,3 +146,63 @@ class TestCorruptionVsDetector:
                 agreements += 1
         assert checked >= 2
         assert agreements >= checked - 1
+
+
+#: sha256 of ``inject(reference, subtype)`` (code, applied flag and record) for
+#: every tiny-scale reference of the five suites × every sub-type, each on a
+#: fresh ``random.Random(0)``; recorded before the corruption injector's
+#: structure check moved onto the shared parse tier.
+TINY_INJECTION_DIGEST = "03808f126f7e38b96704f6f91306c86225dd38da021ec0c194e8e433c005a6ab"
+
+
+class TestParseOnce:
+    def test_injection_output_is_pinned(self):
+        scale = ExperimentScale.tiny()
+        suites = dict(build_suites(scale))
+        suites["symbolic"] = build_symbolic_suite(
+            SuiteConfig(num_tasks=scale.human_tasks, seed=scale.seed + 11)
+        )
+        rows = []
+        for name, suite in suites.items():
+            for task in suite.tasks:
+                for subtype in HallucinationSubtype:
+                    outcome = CorruptionInjector(random.Random(0)).inject(task.reference_source, subtype)
+                    record = outcome.record
+                    rows.append(
+                        [name, task.task_id, subtype.value, outcome.code, outcome.applied,
+                         record.subtype.value, record.description, record.evidence]
+                    )
+        assert len(rows) == 24 * len(HallucinationSubtype)
+        digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == TINY_INJECTION_DIGEST
+
+    def _remove(self, source: str, pattern: str) -> str | None:
+        match = re.search(pattern, source)
+        assert match is not None
+        return CorruptionInjector(random.Random(0))._remove_span_keeping_structure(source, match)
+
+    def test_span_removal_keeps_a_parsable_candidate(self, fsm_source):
+        candidate = self._remove(fsm_source, r"default\s*:.*")
+        assert candidate is not None and "default" not in candidate
+        assert compiles(candidate)
+
+    def test_span_removal_that_breaks_the_parse_returns_none(self):
+        assert self._remove(AND_MODULE, r"endmodule") is None
+
+    def test_span_removal_that_leaves_no_module_returns_none(self):
+        source = "// only a comment survives\n" + AND_MODULE
+        assert self._remove(source, r"module[\s\S]*endmodule") is None
+
+    def test_span_removal_of_an_unclosed_begin_returns_none(self):
+        assert self._remove(AND_MODULE + "// begin\n", r"// begin") is None
+
+    def test_structure_check_rides_the_shared_parse_tier(self, fsm_source):
+        """The syntax checker reuses the parse the structure check made."""
+        database = DesignDatabase()
+        previous = set_default_database(database)
+        try:
+            candidate = self._remove(fsm_source, r"default\s*:.*")
+            assert SyntaxChecker().check(candidate).ok
+        finally:
+            set_default_database(previous)
+        assert database.stats.parse_hits == 1

@@ -137,6 +137,35 @@ class TestCacheSemantics:
         assert db.compile(INV).name == "inv"
 
 
+class TestParseModule:
+    TWO = INV + "module buf1(input a, output y); assign y = a; endmodule\n"
+
+    def test_matches_parser_parse_module(self):
+        db = DesignDatabase()
+        assert db.parse_module(self.TWO) == parse_module(self.TWO)
+        assert db.parse_module(self.TWO, "buf1") == parse_module(self.TWO, "buf1")
+
+    def test_returns_the_shared_ast(self):
+        db = DesignDatabase()
+        first = db.parse_module(self.TWO)
+        assert db.parse_module(self.TWO) is first
+        assert db.parse(self.TWO).modules[0] is first
+        assert db.stats.parse_hits == 2
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [("// no module here\n", None), (INV, "missing"), ("module broken(", None)],
+    )
+    def test_raises_what_parser_parse_module_raises(self, source, name):
+        db = DesignDatabase()
+        with pytest.raises(ParseError) as expected:
+            parse_module(source, name)
+        for _ in range(2):  # cold, then from the parse tier
+            with pytest.raises(ParseError) as actual:
+                db.parse_module(source, name)
+            assert str(actual.value) == str(expected.value)
+
+
 class TestDiskTier:
     def test_round_trip(self, tmp_path):
         writer_db = DesignDatabase(cache_dir=tmp_path)

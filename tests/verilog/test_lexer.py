@@ -117,12 +117,48 @@ class TestOperatorsAndComments:
             tokenize("wire a §;")
 
 
+class TestScannerQuirks:
+    """Behaviour kept exactly from the character-at-a-time scanner."""
+
+    def test_unsized_number_takes_no_sign_marker(self):
+        assert tokenize("4'sb1")[0].text == "4'sb1"
+        with pytest.raises(LexerError) as info:
+            tokenize("'sb1")
+        assert (info.value.message, info.value.column) == ("unexpected character \"'\"", 1)
+
+    def test_trailing_quote_is_an_empty_base(self):
+        with pytest.raises(LexerError) as info:
+            tokenize("x = '")
+        assert (info.value.message, info.value.column) == ("invalid number base ''", 6)
+
+    def test_real_literal_needs_a_fraction_digit(self):
+        tokens = tokenize("1.")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (TokenKind.NUMBER, "1"),
+            (TokenKind.PUNCTUATION, "."),
+        ]
+
+
 class TestPositions:
     def test_line_and_column_tracking(self):
         tokens = tokenize("module m;\n  wire a;\nendmodule")
         wire_token = next(token for token in tokens if token.text == "wire")
         assert wire_token.line == 2
         assert wire_token.column == 3
+
+    def test_crlf_and_tabs_count_one_column_each(self):
+        tokens = tokenize("a;\r\n\tb")
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), (";", 1, 2), ("b", 2, 2), ("", 2, 3)
+        ]
+
+    def test_tokenize_twice_returns_fresh_lists(self):
+        lexer = Lexer("module m; endmodule")
+        first = lexer.tokenize()
+        second = lexer.tokenize()
+        assert first == second
+        assert first is not second
+        assert [token.kind for token in second].count(TokenKind.EOF) == 1
 
     def test_token_helpers(self):
         tokens = tokenize("module (")

@@ -246,6 +246,40 @@ class TestExpressions:
         assert expression.op == "+"
         assert expression.right.op == "*"
 
+    @staticmethod
+    def _grouping(expression: ast.Expression) -> str:
+        """The binary-operator tree written with every group parenthesised."""
+        if isinstance(expression, ast.BinaryOp):
+            left = TestExpressions._grouping(expression.left)
+            right = TestExpressions._grouping(expression.right)
+            return f"({left} {expression.op} {right})"
+        if isinstance(expression, ast.UnaryOp):
+            return f"{expression.op}{TestExpressions._grouping(expression.operand)}"
+        if isinstance(expression, ast.Identifier):
+            return expression.name
+        return "?"
+
+    @pytest.mark.parametrize(
+        "text, grouping",
+        [
+            ("a - b - c", "((a - b) - c)"),
+            ("a ** b ** c", "((a ** b) ** c)"),
+            ("a < b <= c", "((a < b) <= c)"),
+            ("a ^~ b ~^ c ^ a", "(((a ^~ b) ~^ c) ^ a)"),
+            (
+                "a || b && c | a ^ b & c == a < b << c + a * b ** c",
+                "(a || (b && (c | (a ^ (b & (c == (a < (b << (c + (a * (b ** c)))))))))))",
+            ),
+            (
+                "a ** b * c + a << b < c == a & b ^ c | a && b || c",
+                "(((((((((((a ** b) * c) + a) << b) < c) == a) & b) ^ c) | a) && b) || c)",
+            ),
+            ("-a + ~b * !c", "(-a + (~b * !c))"),
+        ],
+    )
+    def test_binary_operator_grouping(self, text, grouping):
+        assert self._grouping(self._expr(text)) == grouping
+
     def test_parentheses_override(self):
         expression = self._expr("(a + b) * c")
         assert expression.op == "*"
