@@ -99,6 +99,8 @@ class EvaluationConfig:
     #: Execution attempts per check before it is quarantined (1 = no retries).
     max_attempts: int = 3
     #: First-retry backoff delay; doubles per attempt with deterministic jitter.
+    #: Only infrastructure faults (crash, deadline, ``OSError``,
+    #: ``MemoryError``) back off; engine errors retry at once.
     retry_backoff_s: float = 0.05
     #: Ceiling on any single backoff delay.
     retry_backoff_cap_s: float = 2.0

@@ -22,11 +22,14 @@ execution layer misbehaving:
   (:mod:`repro.deadline`; the simulators' settle loops and the CDCL search
   tick it), and pool futures additionally get a *hard* per-future deadline:
   a worker that hangs non-cooperatively is terminated and the pool rebuilt;
-* **retries** — a crashed worker (``BrokenProcessPool``), a timeout or an
-  in-check exception requeues the request with bounded exponential backoff
-  and deterministic jitter, degrading gracefully along the way
-  (``formal`` → ``simulation`` on a deadline, batched → scalar simulation on
-  an execution failure) with every degradation step recorded;
+* **retries** — a failed attempt requeues the request, degrading gracefully
+  along the way (``formal`` → ``simulation`` on a deadline, batched → scalar
+  simulation on an execution failure) with every degradation step recorded.
+  Only *infrastructure faults* — a crashed worker (``BrokenProcessPool``), a
+  cooperative or hard deadline, ``OSError``, ``MemoryError`` — wait out a
+  bounded exponential backoff with deterministic jitter first.  Any other
+  exception the check raises is an *engine error*: deterministic, so waiting
+  cannot change it, and its retry runs at once with the same degradation;
 * **quarantine** — a request that fails :attr:`ExecutionPolicy.max_attempts`
   attempts is marked :attr:`CheckExecution.quarantined` instead of sinking
   the batch, so callers (the run engine) can journal it and resume past it.
@@ -446,6 +449,7 @@ class ExecutionPolicy:
     #: Attempts per request before quarantine (1 = no retries).
     max_attempts: int = 3
     #: First-retry backoff; doubles per attempt, plus deterministic jitter.
+    #: Applies to infrastructure faults only; engine errors retry at once.
     backoff_s: float = 0.05
     #: Ceiling on any single backoff delay.
     backoff_cap_s: float = 2.0
@@ -558,12 +562,29 @@ def _backoff_delay(policy: ExecutionPolicy, key: ResultKey, attempt: int) -> flo
     return min(policy.backoff_cap_s, base * (1.0 + jitter))
 
 
+def _failure_kind(exc: BaseException) -> str:
+    """Classify an exception a check attempt raised.
+
+    ``"timeout"`` for a cooperative deadline and ``"fault"`` for ``OSError``
+    or ``MemoryError``: infrastructure faults, which blame the execution
+    layer and retry behind :func:`_backoff_delay`.  ``"error"`` for an engine
+    error, anything else the check raised (a formal-engine ``ValueError``, an
+    injected ``raise``): deterministic, so it retries at once.
+    """
+    if isinstance(exc, CheckTimeout):
+        return "timeout"
+    if isinstance(exc, (OSError, MemoryError)):
+        return "fault"
+    return "error"
+
+
 def _apply_degradation(item: _WorkItem, kind: str) -> None:
     """Degrade the retry so it avoids the machinery that just failed.
 
     A deadline blown in formal mode drops the proof attempt (the SAT search is
-    the open-ended part); a deadline or in-check error in batched simulation
-    drops to the scalar simulator.  A worker *crash* does not degrade: the
+    the open-ended part); a deadline, infrastructure fault or engine error in
+    batched simulation drops to the scalar simulator, whether or not the
+    retry waits out a backoff first.  A worker *crash* does not degrade: the
     retry must reproduce the fault-free verdict bit-for-bit, and a crash says
     nothing about which execution path is at fault.
     """
@@ -589,8 +610,11 @@ def _register_failure(
 ) -> bool:
     """Record a failed attempt; returns True when the item is now quarantined.
 
-    When attempts remain the item is degraded (see :func:`_apply_degradation`)
-    and gated behind its backoff delay; the caller requeues it.
+    ``kind`` is ``"crash"``, ``"timeout"``, ``"fault"`` or ``"error"`` (see
+    :func:`_failure_kind`).  When attempts remain the item is degraded (see
+    :func:`_apply_degradation`) and the caller requeues it.  Infrastructure
+    failures are gated behind their backoff delay; an engine error is
+    deterministic, so its retry is ungated and runs at once.
     """
     item.errors.append(error)
     if item.attempt >= max(1, policy.max_attempts):
@@ -610,8 +634,10 @@ def _register_failure(
         return True
     item.attempt += 1
     _apply_degradation(item, kind)
-    item.not_before = time.monotonic() + _backoff_delay(
-        policy, item.request.key, item.attempt
+    item.not_before = (
+        0.0
+        if kind == "error"
+        else time.monotonic() + _backoff_delay(policy, item.request.key, item.attempt)
     )
     return False
 
@@ -696,15 +722,11 @@ def _execute_serial(
             started = time.monotonic()
             try:
                 key, result, duration = timed_execute_check(item.request)
-            except CheckTimeout as exc:
-                item.durations.append(time.monotonic() - started)
-                if _register_failure(
-                    item, policy, report, kind="timeout", error=str(exc)
-                ):
-                    break
             except Exception as exc:
                 item.durations.append(time.monotonic() - started)
-                if _register_failure(item, policy, report, kind="error", error=str(exc)):
+                if _register_failure(
+                    item, policy, report, kind=_failure_kind(exc), error=str(exc)
+                ):
                     break
             else:
                 item.durations.append(duration)
@@ -877,12 +899,6 @@ def _execute_pool(
                     continue
                 try:
                     key, result, duration = future.result()
-                except CheckTimeout as exc:
-                    item.durations.append(elapsed)
-                    if not _register_failure(
-                        item, policy, report, kind="timeout", error=str(exc)
-                    ):
-                        queue.append(item)
                 except BrokenProcessPool:
                     item.durations.append(elapsed)
                     handle_break(item)
@@ -890,7 +906,7 @@ def _execute_pool(
                 except Exception as exc:
                     item.durations.append(elapsed)
                     if not _register_failure(
-                        item, policy, report, kind="error", error=str(exc)
+                        item, policy, report, kind=_failure_kind(exc), error=str(exc)
                     ):
                         queue.append(item)
                 else:

@@ -97,6 +97,10 @@ class AIG:
         return negate(self.AND(negate(a), negate(b)))
 
     def XOR(self, a: int, b: int) -> int:
+        if a <= TRUE or b <= TRUE:
+            # A constant operand passes the other through, inverted by TRUE:
+            # the literal the AND/OR chain below folds to, without the calls.
+            return a ^ b
         return self.OR(self.AND(a, negate(b)), self.AND(negate(a), b))
 
     def XNOR(self, a: int, b: int) -> int:

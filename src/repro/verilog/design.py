@@ -331,10 +331,11 @@ class DesignDatabase:
     # The syntax checker memoises whole CompileResults here so the *semantic*
     # pass is also run once per distinct source.
     def cached_check(self, source: str) -> object | None:
+        key = source_hash(source)
         with self._lock:
-            result = self._checks.get(source_hash(source))
+            result = self._checks.get(key)
             if result is not None:
-                self._checks.move_to_end(source_hash(source))
+                self._checks.move_to_end(key)
                 self.stats.check_hits += 1
             return result
 

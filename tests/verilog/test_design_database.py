@@ -327,6 +327,20 @@ class TestSyntaxCheckerMemo:
         assert first.ok
         assert db.stats.check_hits == 1
 
+    def test_check_hit_hashes_the_source_once(self, monkeypatch):
+        import repro.verilog.design as design_module
+
+        db = DesignDatabase()
+        db.store_check(INV, "result")
+        calls = []
+        real_hash = design_module.source_hash
+        monkeypatch.setattr(
+            design_module, "source_hash", lambda source: calls.append(source) or real_hash(source)
+        )
+        assert db.cached_check(INV) == "result"
+        assert calls == [INV]
+        assert db.stats.check_hits == 1
+
     def test_failed_checks_memoised(self):
         db = DesignDatabase()
         checker = SyntaxChecker(database=db)
