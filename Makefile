@@ -48,9 +48,15 @@ perf-tests:
 # End-to-end verdict check: one repetition of each e2ebench workload (quick
 # Table IV simulation, Table V formal, the HTTP service queue) compared with
 # the committed e2ebench/reference.json; run.py exits 1 on `correct: false`.
+# Table V, the workload whose proofs unroll sequential designs, also runs at
+# the further stimulus seeds E2E_FORMAL_SEEDS.
 E2E_WORKLOADS := table4-sim table5-formal service-queue
+E2E_FORMAL_SEEDS := 1 2 3
 
 e2e-verdicts:
 	set -e; for workload in $(E2E_WORKLOADS); do \
 		python e2ebench/run.py --workload $$workload --seconds 0.1 --trace 0; \
+	done; \
+	for seed in $(E2E_FORMAL_SEEDS); do \
+		python e2ebench/run.py --workload table5-formal --seed $$seed --seconds 0.1 --trace 0; \
 	done

@@ -7,8 +7,10 @@ that gap with a classical formal pipeline, all in pure Python:
 
 * :mod:`~repro.formal.aig` — And-Inverter Graph netlists (hash-consed, folding);
 * :mod:`~repro.formal.encode` — ``BoolExpr``/``BitTable`` → AIG;
-* :mod:`~repro.formal.cone` — Verilog combinational cones and k-step
-  sequential unrollings → AIG (two-valued, bit-exact with the simulators);
+* :mod:`~repro.formal.cone` — Verilog combinational cones and transition
+  relations → AIG (two-valued, bit-exact with the simulators); every frame of
+  a k-step sequential unrolling is a substituted copy of one encoded clock
+  step;
 * :mod:`~repro.formal.cnf` — Tseitin transformation;
 * :mod:`~repro.formal.sat` — a CDCL solver (two-watched literals, first-UIP
   learning, VSIDS activity, Luby restarts);

@@ -19,9 +19,10 @@ concrete value:
   :class:`~repro.formal.aig.FormalEncodingError` (callers fall back to the
   four-state simulators).
 
-Sequential designs are handled by :class:`SequentialUnroller`: the reset state
-is computed *concretely* with the scalar simulator (reset pulse included), and
-``k`` clock steps are unrolled with fresh symbolic inputs per step.
+Sequential designs are symbolically executed once per clocking, into a
+:class:`TransitionRelation` (one clock step over free state and data inputs);
+:class:`SequentialUnroller` builds every time frame of a proof as a
+substituted copy of it, from the concrete reset state or from a symbolic one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from ..verilog import ast_nodes as ast
-from ..verilog.design import coerce_compiled
+from ..verilog.design import CompiledDesign, coerce_compiled
 from ..verilog.simulator.scheduler import MAX_LOOP_ITERATIONS, ProcessKind
 from ..verilog.simulator.simulator import MAX_SETTLE_ITERATIONS, ElaboratedModule
 from .aig import AIG, FALSE, TRUE, FormalEncodingError, SymVector, concat_sym
@@ -267,15 +268,7 @@ class SymbolicExecutor:
         then_values = self.values
         self.values = dict(before)
         self.execute(else_branch, allow_nonblocking)
-        else_values = self.values
-        merged: dict[str, SymVector] = {}
-        for name, else_vector in else_values.items():
-            then_vector = then_values[name]
-            if then_vector is else_vector or then_vector == else_vector:
-                merged[name] = then_vector
-            else:
-                merged[name] = self._mux_vector(condition, then_vector, else_vector)
-        self.values = merged
+        self._merge(condition, then_values)
 
     def _execute_case(self, statement: ast.CaseStatement, allow_nonblocking: bool) -> None:
         subject = self.evaluate(statement.subject)
@@ -315,9 +308,12 @@ class SymbolicExecutor:
         taken = self.values
         self.values = dict(before)
         self._execute_arms(arms[1:], default_body, allow_nonblocking)
-        skipped = self.values
+        self._merge(condition, taken)
+
+    def _merge(self, condition: int, taken: dict[str, SymVector]) -> None:
+        """Join the store ``taken`` under ``condition`` with the current one."""
         merged: dict[str, SymVector] = {}
-        for name, skipped_vector in skipped.items():
+        for name, skipped_vector in self.values.items():
             taken_vector = taken[name]
             if taken_vector is skipped_vector or taken_vector == skipped_vector:
                 merged[name] = taken_vector
@@ -894,15 +890,86 @@ def build_combinational_cone(
     )
 
 
-class SequentialUnroller:
-    """Bounded unrolling of a (single-clock) sequential module from reset.
+@dataclass(frozen=True)
+class TransitionRelation:
+    """One clock step of a sequential design, symbolically executed once.
 
-    The reset state is obtained *concretely* by running the scalar
-    :class:`~repro.verilog.simulator.ModuleSimulator` through a reset pulse —
-    exactly what the testbench runner does — so the unrolling starts from the
-    very state simulation-based scoring starts from.  Register bits still
-    ``x`` after reset become tagged undef inputs (outputs depending on them
-    are rejected at proof time).
+    ``settle → clock edge → settle`` runs with the clock parked low, the reset
+    inactive and every other signal read from a free input named after it:
+    the data inputs and the *state* (every non-input signal, registers and
+    wires alike).  ``next_state`` is the state after the step; ``gates`` are
+    the AND nodes feeding it, ``(node, left, right)`` in creation order, out
+    of ``size`` nodes in the relation's graph.
+    """
+
+    inputs: dict[str, SymVector]
+    next_state: dict[str, SymVector]
+    gates: tuple[tuple[int, int, int], ...]
+    size: int
+
+    def frame(
+        self, target: AIG, literals: Mapping[str, SymVector]
+    ) -> dict[str, SymVector]:
+        """The next state in ``target``, each free input replaced by ``literals``.
+
+        Every gate is rebuilt through ``target.AND``, so the copy is
+        hash-consed and constant-folded against everything already there.
+        """
+        image = [FALSE] * self.size
+        for name, vector in self.inputs.items():
+            for literal, replacement in zip(vector.bits, literals[name].bits):
+                image[literal >> 1] = replacement
+        conjoin = target.AND
+        for node, left, right in self.gates:
+            image[node] = conjoin(
+                image[left >> 1] ^ (left & 1), image[right >> 1] ^ (right & 1)
+            )
+        return {
+            name: SymVector(tuple(image[bit >> 1] ^ (bit & 1) for bit in vector.bits))
+            for name, vector in self.next_state.items()
+        }
+
+
+def encode_transition_relation(
+    compiled: CompiledDesign, clock: str, reset: str | None, reset_active_low: bool
+) -> TransitionRelation:
+    """Symbolically execute one clock step of ``compiled`` (see :class:`TransitionRelation`)."""
+    design = compiled.elaborate()
+    aig = AIG()
+    inputs = {
+        name: SymVector(tuple(aig.add_input(f"{name}[{bit}]") for bit in range(width)))
+        for name, width in design.store.widths.items()
+        if name not in (clock, reset)
+    }
+    executor = SymbolicExecutor(design, aig, input_literals=inputs)
+    executor.set_concrete(clock, 0)
+    if reset is not None:
+        executor.set_concrete(reset, 1 if reset_active_low else 0)
+    executor.settle()
+    executor.clock_step()
+    executor.settle()
+    ports = {port.name for port in design.input_ports()}
+    next_state = {name: executor.values[name] for name in inputs if name not in ports}
+    roots = [bit for vector in next_state.values() for bit in vector.bits]
+    gates = tuple(
+        (node, *aig.fanin(node))
+        for node in sorted(aig.cone(roots))
+        if not aig.is_input(node)
+    )
+    return TransitionRelation(inputs, next_state, gates, aig.num_nodes)
+
+
+class SequentialUnroller:
+    """Bounded unrolling of a (single-clock) sequential module.
+
+    Every time frame is a substituted copy of the design's
+    :class:`TransitionRelation`.  Unrolling starts from the concrete reset
+    state — the scalar :class:`~repro.verilog.simulator.ModuleSimulator` run
+    through a reset pulse, exactly what the testbench runner does — or from
+    any symbolic state (:meth:`symbolic_state`).  Register bits still ``x``
+    after reset become tagged undef inputs (outputs depending on them are
+    rejected at proof time).  The relation and the reset state are memoised
+    on the :class:`~repro.verilog.design.CompiledDesign`.
     """
 
     def __init__(
@@ -959,115 +1026,123 @@ class SequentialUnroller:
                 "mixed posedge/negedge clocking cannot be unrolled as one edge per step"
             )
 
-    # ------------------------------------------------------------------ reset state
+    # ------------------------------------------------------------------ built once per design
+    def relation(self) -> TransitionRelation:
+        """The design's transition relation under this clocking."""
+        clocking = (self.clock, self.reset, self.reset_active_low)
+        return self.compiled.derived(
+            ("transition-relation", *clocking),
+            lambda: encode_transition_relation(self.compiled, *clocking),
+        )
+
     def reset_state(self):
         """Concrete post-reset signal values (name → ``LogicVector``)."""
         from ..verilog.simulator import ModuleSimulator
 
-        simulator = ModuleSimulator(self.compiled)
-        apply_reset_pulse(
-            simulator,
-            clock=self.clock,
-            reset=self.reset,
-            reset_active_low=self.reset_active_low,
-        )
-        return dict(simulator.signals)
+        clocking = (self.clock, self.reset, self.reset_active_low)
+
+        def simulate():
+            simulator = ModuleSimulator(self.compiled)
+            apply_reset_pulse(simulator, *clocking)
+            return dict(simulator.signals)
+
+        return dict(self.compiled.derived(("reset-state", *clocking), simulate))
 
     # ------------------------------------------------------------------ unrolling
     def unroll(
-        self, step_inputs: Sequence[Mapping[str, SymVector]]
+        self,
+        step_inputs: Sequence[Mapping[str, SymVector]],
+        initial_state: Mapping[str, SymVector] | None = None,
     ) -> tuple[list[dict[str, SymVector]], set[str]]:
         """Unroll ``len(step_inputs)`` clock steps; returns per-step outputs.
 
         Args:
             step_inputs: one mapping (data-input name → literal vector) per
                 step; share these vectors across designs to build a miter.
+            initial_state: literal vectors for every non-input signal (see
+                :meth:`symbolic_state`); the concrete reset state when omitted.
 
         Returns:
-            ``(outputs_per_step, undef_input_names)``.
+            ``(outputs_per_step, undef_input_names)``: the reset-state bits
+            still ``x`` that feed some output.
         """
-        initial = self.reset_state()
-        # Seed every input port with a constant so the constructor does not
-        # declare (dead) AIG inputs for them; data inputs are overwritten with
-        # the shared per-step vectors below, clock/reset stay pinned.
-        pinned = {
-            port.name: SymVector.constant(0, port.width)
-            for port in self.design.input_ports()
-        }
-        executor = SymbolicExecutor(
-            self.design,
-            self.aig,
-            input_literals=pinned,
-            undef_prefix=self.undef_prefix,
-        )
-        # Overwrite every non-port signal with its concrete post-reset value
-        # (bits still x after reset become tagged undef inputs).
-        port_names = {port.name for port in self.design.input_ports()}
-        for name, width in executor.widths.items():
-            if name.startswith(_NB_PREFIX) or name in port_names:
-                continue
-            concrete = initial.get(name)
-            if concrete is None:
-                continue
-            if concrete.xz_mask == 0:
-                executor.values[name] = SymVector.constant(concrete.value, width)
-            else:
-                bits = []
-                for bit in range(width):
-                    if (concrete.xz_mask >> bit) & 1:
-                        undef_name = f"__undef__{self.undef_prefix}{name}[{bit}]@reset"
-                        bits.append(self.aig.add_input(undef_name))
-                        executor.undef_inputs.add(undef_name)
-                    else:
-                        bits.append(TRUE if (concrete.value >> bit) & 1 else FALSE)
-                executor.values[name] = SymVector(tuple(bits))
-        executor.set_concrete(self.clock, 0)
-        if self.reset is not None:
-            executor.set_concrete(self.reset, 1 if self.reset_active_low else 0)
-
-        outputs_per_step: list[dict[str, SymVector]] = []
+        relation = self.relation()
+        undefs: set[str] = set()
+        state = initial_state
+        if state is None:
+            state = self._reset_literals(relation, undefs)
         output_names = [port.name for port in self.design.output_ports()]
+        outputs_per_step: list[dict[str, SymVector]] = []
         for step, inputs in enumerate(step_inputs):
+            literals = dict(state)
             for name in self.data_inputs:
                 vector = inputs.get(name)
                 if vector is None:
                     raise FormalEncodingError(
                         f"step {step} is missing a literal vector for input {name!r}"
                     )
-                executor.values[name] = vector.resized(executor.widths[name])
-                executor.input_vectors[name] = executor.values[name]
-            executor.settle()
-            executor.clock_step()
-            executor.settle()
-            outputs_per_step.append(
-                {name: executor.values[name] for name in output_names}
+                literals[name] = vector.resized(relation.inputs[name].width)
+            state = relation.frame(self.aig, literals)
+            outputs_per_step.append({name: state[name] for name in output_names})
+        if undefs:
+            roots = [
+                literal
+                for step in outputs_per_step
+                for vector in step.values()
+                for literal in vector.bits
+            ]
+            undefs &= self.aig.support(roots)
+        return outputs_per_step, undefs
+
+    def _reset_literals(
+        self, relation: TransitionRelation, undefs: set[str]
+    ) -> dict[str, SymVector]:
+        """The reset state as literals; bits still ``x`` become tagged undef inputs."""
+        initial = self.reset_state()
+        state: dict[str, SymVector] = {}
+        for name, vector in relation.next_state.items():
+            concrete = initial[name]
+            bits = []
+            for bit in range(vector.width):
+                if (concrete.xz_mask >> bit) & 1:
+                    undef_name = f"__undef__{self.undef_prefix}{name}[{bit}]@reset"
+                    bits.append(self.aig.add_input(undef_name))
+                    undefs.add(undef_name)
+                else:
+                    bits.append(TRUE if (concrete.value >> bit) & 1 else FALSE)
+            state[name] = SymVector(tuple(bits))
+        return state
+
+    def symbolic_state(self, prefix: str) -> dict[str, SymVector]:
+        """Fresh inputs ``{prefix}{name}[{bit}]`` for every non-input signal.
+
+        Unrolling from this state ranges over every register state, reachable
+        or not (the k-induction step).
+        """
+        ports = {port.name for port in self.design.input_ports()}
+        return {
+            name: SymVector(
+                tuple(self.aig.add_input(f"{prefix}{name}[{bit}]") for bit in range(width))
             )
-        # Only undef bits actually feeding an output matter; the constructor's
-        # eager undef inputs are mostly dead once the reset state is written.
-        roots = [
-            literal
-            for step in outputs_per_step
-            for vector in step.values()
-            for literal in vector.bits
-        ]
-        live_undefs = self.aig.support(roots) & executor.undef_inputs
-        return outputs_per_step, live_undefs
+            for name, width in self.design.store.widths.items()
+            if name not in ports
+        }
 
     def make_step_inputs(self, steps: int, prefix: str = "") -> list[dict[str, SymVector]]:
         """Declare fresh per-step input vectors named ``{name}@{step}[{bit}]``."""
-        widths = {name: self.design.store.widths[name] for name in self.data_inputs}
-        step_inputs: list[dict[str, SymVector]] = []
-        for step in range(steps):
-            vectors: dict[str, SymVector] = {}
-            for name, width in widths.items():
-                vectors[name] = SymVector(
+        widths = self.design.store.widths
+        return [
+            {
+                name: SymVector(
                     tuple(
                         self.aig.add_input(f"{prefix}{name}@{step}[{bit}]")
-                        for bit in range(width)
+                        for bit in range(widths[name])
                     )
                 )
-            step_inputs.append(vectors)
-        return step_inputs
+                for name in self.data_inputs
+            }
+            for step in range(steps)
+        ]
 
 
 #: Reset input names recognised by auto-detection, in priority order.

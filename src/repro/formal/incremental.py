@@ -41,7 +41,6 @@ from .miter import (
     Counterexample,
     EquivalenceResult,
     _compare_output,
-    _decode_vector,
     _replay_on_aig,
 )
 from .sat import ConflictLimitExceeded, SatSolver
@@ -310,16 +309,13 @@ class EquivalenceSession:
                 checked_outputs=candidate.checked,
                 method="sat",
             )
-        assignment = {
-            name: _decode_vector(self.encoder, outcome.model, vector)
-            for name, vector in candidate.all_inputs.items()
-        }
         counterexample = _replay_on_aig(
             self.aig,
-            candidate.all_inputs,
-            assignment,
-            candidate.dut_outputs,
-            self.reference_cone.outputs,
+            self.encoder,
+            outcome.model,
+            [candidate.all_inputs],
+            [candidate.dut_outputs],
+            [self.reference_cone.outputs],
             candidate.checked,
         )
         record_proof("counterexample", outcome.stats.conflicts)

@@ -15,6 +15,12 @@ relation:
   first ``k`` cycles and differ on cycle ``k + 1``; UNSAT means agreement is
   ``k``-inductive.
 
+Both queries build their frames the same way: each is a substituted copy of
+the design's once-encoded :class:`~repro.formal.cone.TransitionRelation`,
+started from the reset state (base) or from fresh ``dut_state:`` /
+``ref_state:`` inputs (step) — the BMC construction of Biere et al. (TACAS
+1999) with the induction of Eén & Sörensson (BMC 2003).
+
 Base ∧ step ⟹ the outputs agree on every cycle of every input sequence, by
 strong induction on the trace length.  The inductive step over-approximates
 reachability, so a SAT verdict there proves nothing — the query may have
@@ -28,11 +34,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .aig import AIG, FormalEncodingError, SymVector, negate
-from .cone import SequentialUnroller, SymbolicExecutor
+from .aig import AIG, FormalEncodingError, negate
 from .miter import (
     EquivalenceResult,
     _compare_output,
+    _sequential_unrollers,
     _solve_miter,
     prove_sequential_equivalence,
 )
@@ -60,64 +66,6 @@ def _merge_stats(base: SatStats, step: SatStats) -> SatStats:
         restarts=base.restarts + step.restarts,
         learned_clauses=base.learned_clauses + step.learned_clauses,
     )
-
-
-def _unroll_from_symbolic_state(
-    unroller: SequentialUnroller,
-    step_inputs: Sequence[dict[str, SymVector]],
-    state_prefix: str,
-) -> list[dict[str, SymVector]]:
-    """Unroll like :meth:`SequentialUnroller.unroll`, from an arbitrary state.
-
-    Every non-port signal is seeded with fresh ``{state_prefix}{name}[{bit}]``
-    inputs instead of the concrete post-reset values, so the unrolling ranges
-    over every conceivable register state; combinational signals are settled
-    from that state before the first clock edge.
-    """
-    aig = unroller.aig
-    input_names = {port.name for port in unroller.design.input_ports()}
-    literals: dict[str, SymVector] = {}
-    for name, width in unroller.design.store.widths.items():
-        if name in input_names:
-            # Pinned below / overwritten per step — a constant avoids the
-            # constructor declaring dead AIG inputs for the ports.
-            literals[name] = SymVector.constant(0, width)
-        else:
-            literals[name] = SymVector(
-                tuple(
-                    aig.add_input(f"{state_prefix}{name}[{bit}]")
-                    for bit in range(width)
-                )
-            )
-    executor = SymbolicExecutor(
-        unroller.design,
-        aig,
-        input_literals=literals,
-        undef_prefix=unroller.undef_prefix,
-    )
-    executor.set_concrete(unroller.clock, 0)
-    if unroller.reset is not None:
-        executor.set_concrete(
-            unroller.reset, 1 if unroller.reset_active_low else 0
-        )
-    output_names = [port.name for port in unroller.design.output_ports()]
-    outputs_per_step: list[dict[str, SymVector]] = []
-    for step, inputs in enumerate(step_inputs):
-        for name in unroller.data_inputs:
-            vector = inputs.get(name)
-            if vector is None:
-                raise FormalEncodingError(
-                    f"step {step} is missing a literal vector for input {name!r}"
-                )
-            executor.values[name] = vector.resized(executor.widths[name])
-            executor.input_vectors[name] = executor.values[name]
-        executor.settle()
-        executor.clock_step()
-        executor.settle()
-        outputs_per_step.append(
-            {name: executor.values[name] for name in output_names}
-        )
-    return outputs_per_step
 
 
 def prove_sequential_by_induction(
@@ -166,48 +114,15 @@ def prove_sequential_by_induction(
         return base
 
     aig = AIG()
-    dut_unroller = SequentialUnroller(
-        dut_source,
-        aig,
-        clock=clock,
-        reset=reset,
-        reset_active_low=reset_active_low,
-        module_name=module_name,
-        undef_prefix="dut:",
+    dut_unroller, reference_unroller, step_inputs = _sequential_unrollers(
+        aig, dut_source, reference_source, depth + 1, clock, reset,
+        reset_active_low, module_name, reference_module_name,
     )
-    reference_unroller = SequentialUnroller(
-        reference_source,
-        aig,
-        clock=clock,
-        reset=reset,
-        reset_active_low=reset_active_low,
-        module_name=reference_module_name,
-        undef_prefix="ref:",
+    dut_steps, _ = dut_unroller.unroll(
+        step_inputs, dut_unroller.symbolic_state("dut_state:")
     )
-    widths: dict[str, int] = {}
-    for unroller in (reference_unroller, dut_unroller):
-        for name in unroller.data_inputs:
-            width = unroller.design.store.widths[name]
-            if widths.setdefault(name, width) != width:
-                raise FormalEncodingError(
-                    f"input {name!r} has mismatched widths across the designs"
-                )
-    step_inputs: list[dict[str, SymVector]] = []
-    for step in range(depth + 1):
-        step_inputs.append(
-            {
-                name: SymVector(
-                    tuple(
-                        aig.add_input(f"{name}@{step}[{bit}]")
-                        for bit in range(width)
-                    )
-                )
-                for name, width in widths.items()
-            }
-        )
-    dut_steps = _unroll_from_symbolic_state(dut_unroller, step_inputs, "dut_state:")
-    reference_steps = _unroll_from_symbolic_state(
-        reference_unroller, step_inputs, "ref_state:"
+    reference_steps, _ = reference_unroller.unroll(
+        step_inputs, reference_unroller.symbolic_state("ref_state:")
     )
 
     checked = list(base.checked_outputs)

@@ -13,7 +13,8 @@ verdict on width-mismatched interfaces.
 
 Sequential designs get *bounded* equivalence: both designs are unrolled ``k``
 steps from their concretely-computed reset states with fresh shared inputs per
-step (:class:`~repro.formal.cone.SequentialUnroller`).
+step (:class:`~repro.formal.cone.SequentialUnroller`), each step a substituted
+copy of the design's once-encoded transition relation.
 """
 
 from __future__ import annotations
@@ -282,12 +283,14 @@ def prove_combinational_equivalence(
     assert cnf is not None
     all_inputs = dict(reference_cone.inputs)
     all_inputs.update(shared)
-    assignment = {
-        name: _decode_vector(cnf, model, vector)
-        for name, vector in all_inputs.items()
-    }
     counterexample = _replay_on_aig(
-        aig, all_inputs, assignment, dut_cone.outputs, reference_cone.outputs, checked
+        aig,
+        cnf,
+        model,
+        [all_inputs],
+        [dut_cone.outputs],
+        [reference_cone.outputs],
+        checked,
     )
     if _record:
         record_proof("counterexample", stats.conflicts)
@@ -301,38 +304,103 @@ def prove_combinational_equivalence(
 
 def _replay_on_aig(
     aig: AIG,
-    input_vectors: Mapping[str, SymVector],
-    assignment: dict[str, int],
-    dut_outputs: Mapping[str, SymVector],
-    reference_outputs: Mapping[str, SymVector],
+    cnf,
+    model: Mapping[int, bool],
+    step_inputs: Sequence[Mapping[str, SymVector]],
+    dut_steps: Sequence[Mapping[str, SymVector]],
+    reference_steps: Sequence[Mapping[str, SymVector]],
     checked: Sequence[str],
 ) -> Counterexample:
-    """Evaluate both cones on the decoded assignment and record the mismatch."""
-    bits = _bit_assignment(aig, input_vectors, assignment)
-    dut_values: dict[str, int] = {}
-    reference_values: dict[str, int] = {}
+    """Decode a SAT model per step, evaluate both designs on it, record the mismatches.
+
+    ``cnf`` is anything with the ``node_vars`` map the model refers to.
+    """
+    assignments = [
+        {name: _decode_vector(cnf, model, vector) for name, vector in inputs.items()}
+        for inputs in step_inputs
+    ]
+    bits: dict[str, int] = {}
+    for inputs, assignment in zip(step_inputs, assignments):
+        bits.update(_bit_assignment(aig, inputs, assignment))
+    dut_values: list[dict[str, int]] = []
+    reference_values: list[dict[str, int]] = []
     mismatching: list[tuple[int, str]] = []
-    for name in checked:
-        dut_vector = dut_outputs[name]
-        reference_vector = reference_outputs[name]
-        dut_values[name] = _vector_to_int(aig.evaluate(dut_vector.bits, bits))
-        reference_values[name] = _vector_to_int(
-            aig.evaluate(reference_vector.bits, bits)
-        )
-        mask = (1 << dut_vector.width) - 1
-        if dut_values[name] != (reference_values[name] & mask):
-            mismatching.append((0, name))
+    for step, (dut_outputs, reference_outputs) in enumerate(zip(dut_steps, reference_steps)):
+        dut_row: dict[str, int] = {}
+        reference_row: dict[str, int] = {}
+        for name in checked:
+            dut_vector = dut_outputs[name]
+            dut_row[name] = _vector_to_int(aig.evaluate(dut_vector.bits, bits))
+            reference_row[name] = _vector_to_int(
+                aig.evaluate(reference_outputs[name].bits, bits)
+            )
+            mask = (1 << dut_vector.width) - 1
+            if dut_row[name] != (reference_row[name] & mask):
+                mismatching.append((step, name))
+        dut_values.append(dut_row)
+        reference_values.append(reference_row)
     if not mismatching:
         raise FormalError("SAT counterexample failed to reproduce on the AIG")
     return Counterexample(
-        steps=[assignment],
-        dut_outputs=[dut_values],
-        reference_outputs=[reference_values],
+        steps=assignments,
+        dut_outputs=dut_values,
+        reference_outputs=reference_values,
         mismatching_outputs=mismatching,
     )
 
 
 # --------------------------------------------------------------------------- sequential equivalence
+def _sequential_unrollers(
+    aig: AIG,
+    dut_source: str,
+    reference_source: str,
+    steps: int,
+    clock: str,
+    reset: str | None,
+    reset_active_low: bool,
+    module_name: str | None,
+    reference_module_name: str | None,
+) -> tuple[SequentialUnroller, SequentialUnroller, list[dict[str, SymVector]]]:
+    """Both designs' unrollers over ``aig`` and ``steps`` shared input vectors.
+
+    The inputs cover the union of both designs' data inputs, named
+    ``{name}@{step}[{bit}]``; an input's widths must agree.
+    """
+    dut_unroller, reference_unroller = (
+        SequentialUnroller(
+            source,
+            aig,
+            clock=clock,
+            reset=reset,
+            reset_active_low=reset_active_low,
+            module_name=name,
+            undef_prefix=prefix,
+        )
+        for source, name, prefix in (
+            (dut_source, module_name, "dut:"),
+            (reference_source, reference_module_name, "ref:"),
+        )
+    )
+    widths: dict[str, int] = {}
+    for unroller in (reference_unroller, dut_unroller):
+        for name in unroller.data_inputs:
+            width = unroller.design.store.widths[name]
+            if widths.setdefault(name, width) != width:
+                raise FormalEncodingError(
+                    f"input {name!r} has mismatched widths across the designs"
+                )
+    step_inputs = [
+        {
+            name: SymVector(
+                tuple(aig.add_input(f"{name}@{step}[{bit}]") for bit in range(width))
+            )
+            for name, width in widths.items()
+        }
+        for step in range(steps)
+    ]
+    return dut_unroller, reference_unroller, step_inputs
+
+
 def prove_sequential_equivalence(
     dut_source: str,
     reference_source: str,
@@ -357,45 +425,10 @@ def prove_sequential_equivalence(
     if steps < 1:
         raise ValueError("bounded sequential equivalence needs at least one step")
     aig = AIG()
-    dut_unroller = SequentialUnroller(
-        dut_source,
-        aig,
-        clock=clock,
-        reset=reset,
-        reset_active_low=reset_active_low,
-        module_name=module_name,
-        undef_prefix="dut:",
+    dut_unroller, reference_unroller, step_inputs = _sequential_unrollers(
+        aig, dut_source, reference_source, steps, clock, reset, reset_active_low,
+        module_name, reference_module_name,
     )
-    reference_unroller = SequentialUnroller(
-        reference_source,
-        aig,
-        clock=clock,
-        reset=reset,
-        reset_active_low=reset_active_low,
-        module_name=reference_module_name,
-        undef_prefix="ref:",
-    )
-    # Shared per-step inputs over the union of both data-input sets.
-    widths: dict[str, int] = {}
-    for unroller in (reference_unroller, dut_unroller):
-        for name in unroller.data_inputs:
-            width = unroller.design.store.widths[name]
-            if widths.setdefault(name, width) != width:
-                raise FormalEncodingError(
-                    f"input {name!r} has mismatched widths across the designs"
-                )
-    step_inputs: list[dict[str, SymVector]] = []
-    for step in range(steps):
-        step_inputs.append(
-            {
-                name: SymVector(
-                    tuple(
-                        aig.add_input(f"{name}@{step}[{bit}]") for bit in range(width)
-                    )
-                )
-                for name, width in widths.items()
-            }
-        )
     dut_steps, dut_undefs = dut_unroller.unroll(step_inputs)
     reference_steps, reference_undefs = reference_unroller.unroll(step_inputs)
 
@@ -406,7 +439,7 @@ def prove_sequential_equivalence(
     )
     missing = [name for name in checked if name not in dut_steps[0]]
     if missing:
-        zero_steps = [{name: 0 for name in widths} for _ in range(steps)]
+        zero_steps = [{name: 0 for name in step_inputs[0]} for _ in range(steps)]
         if _record:
             record_proof("counterexample", 0)
         return EquivalenceResult(
@@ -447,47 +480,14 @@ def prove_sequential_equivalence(
             sequential_steps=steps,
         )
     assert cnf is not None
-    assignments: list[dict[str, int]] = []
-    for step in range(steps):
-        assignments.append(
-            {
-                name: _decode_vector(cnf, model, vector)
-                for name, vector in step_inputs[step].items()
-            }
-        )
-    # Replay on the AIG step by step to fill expected/actual values.
-    flat_bits: dict[str, int] = {}
-    for step in range(steps):
-        flat_bits.update(_bit_assignment(aig, step_inputs[step], assignments[step]))
-    dut_values: list[dict[str, int]] = []
-    reference_values: list[dict[str, int]] = []
-    mismatching: list[tuple[int, str]] = []
-    for step in range(steps):
-        dut_row: dict[str, int] = {}
-        reference_row: dict[str, int] = {}
-        for name in checked:
-            dut_vector = dut_steps[step][name]
-            dut_row[name] = _vector_to_int(aig.evaluate(dut_vector.bits, flat_bits))
-            reference_row[name] = _vector_to_int(
-                aig.evaluate(reference_steps[step][name].bits, flat_bits)
-            )
-            mask = (1 << dut_vector.width) - 1
-            if dut_row[name] != (reference_row[name] & mask):
-                mismatching.append((step, name))
-        dut_values.append(dut_row)
-        reference_values.append(reference_row)
-    if not mismatching:
-        raise FormalError("SAT counterexample failed to reproduce on the AIG")
+    counterexample = _replay_on_aig(
+        aig, cnf, model, step_inputs, dut_steps, reference_steps, checked
+    )
     if _record:
         record_proof("counterexample", stats.conflicts)
     return EquivalenceResult(
         equivalent=False,
-        counterexample=Counterexample(
-            steps=assignments,
-            dut_outputs=dut_values,
-            reference_outputs=reference_values,
-            mismatching_outputs=mismatching,
-        ),
+        counterexample=counterexample,
         stats=stats,
         checked_outputs=checked,
         sequential_steps=steps,

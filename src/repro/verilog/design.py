@@ -17,7 +17,9 @@ them re-ran that pipeline per call, so a pass@k sweep paid the front-end cost
 * the elaborated *template* design — resolved parameters, port map, initial
   signal values, process list;
 * derived analyses computed once: sequential/latch-risk classification,
-  undef-source taint, clock/reset inference;
+  undef-source taint, clock/reset inference; analyses only some consumers
+  need (the formal transition relation and reset state) are built on first
+  request by :meth:`CompiledDesign.derived` and never written to disk;
 * :meth:`CompiledDesign.elaborate` clones the template's signal store in O(#
   signals) dict copies, so each simulator instance gets private mutable state
   without re-running constant evaluation.
@@ -56,6 +58,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Hashable
 
 from . import ast_nodes as ast
 from . import errors as _errors
@@ -175,6 +178,26 @@ class CompiledDesign:
             processes=template.processes,
             functions=template.functions,
         )
+
+    # ------------------------------------------------------------------ derived on demand
+    def derived(self, key: Hashable, build: Callable[[], object]) -> object:
+        """``build()``, memoised on this artifact under ``key``.
+
+        For analyses only some consumers need, such as the formal subsystem's
+        transition relation and concrete reset state: built on first request,
+        shared for as long as the artifact stays in the database's LRU, and
+        never pickled (so never written to the disk tier).
+        """
+        memo = self.__dict__.setdefault("_derived", {})
+        if key not in memo:
+            # Racing first requests may each build; all get the first stored.
+            memo.setdefault(key, build())
+        return memo[key]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
 
 
 @dataclass
