@@ -1,6 +1,6 @@
 PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench bench-update perf-tests formal chaos service-smoke e2e-verdicts
+.PHONY: test test-fast coverage bench bench-update perf-tests formal chaos service-smoke e2e-verdicts paper-table4
 
 # Functional suite only; the perf gate is machine-sensitive, run it via
 # `make bench` / `make perf-tests`.
@@ -44,6 +44,12 @@ bench-update:
 # Just the perf-marked pytest gate.
 perf-tests:
 	PYTHONPATH=$(PYTHONPATH) python -m pytest -q -m perf benchmarks/perf
+
+# Paper-scale Table IV once (290,400 units, under a minute on two cores):
+# prints wall_s, units_per_s, peak RSS and the per-unit verdict digest, and
+# exits 1 when the digest differs from the one recorded in the tool.
+paper-table4:
+	PYTHONPATH=$(PYTHONPATH) python tools/paper_table4.py
 
 # End-to-end verdict check: one repetition of each e2ebench workload (quick
 # Table IV simulation, Table V formal, the HTTP service queue) compared with

@@ -18,8 +18,11 @@ check job → verdict, shared by the resumable run engine
 mode)`` triple becomes one :class:`~repro.bench.jobs.CheckRequest`, executed
 once and memoised by its content-addressed
 :class:`~repro.bench.jobs.ResultKey`.  Repeated candidates — across samples,
-temperatures, whole ``evaluate`` calls — cost a dict lookup; syntax checking
-and DUT elaboration ride the shared
+temperatures, whole ``evaluate`` calls — cost a dict lookup.  So does
+everything else that depends only on the source or the task: a candidate's
+syntax verdict and design key are kept by source text, a task's stimulus and
+key halves by ``(task, temperature)``, in memos the caller scopes (the run
+engine keeps them for its lifetime).  DUT elaboration rides the shared
 :class:`~repro.verilog.design.DesignDatabase`.  With
 ``EvaluationConfig(max_workers=N)`` the checks execute on a process pool.
 :func:`task_result` and :func:`best_temperature` score per task for the
@@ -257,9 +260,15 @@ class SuiteResult:
         )
 
 
+#: A task's stimulus plus its (stimulus, mode) key halves (:func:`task_check_keys`).
+TaskCheckKeys = tuple[list[dict[str, int]], str, str]
+#: A candidate's ``(syntax_ok, first error or "", design_key)`` (:func:`syntax_verdict`).
+SyntaxVerdict = tuple[bool, str, str]
+
+
 def task_check_keys(
     task: BenchmarkTask, config: EvaluationConfig, temperature: float
-) -> tuple[list[dict[str, int]], str, str]:
+) -> TaskCheckKeys:
     """Stimulus plus the (stimulus, mode) halves of every :class:`ResultKey`.
 
     This is the single definition of how a task's checking side is
@@ -285,6 +294,13 @@ def task_check_keys(
         induction_depth=config.induction_depth,
     )
     return stimulus, task_stimulus_key, task_mode_key
+
+
+def syntax_verdict(checker: SyntaxChecker, code: str) -> SyntaxVerdict:
+    """What a sample's outcome needs of its syntax check: no AST, no warnings."""
+    result = checker.check(code)
+    error = "" if result.ok else "; ".join(result.error_messages[:1])
+    return result.ok, error, design_key(code)
 
 
 def check_request_for(
@@ -338,12 +354,22 @@ def check_samples(
     checker: SyntaxChecker,
     database=None,
     warning_sink: Callable[[dict], object] | None = None,
+    *,
+    syntax: dict[str, SyntaxVerdict] | None = None,
+    check_keys: dict[tuple[str, float], TaskCheckKeys] | None = None,
 ) -> list[list[SampleCheck]]:
     """Generate, syntax-check and functionally check every drawn sample.
 
     Each draw is ``(task, temperature, sample indices)``: the indices are
     drawn one by one (``generate_at``), ``None`` draws the whole
     ``range(num_samples)`` with one ``generate`` call.
+
+    Work that depends only on the source or the task is done once per key
+    of the caller's memos (fresh per call when not given): ``syntax`` keeps
+    each source text's :func:`syntax_verdict`, and ``check_keys`` each
+    ``(task id, temperature)``'s :func:`task_check_keys`.  Task ids are
+    unique within one suite only, so a ``check_keys`` memo must serve the
+    draws of one suite (and one ``config``).
 
     This is the check core of both the run engine and
     :class:`BenchmarkEvaluator`.  A check request is built only for a
@@ -357,6 +383,8 @@ def check_samples(
     :class:`SampleCheck`.  Every compiled sample's outcome carries its
     execution's verdict; a quarantined one carries the synthetic failure.
     """
+    syntax = {} if syntax is None else syntax
+    check_keys = {} if check_keys is None else check_keys
     checks: list[list[SampleCheck]] = []
     requests: dict[ResultKey, CheckRequest] = {}
     traces: dict[str, ExpectedTrace] = {}
@@ -375,26 +403,32 @@ def check_samples(
             task_id=task.task_id,
             sample_indices=indices,
         )
-        stimulus, task_stimulus_key, task_mode_key = task_check_keys(task, config, temperature)
+        keys = check_keys.get((task.task_id, temperature))
+        if keys is None:
+            keys = check_keys[task.task_id, temperature] = task_check_keys(
+                task, config, temperature
+            )
+        stimulus, task_stimulus_key, task_mode_key = keys
         drawn: list[SampleCheck] = []
         for index, sample in zip(indices or count(), generation.samples):
-            compile_result = checker.check(sample.code)
+            verdict = syntax.get(sample.code)
+            if verdict is None:
+                verdict = syntax[sample.code] = syntax_verdict(checker, sample.code)
+            syntax_ok, syntax_error, sample_design_key = verdict
             check = SampleCheck(
                 CheckOutcome(
                     sample_index=index,
                     temperature=temperature,
-                    syntax_ok=compile_result.ok,
-                    syntax_error=(
-                        "" if compile_result.ok else "; ".join(compile_result.error_messages[:1])
-                    ),
-                    design_key=design_key(sample.code),
+                    syntax_ok=syntax_ok,
+                    syntax_error=syntax_error,
+                    design_key=sample_design_key,
                 )
             )
             drawn.append(check)
-            if not compile_result.ok:
+            if not syntax_ok:
                 continue
             check.key = ResultKey(
-                design_key=check.outcome.design_key,
+                design_key=sample_design_key,
                 stimulus_key=task_stimulus_key,
                 mode=task_mode_key,
             )

@@ -105,6 +105,8 @@ class SimulatedCodeGenLLM(LLMBackend):
         self.profile = profile
         self.seed = seed
         self.name = profile.name
+        #: :meth:`_task_latents` by the exact string it hashes.
+        self._latents: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
 
     # ------------------------------------------------------------------ generation
     def generate(self, context: GenerationContext, config: GenerationConfig) -> list[GeneratedSample]:
@@ -210,15 +212,20 @@ class SimulatedCodeGenLLM(LLMBackend):
 
         Neither depends on the sample index, the temperature or on whether SI-CoT
         refined the prompt, so repeated samples of the same task are correlated
-        and SI-CoT on/off comparisons see the same latent difficulty.
+        and SI-CoT on/off comparisons see the same latent difficulty.  They
+        are memoised by the string they are seeded from; callers must not
+        mutate the returned dicts.
         """
         key = f"aptitude|{self.profile.latent_identity()}|{self.seed}|{context.task_id}"
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        task_rng = random.Random(int(digest[:16], 16))
-        axes = ("syntax", "symbolic", "knowledge", "logic", "general")
-        aptitude = {axis: task_rng.gauss(0.0, TASK_APTITUDE_SIGMA) for axis in axes}
-        quantiles = {axis: task_rng.random() for axis in axes}
-        return aptitude, quantiles
+        latents = self._latents.get(key)
+        if latents is None:
+            digest = hashlib.sha256(key.encode()).hexdigest()
+            task_rng = random.Random(int(digest[:16], 16))
+            axes = ("syntax", "symbolic", "knowledge", "logic", "general")
+            aptitude = {axis: task_rng.gauss(0.0, TASK_APTITUDE_SIGMA) for axis in axes}
+            quantiles = {axis: task_rng.random() for axis in axes}
+            latents = self._latents[key] = (aptitude, quantiles)
+        return latents
 
     def pass_probability(self, context: GenerationContext, temperature: float = 0.2) -> float:
         """Closed-form expected pass probability (no sampling noise); for analysis."""

@@ -931,11 +931,19 @@ class TransitionRelation:
 
 
 def encode_transition_relation(
-    compiled: CompiledDesign, clock: str, reset: str | None, reset_active_low: bool
+    compiled: CompiledDesign,
+    clock: str,
+    reset: str | None,
+    reset_active_low: bool,
+    aig: AIG | None = None,
 ) -> TransitionRelation:
-    """Symbolically execute one clock step of ``compiled`` (see :class:`TransitionRelation`)."""
+    """Symbolically execute one clock step of ``compiled`` (see :class:`TransitionRelation`).
+
+    The step is executed in ``aig``, which must be empty (a fresh
+    :class:`AIG` when omitted).
+    """
     design = compiled.elaborate()
-    aig = AIG()
+    aig = AIG() if aig is None else aig
     inputs = {
         name: SymVector(tuple(aig.add_input(f"{name}[{bit}]") for bit in range(width)))
         for name, width in design.store.widths.items()

@@ -8,20 +8,24 @@ syntax-checking, deduplicating by :class:`~repro.bench.jobs.ResultKey` and
 executing through :func:`~repro.bench.jobs.run_checks` (process pool when the
 manifest's ``EvaluationConfig.max_workers`` says so) is
 :func:`~repro.bench.evaluator.check_samples`, the check core the in-memory
-evaluator shares.  Each finished unit is journaled as a
-:class:`~repro.bench.jobs.CheckOutcome`; units already journaled are never
-re-executed, which is the whole resume story: kill the process at any point,
-re-invoke, and it continues where the journal ends.
+evaluator shares.  Each unit is journaled as a
+:class:`~repro.bench.jobs.CheckOutcome` as soon as its group finishes; units
+already journaled are never re-executed, which is the whole resume story:
+kill the process at any point, re-invoke, and it continues where the journal
+ends, losing at most the group that was running.
 
-Checks run per group, but the verdict memo is per engine: every settled
+Checks run per group, but the memos are per engine: every settled
 (non-quarantined) :class:`~repro.bench.jobs.CheckExecution` is kept by its
 ``ResultKey`` for the engine's lifetime, so a candidate that several
 profiles, groups or service leases produce for the same task is checked once
 per run.  A memo hit journals exactly what a duplicate inside one group does
 (the first execution's attempts, degradation, duration and proof stats).
 Quarantined executions never enter the memo, so a later group re-attempts
-them.  With ``EvaluationConfig.memoize_results`` off, nothing is shared
-between groups (the guaranteed-cold baseline).
+them.  Beside it the engine keeps each source's syntax verdict and each
+suite task's stimulus and key halves, so a run syntax-checks every distinct
+source once and builds every task's check keys once per temperature.  With
+``EvaluationConfig.memoize_results`` off, nothing is shared between groups
+(the guaranteed-cold baseline).
 
 Sharding: ``run(shard_index=i, shard_count=n)`` executes the units whose
 position in the deterministic expansion order is ``i (mod n)``.  Disjoint
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..bench.evaluator import SampleCheck, check_samples
+from ..bench.evaluator import SampleCheck, SyntaxVerdict, TaskCheckKeys, check_samples
 from ..bench.jobs import CheckExecution, CheckOutcome, ResultKey
 from ..verilog.syntax_checker import SyntaxChecker
 from .manifest import RunManifest, WorkUnit
@@ -97,6 +101,14 @@ def _unit_result(unit: WorkUnit, check: SampleCheck) -> UnitResult:
     )
 
 
+def _groups(units: Sequence[WorkUnit]) -> dict[tuple[str, str], list[WorkUnit]]:
+    """``units`` by (profile, suite), each group in the units' order."""
+    groups: dict[tuple[str, str], list[WorkUnit]] = {}
+    for unit in units:
+        groups.setdefault((unit.profile_id, unit.suite_id), []).append(unit)
+    return groups
+
+
 class RunEngine:
     """Execute a manifest into a store, skipping journaled units."""
 
@@ -112,6 +124,10 @@ class RunEngine:
         self.checker = SyntaxChecker()
         #: Run-wide verdict memo: settled executions by content address.
         self._verdicts: dict[ResultKey, CheckExecution] = {}
+        #: Run-wide syntax verdicts by source text.
+        self._syntax: dict[str, SyntaxVerdict] = {}
+        #: Run-wide check keys: suite id → (task id, temperature) → keys.
+        self._check_keys: dict[str, dict[tuple[str, float], TaskCheckKeys]] = {}
         store.write_manifest(manifest)
 
     # ------------------------------------------------------------------ planning
@@ -139,7 +155,9 @@ class RunEngine:
 
         ``max_units`` caps how many *pending* units are executed this
         invocation (used by tests to simulate a crash mid-sweep and by
-        operators to run a sweep in bounded slices).
+        operators to run a sweep in bounded slices).  Each (profile, suite)
+        group is journaled as soon as it finishes, so an exception or a kill
+        mid-sweep loses only the group that was running.
         """
         units = self.shard_units(shard_index, shard_count)
         stats = RunStats(total_units=len(units))
@@ -152,24 +170,22 @@ class RunEngine:
                 pending.append(unit)
         if max_units is not None:
             pending = pending[:max_units]
-        if not pending:
-            return stats
 
-        results = self.execute_units(pending, warning_sink=self.store.record_warning)
-        for result in results:
-            if result.quarantine is not None:
-                # The check burned every attempt: journal the unit as poison
-                # so resume skips it instead of re-running it.
-                self.store.record_quarantine(
-                    result.unit,
-                    attempts=result.quarantine.attempts,
-                    error=result.quarantine.error,
-                    degradation=result.quarantine.degradation,
-                )
-                stats.quarantined += 1
-            else:
-                self.store.record(result.unit, result.outcome)
-                stats.executed += 1
+        for group in _groups(pending).values():
+            for result in self.execute_units(group, warning_sink=self.store.record_warning):
+                if result.quarantine is not None:
+                    # The check burned every attempt: journal the unit as poison
+                    # so resume skips it instead of re-running it.
+                    self.store.record_quarantine(
+                        result.unit,
+                        attempts=result.quarantine.attempts,
+                        error=result.quarantine.error,
+                        degradation=result.quarantine.degradation,
+                    )
+                    stats.quarantined += 1
+                else:
+                    self.store.record(result.unit, result.outcome)
+                    stats.executed += 1
         return stats
 
     def execute_units(
@@ -187,15 +203,8 @@ class RunEngine:
 
         Units are checked per ``(profile, suite)`` group, one
         :func:`~repro.bench.evaluator.check_samples` call each, against the
-        engine's verdict memo (see the module docstring).
+        engine's memos (see the module docstring).
         """
-        # Group pending units by (profile, suite) preserving expansion order,
-        # then by (task, temperature) → the sample indices to draw.
-        groups: dict[tuple[str, str], dict[tuple[str, float], list[WorkUnit]]] = {}
-        for unit in pending:
-            group = groups.setdefault((unit.profile_id, unit.suite_id), {})
-            group.setdefault((unit.task_id, unit.temperature), []).append(unit)
-
         forward = None
         if warning_sink is not None:
 
@@ -203,8 +212,13 @@ class RunEngine:
                 warning_sink(warning["category"], warning["message"], warning.get("detail"))
 
         config = self.manifest.config
+        memoize = config.memoize_results
         results: list[UnitResult] = []
-        for (profile_id, suite_id), task_units in groups.items():
+        for (profile_id, suite_id), group in _groups(pending).items():
+            # (task, temperature) → the units whose sample indices to draw.
+            task_units: dict[tuple[str, float], list[WorkUnit]] = {}
+            for unit in group:
+                task_units.setdefault((unit.task_id, unit.temperature), []).append(unit)
             pipeline = self.resolver.pipeline(profile_id)
             suite_spec = next(s for s in self.manifest.suites if s.suite_id == suite_id)
             tasks = {task.task_id: task for task in self.resolver.tasks(suite_spec)}
@@ -215,9 +229,11 @@ class RunEngine:
                     for (task_id, temperature), unit_list in task_units.items()
                 ],
                 config,
-                self._verdicts if config.memoize_results else {},
+                self._verdicts if memoize else {},
                 self.checker,
                 warning_sink=forward,
+                syntax=self._syntax if memoize else {},
+                check_keys=self._check_keys.setdefault(suite_id, {}) if memoize else {},
             )
             for unit_list, samples in zip(task_units.values(), checked):
                 results.extend(map(_unit_result, unit_list, samples))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ..bench.evaluator import EvaluationConfig
@@ -116,9 +117,9 @@ class WorkUnit:
     temperature: float
     sample_index: int
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Content address of this unit (journal index key)."""
+        """Content address of this unit (journal index key), hashed once."""
         payload = repr(
             (
                 self.manifest_hash,

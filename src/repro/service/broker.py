@@ -181,9 +181,24 @@ class _RunView:
         self.units = [
             WorkUnit.from_dict(entry) for entry in json.loads(units_path.read_text())
         ]
-        self.keys = [unit.key for unit in self.units]  # unit.key hashes per access
         self.events: list[dict] = []
         self.events_offset = 0
+        #: Every unit before ``units[cursor]`` is journaled in the store
+        #: generation ``cursor_generation`` (journals only grow within one).
+        self.cursor = 0
+        self.cursor_generation = self.store.generation
+
+    def first_pending(self) -> int:
+        """Advance the cursor past journaled units and return it; start over
+        if the journal shrank (the store began a new generation).  Call
+        with ``lock`` held, so no refresh runs mid-scan."""
+        if self.cursor_generation != self.store.generation:
+            self.cursor, self.cursor_generation = 0, self.store.generation
+        cursor = self.cursor
+        while cursor < len(self.units) and self.units[cursor].key in self.store:
+            cursor += 1
+        self.cursor = cursor
+        return cursor
 
 
 class FileBroker:
@@ -378,9 +393,14 @@ class FileBroker:
         expires_at = self._clock() + self.lease_ttl_s
         leases: list[Lease] = []
         view = self._view(run_id)
-        for key, unit in zip(view.keys, view.units):
+        # Units before the cursor are journaled: the scan starts at the first
+        # pending one, not at index 0 on every call.
+        with view.lock:
+            start = view.first_pending()
+        for unit in view.units[start:]:
             if len(leases) >= limit:
                 break
+            key = unit.key
             if key in store or key in held:
                 continue
             path = leases_dir / key
@@ -536,7 +556,7 @@ class FileBroker:
         """Read-only accounting of one run (does not sweep leases)."""
         manifest = self.manifest(run_id)
         store = self.store(run_id)
-        keys = self._view(run_id).keys
+        keys = [unit.key for unit in self._view(run_id).units]
         quarantined = sum(
             1
             for record in store.quarantined_records()

@@ -332,9 +332,12 @@ def test_custom_database_receives_functional_check_traffic():
     config = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,))
     result = BenchmarkEvaluator(config, database=db).evaluate(pipeline, suite)
     assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
-    # Syntax check + DUT compile per task went through the supplied database.
+    # Syntax check + DUT compile per task went through the supplied database:
+    # each task's DUT compile reused the parse its syntax check left there.
+    # (A repeated sample is answered by the check core's syntax memo, so it
+    # no longer shows up as a check hit.)
     assert db.stats.misses >= len(suite)
-    assert db.stats.hits + db.stats.check_hits > 0
+    assert db.stats.parse_hits >= len(suite)
 
 
 def test_custom_database_stays_in_the_parent_process():

@@ -40,6 +40,34 @@ class TestGenerateAt:
         many = GenerationConfig(temperature=0.2, num_samples=10, seed=0)
         assert llm.generate_at(context, few, 1).code == llm.generate(context, many)[1].code
 
+    def test_warm_latent_memo_drawing_out_of_order_matches_a_fresh_backend(self):
+        """Task latents are memoised per backend; the sample stream is not
+        allowed to notice, whatever order tasks and indices are drawn in."""
+        contexts = [
+            _context(
+                task_id=f"task{number}",
+                reference_source=MUX_MODULE,
+                demands=TaskDemands(logic=0.5 + 0.1 * number, difficulty=0.6),
+            )
+            for number in range(3)
+        ]
+        configs = [
+            GenerationConfig(temperature=temperature, num_samples=8, seed=2)
+            for temperature in (0.2, 0.8)
+        ]
+        warm = backend("gpt-4")
+        for context in contexts:
+            warm.generate(context, configs[0])
+        assert len(warm._latents) == len(contexts)
+        for index in (7, 0, 5, 2):
+            for context in reversed(contexts):
+                for config in configs:
+                    drawn = warm.generate_at(context, config, index)
+                    fresh = backend("gpt-4").generate_at(context, config, index)
+                    assert drawn.code == fresh.code
+                    assert drawn.injected_hallucinations == fresh.injected_hallucinations
+        assert len(warm._latents) == len(contexts)
+
     def test_base_class_fallback_matches(self):
         """The LLMBackend default (generate a prefix and index it) agrees."""
         from repro.core.llm.base import LLMBackend

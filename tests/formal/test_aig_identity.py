@@ -19,7 +19,11 @@ from repro.core.llm.corruption import CorruptionInjector
 from repro.core.taxonomy import HallucinationSubtype
 from repro.experiments import ExperimentScale, build_suites
 from repro.formal.aig import AIG, FALSE, TRUE, negate
-from repro.formal.cone import SequentialUnroller, build_combinational_cone
+from repro.formal.cone import (
+    SequentialUnroller,
+    build_combinational_cone,
+    encode_transition_relation,
+)
 
 
 class ChainXorAIG(AIG):
@@ -60,39 +64,68 @@ def tiny_tasks():
     return [task for suite in suites.values() for task in suite.tasks]
 
 
-def _fanins(source: str, task, aig: AIG):
-    """The graph a proof would build for ``source``, or the error it hits."""
+def _graphs(source: str, task, graph_class: type[AIG]):
+    """The graphs a proof would build for ``source``, or the error it hits.
+
+    A clocked design's frames are copies of its transition relation, which is
+    encoded in a graph of its own: both graphs are of ``graph_class``, and the
+    relation must equal the one the unroller memoises on the design.
+    """
+    graphs = [graph_class()]
+    relation = None
     try:
         if task.golden().is_sequential:
             reset = task.reset
             unroller = SequentialUnroller(
                 source,
-                aig,
+                graphs[0],
                 clock=task.clock,
                 reset=reset.signal if reset is not None else None,
                 reset_active_low=bool(reset.active_low) if reset is not None else False,
             )
+            graphs.append(graph_class())
+            relation = encode_transition_relation(
+                unroller.compiled,
+                unroller.clock,
+                unroller.reset,
+                unroller.reset_active_low,
+                aig=graphs[1],
+            )
+            assert relation == SequentialUnroller.relation(unroller)
+            unroller.relation = lambda: relation
             unroller.unroll(unroller.make_step_inputs(3))
         else:
-            build_combinational_cone(source, aig=aig)
+            build_combinational_cone(source, aig=graphs[0])
     except Exception as exc:
-        return aig._fanins, f"{type(exc).__name__}: {exc}"
-    return aig._fanins, None
+        return [graph._fanins for graph in graphs], relation, f"{type(exc).__name__}: {exc}"
+    return [graph._fanins for graph in graphs], relation, None
 
 
-def test_suite_cones_are_identical_to_the_chain(tiny_tasks):
+def test_suite_cones_are_identical_to_the_chain(tiny_tasks, monkeypatch):
     subtypes = list(HallucinationSubtype)
-    built = constant_xors = 0
+    built = constant_xors = clocked_constant_xors = 0
+    oracles: list[ChainXorAIG] = []
+
+    class CountedChainXorAIG(ChainXorAIG):
+        def __init__(self) -> None:
+            super().__init__()
+            oracles.append(self)
+
     for index, task in enumerate(tiny_tasks):
         candidate = CorruptionInjector(random.Random(index)).inject(
             task.reference_source, subtypes[index % len(subtypes)]
         ).code
         for source in (task.reference_source, candidate):
-            oracle = ChainXorAIG()
-            expected = _fanins(source, task, oracle)
-            assert _fanins(source, task, AIG()) == expected, task.task_id
-            built += expected[1] is None
-            constant_xors += oracle.constant_xors
+            oracles.clear()
+            expected = _graphs(source, task, CountedChainXorAIG)
+            assert _graphs(source, task, AIG) == expected, task.task_id
+            built += expected[2] is None
+            xors = sum(oracle.constant_xors for oracle in oracles)
+            constant_xors += xors
+            if expected[1] is not None:
+                clocked_constant_xors += xors
     assert len(tiny_tasks) == 24
-    # The comparison covers real graphs that took the folded path.
+    # The comparison covers real graphs that took the folded path, clocked
+    # designs' transition relations included.
     assert built >= len(tiny_tasks) and constant_xors > 0
+    assert clocked_constant_xors > 0

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+import repro.bench.evaluator as check_core
+import repro.runs.engine as engine_module
 from repro.experiments import ExperimentScale
 from repro.runs.aggregate import StreamingAggregator
 from repro.runs.engine import RunEngine
@@ -30,6 +34,16 @@ def reference_rows(manifest):
 
 def rows_for(manifest, store):
     return StreamingAggregator(manifest).feed_store(store).table4_rows()
+
+
+def verdict_digest(store) -> str:
+    """sha256 over every unit's (syntax_ok, functional_passed), by unit key."""
+    verdicts = sorted(
+        (record["key"], record["outcome"]["syntax_ok"], record["outcome"]["functional_passed"])
+        for record in store.records()
+        if record.get("kind", "unit") == "unit"
+    )
+    return hashlib.sha256(repr(verdicts).encode()).hexdigest()
 
 
 class TestExecution:
@@ -80,6 +94,50 @@ class TestExecution:
         assert stats.skipped == len(lines) // 3
         assert stats.executed == stats.total_units - len(lines) // 3
         assert rows_for(manifest, RunStore(directory)) == reference_rows
+
+    def test_exception_mid_sweep_keeps_every_finished_group(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        """A run that dies inside the check core has journaled each group that
+        finished before it, and nothing of the group it died in."""
+        finished: list[int] = []
+        check_samples = engine_module.check_samples
+        run_checks = check_core.run_checks
+        check_calls: list[int] = []
+
+        def counting_check_samples(*args, **kwargs):
+            checked = check_samples(*args, **kwargs)
+            finished.append(len(checked))
+            return checked
+
+        def failing_run_checks(requests, **kwargs):
+            check_calls.append(len(requests))
+            if len(check_calls) == 3:
+                raise RuntimeError("check core died mid-sweep")
+            return run_checks(requests, **kwargs)
+
+        monkeypatch.setattr(engine_module, "check_samples", counting_check_samples)
+        monkeypatch.setattr(check_core, "run_checks", failing_run_checks)
+        directory = tmp_path / "run"
+        engine = RunEngine(manifest, RunStore(directory))
+        with pytest.raises(RuntimeError, match="mid-sweep"):
+            engine.run()
+        monkeypatch.undo()
+
+        groups: dict[tuple[str, str], list] = {}
+        for unit in engine.units():
+            groups.setdefault((unit.profile_id, unit.suite_id), []).append(unit)
+        done = list(groups.values())[: len(finished)]
+        assert 0 < len(done) < len(groups)
+        store = RunStore(directory)
+        assert store.completed_keys() == {unit.key for group in done for unit in group}
+
+        stats = RunEngine(manifest, store).run()
+        assert stats.skipped == sum(map(len, done))
+        assert stats.complete
+        uninterrupted = RunStore.ephemeral()
+        RunEngine(manifest, uninterrupted).run()
+        assert verdict_digest(RunStore(directory)) == verdict_digest(uninterrupted)
 
     def test_two_shards_fill_one_store_bit_for_bit(self, manifest, tmp_path, reference_rows):
         directory = tmp_path / "run"

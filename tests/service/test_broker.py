@@ -11,6 +11,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -110,6 +111,38 @@ class TestLeasing:
         assert len(requeues) == 1
         assert requeues[0]["worker"] == "worker-a"
         assert broker.run_status(run_id).requeues == 1
+
+    def test_expired_lease_behind_completed_units_is_leased_again(
+        self, broker, queued, clock
+    ):
+        """The lease scan starts at the first unjournaled unit, so a stale
+        lease on an early unit requeues though every later unit is done."""
+        run_id, units = queued
+        for lease in broker.lease(run_id, "worker-b", limit=2):
+            broker.complete(lease, outcome(lease.unit))
+        stale = broker.lease(run_id, "worker-a", limit=1)[0]
+        assert stale.unit == units[2]
+        for lease in broker.lease(run_id, "worker-b", limit=len(units)):
+            broker.complete(lease, outcome(lease.unit))
+        assert broker.lease(run_id, "worker-b", limit=len(units)) == []
+
+        clock.advance(11.0)
+        reclaimed = broker.lease(run_id, "worker-c", limit=len(units))
+        assert [lease.unit for lease in reclaimed] == [units[2]]
+        assert broker.run_status(run_id).requeues == 1
+        broker.complete(reclaimed[0], outcome(units[2]))
+        assert broker.run_status(run_id).complete
+
+    def test_shrunk_journal_makes_its_units_pending_again(self, broker, queued):
+        run_id, units = queued
+        for lease in broker.lease(run_id, "worker-a", limit=3):
+            broker.complete(lease, outcome(lease.unit))
+        assert broker.lease(run_id, "worker-a", limit=1)[0].unit == units[3]
+        journal = broker.store_dir(run_id) / JOURNAL_FILENAME
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[2])  # only units[2] stays journaled
+        leased = broker.lease(run_id, "worker-b", limit=len(units))
+        assert [lease.unit for lease in leased] == [units[0], units[1]] + units[4:]
 
     def test_heartbeat_extends_the_lease(self, broker, queued, clock):
         run_id, _ = queued
@@ -341,6 +374,44 @@ class TestCachedViews:
         assert [r["key"] for r in cached.records()] == [
             lease.unit.key for lease in leases
         ]
+
+    def test_threads_leasing_from_one_broker_journal_every_unit_once(
+        self, tmp_path, clock
+    ):
+        """Threads share each run's lease cursor: none may skip a pending unit."""
+        broker = FileBroker(tmp_path / "broker", clock=clock)
+        run_id = broker.submit(small_manifest(num_samples=10, max_tasks=None)).run_id
+        journaled: list[str] = []
+        errors: list[BaseException] = []
+
+        def work(index):
+            try:
+                while leases := broker.lease(run_id, f"worker-{index}", limit=2):
+                    for lease in leases:
+                        # A unit completed between another thread's scan and
+                        # its claim is leased again (at-least-once delivery);
+                        # only one completion journals it.
+                        if broker.complete(lease, outcome(lease.unit)):
+                            journaled.append(lease.unit.key)
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert not errors
+        keys = [unit.key for unit in broker.units(run_id)]
+        assert sorted(journaled) == sorted(keys)
+        assert broker.run_status(run_id).complete
+        assert len(fresh_view(broker, run_id)) == len(keys)
 
     def test_threads_polling_while_another_broker_completes(self, tmp_path, clock):
         server = FileBroker(tmp_path / "broker", clock=clock)
