@@ -2,13 +2,15 @@
 
 Every benchmark reproduces one table or figure of the paper.  By default the
 experiments run at ``ExperimentScale.quick()`` (scaled-down suites, n = 5, single
-temperature) so that ``pytest benchmarks/ --benchmark-only`` finishes in minutes;
+temperature) so that ``pytest benchmarks/ --benchmark-only`` finishes in seconds;
 set the environment variable ``REPRO_SCALE=paper`` to run at the paper's full
-scale (143/156/29 tasks, n = 10, three temperatures — takes hours).
+scale (143/156/29 tasks, n = 10, three temperatures).  Paper-scale Table IV
+alone takes about 40 s on a two-core host (``make paper-table4``).
 
 Each benchmark also writes its rendered table/figure into
-``benchmarks/results/*.txt`` so the numbers can be inspected and copied into
-EXPERIMENTS.md.
+``benchmarks/results/*.txt`` (tracked in git), so the numbers can be inspected
+and any change to them shows in ``git diff``; the README's quick start says how
+to run each scale.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Evaluate a model (with and without SI-CoT) on a VerilogEval-Human style suite.
 
-Builds a scaled-down VerilogEval-Human suite, fine-tunes the CodeQwen base
-profile on freshly generated vanilla + KL datasets, and compares four
-configurations, printing per-benchmark pass@1/pass@5 and a per-category
-breakdown — i.e. a miniature version of Table IV plus Fig. 3 for one model.
+Runs a four-profile manifest through the run engine on a scaled-down
+VerilogEval-Human suite: the CodeQwen base profile and HaVen-CodeQwen (CodeQwen
+fine-tuned on freshly generated vanilla + KL datasets), each with and without
+SI-CoT.  Prints per-configuration pass@1/pass@5 and a per-category breakdown —
+i.e. a miniature version of Table IV plus Fig. 3 for one model.
 
 Run with::
 
@@ -12,47 +13,53 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench.evaluator import BenchmarkEvaluator, EvaluationConfig
+from dataclasses import replace
+
+from repro.bench.evaluator import EvaluationConfig
 from repro.bench.reporting import format_table
-from repro.bench.verilogeval import SuiteConfig, build_verilogeval_human
-from repro.core.llm.finetune import DatasetMix, FineTuner
-from repro.core.llm.profiles import BASE_MODEL_PROFILES
-from repro.core.llm.simulated import SimulatedCodeGenLLM
-from repro.core.pipeline import HaVenPipeline
-from repro.experiments import ExperimentScale, build_datasets
+from repro.experiments import ExperimentScale, _run_manifest
+from repro.runs.manifest import ProfileSpec, RunManifest, SuiteSpec
+
+#: profile id → (kind, use SI-CoT, configuration label).
+CONFIGURATIONS = {
+    "base": ("baseline", False, "CodeQwen (base)"),
+    "base-sicot": ("baseline", True, "CodeQwen + SI-CoT"),
+    "haven": ("haven", False, "HaVen-CodeQwen (no CoT)"),
+    "haven-sicot": ("haven", True, "HaVen-CodeQwen (full)"),
+}
 
 
 def main() -> None:
-    scale = ExperimentScale.quick()
-    suite = build_verilogeval_human(SuiteConfig(num_tasks=40, seed=11))
-    evaluator = BenchmarkEvaluator(EvaluationConfig(num_samples=5, ks=(1, 5), temperatures=(0.2,)))
-
-    print(f"Suite: {suite.name} ({len(suite)} tasks), categories: {suite.categories()}")
-    print("Generating datasets and fine-tuning CodeQwen (behavioural model)...")
-    datasets = build_datasets(scale)
-    base = BASE_MODEL_PROFILES["codeqwen-7b"]
-    tuned, report = FineTuner().finetune(
-        base,
-        DatasetMix(vanilla=datasets.vanilla, k_dataset=datasets.k_dataset, l_dataset=datasets.l_dataset),
-        tuned_name="HaVen-CodeQwen",
+    scale = replace(ExperimentScale.quick(), human_tasks=40)
+    manifest = RunManifest(
+        name="evaluate-model",
+        experiment="custom",
+        scale=scale.to_dict(),
+        config=EvaluationConfig(num_samples=5, ks=(1, 5), temperatures=(0.2,)),
+        profiles=[
+            ProfileSpec(
+                profile_id=profile_id,
+                kind=kind,
+                key="codeqwen-7b",
+                use_sicot=use_sicot,
+                display=label,
+            )
+            for profile_id, (kind, use_sicot, label) in CONFIGURATIONS.items()
+        ],
+        suites=[SuiteSpec("human")],
     )
-    print("Skill changes:", {k: f"{report.skill_before[k]:.2f}→{report.skill_after[k]:.2f}" for k in report.skill_after})
 
-    configurations = {
-        "CodeQwen (base)": HaVenPipeline(SimulatedCodeGenLLM(base), use_sicot=False),
-        "CodeQwen + SI-CoT": HaVenPipeline(SimulatedCodeGenLLM(base), use_sicot=True),
-        "HaVen-CodeQwen (no CoT)": HaVenPipeline(SimulatedCodeGenLLM(tuned), use_sicot=False),
-        "HaVen-CodeQwen (full)": HaVenPipeline(SimulatedCodeGenLLM(tuned), use_sicot=True),
-    }
+    print("Generating datasets, fine-tuning CodeQwen (behavioural model) and evaluating...")
+    aggregator = _run_manifest(manifest)
+    suite = aggregator.resolver.suite(manifest.suites[0])
+    print(f"Suite: {suite.name} ({len(suite)} tasks), categories: {suite.categories()}")
 
     rows = []
-    detailed = {}
-    for name, pipeline in configurations.items():
-        result = evaluator.evaluate(pipeline, suite)
+    for profile_id, (_, _, label) in CONFIGURATIONS.items():
+        result = aggregator.suite_result(profile_id, "human")
         functional = result.functional_percentages()
         syntax = result.syntax_percentages()
-        rows.append([name, functional.get(1), functional.get(5), syntax.get(1)])
-        detailed[name] = result
+        rows.append([label, functional.get(1), functional.get(5), syntax.get(1)])
 
     print()
     print(format_table(
@@ -62,7 +69,7 @@ def main() -> None:
     ))
 
     print()
-    full = detailed["HaVen-CodeQwen (full)"]
+    full = aggregator.suite_result("haven-sicot", "human")
     category_rows = [
         [category, f"{100.0 * value:.1f}"] for category, value in sorted(full.category_pass_at_1().items())
     ]

@@ -1,13 +1,6 @@
 """Benchmark suites, evaluation harness, pass@k and report rendering."""
 
-from .evaluator import (
-    BenchmarkEvaluator,
-    EvaluationConfig,
-    SuiteResult,
-    TaskResult,
-    check_reference_designs,
-    evaluate_models,
-)
+from .evaluator import EvaluationConfig, SuiteResult, TaskResult, check_reference_designs
 from .golden import GoldenCache, VerilogGolden, batch_equivalence_check
 from .jobs import (
     CheckExecution,
@@ -45,12 +38,10 @@ from .verilogeval import (
 from .verilogeval_v2 import V2Config, build_verilogeval_v2
 
 __all__ = [
-    "BenchmarkEvaluator",
     "EvaluationConfig",
     "SuiteResult",
     "TaskResult",
     "check_reference_designs",
-    "evaluate_models",
     "GoldenCache",
     "VerilogGolden",
     "batch_equivalence_check",

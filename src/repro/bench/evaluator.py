@@ -1,7 +1,7 @@
-"""Benchmark evaluation: the check core, pass@k scoring and the in-memory evaluator.
+"""Benchmark evaluation: the check core and pass@k scoring.
 
-The evaluator scores a generation pipeline (backend + optional SI-CoT) on a
-benchmark suite the same way the paper does:
+A pipeline (backend + optional SI-CoT) is scored on a benchmark suite the same
+way the paper does:
 
 * ``n`` samples are drawn per task (default 10) at each configured temperature,
   and — following RTLCoder and the paper's setup — the best functional result
@@ -12,27 +12,27 @@ benchmark suite the same way the paper does:
 * per-task (n, c) counts are aggregated with the unbiased pass@k estimator.
 
 :func:`check_samples` is the one implementation of draw → syntax check →
-check job → verdict, shared by the resumable run engine
-(:meth:`repro.runs.engine.RunEngine.execute_units`) and
-:class:`BenchmarkEvaluator`.  Each unique ``(candidate design, stimulus,
+check job → verdict; the run engine
+(:meth:`repro.runs.engine.RunEngine.execute_units`) calls it once per
+``(profile, suite)`` group.  Each unique ``(candidate design, stimulus,
 mode)`` triple becomes one :class:`~repro.bench.jobs.CheckRequest`, executed
 once and memoised by its content-addressed
 :class:`~repro.bench.jobs.ResultKey`.  Repeated candidates — across samples,
-temperatures, whole ``evaluate`` calls — cost a dict lookup.  So does
-everything else that depends only on the source or the task: a candidate's
-syntax verdict and design key are kept by source text, a task's stimulus and
-key halves by ``(task, temperature)``, in memos the caller scopes (the run
-engine keeps them for its lifetime).  DUT elaboration rides the shared
+temperatures, profiles — cost a dict lookup.  So does everything else that
+depends only on the source or the task: a candidate's syntax verdict and
+design key are kept by source text, a task's stimulus and key halves by
+``(task, temperature)``, in memos the caller scopes (the run engine keeps them
+for its lifetime).  DUT elaboration rides the process-wide
 :class:`~repro.verilog.design.DesignDatabase`.  With
 ``EvaluationConfig(max_workers=N)`` the checks execute on a process pool.
 :func:`task_result` and :func:`best_temperature` score per task for the
-evaluator and for the streaming aggregator alike.
+streaming aggregator.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain, count
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core.llm.base import GenerationConfig
@@ -108,10 +108,6 @@ class EvaluationConfig:
     #: Ceiling on any single backoff delay.
     retry_backoff_cap_s: float = 2.0
 
-    def single_temperature(self) -> "EvaluationConfig":
-        """A copy that only evaluates the first temperature (for quick runs)."""
-        return replace(self, temperatures=self.temperatures[:1])
-
     def to_dict(self) -> dict:
         """JSON-safe serialization (run manifests persist this verbatim)."""
         return {
@@ -161,18 +157,13 @@ class TaskResult:
     num_syntax_passes: int
     temperature: float
     failure_examples: list[str] = field(default_factory=list)
-    #: Samples whose checks were quarantined (burned every execution attempt).
-    #: They count as non-passes in this result, but their verdicts are infra
-    #: faults, not candidate failures — they are never memoized, so a later
-    #: ``evaluate`` call re-attempts them.
-    num_quarantined: int = 0
 
     @property
     def passed_at_least_once(self) -> bool:
         return self.num_functional_passes > 0
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "task_id": self.task_id,
             "category": self.category,
             "num_samples": self.num_samples,
@@ -181,22 +172,6 @@ class TaskResult:
             "temperature": self.temperature,
             "failure_examples": list(self.failure_examples),
         }
-        if self.num_quarantined:
-            payload["num_quarantined"] = self.num_quarantined
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "TaskResult":
-        return cls(
-            task_id=str(payload["task_id"]),
-            category=str(payload["category"]),
-            num_samples=int(payload["num_samples"]),
-            num_functional_passes=int(payload["num_functional_passes"]),
-            num_syntax_passes=int(payload["num_syntax_passes"]),
-            temperature=float(payload["temperature"]),
-            failure_examples=[str(entry) for entry in payload.get("failure_examples", [])],
-            num_quarantined=int(payload.get("num_quarantined", 0)),
-        )
 
 
 @dataclass
@@ -250,15 +225,6 @@ class SuiteResult:
             "task_results": [result.to_dict() for result in self.task_results],
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SuiteResult":
-        return cls(
-            suite_name=str(payload["suite_name"]),
-            model_name=str(payload["model_name"]),
-            ks=tuple(int(k) for k in payload.get("ks", (1, 5))),
-            task_results=[TaskResult.from_dict(entry) for entry in payload.get("task_results", [])],
-        )
-
 
 #: A task's stimulus plus its (stimulus, mode) key halves (:func:`task_check_keys`).
 TaskCheckKeys = tuple[list[dict[str, int]], str, str]
@@ -310,7 +276,6 @@ def check_request_for(
     stimulus: list[dict[str, int]],
     expected: ExpectedTrace,
     config: EvaluationConfig,
-    database=None,
 ) -> CheckRequest:
     """Build the self-contained check request for one compiled candidate."""
     return CheckRequest(
@@ -327,7 +292,6 @@ def check_request_for(
         differential=config.differential_oracle,
         formal_conflict_limit=config.formal_conflict_limit,
         induction_depth=config.induction_depth,
-        database=database,
         timeout_s=config.check_timeout_s,
     )
 
@@ -348,34 +312,31 @@ class SampleCheck:
 
 def check_samples(
     pipeline: HaVenPipeline,
-    draws: Sequence[tuple[BenchmarkTask, float, Sequence[int] | None]],
+    draws: Sequence[tuple[BenchmarkTask, float, Sequence[int]]],
     config: EvaluationConfig,
     memo: dict[ResultKey, CheckExecution],
     checker: SyntaxChecker,
-    database=None,
-    warning_sink: Callable[[dict], object] | None = None,
     *,
-    syntax: dict[str, SyntaxVerdict] | None = None,
-    check_keys: dict[tuple[str, float], TaskCheckKeys] | None = None,
+    syntax: dict[str, SyntaxVerdict],
+    check_keys: dict[tuple[str, float], TaskCheckKeys],
+    warning_sink: Callable[[dict], object] | None = None,
 ) -> list[list[SampleCheck]]:
     """Generate, syntax-check and functionally check every drawn sample.
 
-    Each draw is ``(task, temperature, sample indices)``: the indices are
-    drawn one by one (``generate_at``), ``None`` draws the whole
-    ``range(num_samples)`` with one ``generate`` call.
+    Each draw is ``(task, temperature, sample indices)``; the indices are
+    drawn one by one from the pipeline's sample stream (``generate_at``).
 
     Work that depends only on the source or the task is done once per key
-    of the caller's memos (fresh per call when not given): ``syntax`` keeps
-    each source text's :func:`syntax_verdict`, and ``check_keys`` each
-    ``(task id, temperature)``'s :func:`task_check_keys`.  Task ids are
-    unique within one suite only, so a ``check_keys`` memo must serve the
-    draws of one suite (and one ``config``).
+    of the caller's memos: ``syntax`` keeps each source text's
+    :func:`syntax_verdict`, and ``check_keys`` each ``(task id,
+    temperature)``'s :func:`task_check_keys`.  Task ids are unique within one
+    suite only, so a ``check_keys`` memo must serve the draws of one suite
+    (and one ``config``).
 
-    This is the check core of both the run engine and
-    :class:`BenchmarkEvaluator`.  A check request is built only for a
-    :class:`ResultKey` that is neither already requested in this call nor
-    settled in ``memo``; it carries the task golden's outputs, recorded once
-    per stimulus key (:meth:`ExpectedTrace.record`).  The requests run in one
+    A check request is built only for a :class:`ResultKey` that is neither
+    already requested in this call nor settled in ``memo``; it carries the
+    task golden's outputs, recorded once per stimulus key
+    (:meth:`ExpectedTrace.record`).  The requests run in one
     :func:`run_checks` batch, and its settled (non-quarantined) executions
     enter ``memo``.  Execution warnings go to ``warning_sink`` as dicts.
 
@@ -383,8 +344,6 @@ def check_samples(
     :class:`SampleCheck`.  Every compiled sample's outcome carries its
     execution's verdict; a quarantined one carries the synthetic failure.
     """
-    syntax = {} if syntax is None else syntax
-    check_keys = {} if check_keys is None else check_keys
     checks: list[list[SampleCheck]] = []
     requests: dict[ResultKey, CheckRequest] = {}
     traces: dict[str, ExpectedTrace] = {}
@@ -410,7 +369,7 @@ def check_samples(
             )
         stimulus, task_stimulus_key, task_mode_key = keys
         drawn: list[SampleCheck] = []
-        for index, sample in zip(indices or count(), generation.samples):
+        for index, sample in zip(indices, generation.samples):
             verdict = syntax.get(sample.code)
             if verdict is None:
                 verdict = syntax[sample.code] = syntax_verdict(checker, sample.code)
@@ -437,7 +396,7 @@ def check_samples(
                     traces[task_stimulus_key] = ExpectedTrace.record(task.golden(), stimulus)
                 expected = traces[task_stimulus_key]
                 requests[check.key] = check_request_for(
-                    task, sample.code, check.key, stimulus, expected, config, database=database
+                    task, sample.code, check.key, stimulus, expected, config
                 )
         checks.append(drawn)
 
@@ -477,7 +436,6 @@ def task_result(
     task: BenchmarkTask,
     temperature: float,
     outcomes: Sequence[CheckOutcome],
-    num_quarantined: int = 0,
 ) -> TaskResult:
     """Score one (task, temperature): counts plus capped failure examples.
 
@@ -500,125 +458,12 @@ def task_result(
         num_syntax_passes=syntax_passes,
         temperature=temperature,
         failure_examples=failures,
-        num_quarantined=num_quarantined,
     )
 
 
 def best_temperature(candidates: Iterable[TaskResult]) -> TaskResult | None:
     """The candidate with the most functional passes; the first wins ties."""
     return max(candidates, key=lambda result: result.num_functional_passes, default=None)
-
-
-class BenchmarkEvaluator:
-    """Run a pipeline over a suite and score it in memory.
-
-    A thin wrapper over :func:`check_samples`, the run engine's check core:
-    one call draws every (task, temperature) of the suite in full, and each
-    task scores at its best temperature.
-
-    Args:
-        config: sampling/scoring plan.
-        database: :class:`~repro.verilog.design.DesignDatabase` shared by the
-            syntax checker and the runners of checks that run in this
-            process (defaults to the process-wide database); pool workers
-            compile through their own process-wide database.
-    """
-
-    def __init__(self, config: EvaluationConfig | None = None, database=None):
-        self.config = config or EvaluationConfig()
-        self.database = database
-        self.checker = SyntaxChecker(database=database)
-        #: Cross-run verdict memo: content-addressed, so repeated candidates
-        #: (across temperatures, runs, pipelines) are scored exactly once.
-        #: Only *settled* verdicts enter it — quarantined checks (transient
-        #: infra faults that burned every attempt) are deliberately excluded,
-        #: so they are re-attempted instead of permanently scored as failures.
-        #: Stays empty with ``memoize_results`` off.
-        self.memo: dict[ResultKey, CheckExecution] = {}
-        #: Structured execution warnings (pool degradation, quarantines)
-        #: accumulated across ``evaluate`` calls; callers may drain this.
-        self.warnings: list[dict] = []
-
-    def evaluate(self, pipeline: HaVenPipeline, suite: BenchmarkSuite) -> SuiteResult:
-        """Evaluate ``pipeline`` on ``suite`` with the configured sampling plan.
-
-        A quarantined sample counts as a non-pass (``num_quarantined``) whose
-        failure example is the quarantine summary, and each quarantined key
-        adds one ``"quarantined"`` warning.
-        """
-        if not self.config.temperatures:
-            raise ValueError("EvaluationConfig.temperatures is empty: no sample can be drawn")
-        tasks = list(suite)[: self.config.max_tasks]
-        draws = [
-            (task, temperature, None) for task in tasks for temperature in self.config.temperatures
-        ]
-        checked = check_samples(
-            pipeline,
-            draws,
-            self.config,
-            self.memo if self.config.memoize_results else {},
-            self.checker,
-            database=self.database,
-            warning_sink=self.warnings.append,
-        )
-        quarantined = {
-            check.key: (task, check.execution)
-            for (task, _, _), samples in zip(draws, checked)
-            for check in samples
-            if check.quarantined
-        }
-        for key, (task, execution) in quarantined.items():
-            self.warnings.append(
-                {
-                    "category": "quarantined",
-                    "message": (
-                        f"check for task {task.task_id!r} quarantined "
-                        f"after {execution.attempts} attempt(s): {execution.error}"
-                    ),
-                    "detail": {
-                        "task_id": task.task_id,
-                        "design_key": key.design_key,
-                        "attempts": execution.attempts,
-                        "error": execution.error,
-                    },
-                }
-            )
-        scored = iter(
-            task_result(
-                task,
-                temperature,
-                [check.outcome for check in samples],
-                num_quarantined=sum(check.quarantined for check in samples),
-            )
-            for (task, temperature, _), samples in zip(draws, checked)
-        )
-        # Draws are task-major: each task's temperatures are consecutive.
-        return SuiteResult(
-            suite_name=suite.name,
-            model_name=pipeline.name,
-            ks=self.config.ks,
-            task_results=[
-                best_temperature(next(scored) for _ in self.config.temperatures) for _ in tasks
-            ],
-        )
-
-
-def evaluate_models(
-    pipelines: Sequence[HaVenPipeline],
-    suites: Sequence[BenchmarkSuite],
-    config: EvaluationConfig | None = None,
-) -> dict[tuple[str, str], SuiteResult]:
-    """Evaluate several pipelines on several suites; keys are (model, suite) names.
-
-    One evaluator (and therefore one verdict memo) is shared across the whole
-    grid, so a candidate produced by several pipelines is checked once.
-    """
-    evaluator = BenchmarkEvaluator(config)
-    results: dict[tuple[str, str], SuiteResult] = {}
-    for pipeline in pipelines:
-        for suite in suites:
-            results[(pipeline.name, suite.name)] = evaluator.evaluate(pipeline, suite)
-    return results
 
 
 def check_reference_designs(

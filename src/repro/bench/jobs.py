@@ -1,15 +1,14 @@
 """Evaluation jobs: memoisable, parallelisable functional checks.
 
-The check core (:func:`repro.bench.evaluator.check_samples`, shared by the
-run engine and the in-memory evaluator) decomposes an evaluation into *check
-requests* — one per unique ``(candidate design, stimulus, scoring mode)``
-triple.  Each request is:
+The check core (:func:`repro.bench.evaluator.check_samples`, called by the
+run engine) decomposes an evaluation into *check requests* — one per unique
+``(candidate design, stimulus, scoring mode)`` triple.  Each request is:
 
 * **content-addressed** by a :class:`ResultKey` (candidate-code hash ×
   stimulus/task hash × mode), so identical candidates sampled at different
   temperatures, runs, or pipelines are scored exactly once and every repeat is
-  a dict lookup in the caller's verdict memo (the run engine keeps one per
-  engine, the in-memory evaluator one per evaluator);
+  a dict lookup in the run engine's verdict memo, kept for the engine's
+  lifetime;
 * **self-contained** (code, the golden's recorded outputs, stimulus, reset
   spec, scoring flags), so it can be executed in the parent process or
   shipped to a worker process unchanged.
@@ -164,11 +163,6 @@ class CheckRequest:
     #: proofs; inconclusive inductions fall back to simulation).  ``0``
     #: restores the old behaviour of simulating every sequential task.
     induction_depth: int = 4
-    #: Optional :class:`~repro.verilog.design.DesignDatabase` for checks run
-    #: in this process (None → process-wide default).  It is a parent-side
-    #: cache and never shipped: pool workers compile through their own
-    #: process-wide database.
-    database: object | None = None
     #: Wall-clock budget for one execution attempt (None → no deadline, or
     #: the :class:`ExecutionPolicy` default when run through ``run_checks``).
     timeout_s: float | None = None
@@ -184,11 +178,11 @@ class CheckOutcome:
     """Persisted verdict of one generated sample (one work unit of a run).
 
     This is the journal-level record of the resumable run engine: everything
-    the streaming aggregators need to rebuild a
+    the streaming aggregator needs to rebuild a
     :class:`~repro.bench.evaluator.TaskResult` bit-for-bit — the syntax verdict
-    (with the same one-error summary string the evaluator keeps), the
-    functional verdict and its ``failure_summary`` — plus the candidate's
-    content address for cross-run dedup and audit.
+    (with its one-error summary string), the functional verdict and its
+    ``failure_summary`` — plus the candidate's content address for cross-run
+    dedup and audit.
     """
 
     sample_index: int
@@ -283,7 +277,6 @@ def _session_for(request: CheckRequest):
             request.reference_source,
             outputs=request.check_outputs,
             conflict_limit=request.formal_conflict_limit,
-            database=request.database,
         )
         while len(_worker_sessions) >= _WORKER_SESSION_CAP:
             _worker_sessions.pop(next(iter(_worker_sessions)))
@@ -294,10 +287,9 @@ def _session_for(request: CheckRequest):
 def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
     """Execute one check request; safe to run in a worker process.
 
-    Mirrors the scoring semantics the evaluator has always had: formal mode
-    attempts a complete SAT equivalence proof first and transparently falls
-    back to the stimulus sweep; simulation mode runs the batched testbench
-    against a replay of the task golden's expected outputs.
+    Formal mode attempts a complete SAT equivalence proof first and
+    transparently falls back to the stimulus sweep; simulation mode runs the
+    batched testbench against a replay of the task golden's expected outputs.
 
     The whole attempt runs under ``request.timeout_s`` (if set): the
     simulators' settle loops and the SAT search tick the deadline, so a
@@ -314,15 +306,10 @@ def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
                 return request.key, formal
         if request.use_batch:
             runner: TestbenchRunner = BatchTestbenchRunner(
-                clock=request.clock,
-                reset=request.reset,
-                differential=request.differential,
-                database=request.database,
+                clock=request.clock, reset=request.reset, differential=request.differential
             )
         else:
-            runner = TestbenchRunner(
-                clock=request.clock, reset=request.reset, database=request.database
-            )
+            runner = TestbenchRunner(clock=request.clock, reset=request.reset)
         golden = ReplayGolden(request.expected)
         result = runner.run(
             request.code, golden, request.stimulus, check_outputs=request.check_outputs
@@ -799,7 +786,7 @@ def _execute_pool(
                 continue
             item.request.attempt = item.attempt
             try:
-                future = pool.submit(timed_execute_check, replace(item.request, database=None))
+                future = pool.submit(timed_execute_check, item.request)
             except Exception:
                 held.extend(pending[index:])
                 queue = held

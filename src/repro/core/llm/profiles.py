@@ -10,7 +10,7 @@ The registry below covers every baseline row of Table IV plus the commercial
 models of Tables V/VI.  The skill values are *calibration inputs*, chosen so the
 measured pass rates land near the paper's numbers and — more importantly — so the
 ranking and relative gaps match; the measured values are recorded in
-EXPERIMENTS.md.  The three HaVen rows are intentionally **absent** here: they are
+``benchmarks/results/`` (see the README).  The three HaVen rows are intentionally **absent** here: they are
 derived by running the actual fine-tuning pipeline
 (:mod:`repro.core.llm.finetune`) on the base-model profiles with the KL-dataset.
 """

@@ -3,8 +3,8 @@
 This module wires the full stack together: dataset generation → fine-tuning →
 pipelines (with/without SI-CoT) → benchmark evaluation → report rendering.  Each
 ``run_*`` function corresponds to one table or figure of the paper; the
-``benchmarks/`` directory calls them (scaled down by default) and ``EXPERIMENTS.md``
-records the measured numbers next to the paper's.
+``benchmarks/`` directory calls them (scaled down by default) and writes the
+rendered tables and figures into ``benchmarks/results/`` (see the README).
 
 Since the resumable-runs refactor each driver is a thin wrapper over
 :mod:`repro.runs`: it builds a declarative
@@ -13,8 +13,8 @@ executes it through the :class:`~repro.runs.engine.RunEngine` — by default int
 an ephemeral in-memory store, or into any persistent
 :class:`~repro.runs.store.RunStore` passed via ``store=`` so a sweep survives
 crashes, resumes, and shards across workers — and renders its output through
-the streaming aggregators.  The results are bit-for-bit what the old
-monolithic in-memory drivers produced (pinned by ``tests/runs/test_parity.py``).
+the streaming aggregator.  The results are bit-for-bit what the old
+monolithic drivers produced (pinned by ``tests/runs/test_parity.py``).
 
 Scaling: the ``ExperimentScale`` dataclass controls task counts, samples per task
 and corpus size.  ``ExperimentScale.paper()`` uses the paper's real sizes

@@ -3,13 +3,12 @@
 The aggregator consumes journal records one at a time (``feed``) or wholesale
 from a store (``feed_store``) and can produce its outputs at any moment, so a
 report renders from a partially complete run and is simply re-rendered as more
-units land.  Per-task scoring is the in-memory evaluator's own
-(:func:`~repro.bench.evaluator.task_result` over the outcomes in sample order,
+units land.  Per-task scoring is :func:`~repro.bench.evaluator.task_result`
+over the outcomes in sample order, and
 :func:`~repro.bench.evaluator.best_temperature` with the first temperature
-winning ties), so a fully journaled run aggregates bit-for-bit to what
-:class:`~repro.bench.evaluator.BenchmarkEvaluator` returns.  The two differ
-only on quarantined units: the aggregator leaves them out, the evaluator
-counts each as a non-pass.
+winning ties.  Quarantined units carry no verdict, so they are left out of
+their task's samples: a quarantine is an infrastructure fault, not a failed
+candidate.
 """
 
 from __future__ import annotations
@@ -137,8 +136,7 @@ class StreamingAggregator:
         """The (possibly partial) suite result for one profile on one suite.
 
         Tasks with no journaled sample yet are omitted; tasks with some
-        samples journaled aggregate over what is there.  For a complete
-        journal this is bit-for-bit the evaluator's ``SuiteResult``.
+        samples journaled aggregate over what is there.
         """
         suite_spec = next(s for s in self.manifest.suites if s.suite_id == suite_id)
         suite = self.resolver.suite(suite_spec)

@@ -7,12 +7,11 @@ sharded run reproduces the serial samples bit-for-bit).  Drawing,
 syntax-checking, deduplicating by :class:`~repro.bench.jobs.ResultKey` and
 executing through :func:`~repro.bench.jobs.run_checks` (process pool when the
 manifest's ``EvaluationConfig.max_workers`` says so) is
-:func:`~repro.bench.evaluator.check_samples`, the check core the in-memory
-evaluator shares.  Each unit is journaled as a
-:class:`~repro.bench.jobs.CheckOutcome` as soon as its group finishes; units
-already journaled are never re-executed, which is the whole resume story:
-kill the process at any point, re-invoke, and it continues where the journal
-ends, losing at most the group that was running.
+:func:`~repro.bench.evaluator.check_samples`, the check core.  Each unit is
+journaled as a :class:`~repro.bench.jobs.CheckOutcome` as soon as its group
+finishes; units already journaled are never re-executed, which is the whole
+resume story: kill the process at any point, re-invoke, and it continues
+where the journal ends, losing at most the group that was running.
 
 Checks run per group, but the memos are per engine: every settled
 (non-quarantined) :class:`~repro.bench.jobs.CheckExecution` is kept by its

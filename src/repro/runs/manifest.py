@@ -168,6 +168,11 @@ class RunManifest:
     portions: tuple[int, ...] = ()  # fig4 K/L grid axes, percent
     version: int = MANIFEST_VERSION
 
+    def __post_init__(self) -> None:
+        # An empty sweep would expand to no units: a "finished" run of empty rows.
+        if not self.config.temperatures:
+            raise ValueError("EvaluationConfig.temperatures is empty: no sample can be drawn")
+
     def to_dict(self) -> dict:
         return {
             "version": self.version,

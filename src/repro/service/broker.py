@@ -382,7 +382,8 @@ class FileBroker:
         minus live-leased, in expansion order.  Expired leases are swept
         (requeued) in the same pass over the lease files that finds the live
         ones.  Claiming is an atomic hard link per unit, so concurrent
-        workers never double-claim.
+        workers never double-claim; a claim on a unit this broker's store
+        journaled meanwhile is dropped.
         """
         if limit < 1:
             return []
@@ -419,6 +420,11 @@ class FileBroker:
                 continue
             finally:
                 self._unlink(tmp)
+            if key in store:
+                # Another thread's completion journaled the unit and dropped
+                # its lease between the pending check above and this claim.
+                self._unlink(path)
+                continue
             leases.append(
                 Lease(
                     run_id=run_id,

@@ -51,8 +51,7 @@ x/z gate; from there two-state code cannot produce x again.
 
 Checks that leave generated code for the scalar simulator — design-level
 rejections and x/z gate refusals — are recorded in a process-wide registry
-(:func:`fallback_stats`) surfaced by the evaluator and the service
-``/metrics`` endpoint.
+(:func:`fallback_stats`) surfaced by the service ``/metrics`` endpoint.
 """
 
 from __future__ import annotations

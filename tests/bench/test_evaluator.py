@@ -1,14 +1,15 @@
-"""Tests for the benchmark evaluator (generate → compile → simulate → pass@k)."""
+"""Scoring a pipeline on a suite (generate → compile → simulate → pass@k) through the run engine."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.evaluator import BenchmarkEvaluator, EvaluationConfig, evaluate_models
+from repro.bench.evaluator import EvaluationConfig
 from repro.core.llm.base import GenerationConfig, GenerationContext, GeneratedSample, LLMBackend
 from repro.core.llm.profiles import BASELINE_PROFILES
 from repro.core.llm.simulated import SimulatedCodeGenLLM
 from repro.core.pipeline import HaVenPipeline
+from scoring import score
 
 
 class PerfectBackend(LLMBackend):
@@ -61,48 +62,41 @@ def config() -> EvaluationConfig:
 
 class TestEvaluator:
     def test_perfect_backend_scores_100(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
         assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
         assert result.syntax_pass_at_k()[1] == pytest.approx(1.0)
 
     def test_broken_backend_scores_0(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(BrokenBackend(), use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(BrokenBackend(), use_sicot=False), tiny_human_suite, config)
         assert result.functional_pass_at_k()[1] == pytest.approx(0.0)
         assert result.syntax_pass_at_k()[1] == pytest.approx(0.0)
 
     def test_wrong_but_compiling_backend_fails_functionally(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(
-            HaVenPipeline(WrongButCompilingBackend(), use_sicot=False), tiny_human_suite
-        )
+        pipeline = HaVenPipeline(WrongButCompilingBackend(), use_sicot=False)
+        result = score(pipeline, tiny_human_suite, config)
         assert result.syntax_pass_at_k()[1] > 0.9
         assert result.functional_pass_at_k()[1] < 0.3
 
     def test_simulated_backend_between_extremes(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
         backend = SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])
-        result = evaluator.evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(backend, use_sicot=False), tiny_human_suite, config)
         value = result.functional_pass_at_k()[1]
         assert 0.0 < value < 1.0
 
     def test_task_results_populated(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
         assert len(result.task_results) == len(tiny_human_suite)
         for task_result in result.task_results:
             assert task_result.num_samples == 2
             assert task_result.category
 
     def test_max_tasks_limits_evaluation(self, tiny_human_suite):
-        evaluator = BenchmarkEvaluator(EvaluationConfig(num_samples=1, ks=(1,), temperatures=(0.2,), max_tasks=3))
-        result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+        config = EvaluationConfig(num_samples=1, ks=(1,), temperatures=(0.2,), max_tasks=3)
+        result = score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
         assert len(result.task_results) == 3
 
     def test_category_breakdown(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
         by_category = result.by_category()
         assert sum(total for _, total in by_category.values()) == len(tiny_human_suite)
         per_category = result.category_pass_at_1()
@@ -112,28 +106,18 @@ class TestEvaluator:
         sweep = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2, 0.8))
         single = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,))
         backend = SimulatedCodeGenLLM(BASELINE_PROFILES["codeqwen-7b"])
-        swept = BenchmarkEvaluator(sweep).evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
-        fixed = BenchmarkEvaluator(single).evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
+        swept = score(HaVenPipeline(backend, use_sicot=False), tiny_human_suite, sweep)
+        fixed = score(HaVenPipeline(backend, use_sicot=False), tiny_human_suite, single)
         assert swept.functional_pass_at_k()[1] >= fixed.functional_pass_at_k()[1]
 
-    def test_evaluate_models_helper(self, tiny_human_suite, config):
-        pipelines = [HaVenPipeline(PerfectBackend(), use_sicot=False)]
-        results = evaluate_models(pipelines, [tiny_human_suite], config)
-        assert ("Perfect", tiny_human_suite.name) in results
-
     def test_failure_examples_recorded(self, tiny_human_suite, config):
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(BrokenBackend(), use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(BrokenBackend(), use_sicot=False), tiny_human_suite, config)
         assert any(task_result.failure_examples for task_result in result.task_results)
 
     def test_empty_temperature_sweep_is_rejected(self, tiny_human_suite):
-        evaluator = BenchmarkEvaluator(EvaluationConfig(num_samples=1, temperatures=()))
+        config = EvaluationConfig(num_samples=1, temperatures=())
         with pytest.raises(ValueError, match="temperatures"):
-            evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
-
-    def test_single_temperature_config_helper(self):
-        config = EvaluationConfig(temperatures=(0.2, 0.5, 0.8))
-        assert config.single_temperature().temperatures == (0.2,)
+            score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
 
     def test_batch_and_scalar_runners_agree(self, tiny_human_suite):
         """Every candidate of a sweep: the batched runner reproduces the scalar one."""
@@ -171,8 +155,7 @@ class TestEvaluator:
         config = EvaluationConfig(
             num_samples=1, ks=(1,), temperatures=(0.2,), max_tasks=4, differential_oracle=True
         )
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+        result = score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
         assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
 
     def test_differential_oracle_sweep_matches_default_sweep(self, tiny_human_suite):
@@ -186,9 +169,7 @@ class TestEvaluator:
                 temperatures=(0.2,),
                 differential_oracle=differential_oracle,
             )
-            return BenchmarkEvaluator(config).evaluate(
-                HaVenPipeline(backend, use_sicot=False), tiny_human_suite
-            )
+            return score(HaVenPipeline(backend, use_sicot=False), tiny_human_suite, config)
 
         fast, checked = sweep(False), sweep(True)
         assert fast.functional_pass_at_k() == checked.functional_pass_at_k()
@@ -200,31 +181,33 @@ class TestEvaluator:
     def test_codegen_coverage_snapshot(self, tiny_human_suite, config):
         from repro.verilog import codegen
 
-        evaluator = BenchmarkEvaluator(config)
-        evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
+        score(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite, config)
         coverage = codegen.fallback_stats()
         assert set(coverage) == {"total", "reasons", "designs"}
         assert coverage["total"] == sum(coverage["reasons"].values())
 
-    def test_generate_called_once_per_task_and_temperature(self, tiny_human_suite):
-        """A backend with only ``generate`` gets one call per draw, not per sample."""
+    def test_each_sample_index_is_drawn_once(self, tiny_human_suite):
+        """Draws name their sample indices: one ``generate_at`` per work unit."""
 
         class CountingBackend(PerfectBackend):
             def __init__(self):
                 self.calls: list[tuple[str, float, int]] = []
 
-            def generate(self, context, config):
-                self.calls.append((context.task_id, config.temperature, config.num_samples))
-                return super().generate(context, config)
+            def generate_at(self, context, config, index):
+                self.calls.append((context.task_id, config.temperature, index))
+                return super().generate_at(context, config, index)
 
         backend = CountingBackend()
         config = EvaluationConfig(num_samples=3, ks=(1,), temperatures=(0.2, 0.8), max_tasks=4)
-        pipeline = HaVenPipeline(backend, use_sicot=False)
-        BenchmarkEvaluator(config).evaluate(pipeline, tiny_human_suite)
+        result = score(HaVenPipeline(backend, use_sicot=False), tiny_human_suite, config)
         tasks = [task.task_id for task in tiny_human_suite][:4]
         assert backend.calls == [
-            (task_id, temperature, 3) for task_id in tasks for temperature in (0.2, 0.8)
+            (task_id, temperature, index)
+            for task_id in tasks
+            for temperature in (0.2, 0.8)
+            for index in range(3)
         ]
+        assert [task.num_samples for task in result.task_results] == [3] * 4
 
 
 class TestAggregationEdgeCases:
@@ -274,7 +257,7 @@ class TestAggregationEdgeCases:
 
 
 class TestScoringHelpers:
-    """``task_result``/``best_temperature``: shared by the evaluator and the aggregator."""
+    """``task_result``/``best_temperature``: the aggregator's per-task scoring."""
 
     def test_task_result_counts_and_caps_failures_in_sample_order(self, tiny_human_suite):
         from repro.bench.evaluator import MAX_FAILURE_EXAMPLES, task_result
@@ -299,14 +282,13 @@ class TestScoringHelpers:
             sample(5, True),
         ]
         task = next(iter(tiny_human_suite))
-        result = task_result(task, 0.5, outcomes, num_quarantined=1)
+        result = task_result(task, 0.5, outcomes)
         assert MAX_FAILURE_EXAMPLES == 3
         assert (result.task_id, result.category) == (task.task_id, task.category)
         assert result.temperature == 0.5
         assert result.num_samples == 6
         assert (result.num_syntax_passes, result.num_functional_passes) == (4, 2)
         assert result.failure_examples == ["syntax 1", "mismatch 2", "syntax 4"]
-        assert result.num_quarantined == 1
 
     def test_best_temperature_first_wins_ties(self):
         from repro.bench.evaluator import TaskResult, best_temperature
@@ -332,18 +314,15 @@ class TestFormalMode:
         config = EvaluationConfig(
             num_samples=1, ks=(1,), temperatures=(0.2,), mode="formal"
         )
-        result = BenchmarkEvaluator(config).evaluate(
-            HaVenPipeline(PerfectBackend(), use_sicot=False), self._suite()
-        )
+        result = score(HaVenPipeline(PerfectBackend(), use_sicot=False), self._suite(), config)
         assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
 
     def test_wrong_backend_fails_with_counterexample_mismatches(self):
         config = EvaluationConfig(
             num_samples=1, ks=(1,), temperatures=(0.2,), mode="formal"
         )
-        result = BenchmarkEvaluator(config).evaluate(
-            HaVenPipeline(WrongButCompilingBackend(), use_sicot=False), self._suite()
-        )
+        pipeline = HaVenPipeline(WrongButCompilingBackend(), use_sicot=False)
+        result = score(pipeline, self._suite(), config)
         assert result.functional_pass_at_k()[1] < 0.3
         # Failures must carry concrete evidence (formal counterexamples for
         # combinational tasks, simulation mismatches for sequential ones).
@@ -360,12 +339,9 @@ class TestFormalMode:
         )
         suite = self._suite()
         for backend in (PerfectBackend(), WrongButCompilingBackend()):
-            formal = BenchmarkEvaluator(formal_config).evaluate(
-                HaVenPipeline(backend, use_sicot=False), suite
-            )
-            simulated = BenchmarkEvaluator(simulation_config).evaluate(
-                HaVenPipeline(backend, use_sicot=False), suite
-            )
+            pipeline = HaVenPipeline(backend, use_sicot=False)
+            formal = score(pipeline, suite, formal_config)
+            simulated = score(pipeline, suite, simulation_config)
             formal_verdicts = {r.task_id: r.passed_at_least_once for r in formal.task_results}
             simulated_verdicts = {
                 r.task_id: r.passed_at_least_once for r in simulated.task_results

@@ -11,7 +11,7 @@ result keys stay byte-stable at default knob values.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -238,9 +238,6 @@ class TestConfigSerialization:
         assert list(payload) == [spec.name for spec in fields(EvaluationConfig)]
         assert payload["ks"] == [1, 2] and payload["temperatures"] == [0.1, 0.9]
         assert EvaluationConfig.from_dict(payload) == config
-        single = config.single_temperature()
-        assert single.temperatures == (0.1,)
-        assert single == replace(config, temperatures=(0.1,))
 
     def test_new_knobs_roundtrip(self):
         config = EvaluationConfig(
@@ -251,8 +248,6 @@ class TestConfigSerialization:
         )
         restored = EvaluationConfig.from_dict(config.to_dict())
         assert restored.induction_depth == 6
-        single = config.single_temperature()
-        assert single.induction_depth == 6
 
     def test_old_payloads_get_defaults(self):
         payload = EvaluationConfig(

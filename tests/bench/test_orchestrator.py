@@ -11,12 +11,14 @@ request carries the golden's recorded outputs, not the golden.
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 import repro.bench.evaluator as evaluator_module
-from repro.bench.evaluator import BenchmarkEvaluator, EvaluationConfig
+from repro.bench.evaluator import EvaluationConfig
 from repro.bench.golden import TableGolden, VectorFunctionGolden, random_vectors
 from repro.bench.jobs import (
     CheckRequest,
@@ -35,8 +37,10 @@ from repro.core.llm.profiles import BASELINE_PROFILES
 from repro.core.llm.simulated import SimulatedCodeGenLLM
 from repro.core.pipeline import HaVenPipeline
 from repro.core.prompt import DesignPrompt, ModuleInterface, PortSpec
-from repro.verilog.design import DesignDatabase
+from repro.runs.store import RunStore
+from repro.verilog.design import DesignDatabase, set_default_database
 from repro.verilog.simulator.testbench import ExpectedTrace
+from scoring import engine_result, score, stub_engine
 
 
 # --------------------------------------------------------------------------- backends
@@ -120,6 +124,16 @@ def _picklable_suite() -> BenchmarkSuite:
     return suite
 
 
+@contextmanager
+def default_database(database: DesignDatabase):
+    """Swap the process-wide design database for the duration of the block."""
+    previous = set_default_database(database)
+    try:
+        yield database
+    finally:
+        set_default_database(previous)
+
+
 def _suite_results_equal(left, right) -> bool:
     return (
         left.suite_name == right.suite_name
@@ -131,7 +145,7 @@ def _suite_results_equal(left, right) -> bool:
 # --------------------------------------------------------------------------- memoisation
 class TestMemoisation:
     def _counting_evaluate(self, monkeypatch, config, pipeline, suite):
-        """Run an evaluation while counting the check requests actually executed."""
+        """Run one engine twice (into fresh stores), counting the checks executed."""
         executed: list[int] = []
         real_run_checks = evaluator_module.run_checks
 
@@ -140,12 +154,14 @@ class TestMemoisation:
             return real_run_checks(requests, max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(evaluator_module, "run_checks", counting)
-        evaluator = BenchmarkEvaluator(config)
-        first = evaluator.evaluate(pipeline, suite)
+        engine = stub_engine(pipeline, suite, config)
+        engine.run()
+        first = engine_result(engine)
         first_executed = sum(executed)
         executed.clear()
-        second = evaluator.evaluate(pipeline, suite)
-        return first, second, first_executed, sum(executed)
+        engine.store = RunStore.ephemeral()
+        engine.run()
+        return first, engine_result(engine), first_executed, sum(executed)
 
     def test_identical_candidates_checked_once_across_temperatures(self, monkeypatch):
         suite = build_verilogeval_human(SuiteConfig(num_tasks=4, seed=11))
@@ -157,7 +173,7 @@ class TestMemoisation:
         # The perfect backend emits one unique code per task: one check per
         # task regardless of samples × temperatures.
         assert first_executed == len(suite)
-        # A repeated evaluation is served entirely from the memo.
+        # A repeated run on the same engine is served entirely from the memo.
         assert second_executed == 0
         assert _suite_results_equal(first, second)
 
@@ -295,12 +311,9 @@ class TestParallelEvaluation:
     def test_worker_pool_matches_serial_on_picklable_suite(self):
         suite = _picklable_suite()
         pipeline = HaVenPipeline(PerfectBackend(), use_sicot=False)
-        serial = BenchmarkEvaluator(
-            EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), max_workers=1)
-        ).evaluate(pipeline, suite)
-        parallel = BenchmarkEvaluator(
-            EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), max_workers=2)
-        ).evaluate(pipeline, suite)
+        config = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), max_workers=1)
+        serial = score(pipeline, suite, config)
+        parallel = score(pipeline, suite, replace(config, max_workers=2))
         assert _suite_results_equal(serial, parallel)
         assert serial.functional_pass_at_k()[1] == pytest.approx(1.0)
 
@@ -314,25 +327,22 @@ class TestParallelEvaluation:
         backend = SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])
         pipeline = HaVenPipeline(backend, use_sicot=False)
         config = EvaluationConfig(num_samples=3, ks=(1,), temperatures=(0.2,))
-        serial = BenchmarkEvaluator(config).evaluate(pipeline, suite)
-        parallel_config = EvaluationConfig(
-            num_samples=3, ks=(1,), temperatures=(0.2,), max_workers=4
-        )
-        evaluator = BenchmarkEvaluator(parallel_config)
-        parallel = evaluator.evaluate(pipeline, suite)
-        assert _suite_results_equal(serial, parallel)
-        assert evaluator.warnings == []
+        serial = score(pipeline, suite, config)
+        engine = stub_engine(pipeline, suite, replace(config, max_workers=4))
+        engine.run()
+        assert _suite_results_equal(serial, engine_result(engine))
+        assert engine.store.warning_records() == []
 
 
 def test_custom_database_receives_functional_check_traffic():
-    """An evaluator-supplied database must serve the runners, not just the checker."""
-    db = DesignDatabase()
+    """A swapped-in process-wide database serves the runners, not just the checker."""
     suite = _picklable_suite()
     pipeline = HaVenPipeline(PerfectBackend(), use_sicot=False)
     config = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,))
-    result = BenchmarkEvaluator(config, database=db).evaluate(pipeline, suite)
+    with default_database(DesignDatabase()) as db:
+        result = score(pipeline, suite, config)
     assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
-    # Syntax check + DUT compile per task went through the supplied database:
+    # Syntax check + DUT compile per task went through the swapped database:
     # each task's DUT compile reused the parse its syntax check left there.
     # (A repeated sample is answered by the check core's syntax memo, so it
     # no longer shows up as a check hit.)
@@ -341,32 +351,26 @@ def test_custom_database_receives_functional_check_traffic():
 
 
 def test_custom_database_stays_in_the_parent_process():
-    """A database does not pickle: pool workers compile through their own."""
+    """Requests carry no database: pool workers compile through their own."""
     suite = _picklable_suite()
     pipeline = HaVenPipeline(PerfectBackend(), use_sicot=False)
     config = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), max_workers=2)
-    evaluator = BenchmarkEvaluator(config, database=DesignDatabase())
-    result = evaluator.evaluate(pipeline, suite)
-    assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
-    assert evaluator.warnings == []
+    with default_database(DesignDatabase()):
+        engine = stub_engine(pipeline, suite, config)
+        engine.run()
+    assert engine_result(engine).functional_pass_at_k()[1] == pytest.approx(1.0)
+    assert engine.store.warning_records() == []
 
 
 # --------------------------------------------------------------------------- differential parity
 class TestCachedVsColdParity:
     """Cached and uncached paths must be bit-identical on randomized suites."""
 
-    def _cold_evaluator(self, config: EvaluationConfig) -> BenchmarkEvaluator:
-        cold_config = EvaluationConfig(
-            num_samples=config.num_samples,
-            ks=config.ks,
-            temperatures=config.temperatures,
-            mode=config.mode,
-            formal_conflict_limit=config.formal_conflict_limit,
-            memoize_results=False,
-        )
+    def _cold_score(self, pipeline, suite, config: EvaluationConfig):
         # max_entries=0 disables every database tier: front-end work really
         # happens per call on this path.
-        return BenchmarkEvaluator(cold_config, database=DesignDatabase(max_entries=0))
+        with default_database(DesignDatabase(max_entries=0)):
+            return score(pipeline, suite, replace(config, memoize_results=False))
 
     @pytest.mark.parametrize("backend_name", ["perfect", "zero", "simulated"])
     def test_simulation_mode_parity(self, backend_name):
@@ -378,8 +382,8 @@ class TestCachedVsColdParity:
         }[backend_name]()
         pipeline = HaVenPipeline(backend, use_sicot=False)
         config = EvaluationConfig(num_samples=3, ks=(1,), temperatures=(0.2, 0.8))
-        cached = BenchmarkEvaluator(config).evaluate(pipeline, suite)
-        cold = self._cold_evaluator(config).evaluate(pipeline, suite)
+        cached = score(pipeline, suite, config)
+        cold = self._cold_score(pipeline, suite, config)
         assert _suite_results_equal(cached, cold)
 
     @pytest.mark.formal
@@ -390,6 +394,6 @@ class TestCachedVsColdParity:
         )
         for backend in (PerfectBackend(), SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])):
             pipeline = HaVenPipeline(backend, use_sicot=False)
-            cached = BenchmarkEvaluator(config).evaluate(pipeline, suite)
-            cold = self._cold_evaluator(config).evaluate(pipeline, suite)
+            cached = score(pipeline, suite, config)
+            cold = self._cold_score(pipeline, suite, config)
             assert _suite_results_equal(cached, cold)

@@ -50,9 +50,10 @@ from repro.runs.faults import (
     faults_env_value,
     install_faults,
 )
-from repro.runs.manifest import ProfileSpec, RunManifest, SuiteSpec
+from repro.runs.manifest import RunManifest
 from repro.runs.store import RunStore
 from repro.verilog.simulator.testbench import ExpectedTrace
+from scoring import StubResolver, engine_result, stub_engine, stub_manifest
 
 pytestmark = pytest.mark.chaos
 
@@ -341,85 +342,6 @@ class TestPoolFaults:
             assert report.executions[requests[task_id].key].result.passed
 
 
-# --------------------------------------------------------------------------- evaluator chaos
-class TestEvaluatorQuarantine:
-    def test_quarantine_is_not_memoized_and_reattempts_next_call(self):
-        """A transient infra fault must not be permanently scored as a failure."""
-        from repro.bench.evaluator import BenchmarkEvaluator
-
-        install_faults([FaultSpec("raise", task_id="chaos_xor")])
-        config = EvaluationConfig(
-            num_samples=1,
-            ks=(1,),
-            temperatures=(0.2,),
-            max_attempts=1,
-            retry_backoff_s=0.001,
-        )
-        evaluator = BenchmarkEvaluator(config)
-        pipeline = HaVenPipeline(SaltedPerfectBackend(), use_sicot=False)
-        suite = _chaos_suite()
-
-        poisoned = evaluator.evaluate(pipeline, suite)
-        by_task = {result.task_id: result for result in poisoned.task_results}
-        assert by_task["chaos_xor"].num_quarantined == 1
-        assert by_task["chaos_xor"].num_functional_passes == 0
-        assert any(w["category"] == "quarantined" for w in evaluator.warnings)
-        # The synthetic failed verdict stays out of the cross-run memo...
-        xor_key = _sample_design_key("chaos_xor", 0)
-        assert all(key.design_key != xor_key for key in evaluator.memo)
-
-        # ...so once the fault clears, the same evaluator re-attempts the
-        # check and the candidate scores on its real behaviour.
-        clear_faults()
-        recovered = evaluator.evaluate(pipeline, suite)
-        by_task = {result.task_id: result for result in recovered.task_results}
-        assert by_task["chaos_xor"].num_quarantined == 0
-        assert by_task["chaos_xor"].num_functional_passes == 1
-        assert any(key.design_key == xor_key for key in evaluator.memo)
-
-
-    def test_one_warning_per_quarantined_key(self):
-        """Every sample of the key counts as quarantined; the key warns once."""
-        from repro.bench.evaluator import BenchmarkEvaluator
-
-        class ReferenceBackend(LLMBackend):
-            name = "Reference"
-
-            def generate(self, context, config):
-                return [
-                    GeneratedSample(code=context.reference_source, sample_index=index)
-                    for index in range(config.num_samples)
-                ]
-
-        install_faults([FaultSpec("raise", task_id="chaos_xor")])
-        config = EvaluationConfig(
-            num_samples=3,
-            ks=(1,),
-            temperatures=(0.2, 0.8),
-            max_attempts=1,
-            retry_backoff_s=0.001,
-        )
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(
-            HaVenPipeline(ReferenceBackend(), use_sicot=False), _chaos_suite()
-        )
-        by_task = {entry.task_id: entry for entry in result.task_results}
-        xor = by_task["chaos_xor"]
-        assert (xor.num_samples, xor.num_quarantined, xor.num_functional_passes) == (3, 3, 0)
-        assert xor.temperature == 0.2
-        assert len(xor.failure_examples) == 3 and xor.failure_examples[0]
-        assert all(by_task[t].num_functional_passes == 3 for t in ("chaos_and", "chaos_or"))
-
-        warnings = [w for w in evaluator.warnings if w["category"] == "quarantined"]
-        assert len(warnings) == 1
-        [warning] = warnings
-        assert warning["message"].startswith(
-            "check for task 'chaos_xor' quarantined after 1 attempt(s): "
-        )
-        assert set(warning["detail"]) == {"task_id", "design_key", "attempts", "error"}
-        assert warning["detail"]["task_id"] == "chaos_xor"
-
-
 # --------------------------------------------------------------------------- engine chaos
 class SaltedPerfectBackend(LLMBackend):
     """Reference implementation, salted per sample so every unit is distinct."""
@@ -436,40 +358,15 @@ class SaltedPerfectBackend(LLMBackend):
         ]
 
 
-class StubResolver:
-    """Resolver over the in-test suite (duck-typed ManifestResolver)."""
-
-    def __init__(self, manifest: RunManifest):
-        self.manifest = manifest
-        self.config = manifest.config
-        self._suite = _chaos_suite()
-        self._pipeline = HaVenPipeline(SaltedPerfectBackend(), use_sicot=False)
-
-    def suite(self, spec):
-        return self._suite
-
-    def tasks(self, spec):
-        return list(self._suite)
-
-    def suite_task_ids(self):
-        return {
-            spec.suite_id: [task.task_id for task in self._suite]
-            for spec in self.manifest.suites
-        }
-
-    def pipeline(self, profile_id):
-        return self._pipeline
-
-    def pipeline_name(self, profile_id):
-        return "stub"
+def _resolver(manifest: RunManifest) -> StubResolver:
+    return StubResolver(
+        manifest, _chaos_suite(), HaVenPipeline(SaltedPerfectBackend(), use_sicot=False)
+    )
 
 
 def _chaos_manifest(max_workers: int = 2) -> RunManifest:
-    return RunManifest(
-        name="chaos",
-        experiment="custom",
-        scale={},
-        config=EvaluationConfig(
+    return stub_manifest(
+        EvaluationConfig(
             num_samples=2,
             ks=(1,),
             temperatures=(0.2,),
@@ -477,9 +374,7 @@ def _chaos_manifest(max_workers: int = 2) -> RunManifest:
             check_timeout_s=0.4,
             max_attempts=2,
             retry_backoff_s=0.01,
-        ),
-        profiles=[ProfileSpec(profile_id="stub", kind="baseline", key="stub", display="Stub")],
-        suites=[SuiteSpec("machine")],
+        )
     )
 
 
@@ -518,7 +413,7 @@ class TestEngineChaos:
         )
 
         chaos_store = RunStore(tmp_path / "chaos")
-        engine = RunEngine(manifest, chaos_store, resolver=StubResolver(manifest))
+        engine = RunEngine(manifest, chaos_store, resolver=_resolver(manifest))
         started = time.monotonic()
         stats = engine.run()
         elapsed = time.monotonic() - started
@@ -538,7 +433,7 @@ class TestEngineChaos:
         # quarantined unit included.
         monkeypatch.delenv(FAULTS_ENV)
         resumed = RunEngine(
-            manifest, RunStore(tmp_path / "chaos"), resolver=StubResolver(manifest)
+            manifest, RunStore(tmp_path / "chaos"), resolver=_resolver(manifest)
         ).run()
         assert resumed.executed == 0 and resumed.quarantined == 0
         assert resumed.skipped == 6
@@ -546,7 +441,7 @@ class TestEngineChaos:
         # A fault-free, fully serial run of the same manifest must agree
         # bit-for-bit on every non-quarantined unit's verdict.
         clean_store = RunStore(tmp_path / "clean")
-        RunEngine(manifest, clean_store, resolver=StubResolver(manifest)).run()
+        RunEngine(manifest, clean_store, resolver=_resolver(manifest)).run()
 
         def verdicts(store):
             table = {}
@@ -569,7 +464,7 @@ class TestEngineChaos:
         # The streaming aggregator accounts for the poison unit: the run is
         # complete but not healthy.
         progress = (
-            StreamingAggregator(manifest, resolver=StubResolver(manifest))
+            StreamingAggregator(manifest, resolver=_resolver(manifest))
             .feed_store(chaos_store)
             .progress()
         )
@@ -577,3 +472,91 @@ class TestEngineChaos:
         assert not progress.healthy
         assert progress.quarantined == 1
         assert progress.completed == 5
+
+
+# --------------------------------------------------------------------------- quarantine scoring
+def _quarantine_config(num_samples: int) -> EvaluationConfig:
+    return EvaluationConfig(
+        num_samples=num_samples,
+        ks=(1,),
+        temperatures=(0.2,),
+        max_attempts=1,
+        retry_backoff_s=0.001,
+    )
+
+
+class TestQuarantineScoring:
+    """A quarantined unit is journaled as poison and left out of its task's
+    samples: an infrastructure fault, not a failed candidate."""
+
+    def test_quarantined_unit_is_journaled_and_left_out_of_its_task(self):
+        install_faults([FaultSpec("raise", task_id="chaos_xor")])
+        pipeline = HaVenPipeline(SaltedPerfectBackend(), use_sicot=False)
+        engine = stub_engine(pipeline, _chaos_suite(), _quarantine_config(num_samples=2))
+
+        poisoned = engine.run(max_units=1)  # chaos_xor sample 0 only
+        assert (poisoned.executed, poisoned.quarantined) == (0, 1)
+        [record] = engine.store.quarantined_records()
+        assert (record["task"], record["sample"]) == ("chaos_xor", 0)
+        assert record["quarantine"]["attempts"] == 1
+        assert record["quarantine"]["error"].startswith("injected fault on ")
+
+        clear_faults()
+        rest = engine.run()
+        assert (rest.executed, rest.skipped, rest.quarantined) == (5, 1, 0)
+        by_task = {result.task_id: result for result in engine_result(engine).task_results}
+        xor = by_task["chaos_xor"]
+        assert (xor.num_samples, xor.num_functional_passes) == (1, 1)
+        assert xor.failure_examples == []
+        for task_id in ("chaos_and", "chaos_or"):
+            assert (by_task[task_id].num_samples, by_task[task_id].num_functional_passes) == (2, 2)
+
+    def test_one_record_per_quarantined_unit_and_resume_does_not_retry_it(self):
+        """Every sample of a task quarantined: one journal record per unit key,
+        the task drops out of the suite result, and a resume skips the poison."""
+        install_faults([FaultSpec("raise", task_id="chaos_xor")])
+        pipeline = HaVenPipeline(SaltedPerfectBackend(), use_sicot=False)
+        engine = stub_engine(pipeline, _chaos_suite(), _quarantine_config(num_samples=2))
+
+        stats = engine.run()
+        assert (stats.executed, stats.quarantined) == (4, 2)
+        records = engine.store.quarantined_records()
+        assert sorted((r["task"], r["sample"]) for r in records) == [
+            ("chaos_xor", 0),
+            ("chaos_xor", 1),
+        ]
+        assert len({r["key"] for r in records}) == 2
+
+        resumed = engine.run()  # the fault is still installed
+        assert (resumed.executed, resumed.skipped, resumed.quarantined) == (0, 6, 0)
+        assert len(engine.store.quarantined_records()) == 2
+        result = engine_result(engine)
+        assert [r.task_id for r in result.task_results] == ["chaos_and", "chaos_or"]
+        assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
+
+    def test_quarantine_is_not_memoized_and_the_next_group_rechecks_it(self):
+        """A transient infra fault must not be permanently scored as a failure."""
+        install_faults([FaultSpec("raise", task_id="chaos_xor")])
+        pipeline = HaVenPipeline(SaltedPerfectBackend(), use_sicot=False)
+        engine = stub_engine(
+            pipeline, _chaos_suite(), _quarantine_config(num_samples=1), profiles=("a", "b")
+        )
+
+        first = engine.run(max_units=3)  # profile a's group: one unit per task
+        assert (first.executed, first.quarantined) == (2, 1)
+        assert [r.task_id for r in engine_result(engine, "a").task_results] == [
+            "chaos_and",
+            "chaos_or",
+        ]
+        # The synthetic failed verdict stays out of the run-wide memo...
+        xor_key = _sample_design_key("chaos_xor", 0)
+        assert all(key.design_key != xor_key for key in engine._verdicts)
+
+        # ...so once the fault clears, profile b's group draws the same
+        # candidate, checks it again and scores its real behaviour.
+        clear_faults()
+        second = engine.run()
+        assert (second.executed, second.quarantined) == (3, 0)
+        assert any(key.design_key == xor_key for key in engine._verdicts)
+        xor = {r.task_id: r for r in engine_result(engine, "b").task_results}["chaos_xor"]
+        assert (xor.num_samples, xor.num_functional_passes) == (1, 1)

@@ -1,12 +1,15 @@
-"""Bit-for-bit parity: the run engine vs the in-memory evaluator, plus a fixed digest.
+"""Bit-for-bit parity of the experiment drivers, pinned by a fixed digest.
 
-The pre-refactor ``run_table4``/``run_table6`` logic (a shared
-``BenchmarkEvaluator`` over the built suites) is replicated inline here; the
-run-engine drivers must reproduce it exactly — including the per-task
-sample/pass counts and the capped failure-example strings.  Both paths share
-one check core (``repro.bench.evaluator.check_samples``), so their agreement
-alone cannot catch a change to that core: the evaluator's results are also
-pinned to a sha256 digest recorded before the two paths were merged.
+``legacy_results`` scores each Table IV baseline on each built suite with its
+own one-profile run (``scoring.score``: ``RunEngine`` → ``StreamingAggregator``),
+the way the pre-manifest ``run_table4`` scored them one pipeline at a time.  The
+manifest-driven drivers (one run over the whole grid, sharded or on a worker
+pool) must reproduce it exactly — including the per-task sample/pass counts
+and the capped failure-example strings.  Every path shares one check core
+(``repro.bench.evaluator.check_samples``), so their agreement alone cannot
+catch a change to that core: the results are also pinned to a sha256 digest
+recorded before the drivers moved onto the run engine, which now pins the
+engine path.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.evaluator import BenchmarkEvaluator, EvaluationConfig, SuiteResult, TaskResult
+from repro.bench.evaluator import EvaluationConfig, SuiteResult, TaskResult
 from repro.bench.jobs import CheckOutcome
 from repro.bench.reporting import table4_row_from_results
 from repro.core.llm.profiles import BASELINE_PROFILES
@@ -33,12 +36,13 @@ from repro.runs.aggregate import StreamingAggregator
 from repro.runs.engine import RunEngine
 from repro.runs.presets import table4_manifest
 from repro.runs.store import RunStore
+from scoring import engine_result, score, stub_engine
 
 BASELINES = ["gpt-4", "rtlcoder-deepseek"]
 
 #: sha256 of the tiny-scale ``legacy_results`` as canonical JSON (see
-#: :func:`results_digest`), recorded when the evaluator and the run engine
-#: still had separate check loops; stable across ``PYTHONHASHSEED`` values.
+#: :func:`results_digest`), recorded when the drivers still had their own
+#: check loop; stable across ``PYTHONHASHSEED`` values.
 LEGACY_RESULTS_DIGEST = "39d7dd667f463f20682f3c1830628360fb57f2ec7e8d6330b6062fe12ec71f22"
 
 
@@ -60,15 +64,15 @@ def scale():
 
 @pytest.fixture(scope="module")
 def legacy_results(scale):
-    """The old in-memory driver, replicated verbatim (without HaVen rows)."""
+    """Each baseline scored on each suite by its own run (without HaVen rows)."""
     suites = build_suites(scale)
-    evaluator = BenchmarkEvaluator(scale.evaluation_config())
+    config = scale.evaluation_config()
     results = {}
     rows = []
     for key in BASELINES:
         profile = BASELINE_PROFILES[key]
         pipeline = baseline_pipeline(key, use_sicot=False, seed=scale.seed)
-        by_suite = {name: evaluator.evaluate(pipeline, suite) for name, suite in suites.items()}
+        by_suite = {name: score(pipeline, suite, config) for name, suite in suites.items()}
         results[key] = by_suite
         rows.append(
             table4_row_from_results(
@@ -93,18 +97,16 @@ class TestTable4Parity:
     def test_pool_results_match_fixed_digest(self, scale):
         """The same grid on a two-worker pool, where every check leaves the parent."""
         suites = build_suites(scale)
-        evaluator = BenchmarkEvaluator(replace(scale.evaluation_config(), max_workers=2))
-        results = {
-            key: {
-                name: evaluator.evaluate(
-                    baseline_pipeline(key, use_sicot=False, seed=scale.seed), suite
-                )
-                for name, suite in suites.items()
-            }
-            for key in BASELINES
-        }
+        config = replace(scale.evaluation_config(), max_workers=2)
+        results = {key: {} for key in BASELINES}
+        for key in BASELINES:
+            pipeline = baseline_pipeline(key, use_sicot=False, seed=scale.seed)
+            for name, suite in suites.items():
+                engine = stub_engine(pipeline, suite, config)
+                engine.run()
+                assert engine.store.warning_records() == []
+                results[key][name] = engine_result(engine)
         assert results_digest(results) == LEGACY_RESULTS_DIGEST
-        assert evaluator.warnings == []
 
     def test_rows_bit_for_bit(self, scale, legacy_results):
         _, legacy_rows = legacy_results
@@ -112,7 +114,7 @@ class TestTable4Parity:
         assert new_rows == legacy_rows
 
     def test_suite_results_bit_for_bit(self, scale, legacy_results):
-        """The aggregated SuiteResults equal the evaluator's, task by task."""
+        """One run over the whole grid equals the per-pipeline runs, task by task."""
         legacy, _ = legacy_results
         manifest = table4_manifest(scale, baseline_keys=BASELINES, include_haven=False)
         store = RunStore.ephemeral()
@@ -147,14 +149,12 @@ class TestTable6Parity:
         suite = build_symbolic_suite(
             SuiteConfig(num_tasks=scale.human_tasks, seed=scale.seed + 11)
         )
-        evaluator = BenchmarkEvaluator(scale.evaluation_config())
+        config = scale.evaluation_config()
         legacy = {}
         for key in TABLE6_MODELS:
-            with_cot = evaluator.evaluate(
-                baseline_pipeline(key, use_sicot=True, seed=scale.seed), suite
-            )
-            without_cot = evaluator.evaluate(
-                baseline_pipeline(key, use_sicot=False, seed=scale.seed), suite
+            with_cot = score(baseline_pipeline(key, use_sicot=True, seed=scale.seed), suite, config)
+            without_cot = score(
+                baseline_pipeline(key, use_sicot=False, seed=scale.seed), suite, config
             )
             legacy[BASELINE_PROFILES[key].name] = (
                 with_cot.functional_percentages()[1],
@@ -177,6 +177,7 @@ class TestSerializationRoundTrips:
         assert CheckOutcome.from_dict(outcome.to_dict()) == outcome
 
     def test_task_and_suite_result(self):
+        """``to_dict`` (what the parity digest hashes) survives a JSON round trip."""
         task = TaskResult(
             task_id="t",
             category="truth_table",
@@ -186,12 +187,23 @@ class TestSerializationRoundTrips:
             temperature=0.2,
             failure_examples=["syntax error", "mismatch"],
         )
-        suite = SuiteResult(
-            suite_name="s", model_name="m", task_results=[task], ks=(1, 5)
-        )
-        rebuilt = SuiteResult.from_dict(suite.to_dict())
-        assert rebuilt == suite
-        assert rebuilt.functional_pass_at_k() == suite.functional_pass_at_k()
+        suite = SuiteResult(suite_name="s", model_name="m", task_results=[task], ks=(1, 5))
+        assert json.loads(json.dumps(suite.to_dict())) == {
+            "suite_name": "s",
+            "model_name": "m",
+            "ks": [1, 5],
+            "task_results": [
+                {
+                    "task_id": "t",
+                    "category": "truth_table",
+                    "num_samples": 4,
+                    "num_functional_passes": 2,
+                    "num_syntax_passes": 3,
+                    "temperature": 0.2,
+                    "failure_examples": ["syntax error", "mismatch"],
+                }
+            ],
+        }
 
     def test_evaluation_config(self):
         config = EvaluationConfig(

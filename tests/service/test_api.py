@@ -85,6 +85,14 @@ class TestRoutes:
         assert request(server, "/runs", data=b"{not json")[0] == 400
         assert request(server, "/runs", data=b'{"name": "x"}')[0] == 400
 
+    def test_empty_temperature_sweep_is_400(self, server):
+        payload = small_manifest().to_dict()
+        payload["config"]["temperatures"] = []
+        code, _, body = request(server, "/runs", data=json.dumps(payload).encode())
+        assert code == 400
+        assert "temperatures" in json.loads(body)["error"]
+        assert server.broker.queue_depth() == 0
+
     def test_missing_body_is_400(self, server):
         assert request(server, "/runs", data=b"")[0] == 400
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import os
 import sys
 import threading
 
@@ -96,6 +97,26 @@ class TestLeasing:
         assert held == set()
         # Everything is out: nothing left to lease.
         assert broker.lease(run_id, "worker-c", limit=1) == []
+
+    def test_unit_completed_just_before_the_claim_is_not_leased(
+        self, broker, queued, monkeypatch
+    ):
+        """A completion landing between the pending check and the hard-link
+        claim drops the claim instead of leasing a journaled unit."""
+        run_id, units = queued
+        link = os.link
+
+        def complete_then_link(source, target):
+            monkeypatch.setattr(os, "link", link)  # the rival claims normally
+            [rival] = broker.lease(run_id, "worker-b", limit=1)
+            assert rival.unit == units[0]
+            assert broker.complete(rival, outcome(rival.unit))
+            link(source, target)
+
+        monkeypatch.setattr(os, "link", complete_then_link)
+        leases = broker.lease(run_id, "worker-a", limit=1)
+        assert [lease.unit for lease in leases] == [units[1]]
+        assert not (broker._leases_dir(run_id) / units[0].key).exists()
 
     def test_expired_lease_requeues_with_event(self, broker, queued, clock):
         run_id, units = queued
@@ -381,6 +402,7 @@ class TestCachedViews:
         """Threads share each run's lease cursor: none may skip a pending unit."""
         broker = FileBroker(tmp_path / "broker", clock=clock)
         run_id = broker.submit(small_manifest(num_samples=10, max_tasks=None)).run_id
+        leased: list[str] = []
         journaled: list[str] = []
         errors: list[BaseException] = []
 
@@ -388,9 +410,7 @@ class TestCachedViews:
             try:
                 while leases := broker.lease(run_id, f"worker-{index}", limit=2):
                     for lease in leases:
-                        # A unit completed between another thread's scan and
-                        # its claim is leased again (at-least-once delivery);
-                        # only one completion journals it.
+                        leased.append(lease.unit.key)
                         if broker.complete(lease, outcome(lease.unit)):
                             journaled.append(lease.unit.key)
             except BaseException as exc:  # surfaced by the main thread
@@ -409,6 +429,7 @@ class TestCachedViews:
         assert not any(thread.is_alive() for thread in workers)
         assert not errors
         keys = [unit.key for unit in broker.units(run_id)]
+        assert sorted(leased) == sorted(keys)  # one lease per unit
         assert sorted(journaled) == sorted(keys)
         assert broker.run_status(run_id).complete
         assert len(fresh_view(broker, run_id)) == len(keys)
