@@ -636,9 +636,11 @@ def formal_equivalence_check(
     and counterexample contract, one persistent solver across a candidate
     sweep.  When the proof fails, the SAT counterexample is replayed on the
     simulation engines (:func:`batch_equivalence_mismatches` for combinational
-    designs, the scalar simulator cycle-by-cycle for sequential ones) as a
-    differential oracle: a counterexample that does not reproduce as a real
-    mismatch raises ``FormalError`` instead of being reported.
+    designs; for sequential ones, cycle-by-cycle from each design's memoised
+    post-reset state, on generated code where the handover gate allows and
+    on the scalar simulator otherwise) as a differential oracle: a
+    counterexample that does not reproduce as a real mismatch raises
+    ``FormalError`` instead of being reported.
 
     Returns:
         A :class:`repro.formal.EquivalenceResult`.
@@ -747,7 +749,7 @@ def formal_equivalence_check(
             reference_module_name=reference_module_name,
         ):
             raise FormalError(
-                "SAT counterexample did not reproduce on the scalar simulator: "
+                "SAT counterexample did not reproduce in cycle simulation: "
                 + counterexample.describe()
             )
     return result
@@ -764,31 +766,44 @@ def _replay_sequential_counterexample(
     module_name: str | None,
     reference_module_name: str | None,
 ) -> bool:
-    """Drive both designs cycle-by-cycle; ``True`` iff some output mismatches."""
-    from ..formal.cone import apply_reset_pulse
-    from ..verilog.simulator import ModuleSimulator
+    """Drive both designs cycle-by-cycle; ``True`` iff some output mismatches.
 
-    def prepared(source: str, name: str | None) -> ModuleSimulator:
-        # The same pulse the sequential unroller used to compute the initial
-        # state of the proof, so the replay starts from the proven state.
-        simulator = ModuleSimulator.from_source(source, name)
-        apply_reset_pulse(
-            simulator, clock=clock, reset=reset, reset_active_low=reset_active_low
+    Each design starts from the post-reset state its sequential unroller
+    proved from (:func:`repro.formal.cone.post_reset_state`, memoised on the
+    compiled design) and runs the steps through
+    :class:`~repro.verilog.simulator.testbench.ClockedCycles`: generated code
+    once the state passes the x/z gate, the scalar simulator before that or
+    when the design or the steps fall outside the gate.
+    """
+    from ..formal.cone import post_reset_state, resolve_reset
+    from ..verilog.design import get_default_database
+    from ..verilog.simulator.testbench import ClockedCycles, sequence_program
+
+    stimulus = [dict(step_inputs) for step_inputs in steps]
+
+    def prepared(source: str, name: str | None) -> ClockedCycles:
+        compiled = get_default_database().compile(source, name)
+        resolved = resolve_reset(list(compiled.input_widths()), reset, reset_active_low)
+        return ClockedCycles(
+            compiled,
+            clock,
+            sequence_program(compiled, clock, stimulus),
+            stimulus,
+            state=post_reset_state(compiled, clock, *resolved),
         )
-        return simulator
 
     dut = prepared(dut_source, module_name)
     reference = prepared(reference_source, reference_module_name)
-    for step_inputs in steps:
-        dut.clock_cycle(clock, dict(step_inputs))
-        reference.clock_cycle(clock, dict(step_inputs))
+    for data in stimulus:
+        dut.cycle(data)
+        reference.cycle(data)
         for name in checked_outputs:
-            expected = reference.get(name)
+            expected = reference.read(name)
             if expected.has_unknown:
                 continue
-            if name not in dut.signals:
+            actual = dut.read(name)
+            if actual is None:
                 return True
-            actual = dut.get(name)
             if actual.has_unknown or actual.to_int() != (
                 expected.to_int() & _mask(actual.width)
             ):

@@ -972,12 +972,14 @@ class SequentialUnroller:
 
     Every time frame is a substituted copy of the design's
     :class:`TransitionRelation`.  Unrolling starts from the concrete reset
-    state — the scalar :class:`~repro.verilog.simulator.ModuleSimulator` run
-    through a reset pulse, exactly what the testbench runner does — or from
-    any symbolic state (:meth:`symbolic_state`).  Register bits still ``x``
-    after reset become tagged undef inputs (outputs depending on them are
-    rejected at proof time).  The relation and the reset state are memoised
-    on the :class:`~repro.verilog.design.CompiledDesign`.
+    state — :func:`post_reset_state`, the scalar
+    :class:`~repro.verilog.simulator.ModuleSimulator` run through
+    :func:`apply_reset_pulse` (not the testbench runner's ``ResetSpec``
+    reset, which never parks the clock) — or from any symbolic state
+    (:meth:`symbolic_state`).  Register bits still ``x`` after reset become
+    tagged undef inputs (outputs depending on them are rejected at proof
+    time).  The relation and the reset state are memoised on the
+    :class:`~repro.verilog.design.CompiledDesign`.
     """
 
     def __init__(
@@ -1045,16 +1047,9 @@ class SequentialUnroller:
 
     def reset_state(self):
         """Concrete post-reset signal values (name → ``LogicVector``)."""
-        from ..verilog.simulator import ModuleSimulator
-
-        clocking = (self.clock, self.reset, self.reset_active_low)
-
-        def simulate():
-            simulator = ModuleSimulator(self.compiled)
-            apply_reset_pulse(simulator, *clocking)
-            return dict(simulator.signals)
-
-        return dict(self.compiled.derived(("reset-state", *clocking), simulate))
+        return post_reset_state(
+            self.compiled, self.clock, self.reset, self.reset_active_low
+        )
 
     # ------------------------------------------------------------------ unrolling
     def unroll(
@@ -1192,11 +1187,12 @@ def apply_reset_pulse(
 ) -> None:
     """Drive a scalar simulator through the canonical concrete reset pulse.
 
-    This is THE reset protocol of the formal subsystem: the sequential
-    unroller computes its initial state with it and the counterexample replay
-    in ``bench.golden`` applies the very same pulse, so both engines always
-    start k-step comparisons from the same state.  With no (recognised) reset
-    pin the clock is simply parked low.
+    This is THE reset protocol of the formal subsystem.  It runs once per
+    design and clocking, inside :func:`post_reset_state`, whose memoised
+    result is both the sequential unroller's initial state and the state the
+    counterexample replay in ``bench.golden`` starts from, so both engines
+    always start k-step comparisons from the same state.  With no
+    (recognised) reset pin the clock is simply parked low.
     """
     reset_name, active_low = resolve_reset(
         simulator.input_names(), reset, reset_active_low
@@ -1210,3 +1206,27 @@ def apply_reset_pulse(
         simulator.apply_inputs({reset_name: 1 - active})
     else:
         simulator.apply_inputs({clock: 0})
+
+
+def post_reset_state(
+    compiled, clock: str, reset: str | None, reset_active_low: bool
+) -> dict:
+    """The design's signal values after :func:`apply_reset_pulse` (name → ``LogicVector``).
+
+    ``reset`` and ``reset_active_low`` are the design's reset as resolved by
+    :func:`resolve_reset`.  The pulse runs once per design and clocking on a
+    scalar :class:`~repro.verilog.simulator.ModuleSimulator`; the snapshot is
+    memoised on the :class:`~repro.verilog.design.CompiledDesign` under
+    ``("reset-state", clock, reset, reset_active_low)``.  Each call returns
+    a fresh copy.
+    """
+    from ..verilog.simulator import ModuleSimulator
+
+    clocking = (clock, reset, reset_active_low)
+
+    def simulate():
+        simulator = ModuleSimulator(compiled)
+        apply_reset_pulse(simulator, *clocking)
+        return dict(simulator.signals)
+
+    return dict(compiled.derived(("reset-state", *clocking), simulate))

@@ -46,8 +46,9 @@ tuples); for each it detects bit-0 edges on the inputs, settles, runs the
 triggered processes and settles again — the scalar
 :class:`~repro.verilog.simulator.simulator.ModuleSimulator` schedule — and
 then yields the packed output ports.  :class:`SequenceRun` drives it from a
-scalar simulator's post-reset state once that state passes the program's
-x/z gate; from there two-state code cannot produce x again.
+scalar simulator's post-reset state (a live simulator's, or a memoised
+snapshot of one's) once that state passes the program's x/z gate; from there
+two-state code cannot produce x again.
 
 Checks that leave generated code for the scalar simulator — design-level
 rejections and x/z gate refusals — are recorded in a process-wide registry

@@ -158,6 +158,92 @@ class TestbenchResult:
         return shown + (f" (+{more} more)" if more > 0 else "")
 
 
+def sequence_program(compiled, clock: str, stimulus: list[dict[str, int]]):
+    """The fused cycle program for a clocked run of ``stimulus``, or ``None``.
+
+    ``None`` keeps the run on the scalar engine: a design without clocked
+    processes or without a program, and unusual runs whose outcome (error
+    text included) must stay the scalar engine's own — a clock or stimulus
+    name that is not an input port, a non-integer stimulus value.
+    """
+    artifact = compiled.codegen
+    if (
+        not compiled.has_sequential_processes
+        or artifact is None
+        or artifact.sequence is None
+    ):
+        return None
+    inputs = compiled.input_widths()
+    if clock not in inputs or not set().union(*stimulus) <= inputs.keys():
+        return None
+    if not all(isinstance(value, int) for vector in stimulus for value in vector.values()):
+        return None
+    return artifact.sequence
+
+
+class ClockedCycles:
+    """The clock cycles of one stimulus sequence, from a cycle-boundary state.
+
+    Cycles run on the scalar simulator until the state passes ``program``'s
+    x/z gate (:meth:`~repro.verilog.codegen.SequenceProgram.ready`), and on
+    the design's fused generated loop
+    (:class:`~repro.verilog.codegen.SequenceRun`) from there on; with no
+    program every cycle is scalar.  The start is a live ``simulator`` or a
+    ``state`` snapshot of one's signals; from a snapshot the scalar
+    simulator is built only when a cycle has to run on it.
+    """
+
+    def __init__(
+        self,
+        compiled,
+        clock: str,
+        program,
+        stimulus: list[dict[str, int]],
+        *,
+        simulator: ModuleSimulator | None = None,
+        state: dict[str, LogicVector] | None = None,
+    ):
+        self._compiled = compiled
+        self._clock = clock
+        self._program = program
+        self._applied = {clock}.union(*stimulus) if program is not None else None
+        self._simulator = simulator
+        self._state = state
+        self._run = None
+
+    def _values(self) -> dict[str, LogicVector]:
+        return self._simulator.signals if self._simulator is not None else self._state
+
+    def cycle(self, data: dict[str, int]) -> None:
+        """Apply ``data`` (clock excluded), raise and lower the clock."""
+        if (
+            self._run is None
+            and self._program is not None
+            and self._program.ready(self._values(), data, self._applied)
+        ):
+            from ..codegen import SequenceRun
+
+            self._run = SequenceRun(
+                self._program, self._values(), self._clock, self._compiled.name
+            )
+        if self._run is not None:
+            self._run.cycle(data)
+            return
+        if self._simulator is None:
+            self._simulator = ModuleSimulator(self._compiled)
+            self._simulator.signals.update(self._state)
+        if data:
+            self._simulator.apply_inputs(data)
+        self._simulator.apply_inputs({self._clock: 1})
+        self._simulator.apply_inputs({self._clock: 0})
+
+    def read(self, name: str) -> LogicVector | None:
+        """The signal's value after the last cycle (``None`` if undeclared)."""
+        if self._run is not None:
+            return self._run.read(name)
+        return self._values().get(name)
+
+
 class TestbenchRunner:
     """Drive a DUT with stimulus and compare outputs against a golden model.
 
@@ -227,7 +313,8 @@ class TestbenchRunner:
         With ``program`` (the design's
         :class:`~repro.verilog.codegen.SequenceProgram`), reset still runs on
         the scalar engine; the cycles from the first boundary whose state
-        passes the program's x/z gate run on generated code instead.
+        passes the program's x/z gate run on generated code instead
+        (:class:`ClockedCycles`).
         """
         try:
             simulator = ModuleSimulator(compiled)
@@ -237,30 +324,21 @@ class TestbenchRunner:
         mismatches: list[Mismatch] = []
         total_checks = 0
         golden.reset()
-        run = None
-        if program is not None:
-            from ..codegen import SequenceRun
-
-            applied = {self.clock}.union(*stimulus)
+        cycles = None
 
         try:
             if golden.is_sequential:
                 self._apply_reset(simulator, golden)
+                cycles = ClockedCycles(
+                    compiled, self.clock, program, stimulus, simulator=simulator
+                )
             for index, raw_inputs in enumerate(stimulus):
                 inputs = dict(raw_inputs)
-                if golden.is_sequential:
+                if cycles is not None:
                     expected = golden.step(inputs)
-                    data = {name: value for name, value in inputs.items() if name != self.clock}
-                    if (
-                        run is None
-                        and program is not None
-                        and program.ready(simulator.signals, data, applied)
-                    ):
-                        run = SequenceRun(program, simulator.signals, self.clock, compiled.name)
-                    if run is None:
-                        self._drive_cycle(simulator, data)
-                    else:
-                        run.cycle(data)
+                    cycles.cycle(
+                        {name: value for name, value in inputs.items() if name != self.clock}
+                    )
                 else:
                     expected = golden.eval(inputs)
                     simulator.apply_inputs(dict(inputs))
@@ -268,10 +346,10 @@ class TestbenchRunner:
                 for output in outputs_to_check:
                     total_checks += 1
                     expected_value = expected[output]
-                    if run is None:
-                        actual = self._read_output(simulator, output)
+                    if cycles is not None:
+                        actual = cycles.read(output)
                     else:
-                        actual = run.read(output)
+                        actual = simulator.signals.get(output)
                     if not self._matches(actual, expected_value):
                         mismatches.append(
                             Mismatch(
@@ -313,18 +391,6 @@ class TestbenchRunner:
             simulator.apply_inputs({self.clock: 0})
         simulator.apply_inputs({self.reset.signal: inactive})
         golden.reset()
-
-    def _drive_cycle(self, simulator: ModuleSimulator, data_inputs: dict[str, int]) -> None:
-        """Apply one cycle's data inputs (clock excluded), raise and lower the clock."""
-        if data_inputs:
-            simulator.apply_inputs(data_inputs)
-        simulator.apply_inputs({self.clock: 1})
-        simulator.apply_inputs({self.clock: 0})
-
-    def _read_output(self, simulator: ModuleSimulator, name: str) -> LogicVector | None:
-        if name not in simulator.signals:
-            return None
-        return simulator.get(name)
 
     def _matches(self, actual: LogicVector | None, expected: int) -> bool:
         if actual is None:
@@ -375,7 +441,9 @@ class BatchTestbenchRunner(TestbenchRunner):
         compiled = self._compile(dut_source, module_name)
         if isinstance(compiled, TestbenchResult):
             return compiled
-        program = self._sequence_program(compiled, golden, stimulus)
+        program = (
+            sequence_program(compiled, self.clock, stimulus) if golden.is_sequential else None
+        )
         if program is not None:
             result = self._run_scalar(compiled, golden, stimulus, check_outputs, program)
             if self.differential:
@@ -410,28 +478,6 @@ class BatchTestbenchRunner(TestbenchRunner):
         return result
 
     # ------------------------------------------------------------------ helpers
-    def _sequence_program(self, compiled, golden: GoldenModel, stimulus):
-        """The fused program for a clocked check, or ``None`` to stay scalar.
-
-        Unusual checks stay scalar so their outcome (error text included) is
-        the scalar engine's own: a clock or stimulus name that is not an input
-        port, a non-integer stimulus value, a rejected design.
-        """
-        artifact = compiled.codegen
-        if (
-            not golden.is_sequential
-            or not compiled.has_sequential_processes
-            or artifact is None
-            or artifact.sequence is None
-        ):
-            return None
-        inputs = compiled.input_widths()
-        if self.clock not in inputs or not set().union(*stimulus) <= inputs.keys():
-            return None
-        if not all(isinstance(value, int) for vector in stimulus for value in vector.values()):
-            return None
-        return artifact.sequence
-
     def _batchable(self, golden: GoldenModel, stimulus: list[dict[str, int]]) -> bool:
         if golden.is_sequential or not stimulus:
             return False
