@@ -10,11 +10,14 @@ A :class:`RunStore` is a directory holding:
   them forever) and ``warning`` records for degraded-execution events
   (pool rebuilds, a pool that cannot start).
 
-Appends are single ``O_APPEND`` writes of one line, so disjoint shard
-processes can safely fill one journal concurrently.  A store remembers the
-byte offset it has read the journal up to: :meth:`RunStore.refresh` parses
-only the lines appended since then (other shards' or other processes'
-appends), so a long-lived view costs O(new bytes) per refresh, not O(journal).
+Each append (:meth:`RunStore.append`, one record or a whole batch) is one
+``O_APPEND`` write of whole lines, so disjoint shard processes can safely fill
+one journal concurrently.  A store remembers the byte offset it has read the
+journal up to: :meth:`RunStore.refresh` parses only the lines appended since
+then (other shards' or other processes' appends), so a long-lived view costs
+O(new bytes) per refresh, not O(journal).  A store's own append moves that
+offset past its lines when nothing else was written, so they are not parsed
+back.
 On load, a corrupted, truncated, or schema-invalid line (the signature of a
 crash mid-write) is dropped and counted in :attr:`RunStore.recovered_lines`;
 the unit it described simply re-runs.  A journal that got shorter than the
@@ -86,6 +89,8 @@ def read_new_lines(path: Path, offset: int) -> tuple[list[bytes], int, bool]:
     as empty.
     """
     try:
+        if os.stat(path).st_size == offset:
+            return [], offset, False  # nothing appended: no need to open it
         with open(path, "rb") as handle:
             if os.fstat(handle.fileno()).st_size < offset:
                 offset = 0
@@ -110,6 +115,9 @@ class RunStore:
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
+        self._journal = (
+            self.directory / JOURNAL_FILENAME if self.directory is not None else None
+        )
         self._reset()
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -177,10 +185,6 @@ class RunStore:
         return manifest
 
     # ------------------------------------------------------------------ journal
-    def _journal_path(self) -> Path:
-        assert self.directory is not None
-        return self.directory / JOURNAL_FILENAME
-
     def refresh(self) -> None:
         """Admit the journal lines appended since the last read.
 
@@ -190,7 +194,7 @@ class RunStore:
         """
         if self.directory is None:
             return
-        path = self._journal_path()
+        path = self._journal
         lines, offset, torn = read_new_lines(path, self._offset)
         if offset < self._offset:
             self._reset()  # the journal shrank: these lines start from byte 0
@@ -229,37 +233,37 @@ class RunStore:
         self._index[key] = record
         return True
 
-    def _append(self, record: dict) -> bool:
-        if not self._admit(record):
-            return False
-        if self.directory is not None:
-            line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            # One O_APPEND write per record: concurrent shard processes
-            # interleave whole lines, never halves of them.
-            fd = os.open(
-                self._journal_path(), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        return True
+    def append(self, records: Sequence[dict]) -> list[bool]:
+        """Journal ``records`` in one write; one flag per record, False for
+        a key already journaled (earlier in ``records`` included).
 
-    def _unit_header(self, unit: WorkUnit) -> dict:
-        return {
-            "key": unit.key,
-            "manifest": unit.manifest_hash,
-            "profile": unit.profile_id,
-            "suite": unit.suite_id,
-            "task": unit.task_id,
-            "temperature": unit.temperature,
-            "sample": unit.sample_index,
-        }
+        When the file then holds exactly the bytes this store had parsed plus
+        its own lines, the read offset moves past them: the next
+        :meth:`refresh` does not parse them back.  Any other writer's bytes
+        leave the offset where it was, so :meth:`refresh` still admits them.
+        """
+        flags = [self._admit(record) for record in records]
+        if self.directory is None or not any(flags):
+            return flags
+        data = "".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            for record, fresh in zip(records, flags)
+            if fresh
+        ).encode("utf-8")
+        # One O_APPEND write: concurrent shard processes interleave whole
+        # writes, never halves of lines.
+        fd = os.open(self._journal, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, data)
+            if os.fstat(fd).st_size == self._offset + len(data):
+                self._offset += len(data)
+        finally:
+            os.close(fd)
+        return flags
 
     def record(self, unit: WorkUnit, outcome: CheckOutcome) -> bool:
         """Journal one completed unit (idempotent; returns False on repeat)."""
-        record = {"kind": "unit", "outcome": outcome.to_dict(), **self._unit_header(unit)}
-        return self._append(record)
+        return self.append([unit_record(unit, outcome)])[0]
 
     def record_quarantine(
         self,
@@ -275,16 +279,10 @@ class RunStore:
         (skipping it) while the aggregators and ``status`` count it as
         quarantined rather than scored.
         """
-        record = {
-            "kind": "quarantine",
-            "quarantine": {
-                "attempts": int(attempts),
-                "error": str(error),
-                "degradation": list(degradation),
-            },
-            **self._unit_header(unit),
-        }
-        return self._append(record)
+        record = quarantine_record(
+            unit, attempts=attempts, error=error, degradation=degradation
+        )
+        return self.append([record])[0]
 
     def record_warning(
         self, category: str, message: str, detail: Mapping | None = None
@@ -305,7 +303,7 @@ class RunStore:
             "key": f"warning:{digest[:16]}",
             "warning": payload,
         }
-        return self._append(record)
+        return self.append([record])[0]
 
     # ------------------------------------------------------------------ queries
     def __contains__(self, key: str) -> bool:
@@ -341,6 +339,38 @@ class RunStore:
             return
         self._reset()
         self.refresh()
+
+
+def _unit_header(unit: WorkUnit) -> dict:
+    return {
+        "key": unit.key,
+        "manifest": unit.manifest_hash,
+        "profile": unit.profile_id,
+        "suite": unit.suite_id,
+        "task": unit.task_id,
+        "temperature": unit.temperature,
+        "sample": unit.sample_index,
+    }
+
+
+def unit_record(unit: WorkUnit, outcome: CheckOutcome) -> dict:
+    """The journal record of one completed unit."""
+    return {"kind": "unit", "outcome": outcome.to_dict(), **_unit_header(unit)}
+
+
+def quarantine_record(
+    unit: WorkUnit, *, attempts: int, error: str, degradation: Sequence[str] = ()
+) -> dict:
+    """The journal record of one poison unit."""
+    return {
+        "kind": "quarantine",
+        "quarantine": {
+            "attempts": int(attempts),
+            "error": str(error),
+            "degradation": list(degradation),
+        },
+        **_unit_header(unit),
+    }
 
 
 def outcome_from_record(record: Mapping) -> CheckOutcome:

@@ -19,19 +19,22 @@ aggregators, ``python -m repro.runs status/report`` pointed at
 
 Lease protocol (at-least-once by construction):
 
-* a worker *leases* pending units — one lease file per unit, created with an
-  atomic hard link so exactly one worker wins each unit;
-* the worker *heartbeats* its leases while executing (atomic rewrite extending
-  ``expires_at``);
+* a worker *leases* a batch of pending units — one lease file per unit, each
+  an atomic hard link to the batch's one payload file, so exactly one worker
+  wins each unit;
+* the worker *heartbeats* its leases while executing (an atomic rewrite of
+  one lease file extending its ``expires_at``; the rewrite replaces that
+  file alone, so the rest of the batch keeps its own expiry);
 * any broker client sweeps *expired* leases during :meth:`FileBroker.lease`
   — the unit requeues and the sweep is journaled as a ``requeue`` event (the
   ``/metrics`` requeue counter);
-* *completion* happens under an exclusive ``flock`` on ``journal.lock``: the
-  broker's view of the journal is refreshed inside the lock — picking up
-  every line another process appended — and the outcome appended only if the
-  unit's key is still absent, so two workers racing a requeued unit yield
-  exactly one journal record.  (Verdicts are deterministic and
-  content-addressed, so the loser's discarded verdict is identical anyway.)
+* *completion* journals a batch under one exclusive ``flock`` on
+  ``journal.lock``: the broker's view of the journal is refreshed inside the
+  lock — picking up every line another process appended — and the outcomes
+  whose unit keys are still absent are appended in one write, so two workers
+  racing a requeued unit yield exactly one journal record.  (Verdicts are
+  deterministic and content-addressed, so the loser's discarded verdict is
+  identical anyway.)
 
 Each broker keeps one long-lived view per run: a :class:`RunStore` whose
 :meth:`~repro.runs.store.RunStore.refresh` parses only the journal bytes
@@ -57,7 +60,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 try:  # POSIX-only; the completion lock degrades gracefully without it.
     import fcntl
@@ -67,7 +70,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..bench.jobs import CheckOutcome
 from ..runs.manifest import RunManifest, WorkUnit
 from ..runs.resolve import ManifestResolver
-from ..runs.store import RunStore, read_new_lines
+from ..runs.store import RunStore, quarantine_record, read_new_lines, unit_record
 
 #: Environment variable naming the default broker directory.
 BROKER_DIR_ENV = "REPRO_BROKER_DIR"
@@ -175,11 +178,17 @@ class RunStatus:
 class _RunView:
     """One run's incrementally refreshed on-disk state, shared by threads."""
 
-    def __init__(self, store_dir: Path, units_path: Path):
+    def __init__(self, run_dir: Path):
         self.lock = threading.Lock()  # guards store/events refreshes and appends
-        self.store = RunStore(store_dir)
+        self.run_dir = run_dir
+        self.leases_dir = run_dir / "leases"
+        self.leases_dir.mkdir(exist_ok=True)
+        self.events_path = run_dir / EVENTS_FILENAME
+        self.lock_path = run_dir / LOCK_FILENAME
+        self.store = RunStore(run_dir / "store")
         self.units = [
-            WorkUnit.from_dict(entry) for entry in json.loads(units_path.read_text())
+            WorkUnit.from_dict(entry)
+            for entry in json.loads((run_dir / UNITS_FILENAME).read_text())
         ]
         self.events: list[dict] = []
         self.events_offset = 0
@@ -278,30 +287,28 @@ class FileBroker:
         tmp = run_dir / f".{UNITS_FILENAME}.{uuid.uuid4().hex}.tmp"
         tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp, units_path)  # atomic: units.json is never half-written
-        self._event(run_id, "submit", units=len(units))
+        self._events(self._events_path(run_id), [{"event": "submit", "units": len(units)}])
         return SubmitReceipt(run_id=run_id, total_units=len(units), created=True)
 
     # ------------------------------------------------------------------ introspection
     def run_ids(self) -> list[str]:
         """Queued run ids, oldest submission first (stable tiebreak by id)."""
-        runs_dir = self.directory / "runs"
-        entries = [
-            path
-            for path in runs_dir.iterdir()
-            if path.is_dir() and (path / UNITS_FILENAME).exists()
-        ]
-        entries.sort(key=lambda path: (path.stat().st_mtime, path.name))
-        return [path.name for path in entries]
+        with os.scandir(self.directory / "runs") as entries:
+            runs = [
+                (entry.stat().st_mtime, entry.name)
+                for entry in entries
+                if entry.is_dir() and os.path.exists(os.path.join(entry.path, UNITS_FILENAME))
+            ]
+        return [name for _, name in sorted(runs)]
 
     def _view(self, run_id: str) -> _RunView:
         """The run's cached view, loaded in full on first use."""
         with self._views_lock:
             view = self._views.get(run_id)
             if view is None:
-                units_path = self._units_path(run_id)
-                if not units_path.exists():
+                if not self._units_path(run_id).exists():
                     raise BrokerError(f"unknown run {run_id!r}")
-                view = _RunView(self.store_dir(run_id), units_path)
+                view = _RunView(self._run_dir(run_id))
                 self._views[run_id] = view
             return view
 
@@ -348,28 +355,24 @@ class FileBroker:
         """
         now = self._clock()
         live: dict[str, dict] = {}
-        requeued = 0
-        leases_dir = self._leases_dir(run_id)
-        if not leases_dir.exists():
-            return live, 0
-        for path in list(leases_dir.iterdir()):
-            payload = self._read_lease(path)
-            if payload is None or path.name in store:
+        requeues: list[dict] = []
+        view = self._view(run_id)
+        for name in os.listdir(view.leases_dir):
+            path = view.leases_dir / name
+            payload = None if name in store else self._read_lease(path)
+            if payload is None:
                 if sweep:
                     self._unlink(path)
                 continue
             if payload.get("expires_at", 0.0) > now:
-                live[path.name] = payload
+                live[name] = payload
             elif sweep:
                 self._unlink(path)
-                self._event(
-                    run_id,
-                    "requeue",
-                    key=path.name,
-                    worker=payload.get("worker", ""),
+                requeues.append(
+                    {"event": "requeue", "key": name, "worker": payload.get("worker", "")}
                 )
-                requeued += 1
-        return live, requeued
+        self._events(view.events_path, requeues)
+        return live, len(requeues)
 
     def sweep_expired(self, run_id: str) -> int:
         """Requeue expired leases; returns how many units were requeued."""
@@ -381,7 +384,9 @@ class FileBroker:
         Pending = expanded units minus journaled (scored or quarantined)
         minus live-leased, in expansion order.  Expired leases are swept
         (requeued) in the same pass over the lease files that finds the live
-        ones.  Claiming is an atomic hard link per unit, so concurrent
+        ones.  The batch's payload (``worker``, ``expires_at``) is written
+        once, to a temporary file beside ``leases/``, and each claim is an
+        atomic hard link from it to the unit's lease path, so concurrent
         workers never double-claim; a claim on a unit this broker's store
         journaled meanwhile is dropped.
         """
@@ -389,57 +394,68 @@ class FileBroker:
             return []
         store = self.store(run_id)
         held, _ = self._scan_leases(run_id, store, sweep=True)
-        leases_dir = self._leases_dir(run_id)
-        leases_dir.mkdir(parents=True, exist_ok=True)
+        view = self._view(run_id)
         expires_at = self._clock() + self.lease_ttl_s
         leases: list[Lease] = []
-        view = self._view(run_id)
         # Units before the cursor are journaled: the scan starts at the first
         # pending one, not at index 0 on every call.
         with view.lock:
             start = view.first_pending()
-        for unit in view.units[start:]:
-            if len(leases) >= limit:
-                break
-            key = unit.key
-            if key in store or key in held:
-                continue
-            path = leases_dir / key
-            payload = {
-                "unit": unit.to_dict(),
-                "worker": worker_id,
-                "expires_at": expires_at,
-            }
-            tmp = leases_dir / f".{uuid.uuid4().hex}.tmp"
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            try:
-                os.link(tmp, path)  # atomic claim: EEXIST → another worker won
-            except FileExistsError:
-                continue
-            except OSError:
-                continue
-            finally:
-                self._unlink(tmp)
-            if key in store:
-                # Another thread's completion journaled the unit and dropped
-                # its lease between the pending check above and this claim.
-                self._unlink(path)
-                continue
-            leases.append(
-                Lease(
-                    run_id=run_id,
-                    unit=unit,
-                    worker_id=worker_id,
-                    expires_at=expires_at,
-                    path=path,
+        payload: Path | None = None  # written on the first claim attempt
+        try:
+            for unit in view.units[start:]:
+                if len(leases) >= limit:
+                    break
+                key = unit.key
+                if key in store or key in held:
+                    continue
+                if payload is None:
+                    payload = self._write_lease_payload(view.run_dir, worker_id, expires_at)
+                path = view.leases_dir / key
+                try:
+                    os.link(payload, path)  # atomic claim: EEXIST → another worker won
+                except OSError:
+                    continue
+                if key in store:
+                    # Another thread's completion journaled the unit and
+                    # dropped its lease between the pending check above and
+                    # this claim.
+                    self._unlink(path)
+                    continue
+                leases.append(
+                    Lease(
+                        run_id=run_id,
+                        unit=unit,
+                        worker_id=worker_id,
+                        expires_at=expires_at,
+                        path=path,
+                    )
                 )
-            )
+        finally:
+            if payload is not None:
+                self._unlink(payload)
         return leases
+
+    @staticmethod
+    def _write_lease_payload(run_dir: Path, worker_id: str, expires_at: float) -> Path:
+        """A temporary lease payload file in ``run_dir``: outside ``leases/``,
+        so lease scans never see it, and on its file system, so it can be
+        hard-linked or renamed in."""
+        tmp = run_dir / f".lease.{uuid.uuid4().hex}.tmp"
+        data = json.dumps({"expires_at": expires_at, "worker": worker_id}, sort_keys=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        try:
+            os.write(fd, data.encode("utf-8"))
+        finally:
+            os.close(fd)
+        return tmp
 
     def heartbeat(self, lease: Lease) -> bool:
         """Extend a lease's TTL; returns False when the lease was lost.
 
-        A lost lease (expired and swept, or re-claimed by another worker)
+        The lease file is replaced, not rewritten in place, so the other
+        leases hard-linked to the same batch payload keep their expiry.  A
+        lost lease (expired and swept, or re-claimed by another worker)
         tells the holder to abandon the unit: whoever holds the journal lock
         at completion time still wins exactly once, so continuing is merely
         wasted work, not a correctness hazard.
@@ -447,11 +463,12 @@ class FileBroker:
         payload = self._read_lease(lease.path)
         if payload is None or payload.get("worker") != lease.worker_id:
             return False
-        payload["expires_at"] = self._clock() + self.lease_ttl_s
-        tmp = lease.path.parent / f".{uuid.uuid4().hex}.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True))
+        expires_at = self._clock() + self.lease_ttl_s
+        tmp = self._write_lease_payload(
+            self._run_dir(lease.run_id), lease.worker_id, expires_at
+        )
         os.replace(tmp, lease.path)
-        lease.expires_at = payload["expires_at"]
+        lease.expires_at = expires_at
         return True
 
     def release(self, lease: Lease) -> None:
@@ -465,8 +482,7 @@ class FileBroker:
         ``flock``: every other process's append is visible before ours."""
         view = self._view(run_id)
         with view.lock:
-            path = self._run_dir(run_id) / LOCK_FILENAME
-            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+            fd = os.open(view.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
             try:
                 if fcntl is not None:
                     fcntl.flock(fd, fcntl.LOCK_EX)
@@ -477,24 +493,26 @@ class FileBroker:
                     fcntl.flock(fd, fcntl.LOCK_UN)
                 os.close(fd)
 
-    def complete(self, lease: Lease, outcome: CheckOutcome) -> bool:
-        """Journal a leased unit's verdict exactly once; release the lease.
+    def complete(self, batch: Sequence[tuple[Lease, CheckOutcome]]) -> list[bool]:
+        """Journal a batch of leased units' verdicts exactly once each and
+        release their leases; one flag per ``(lease, outcome)`` pair.
 
-        Returns False when another worker already journaled the unit (its
-        record wins; verdicts are deterministic so nothing is lost).
+        The batch (leases of one run) costs one completion lock, one journal
+        write and one event-log write.  A flag is False when another worker
+        already journaled that unit (its record wins; verdicts are
+        deterministic so nothing is lost).
         """
-        with self._locked_store(lease.run_id) as store:
-            recorded = store.record(lease.unit, outcome)
-        self._unlink(lease.path)
-        if recorded:
-            self._event(
-                lease.run_id,
-                "complete",
-                key=lease.unit.key,
-                worker=lease.worker_id,
-                duration_s=outcome.duration_s,
-            )
-        return recorded
+        return self._journal(
+            [
+                (
+                    lease,
+                    unit_record(lease.unit, outcome),
+                    {"duration_s": outcome.duration_s},
+                )
+                for lease, outcome in batch
+            ],
+            "complete",
+        )
 
     def complete_quarantine(
         self,
@@ -505,15 +523,32 @@ class FileBroker:
         degradation: tuple[str, ...] = (),
     ) -> bool:
         """Journal a leased unit as poison exactly once; release the lease."""
-        with self._locked_store(lease.run_id) as store:
-            recorded = store.record_quarantine(
-                lease.unit, attempts=attempts, error=error, degradation=degradation
-            )
-        self._unlink(lease.path)
-        if recorded:
-            self._event(
-                lease.run_id, "quarantine", key=lease.unit.key, worker=lease.worker_id
-            )
+        record = quarantine_record(
+            lease.unit, attempts=attempts, error=error, degradation=degradation
+        )
+        return self._journal([(lease, record, {})], "quarantine")[0]
+
+    def _journal(self, entries: list[tuple[Lease, dict, dict]], kind: str) -> list[bool]:
+        """Append ``(lease, journal record, event fields)`` entries under the
+        completion lock, unlink their leases and log one ``kind`` event per
+        unit journaled."""
+        if not entries:
+            return []
+        run_id = entries[0][0].run_id
+        if any(lease.run_id != run_id for lease, _, _ in entries):
+            raise BrokerError("a completion batch holds the leases of one run")
+        with self._locked_store(run_id) as store:
+            recorded = store.append([record for _, record, _ in entries])
+        for lease, _, _ in entries:
+            self._unlink(lease.path)
+        self._events(
+            self._view(run_id).events_path,
+            [
+                {"event": kind, "key": lease.unit.key, "worker": lease.worker_id, **fields}
+                for (lease, _, fields), fresh in zip(entries, recorded)
+                if fresh
+            ],
+        )
         return recorded
 
     def record_warning(
@@ -524,14 +559,19 @@ class FileBroker:
             return store.record_warning(category, message, detail)
 
     # ------------------------------------------------------------------ events
-    def _event(self, run_id: str, kind: str, **payload) -> None:
-        record = {"event": kind, "ts": self._clock(), **payload}
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        fd = os.open(
-            self._events_path(run_id), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+    def _events(self, path: Path, records: list[dict]) -> None:
+        """Append ``records`` to the event log at ``path`` in one write, all
+        stamped with one ``ts``."""
+        if not records:
+            return
+        ts = self._clock()
+        data = "".join(
+            json.dumps({**record, "ts": ts}, sort_keys=True, separators=(",", ":")) + "\n"
+            for record in records
         )
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line.encode("utf-8"))
+            os.write(fd, data.encode("utf-8"))
         finally:
             os.close(fd)
 

@@ -10,10 +10,13 @@ worker`` runs one per process).  Its loop:
    :meth:`~repro.runs.engine.RunEngine.execute_units` core — the PR 6
    fault-tolerance layer (deadlines, retries, degradation, quarantine)
    applies exactly as in a local ``repro.runs run``;
-3. while executing, a daemon thread heartbeats the held leases every
-   ``ttl / 3`` seconds so a slow check does not look like a dead worker;
-4. journal each result through the broker's completion lock —
-   at-least-once delivery with exactly-one journal record per unit.
+3. while executing, the worker's one heartbeat thread (started with the loop,
+   stopped when it ends) heartbeats the batch in hand every ``ttl / 3``
+   seconds so a slow check does not look like a dead worker;
+4. journal the batch's results through one
+   :meth:`~repro.service.broker.FileBroker.complete` call — one completion
+   lock and one journal write per batch; at-least-once delivery with
+   exactly-one journal record per unit.
 
 The worker keeps one :class:`~repro.runs.engine.RunEngine` per run, so the
 engine's verdict memo is shared across that run's leases: a candidate several
@@ -26,9 +29,9 @@ Nothing is lost and nothing double-counts: completion is idempotent per
 content-addressed unit key.
 
 Fault-injection hook: ``REPRO_SERVICE_STALL_S=<seconds>`` makes the worker
-sleep *after* acquiring leases and *before* heartbeating or executing — a
-deterministic way for tests and the CI smoke job to freeze a worker mid-lease
-and SIGKILL it while it provably holds work.
+sleep *after* acquiring leases and *before* handing them to the heartbeat
+thread or executing them — a deterministic way for tests and the CI smoke job
+to freeze a worker mid-lease and SIGKILL it while it provably holds work.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 
-from ..runs.engine import RunEngine, UnitResult
+from ..runs.engine import RunEngine
 from .broker import FileBroker, Lease
 
 #: Fault-injection hook: seconds to play dead after leasing (see module doc).
@@ -80,6 +83,11 @@ class ServiceWorker:
         self.stats = WorkerStats()
         self._engines: dict[str, RunEngine] = {}
         self._stopped = threading.Event()
+        #: The batch the heartbeat thread beats; swapped under ``_beat_lock``
+        #: so no beat rewrites a lease once its batch is being journaled.
+        self._in_hand: tuple[Lease, ...] = ()
+        self._beat_lock = threading.Lock()
+        self._beat_stop = threading.Event()
 
     # ------------------------------------------------------------------ lifecycle
     def stop(self) -> None:
@@ -88,6 +96,17 @@ class ServiceWorker:
 
     def run_forever(self) -> WorkerStats:
         """Pull leases until stopped (or idle, with ``exit_when_idle``)."""
+        self._beat_stop.clear()
+        beater = threading.Thread(target=self._beat, daemon=True)
+        beater.start()
+        try:
+            self._loop()
+        finally:
+            self._beat_stop.set()
+            beater.join()
+        return self.stats
+
+    def _loop(self) -> None:
         loops = 0
         while not self._stopped.is_set():
             loops += 1
@@ -111,7 +130,18 @@ class ServiceWorker:
             if self.exit_when_idle and self._all_complete():
                 break
             self._stopped.wait(self.poll_s)
-        return self.stats
+
+    def _beat(self) -> None:
+        """The heartbeat thread: extend the batch in hand every ``ttl / 3``."""
+        every = max(0.05, self.broker.lease_ttl_s / 3.0)
+        while not self._beat_stop.wait(every):
+            with self._beat_lock:
+                for lease in self._in_hand:
+                    self.broker.heartbeat(lease)
+
+    def _hand(self, leases: tuple[Lease, ...]) -> None:
+        with self._beat_lock:
+            self._in_hand = leases
 
     def _run_finished(self, run_id: str) -> bool:
         # A journal shorter than the unit list cannot hold every unit: that
@@ -138,20 +168,12 @@ class ServiceWorker:
         self.stats.leased += len(leases)
         stall = float(os.environ.get(STALL_ENV, "0") or 0.0)
         if stall > 0:
-            # Deliberately *before* the heartbeat starts: the worker plays
-            # dead while provably holding leases (see module docstring).
+            # Deliberately *before* the batch goes to the heartbeat thread:
+            # the worker plays dead while provably holding leases (see module
+            # docstring).
             time.sleep(stall)
 
-        stop_beat = threading.Event()
-        beat_every = max(0.05, self.broker.lease_ttl_s / 3.0)
-
-        def beat() -> None:
-            while not stop_beat.wait(beat_every):
-                for lease in leases:
-                    self.broker.heartbeat(lease)
-
-        beater = threading.Thread(target=beat, daemon=True)
-        beater.start()
+        self._hand(tuple(leases))
         try:
             results = self._engine(run_id).execute_units(
                 [lease.unit for lease in leases],
@@ -160,21 +182,15 @@ class ServiceWorker:
                 ),
             )
         finally:
-            stop_beat.set()
-            beater.join()
+            self._hand(())
 
         by_key = {lease.unit.key: lease for lease in leases}
+        done = []
         for result in results:
             lease = by_key.pop(result.unit.key)
-            self._journal(lease, result)
-        # Anything the engine did not return a result for (should not happen)
-        # is released so it requeues rather than dangling until expiry.
-        for lease in by_key.values():
-            self.broker.release(lease)
-            self.stats.lost_leases += 1
-
-    def _journal(self, lease: Lease, result: UnitResult) -> None:
-        if result.quarantine is not None:
+            if result.quarantine is None:
+                done.append((lease, result.outcome))
+                continue
             recorded = self.broker.complete_quarantine(
                 lease,
                 attempts=result.quarantine.attempts,
@@ -185,8 +201,12 @@ class ServiceWorker:
                 self.stats.quarantined += 1
             else:
                 self.stats.duplicates += 1
-            return
-        if self.broker.complete(lease, result.outcome):
-            self.stats.completed += 1
-        else:
-            self.stats.duplicates += 1
+        if done:
+            recorded = sum(self.broker.complete(done))
+            self.stats.completed += recorded
+            self.stats.duplicates += len(done) - recorded
+        # Anything the engine did not return a result for (should not happen)
+        # is released so it requeues rather than dangling until expiry.
+        for lease in by_key.values():
+            self.broker.release(lease)
+            self.stats.lost_leases += 1

@@ -12,7 +12,8 @@ import pytest
 from repro.bench.jobs import CheckOutcome
 from repro.runs.aggregate import StreamingAggregator
 from repro.runs.manifest import WorkUnit
-from repro.runs.store import JOURNAL_FILENAME, RunStore, RunStoreError
+import repro.runs.store as store_module
+from repro.runs.store import JOURNAL_FILENAME, RunStore, RunStoreError, unit_record
 from test_manifest import tiny_manifest
 
 
@@ -175,6 +176,47 @@ class TestJournal:
         fresh = RunStore(tmp_path)
         assert list(store.records()) == list(fresh.records())
 
+    def test_batch_append_leaves_the_offset_at_the_file_size(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        records = [unit_record(unit(index), outcome(index)) for index in (0, 1, 0)]
+        assert store.append(records) == [True, True, False]  # a repeat is refused
+        journal = tmp_path / JOURNAL_FILENAME
+        assert len(journal.read_bytes().splitlines()) == 2
+        assert store._offset == journal.stat().st_size
+
+        parsed = []
+        read = store_module.read_new_lines
+
+        def spying(path, offset):
+            lines, new_offset, torn = read(path, offset)
+            parsed.extend(lines)
+            return lines, new_offset, torn
+
+        monkeypatch.setattr(store_module, "read_new_lines", spying)
+        store.refresh()
+        assert parsed == []  # its own lines are not parsed back
+        assert [r["key"] for r in store.records()] == [unit(0).key, unit(1).key]
+        assert list(store.records()) == list(RunStore(tmp_path).records())
+
+    def test_foreign_line_before_an_append_is_still_admitted(self, tmp_path):
+        """Another writer's line lands between this store's refresh and its
+        append: the offset stays put, so the next refresh admits that line."""
+        store = RunStore(tmp_path)
+        other = RunStore(tmp_path)
+        store.refresh()
+        assert other.record(unit(1), outcome(1))  # the foreign line
+        assert store.append([unit_record(unit(0), outcome(0))]) == [True]
+        journal = tmp_path / JOURNAL_FILENAME
+        assert store._offset < journal.stat().st_size
+        store.refresh()
+        assert unit(1).key in store
+        assert sorted(r["key"] for r in store.records()) == sorted(
+            r["key"] for r in RunStore(tmp_path).records()
+        )
+        assert len(store) == 2
+        assert store.recovered_lines == 0
+        assert store._offset == journal.stat().st_size
+
     def test_aggregator_feeds_only_records_it_has_not_seen(self, tmp_path, monkeypatch):
         fed = []
         monkeypatch.setattr(StreamingAggregator, "feed", lambda self, record: fed.append(record["key"]))
@@ -267,7 +309,7 @@ def _race_complete(broker_dir, run_id, lease_payload, barrier, results):
     engine = RunEngine(broker.manifest(run_id), broker.store(run_id))
     [result] = engine.execute_units([lease.unit])
     barrier.wait()  # both racers have a verdict in hand: now race the lock
-    recorded = broker.complete(lease, result.outcome)
+    recorded = broker.complete([(lease, result.outcome)])[0]
     results.put((lease.worker_id, recorded, result.outcome.to_dict()))
 
 

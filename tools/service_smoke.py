@@ -11,7 +11,7 @@ shared journal.  It asserts the service contract:
 * every lease the dead worker held expired and was requeued — exactly that
   many ``requeue`` events, no more;
 * both runs completed healthy, and every unit of the two-worker run has
-  exactly one journal line;
+  exactly one journal line and exactly one ``complete`` event;
 * ``/metrics`` parses and reports the exact requeue count and a nonzero
   units/s throughput.
 
@@ -178,7 +178,20 @@ def main() -> int:
             f"{len(keys)} journal lines for {len(set(keys))} keys,"
             f" expected {pair_total} units journaled exactly once"
         )
-        log(f"two-worker drain: {pair_total} units, each journaled exactly once")
+        events = broker_dir / "runs" / pair_id / "events.jsonl"
+        completes = [
+            record["key"]
+            for record in map(json.loads, events.read_text().splitlines())
+            if record["event"] == "complete"
+        ]
+        assert sorted(completes) == sorted(keys), (
+            f"{len(completes)} complete events for {len(set(completes))} keys,"
+            f" expected one per each of the {pair_total} journaled units"
+        )
+        log(
+            f"two-worker drain: {pair_total} units, each journaled exactly once"
+            " with one complete event"
+        )
 
         # --- the metrics endpoint agrees -----------------------------------
         with urllib.request.urlopen(base_url + "/metrics", timeout=15) as response:
