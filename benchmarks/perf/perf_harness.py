@@ -135,40 +135,70 @@ def onset_8var() -> list[int]:
     return sorted(random.Random(2025).sample(range(256), 120))
 
 
-#: Seconds ``measure`` keeps repeating rounds for, past its ``repeat`` minimum.
+#: Seconds ``measure`` keeps repeating rounds for, past its ``repeat`` minimum
+#: (``measure_pair`` gets twice as long, one window per side).
 MEASURE_WINDOW_S = 0.5
 
 
-def measure(fn: Callable[[], object], repeat: int = 5, min_time: float = 0.002) -> float:
-    """Best per-call seconds over many short rounds of adaptively batched calls.
+def _measure_interleaved(
+    fns: tuple[Callable[[], object], ...], repeat: int, min_time: float
+) -> list[float]:
+    """Best per-call seconds of each of ``fns``, their rounds alternating.
 
     A round is the smallest power-of-two batch of calls that takes at least
-    ``min_time``.  Rounds repeat until ``repeat`` of them have run *and*
-    :data:`MEASURE_WINDOW_S` has passed.  On a loaded host the scheduler
-    pre-empts some rounds and a garbage collection lands in others; with many
-    short rounds spread over the window, enough run undisturbed that the
-    minimum is the uncontended cost.  Calls slower than the window still get
-    ``repeat`` rounds of one call each.
+    ``min_time`` (sized per function).  Each pass runs one round of every
+    function in turn; passes repeat until ``repeat`` of them have run *and*
+    ``len(fns)`` measurement windows have passed.  On a loaded host the
+    scheduler pre-empts some rounds and a garbage collection lands in others;
+    with many short rounds spread over the window, enough run undisturbed
+    that the minimum is the uncontended cost.  Calls slower than the window
+    still get ``repeat`` rounds of one call each.
     """
-    number = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_time or number >= 1 << 20:
-            break
-        number *= 2
-    best = elapsed / number
+    numbers: list[int] = []
+    best: list[float] = []
+    for fn in fns:
+        number = 1
+        while True:
+            start = time.perf_counter()
+            for _ in range(number):
+                fn()
+            elapsed = time.perf_counter() - start
+            if elapsed >= min_time or number >= 1 << 20:
+                break
+            number *= 2
+        numbers.append(number)
+        best.append(elapsed / number)
     rounds = 1
-    deadline = time.perf_counter() + MEASURE_WINDOW_S
+    deadline = time.perf_counter() + MEASURE_WINDOW_S * len(fns)
     while rounds < repeat or time.perf_counter() < deadline:
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, (time.perf_counter() - start) / number)
+        for index, (fn, number) in enumerate(zip(fns, numbers)):
+            start = time.perf_counter()
+            for _ in range(number):
+                fn()
+            best[index] = min(best[index], (time.perf_counter() - start) / number)
         rounds += 1
     return best
+
+
+def measure(fn: Callable[[], object], repeat: int = 5, min_time: float = 0.002) -> float:
+    """Best per-call seconds of ``fn``, measured as :func:`_measure_interleaved` does."""
+    return _measure_interleaved((fn,), repeat, min_time)[0]
+
+
+def measure_pair(
+    slow: Callable[[], object],
+    fast: Callable[[], object],
+    repeat: int = 5,
+    min_time: float = 0.002,
+) -> tuple[float, float]:
+    """Best per-call seconds of ``slow`` and of ``fast``, measured interleaved.
+
+    The two sides of a speedup alternate rounds inside one window, so load
+    that lands on the host during the measurement hits both, and their
+    ratio does not depend on which side ran while the host was busy.
+    """
+    slow_s, fast_s = _measure_interleaved((slow, fast), repeat, min_time)
+    return slow_s, fast_s
 
 
 # --------------------------------------------------------------------------- legacy QM
@@ -235,8 +265,9 @@ def bench_truth_table(repeat: int = 5) -> dict[str, float]:
         return BitTable.from_expr(expression).minterms()
 
     assert fast() == reference_minterms(expression), "bit-parallel path diverged from oracle"
-    legacy_s = measure(lambda: reference_minterms(expression), repeat=repeat)
-    bit_parallel_s = measure(fast, repeat=repeat)
+    legacy_s, bit_parallel_s = measure_pair(
+        lambda: reference_minterms(expression), fast, repeat=repeat
+    )
     return {
         "legacy_s": legacy_s,
         "bit_parallel_s": bit_parallel_s,
@@ -258,8 +289,7 @@ def bench_qm(repeat: int = 5) -> dict[str, float]:
         return minimal_cover(onset, primes)
 
     assert fast() == legacy(), "bitset QM diverged from legacy cover"
-    legacy_s = measure(legacy, repeat=repeat)
-    bitset_s = measure(fast, repeat=repeat)
+    legacy_s, bitset_s = measure_pair(legacy, fast, repeat=repeat)
     return {"legacy_s": legacy_s, "bitset_s": bitset_s, "speedup": legacy_s / bitset_s}
 
 
@@ -296,8 +326,7 @@ def bench_batch_sim(repeat: int = 5) -> dict[str, float]:
     assert BatchTestbenchRunner(differential=True).run(BATCH_SIM_SOURCE, golden, stimulus).passed, (
         "batch_sim workload failed its own functional check"
     )
-    scalar_s = measure(scalar, repeat=repeat)
-    batch_s = measure(batched, repeat=repeat)
+    scalar_s, batch_s = measure_pair(scalar, batched, repeat=repeat)
     return {
         "stimuli": float(BATCH_SIM_STIMULI),
         "scalar_s": scalar_s,
@@ -392,8 +421,7 @@ def bench_codegen_sim(repeat: int = 5) -> dict[str, float]:
         assert batch.get(name).to_vectors() == [outputs[name] for outputs in scalar_outputs], (
             "engine sweeps diverged on the timing workload"
         )
-    scalar_s = measure(scalar_sweep, repeat=repeat)
-    codegen_s = measure(codegen_sweep, repeat=repeat)
+    scalar_s, codegen_s = measure_pair(scalar_sweep, codegen_sweep, repeat=repeat)
     return {
         "stimuli": float(BATCH_SIM_STIMULI),
         "scalar_s": scalar_s,
@@ -469,8 +497,11 @@ def bench_codegen_seq(repeat: int = 5) -> dict[str, float]:
             slow.passed, slow.total_checks, slow.failure_summary
         ), "fused sequential run disagreed with the scalar oracle"
 
-    scalar_s = measure(lambda: scalar.run(CODEGEN_SEQ_SOURCE, golden(), stimulus), repeat=repeat)
-    codegen_s = measure(lambda: fused.run(CODEGEN_SEQ_SOURCE, golden(), stimulus), repeat=repeat)
+    scalar_s, codegen_s = measure_pair(
+        lambda: scalar.run(CODEGEN_SEQ_SOURCE, golden(), stimulus),
+        lambda: fused.run(CODEGEN_SEQ_SOURCE, golden(), stimulus),
+        repeat=repeat,
+    )
     return {
         "cycles": float(CODEGEN_SEQ_CYCLES),
         "scalar_s": scalar_s,
@@ -531,11 +562,8 @@ def bench_formal_eq(repeat: int = 3) -> dict[str, float]:
     ), "SAT counterexample failed to replay on the batched simulator"
 
     stimulus = random_vectors({"a": 12, "b": 12}, FORMAL_EQ_SWEEP_LANES, seed=5)
-    sweep_s = measure(
+    sweep_s, prove_s = measure_pair(
         lambda: batch_equivalence_check(FORMAL_EQ_DUT, FORMAL_EQ_REFERENCE, stimulus),
-        repeat=repeat,
-    )
-    prove_s = measure(
         lambda: prove_combinational_equivalence(FORMAL_EQ_DUT, FORMAL_EQ_REFERENCE),
         repeat=repeat,
     )
@@ -612,8 +640,7 @@ def bench_formal_incremental(repeat: int = 3) -> dict[str, float]:
         assert result.equivalent == expected
         assert result.equivalent or result.counterexample is not None
 
-    fresh_s = measure(fresh_sweep, repeat=repeat)
-    incremental_s = measure(incremental_sweep, repeat=repeat)
+    fresh_s, incremental_s = measure_pair(fresh_sweep, incremental_sweep, repeat=repeat)
     return {
         "candidates": float(FORMAL_INC_CANDIDATES),
         "unique_codes": float(FORMAL_INC_UNIQUE),
@@ -753,8 +780,7 @@ def bench_compile_cache(repeat: int = 3) -> dict[str, float]:
             "compile_cache sweep must mix passing and failing candidates"
         )
 
-        cold_s = measure(cold, repeat=repeat)
-        warm_s = measure(warm, repeat=repeat)
+        cold_s, warm_s = measure_pair(cold, warm, repeat=repeat)
     finally:
         set_default_database(previous_db)
     return {

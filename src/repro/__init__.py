@@ -14,10 +14,19 @@ Top-level packages:
 * :mod:`repro.bench`    — VerilogEval v1/v2 and RTLLM style benchmark suites,
   pass@k evaluation and report rendering.
 * :mod:`repro.experiments` — one driver per paper table/figure.
+
+Package attributes load on first access (PEP 562): ``import repro`` imports
+no subpackage, and ``repro.bench`` imports :mod:`repro.bench` the first time
+it is read.  The same holds for the public names of ``repro.bench``,
+``repro.core``, ``repro.core.llm``, ``repro.runs`` and ``repro.service``, so
+a client, the broker and the HTTP server load no check engine.
 """
 
-from . import analysis, bench, core, logic, symbolic, verilog
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = ["analysis", "bench", "core", "logic", "symbolic", "verilog", "__version__"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {}, submodules=("analysis", "bench", "core", "logic", "symbolic", "verilog")
+)
+__all__.append("__version__")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .evaluator import SuiteResult
+from .scoring import SuiteResult
 
 
 def _is_numeric_cell(text: str) -> bool:

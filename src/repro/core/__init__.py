@@ -1,55 +1,34 @@
-"""HaVen core: taxonomy, SI-CoT, exemplars, datasets, behavioural LLMs, pipeline."""
+"""HaVen core: taxonomy, SI-CoT, exemplars, datasets, behavioural LLMs, pipeline.
 
-from . import dataset, llm
-from .exemplars import EXEMPLAR_LIBRARY, Exemplar, ExemplarLibrary
-from .hallucination_detector import (
-    DetectionReport,
-    HallucinationDetector,
-    PromptRequirements,
-    classify_generation,
-)
-from .pipeline import HaVenPipeline, PipelineResult
-from .prompt import DesignPrompt, ModuleInterface, PortSpec, RefinedPrompt
-from .sicot import SICoTConfig, SICoTPipeline, infer_interface, refine_prompt
-from .taxonomy import (
-    SUBTYPE_TO_TYPE,
-    TABLE_II_EXAMPLES,
-    HallucinationRecord,
-    HallucinationSubtype,
-    HallucinationType,
-    TaxonomyExample,
-    TaxonomySummary,
-    subtypes_of,
-    type_of,
-)
+Public names load on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "dataset",
-    "llm",
-    "EXEMPLAR_LIBRARY",
-    "Exemplar",
-    "ExemplarLibrary",
-    "DetectionReport",
-    "HallucinationDetector",
-    "PromptRequirements",
-    "classify_generation",
-    "HaVenPipeline",
-    "PipelineResult",
-    "DesignPrompt",
-    "ModuleInterface",
-    "PortSpec",
-    "RefinedPrompt",
-    "SICoTConfig",
-    "SICoTPipeline",
-    "infer_interface",
-    "refine_prompt",
-    "SUBTYPE_TO_TYPE",
-    "TABLE_II_EXAMPLES",
-    "HallucinationRecord",
-    "HallucinationSubtype",
-    "HallucinationType",
-    "TaxonomyExample",
-    "TaxonomySummary",
-    "subtypes_of",
-    "type_of",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".exemplars": ("EXEMPLAR_LIBRARY", "Exemplar", "ExemplarLibrary"),
+        ".hallucination_detector": (
+            "DetectionReport",
+            "HallucinationDetector",
+            "PromptRequirements",
+            "classify_generation",
+        ),
+        ".pipeline": ("HaVenPipeline", "PipelineResult"),
+        ".prompt": ("DesignPrompt", "ModuleInterface", "PortSpec", "RefinedPrompt"),
+        ".sicot": ("SICoTConfig", "SICoTPipeline", "infer_interface", "refine_prompt"),
+        ".taxonomy": (
+            "SUBTYPE_TO_TYPE",
+            "TABLE_II_EXAMPLES",
+            "HallucinationRecord",
+            "HallucinationSubtype",
+            "HallucinationType",
+            "TaxonomyExample",
+            "TaxonomySummary",
+            "subtypes_of",
+            "type_of",
+        ),
+    },
+    submodules=("dataset", "llm"),
+)

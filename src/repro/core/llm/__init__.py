@@ -1,47 +1,34 @@
-"""Behavioural LLM backends, capability profiles, corruption and fine-tuning."""
+"""Behavioural LLM backends, capability profiles, corruption and fine-tuning.
 
-from .base import (
-    GeneratedSample,
-    GenerationConfig,
-    GenerationContext,
-    LLMBackend,
-    TaskDemands,
-)
-from .corruption import CorruptionInjector, CorruptionOutcome
-from .finetune import DatasetMix, FineTuneConfig, FineTuneReport, FineTuner
-from .profiles import (
-    BASE_MODEL_PROFILES,
-    BASELINE_PROFILES,
-    CapabilityProfile,
-    ProfileRegistry,
-)
-from .simulated import (
-    LOGISTIC_STEEPNESS,
-    MODALITY_DEMAND,
-    SimulatedCodeGenLLM,
-    make_backend,
-    success_probability,
-)
+Public names load on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "GeneratedSample",
-    "GenerationConfig",
-    "GenerationContext",
-    "LLMBackend",
-    "TaskDemands",
-    "CorruptionInjector",
-    "CorruptionOutcome",
-    "DatasetMix",
-    "FineTuneConfig",
-    "FineTuneReport",
-    "FineTuner",
-    "BASE_MODEL_PROFILES",
-    "BASELINE_PROFILES",
-    "CapabilityProfile",
-    "ProfileRegistry",
-    "LOGISTIC_STEEPNESS",
-    "MODALITY_DEMAND",
-    "SimulatedCodeGenLLM",
-    "make_backend",
-    "success_probability",
-]
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "GeneratedSample",
+            "GenerationConfig",
+            "GenerationContext",
+            "LLMBackend",
+            "TaskDemands",
+        ),
+        ".corruption": ("CorruptionInjector", "CorruptionOutcome"),
+        ".finetune": ("DatasetMix", "FineTuneConfig", "FineTuneReport", "FineTuner"),
+        ".profiles": (
+            "BASE_MODEL_PROFILES",
+            "BASELINE_PROFILES",
+            "CapabilityProfile",
+            "ProfileRegistry",
+        ),
+        ".simulated": (
+            "LOGISTIC_STEEPNESS",
+            "MODALITY_DEMAND",
+            "SimulatedCodeGenLLM",
+            "make_backend",
+            "success_probability",
+        ),
+    },
+)

@@ -16,6 +16,11 @@ crashes, resumes, and shards across workers — and renders its output through
 the streaming aggregator.  The results are bit-for-bit what the old
 monolithic drivers produced (pinned by ``tests/runs/test_parity.py``).
 
+Importing this module loads no dataset generator, pipeline or check engine:
+the functions below import what they use when called, so a client that only
+needs :class:`ExperimentScale` or the model lists (the run presets, the
+service) stays light.
+
 Scaling: the ``ExperimentScale`` dataclass controls task counts, samples per task
 and corpus size.  ``ExperimentScale.paper()`` uses the paper's real sizes
 (143/156/29 tasks, n = 10, three temperatures); ``ExperimentScale.quick()`` is the
@@ -27,23 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .bench.evaluator import EvaluationConfig
-from .bench.reporting import AblationSeries, Table4Row, Table5Row
-from .bench.rtllm import RTLLMConfig, build_rtllm
-from .bench.task import BenchmarkSuite
-from .bench.verilogeval import SuiteConfig, build_verilogeval_human, build_verilogeval_machine
-from .bench.verilogeval_v2 import V2Config, build_verilogeval_v2
-from .core.dataset.corpus import CorpusConfig, CorpusGenerator
-from .core.dataset.kdataset import KDatasetGenerator
-from .core.dataset.ldataset import LDatasetConfig, LDatasetGenerator
-from .core.dataset.records import InstructionDataset
-from .core.dataset.vanilla import VanillaDatasetGenerator
-from .core.llm.finetune import DatasetMix, FineTuner
-from .core.llm.profiles import BASE_MODEL_PROFILES, BASELINE_PROFILES, CapabilityProfile
-from .core.llm.simulated import SimulatedCodeGenLLM
-from .core.pipeline import HaVenPipeline
+from .bench.scoring import EvaluationConfig
 
 if TYPE_CHECKING:
+    from .bench.reporting import AblationSeries, Table4Row, Table5Row
+    from .bench.task import BenchmarkSuite
+    from .core.dataset.records import InstructionDataset
+    from .core.llm.profiles import CapabilityProfile
+    from .core.pipeline import HaVenPipeline
     from .runs import RunManifest, RunStore, StreamingAggregator
 
 #: The three base models HaVen fine-tunes, keyed by profile id.
@@ -171,6 +167,11 @@ class HaVenModels:
 # --------------------------------------------------------------------------- datasets & models
 def build_datasets(scale: ExperimentScale | None = None) -> DatasetBundle:
     """Run the full dataset-generation flow (corpus → vanilla → K; scripts → L)."""
+    from .core.dataset.corpus import CorpusConfig, CorpusGenerator
+    from .core.dataset.kdataset import KDatasetGenerator
+    from .core.dataset.ldataset import LDatasetConfig, LDatasetGenerator
+    from .core.dataset.vanilla import VanillaDatasetGenerator
+
     scale = scale or ExperimentScale.quick()
     corpus = CorpusGenerator(CorpusConfig(num_samples=scale.corpus_size, seed=scale.seed + 2025)).generate()
     vanilla = VanillaDatasetGenerator(seed=scale.seed).generate(corpus)
@@ -195,6 +196,11 @@ def build_haven_models(
     seed: int = 0,
 ) -> HaVenModels:
     """Fine-tune the three base models on vanilla + KL and wrap them in pipelines."""
+    from .core.llm.finetune import DatasetMix, FineTuner
+    from .core.llm.profiles import BASE_MODEL_PROFILES
+    from .core.llm.simulated import SimulatedCodeGenLLM
+    from .core.pipeline import HaVenPipeline
+
     tuner = FineTuner()
     models = HaVenModels()
     for base_key, haven_name in HAVEN_BASE_MODELS.items():
@@ -216,19 +222,20 @@ def build_haven_models(
 
 def baseline_pipeline(profile_key: str, use_sicot: bool = False, seed: int = 0) -> HaVenPipeline:
     """Build a pipeline for one of the registered baseline profiles."""
+    from .core.llm.profiles import BASELINE_PROFILES
+    from .core.llm.simulated import SimulatedCodeGenLLM
+    from .core.pipeline import HaVenPipeline
+
     profile = BASELINE_PROFILES[profile_key]
     return HaVenPipeline(SimulatedCodeGenLLM(profile, seed=seed), use_sicot=use_sicot)
 
 
 def build_suites(scale: ExperimentScale | None = None) -> dict[str, BenchmarkSuite]:
-    """Build all four benchmark suites at the requested scale."""
+    """Build Table IV's four benchmark suites at the requested scale."""
+    from .bench.suites import TABLE4_SUITES, build_suite
+
     scale = scale or ExperimentScale.quick()
-    return {
-        "machine": build_verilogeval_machine(SuiteConfig(num_tasks=scale.machine_tasks, seed=scale.seed + 11)),
-        "human": build_verilogeval_human(SuiteConfig(num_tasks=scale.human_tasks, seed=scale.seed + 11)),
-        "rtllm": build_rtllm(RTLLMConfig(num_tasks=scale.rtllm_tasks, seed=scale.seed + 43)),
-        "v2": build_verilogeval_v2(V2Config(num_tasks=scale.v2_tasks, seed=scale.seed + 71)),
-    }
+    return {suite_id: build_suite(suite_id, scale) for suite_id in TABLE4_SUITES}
 
 
 # --------------------------------------------------------------------------- run execution

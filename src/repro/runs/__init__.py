@@ -4,7 +4,7 @@ This package lifts PR 4's content-addressed discipline from single checks to
 whole experiment sweeps:
 
 * :class:`~repro.runs.manifest.RunManifest` declares a sweep (profiles, suites,
-  :class:`~repro.bench.evaluator.EvaluationConfig`, temperatures, samples) and
+  :class:`~repro.bench.scoring.EvaluationConfig`, temperatures, samples) and
   deterministically expands into content-addressed
   :class:`~repro.runs.manifest.WorkUnit`\\ s keyed by ``(manifest_hash,
   profile_id, suite_id, task_id, temperature, sample_index)``;
@@ -22,25 +22,22 @@ whole experiment sweeps:
 ``python -m repro.runs`` exposes the ``plan`` / ``run`` / ``status`` /
 ``report`` CLI; the ``run_*`` drivers in :mod:`repro.experiments` are thin
 manifest-builders on top of this machinery.
+
+Public names load on first access (see :mod:`repro._lazy`): the journal
+layer (manifest, store, aggregator) imports no check engine, and
+:class:`~repro.runs.engine.RunEngine` loads the check core when it is first
+read.
 """
 
-from .aggregate import RunProgress, StreamingAggregator
-from .engine import QuarantineInfo, RunEngine, RunStats, UnitResult
-from .manifest import ProfileSpec, RunManifest, SuiteSpec, WorkUnit
-from .resolve import ManifestResolver
-from .store import RunStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ManifestResolver",
-    "ProfileSpec",
-    "QuarantineInfo",
-    "RunEngine",
-    "RunManifest",
-    "RunProgress",
-    "RunStats",
-    "RunStore",
-    "StreamingAggregator",
-    "SuiteSpec",
-    "UnitResult",
-    "WorkUnit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".aggregate": ("RunProgress", "StreamingAggregator"),
+        ".engine": ("QuarantineInfo", "RunEngine", "RunStats", "UnitResult"),
+        ".manifest": ("ProfileSpec", "RunManifest", "SuiteSpec", "WorkUnit"),
+        ".resolve": ("ManifestResolver",),
+        ".store": ("RunStore",),
+    },
+)

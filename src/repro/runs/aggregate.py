@@ -3,9 +3,9 @@
 The aggregator consumes journal records one at a time (``feed``) or wholesale
 from a store (``feed_store``) and can produce its outputs at any moment, so a
 report renders from a partially complete run and is simply re-rendered as more
-units land.  Per-task scoring is :func:`~repro.bench.evaluator.task_result`
+units land.  Per-task scoring is :func:`~repro.bench.scoring.task_result`
 over the outcomes in sample order, and
-:func:`~repro.bench.evaluator.best_temperature` with the first temperature
+:func:`~repro.bench.scoring.best_temperature` with the first temperature
 winning ties.  Quarantined units carry no verdict, so they are left out of
 their task's samples: a quarantine is an infrastructure fault, not a failed
 candidate.
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bench.evaluator import SuiteResult, best_temperature, task_result
-from ..bench.jobs import CheckOutcome
+from ..bench.outcomes import CheckOutcome
 from ..bench.reporting import (
     AblationSeries,
     Table4Row,
@@ -24,6 +23,8 @@ from ..bench.reporting import (
     table4_row_from_results,
     table5_row_from_result,
 )
+from ..bench.scoring import SuiteResult, best_temperature, task_result
+from ..bench.suites import TABLE4_SUITES
 from .manifest import RunManifest
 from .resolve import ManifestResolver
 from .store import RunStore, outcome_from_record
@@ -160,21 +161,18 @@ class StreamingAggregator:
     # ------------------------------------------------------------------ experiment outputs
     def table4_rows(self) -> list[Table4Row]:
         rows: list[Table4Row] = []
+        columns = [s.suite_id for s in self.manifest.suites if s.suite_id in TABLE4_SUITES]
         for spec in self.manifest.profiles:
-            results = {
-                suite.suite_id: self.suite_result(spec.profile_id, suite.suite_id)
-                for suite in self.manifest.suites
-            }
             rows.append(
                 table4_row_from_results(
                     model=spec.display,
                     group=spec.group,
                     open_source=spec.open_source,
                     model_size=spec.model_size,
-                    machine=results.get("machine"),
-                    human=results.get("human"),
-                    rtllm=results.get("rtllm"),
-                    v2=results.get("v2"),
+                    **{
+                        suite_id: self.suite_result(spec.profile_id, suite_id)
+                        for suite_id in columns
+                    },
                 )
             )
         return rows

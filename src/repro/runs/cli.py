@@ -9,7 +9,8 @@ Typical session (two shards filling one store, then a report)::
     python -m repro.runs report
 
 ``run`` is always safe to re-invoke: completed units are skipped, so a crashed
-or killed sweep resumes where its journal ends.
+or killed sweep resumes where its journal ends.  Only ``run`` loads the check
+engine; ``plan``, ``status`` and ``report`` read the manifest and journal.
 
 Exit codes (``status`` is the scriptable health probe)::
 
@@ -26,8 +27,8 @@ import json
 import sys
 
 from .aggregate import StreamingAggregator
-from .engine import RunEngine
 from .presets import EXPERIMENT_MANIFESTS
+from .resolve import ManifestResolver
 from .store import RUN_DIR_ENV, RunStore, RunStoreError
 
 
@@ -174,6 +175,11 @@ def _open_store(args) -> RunStore:
     return store
 
 
+def _progress(manifest, store: RunStore) -> tuple[int, int]:
+    """(journaled units of ``manifest``, total units), from its expansion."""
+    return store.progress(manifest.expand(ManifestResolver(manifest).suite_task_ids()))
+
+
 def _require_manifest(store: RunStore):
     manifest = store.load_manifest()
     if manifest is None:
@@ -190,13 +196,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "plan":
             manifest = _manifest_from_args(args)
             store.write_manifest(manifest)
-            engine = RunEngine(manifest, store)
-            done, total = engine.progress()
+            done, total = _progress(manifest, store)
             print(f"manifest {manifest.manifest_hash[:12]} ({manifest.name}) -> {store.directory}")
             print(f"{total} work units planned, {done} already journaled")
             return 0
         manifest = _require_manifest(store)
         if args.command == "run":
+            from .engine import RunEngine
+
             shard_index, shard_count = args.shard
             engine = RunEngine(manifest, store)
             stats = engine.run(
@@ -209,8 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0
         if args.command == "status":
-            engine = RunEngine(manifest, store)
-            done, total = engine.progress()
+            done, total = _progress(manifest, store)
             payload, exit_code = status_summary(manifest, store, done=done, total=total)
             if args.json:
                 print(json.dumps(payload, indent=2, sort_keys=True))

@@ -4,11 +4,11 @@ Execution is grouped per ``(profile, suite)``.  For every task × temperature
 with pending units, only the missing sample indices are drawn from the
 pipeline's deterministic sample stream (``generate_at`` — so a resumed or
 sharded run reproduces the serial samples bit-for-bit).  Drawing,
-syntax-checking, deduplicating by :class:`~repro.bench.jobs.ResultKey` and
+syntax-checking, deduplicating by :class:`~repro.bench.outcomes.ResultKey` and
 executing through :func:`~repro.bench.jobs.run_checks` (process pool when the
 manifest's ``EvaluationConfig.max_workers`` says so) is
 :func:`~repro.bench.evaluator.check_samples`, the check core.  Each unit is
-journaled as a :class:`~repro.bench.jobs.CheckOutcome` as soon as its group
+journaled as a :class:`~repro.bench.outcomes.CheckOutcome` as soon as its group
 finishes; units already journaled are never re-executed, which is the whole
 resume story: kill the process at any point, re-invoke, and it continues
 where the journal ends, losing at most the group that was running.
@@ -37,12 +37,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..bench import suites
 from ..bench.evaluator import SampleCheck, SyntaxVerdict, TaskCheckKeys, check_samples
-from ..bench.jobs import CheckExecution, CheckOutcome, ResultKey
+from ..bench.jobs import CheckExecution
+from ..bench.outcomes import CheckOutcome, ResultKey
+from ..core.llm import simulated  # noqa: F401 - see below
 from ..verilog.syntax_checker import SyntaxChecker
 from .manifest import RunManifest, WorkUnit
 from .resolve import ManifestResolver
 from .store import RunStore
+
+# A run builds its suites and its simulated-LLM pipelines before it checks a
+# unit: the resolver imports their modules lazily, so load them with the
+# engine and no unit pays for the import.
+suites.import_builders()
 
 
 @dataclass
@@ -241,6 +249,4 @@ class RunEngine:
     # ------------------------------------------------------------------ status
     def progress(self) -> tuple[int, int]:
         """(journaled units of this manifest, total units)."""
-        units = self.units()
-        done = sum(1 for unit in units if unit.key in self.store)
-        return done, len(units)
+        return self.store.progress(self.units())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from ..bench.evaluator import EvaluationConfig
+from ..bench.scoring import EvaluationConfig
 
 MANIFEST_VERSION = 1
 

@@ -8,6 +8,7 @@ through the :class:`~repro.runs.engine.RunEngine`, and aggregate.
 
 from __future__ import annotations
 
+from ..bench.suites import TABLE4_SUITES
 from ..core.llm.profiles import BASE_MODEL_PROFILES, BASELINE_PROFILES
 from .manifest import ProfileSpec, RunManifest, SuiteSpec
 
@@ -65,7 +66,7 @@ def table4_manifest(
         scale=scale.to_dict(),
         config=config,
         profiles=profiles,
-        suites=[SuiteSpec("machine"), SuiteSpec("human"), SuiteSpec("rtllm"), SuiteSpec("v2")],
+        suites=[SuiteSpec(suite_id) for suite_id in TABLE4_SUITES],
     )
 
 

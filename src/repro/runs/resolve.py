@@ -7,22 +7,42 @@ construction paths of the in-memory experiment drivers (same dataset builds,
 same fine-tuning mixes, same seeds) so that a sweep executed through the run
 engine is bit-for-bit the sweep the old monolithic functions produced.
 Everything is cached per resolver instance: datasets are built once, each
-profile is fine-tuned once, each suite is built once.
+profile is fine-tuned once, each suite is built once (through the one suite
+registry, :mod:`repro.bench.suites`).
+
+The resolver is part of the control plane: the server and the CLI expand
+manifests through it.  It imports the dataset, fine-tuning and pipeline
+modules only when it first builds a pipeline, so importing it loads no
+check engine.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..bench.task import BenchmarkSuite, BenchmarkTask
-from ..core.llm.finetune import DatasetMix, FineTuner
-from ..core.llm.profiles import BASE_MODEL_PROFILES, BASELINE_PROFILES
-from ..core.llm.simulated import SimulatedCodeGenLLM
-from ..core.pipeline import HaVenPipeline
+from ..core.llm.profiles import BASE_MODEL_PROFILES, BASELINE_PROFILES, CapabilityProfile
 from .manifest import ProfileSpec, RunManifest, SuiteSpec
 
 if TYPE_CHECKING:
+    from ..bench.task import BenchmarkSuite, BenchmarkTask
+    from ..core.pipeline import HaVenPipeline
     from ..experiments import DatasetBundle, ExperimentScale
+
+
+def _pipeline(profile: CapabilityProfile, seed: int, use_sicot: bool) -> "HaVenPipeline":
+    """A simulated-LLM pipeline on ``profile``."""
+    from ..core.llm.simulated import SimulatedCodeGenLLM
+    from ..core.pipeline import HaVenPipeline
+
+    return HaVenPipeline(SimulatedCodeGenLLM(profile, seed=seed), use_sicot=use_sicot)
+
+
+def _finetuned(base: CapabilityProfile, tuned_name: str, **mix) -> CapabilityProfile:
+    """``base`` fine-tuned on the dataset mix ``mix`` (a :class:`DatasetMix`'s fields)."""
+    from ..core.llm.finetune import DatasetMix, FineTuner
+
+    profile, _report = FineTuner().finetune(base, DatasetMix(**mix), tuned_name=tuned_name)
+    return profile
 
 
 class ManifestResolver:
@@ -35,8 +55,8 @@ class ManifestResolver:
         self.scale: "ExperimentScale" = ExperimentScale.from_dict(manifest.scale)
         self.config = manifest.config
         self._datasets: "DatasetBundle | None" = None
-        self._pipelines: dict[str, HaVenPipeline] = {}
-        self._suites: dict[str, BenchmarkSuite] = {}
+        self._pipelines: dict[str, "HaVenPipeline"] = {}
+        self._suites: dict[str, "BenchmarkSuite"] = {}
 
     # ------------------------------------------------------------------ datasets
     def datasets(self) -> "DatasetBundle":
@@ -47,40 +67,16 @@ class ManifestResolver:
         return self._datasets
 
     # ------------------------------------------------------------------ suites
-    def suite(self, spec: SuiteSpec) -> BenchmarkSuite:
+    def suite(self, spec: SuiteSpec) -> "BenchmarkSuite":
         if spec.suite_id not in self._suites:
-            self._suites[spec.suite_id] = self._build_suite(spec)
+            from ..bench.suites import build_suite
+
+            self._suites[spec.suite_id] = build_suite(
+                spec.suite_id, self.scale, full_subset=spec.full_subset
+            )
         return self._suites[spec.suite_id]
 
-    def _build_suite(self, spec: SuiteSpec) -> BenchmarkSuite:
-        from ..bench.rtllm import RTLLMConfig, build_rtllm
-        from ..bench.symbolic_suite import build_symbolic_suite
-        from ..bench.verilogeval import (
-            SuiteConfig,
-            build_verilogeval_human,
-            build_verilogeval_machine,
-        )
-        from ..bench.verilogeval_v2 import V2Config, build_verilogeval_v2
-
-        scale = self.scale
-        if spec.suite_id == "machine":
-            return build_verilogeval_machine(
-                SuiteConfig(num_tasks=scale.machine_tasks, seed=scale.seed + 11)
-            )
-        if spec.suite_id == "human":
-            return build_verilogeval_human(
-                SuiteConfig(num_tasks=scale.human_tasks, seed=scale.seed + 11)
-            )
-        if spec.suite_id == "rtllm":
-            return build_rtllm(RTLLMConfig(num_tasks=scale.rtllm_tasks, seed=scale.seed + 43))
-        if spec.suite_id == "v2":
-            return build_verilogeval_v2(V2Config(num_tasks=scale.v2_tasks, seed=scale.seed + 71))
-        if spec.suite_id == "symbolic":
-            subset_size = None if spec.full_subset else scale.human_tasks
-            return build_symbolic_suite(SuiteConfig(num_tasks=subset_size, seed=scale.seed + 11))
-        raise KeyError(f"unknown suite id {spec.suite_id!r}")
-
-    def tasks(self, spec: SuiteSpec) -> list[BenchmarkTask]:
+    def tasks(self, spec: SuiteSpec) -> "list[BenchmarkTask]":
         """The suite's tasks in evaluation order (``max_tasks`` applied)."""
         tasks = list(self.suite(spec))
         if self.config.max_tasks is not None:
@@ -95,7 +91,7 @@ class ManifestResolver:
         }
 
     # ------------------------------------------------------------------ profiles
-    def pipeline(self, profile_id: str) -> HaVenPipeline:
+    def pipeline(self, profile_id: str) -> "HaVenPipeline":
         if profile_id not in self._pipelines:
             self._pipelines[profile_id] = self._build_pipeline(self.manifest.profile(profile_id))
         return self._pipelines[profile_id]
@@ -105,67 +101,56 @@ class ManifestResolver:
         spec = self.manifest.profile(profile_id)
         return f"{spec.display}+SI-CoT" if spec.use_sicot else spec.display
 
-    def _build_pipeline(self, spec: ProfileSpec) -> HaVenPipeline:
+    def _build_pipeline(self, spec: ProfileSpec) -> "HaVenPipeline":
         seed = self.scale.seed
         if spec.kind == "baseline":
-            profile = BASELINE_PROFILES[spec.key]
-            return HaVenPipeline(SimulatedCodeGenLLM(profile, seed=seed), use_sicot=spec.use_sicot)
+            return _pipeline(BASELINE_PROFILES[spec.key], seed, spec.use_sicot)
         if spec.kind == "haven":
             from ..experiments import HAVEN_BASE_MODELS
 
             datasets = self.datasets()
-            base_profile = BASE_MODEL_PROFILES[spec.key]
-            tuned, _report = FineTuner().finetune(
-                base_profile,
-                DatasetMix(
-                    vanilla=datasets.vanilla,
-                    k_dataset=datasets.k_dataset,
-                    l_dataset=datasets.l_dataset,
-                ),
-                tuned_name=HAVEN_BASE_MODELS[spec.key],
+            tuned = _finetuned(
+                BASE_MODEL_PROFILES[spec.key],
+                HAVEN_BASE_MODELS[spec.key],
+                vanilla=datasets.vanilla,
+                k_dataset=datasets.k_dataset,
+                l_dataset=datasets.l_dataset,
             )
-            return HaVenPipeline(SimulatedCodeGenLLM(tuned, seed=seed), use_sicot=spec.use_sicot)
+            return _pipeline(tuned, seed, spec.use_sicot)
         if spec.kind == "fig3":
             return self._build_fig3_pipeline(spec, seed)
         if spec.kind == "fig4":
             return self._build_fig4_pipeline(spec, seed)
         raise KeyError(f"unknown profile kind {spec.kind!r}")
 
-    def _build_fig3_pipeline(self, spec: ProfileSpec, seed: int) -> HaVenPipeline:
+    def _build_fig3_pipeline(self, spec: ProfileSpec, seed: int) -> "HaVenPipeline":
         datasets = self.datasets()
         base_profile = BASE_MODEL_PROFILES[spec.key]
-        tuner = FineTuner()
         if spec.setting == "base":
-            return HaVenPipeline(SimulatedCodeGenLLM(base_profile, seed=seed), use_sicot=False)
+            return _pipeline(base_profile, seed, use_sicot=False)
         if spec.setting in ("vanilla", "vanilla+CoT"):
-            profile, _ = tuner.finetune(
-                base_profile,
-                DatasetMix(vanilla=datasets.vanilla),
-                tuned_name=f"{base_profile.name}+vanilla",
+            profile = _finetuned(
+                base_profile, f"{base_profile.name}+vanilla", vanilla=datasets.vanilla
             )
         elif spec.setting in ("vanilla+KL", "vanilla+CoT+KL"):
-            profile, _ = tuner.finetune(
+            profile = _finetuned(
                 base_profile,
-                DatasetMix(
-                    vanilla=datasets.vanilla,
-                    k_dataset=datasets.k_dataset,
-                    l_dataset=datasets.l_dataset,
-                ),
-                tuned_name=f"{base_profile.name}+vanilla+KL",
+                f"{base_profile.name}+vanilla+KL",
+                vanilla=datasets.vanilla,
+                k_dataset=datasets.k_dataset,
+                l_dataset=datasets.l_dataset,
             )
         else:
             raise KeyError(f"unknown fig3 setting {spec.setting!r}")
-        use_sicot = "CoT" in spec.setting
-        return HaVenPipeline(SimulatedCodeGenLLM(profile, seed=seed), use_sicot=use_sicot)
+        return _pipeline(profile, seed, use_sicot="CoT" in spec.setting)
 
-    def _build_fig4_pipeline(self, spec: ProfileSpec, seed: int) -> HaVenPipeline:
+    def _build_fig4_pipeline(self, spec: ProfileSpec, seed: int) -> "HaVenPipeline":
         datasets = self.datasets()
-        base_profile = BASE_MODEL_PROFILES["codeqwen-7b"]
-        k_subset = datasets.k_dataset.subset(spec.k_portion / 100.0, seed=seed)
-        l_subset = datasets.l_dataset.subset(spec.l_portion / 100.0, seed=seed)
-        profile, _ = FineTuner().finetune(
-            base_profile,
-            DatasetMix(vanilla=datasets.vanilla, k_dataset=k_subset, l_dataset=l_subset),
-            tuned_name=f"CodeQwen+K{spec.k_portion}+L{spec.l_portion}",
+        profile = _finetuned(
+            BASE_MODEL_PROFILES["codeqwen-7b"],
+            f"CodeQwen+K{spec.k_portion}+L{spec.l_portion}",
+            vanilla=datasets.vanilla,
+            k_dataset=datasets.k_dataset.subset(spec.k_portion / 100.0, seed=seed),
+            l_dataset=datasets.l_dataset.subset(spec.l_portion / 100.0, seed=seed),
         )
-        return HaVenPipeline(SimulatedCodeGenLLM(profile, seed=seed), use_sicot=True)
+        return _pipeline(profile, seed, use_sicot=True)

@@ -37,7 +37,7 @@ import os
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from ..bench.jobs import CheckOutcome
+from ..bench.outcomes import CheckOutcome
 from .manifest import RunManifest, WorkUnit
 
 #: Environment variable naming the default run directory.
@@ -311,6 +311,10 @@ class RunStore:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def progress(self, units: Sequence[WorkUnit]) -> tuple[int, int]:
+        """(how many of ``units`` are journaled, scored or quarantined; ``len(units)``)."""
+        return sum(1 for unit in units if unit.key in self._index), len(units)
 
     def completed_keys(self) -> set[str]:
         return set(self._index)

@@ -19,44 +19,28 @@ service:
   operational trimmings: text-format exposition and per-client token buckets.
 
 ``python -m repro.service --help`` for the command-line entry points.
+
+Public names load on first access (see :mod:`repro._lazy`): only the worker
+imports the check engine.
 """
 
-from .broker import (
-    BROKER_DIR_ENV,
-    AdmissionError,
-    BrokerError,
-    FileBroker,
-    Lease,
-    RunStatus,
-    SubmitReceipt,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".api": ("ReproServiceServer", "ServiceConfig"),
+        ".broker": (
+            "BROKER_DIR_ENV",
+            "AdmissionError",
+            "BrokerError",
+            "FileBroker",
+            "Lease",
+            "RunStatus",
+            "SubmitReceipt",
+        ),
+        ".metrics": ("HttpCounters", "MetricFamily", "ServiceMetrics"),
+        ".ratelimit": ("RateLimiter", "TokenBucket"),
+        ".worker": ("STALL_ENV", "ServiceWorker", "WorkerStats"),
+    },
 )
-from .metrics import HttpCounters, MetricFamily, ServiceMetrics
-from .ratelimit import RateLimiter, TokenBucket
-from .worker import STALL_ENV, ServiceWorker, WorkerStats
-
-__all__ = [
-    "BROKER_DIR_ENV",
-    "STALL_ENV",
-    "AdmissionError",
-    "BrokerError",
-    "FileBroker",
-    "HttpCounters",
-    "Lease",
-    "MetricFamily",
-    "RateLimiter",
-    "RunStatus",
-    "ServiceMetrics",
-    "ServiceWorker",
-    "SubmitReceipt",
-    "TokenBucket",
-    "WorkerStats",
-]
-
-
-def __getattr__(name: str):
-    # The HTTP server imports lazily so `import repro.service` stays light.
-    if name in ("ReproServiceServer", "ServiceConfig"):
-        from . import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,11 +35,17 @@ import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..bench import suites
 from ..runs.aggregate import StreamingAggregator
 from ..runs.manifest import RunManifest
 from .broker import AdmissionError, BrokerError, FileBroker
 from .metrics import HttpCounters, ServiceMetrics
 from .ratelimit import RateLimiter
+
+# ``POST /runs`` expands the manifest into units, which builds its suites
+# through the resolver (imported with the aggregator): load the builders with
+# the server, not inside the first request.
+suites.import_builders()
 
 _RUN_ROUTE = re.compile(r"^/runs/(?P<run_id>[0-9a-f]{16,64})(?P<rest>/report)?$")
 

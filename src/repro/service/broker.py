@@ -67,9 +67,8 @@ try:  # POSIX-only; the completion lock degrades gracefully without it.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..bench.jobs import CheckOutcome
+from ..bench.outcomes import CheckOutcome
 from ..runs.manifest import RunManifest, WorkUnit
-from ..runs.resolve import ManifestResolver
 from ..runs.store import RunStore, quarantine_record, read_new_lines, unit_record
 
 #: Environment variable naming the default broker directory.
@@ -267,8 +266,11 @@ class FileBroker:
             units = self.units(run_id)
             return SubmitReceipt(run_id=run_id, total_units=len(units), created=False)
 
-        resolver = ManifestResolver(manifest)
-        units = manifest.expand(resolver.suite_task_ids())
+        # Expanding units builds the suites: only a submitting process pays
+        # for the resolver (the HTTP server imports it up front).
+        from ..runs.resolve import ManifestResolver
+
+        units = manifest.expand(ManifestResolver(manifest).suite_task_ids())
         if admission_limit is not None:
             queued = self.queue_depth()
             if queued + len(units) > admission_limit:

@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Callable, Iterable, Mapping
 
-from ..bench.jobs import percentile
+from ..bench.outcomes import percentile
 from .broker import FileBroker
 
 #: Trailing window (seconds) for the units/s throughput gauge.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench.rtllm import RTLLMConfig, RTLLM_TASK_COUNT, build_rtllm
+from repro.bench.suites import SUITES, TABLE4_SUITES, build_suite
 from repro.bench.symbolic_suite import SYMBOLIC_TOTAL, build_symbolic_suite
 from repro.bench.task import BenchmarkSuite
 from repro.bench.verilogeval import (
@@ -17,6 +20,10 @@ from repro.bench.verilogeval import (
     build_verilogeval_machine,
 )
 from repro.bench.verilogeval_v2 import V2Config, build_verilogeval_v2
+from repro.experiments import ExperimentScale, build_suites
+from repro.runs.manifest import SuiteSpec
+from repro.runs.presets import table4_manifest
+from repro.runs.resolve import ManifestResolver
 
 
 class TestVerilogEvalMachine:
@@ -111,6 +118,39 @@ class TestSymbolicSuite:
 
     def test_name(self):
         assert build_symbolic_suite().name == "Symbolic-Modalities"
+
+
+class TestSuiteRegistry:
+    def test_builds_each_suite_at_the_scale_seed_plus_its_offset(self):
+        scale = ExperimentScale.tiny()
+        machine = build_suite("machine", scale)
+        expected = build_verilogeval_machine(
+            SuiteConfig(num_tasks=scale.machine_tasks, seed=scale.seed + 11)
+        )
+        assert [t.task_id for t in machine] == [t.task_id for t in expected]
+        rtllm = build_suite("rtllm", scale)
+        assert [t.reference_source for t in rtllm] == [
+            t.reference_source for t in build_rtllm(RTLLMConfig(num_tasks=3, seed=43))
+        ]
+
+    def test_full_subset_sizes_only_the_symbolic_suite(self):
+        scale = ExperimentScale.tiny()
+        assert len(build_suite("symbolic", scale, full_subset=True)) == SYMBOLIC_TOTAL
+        assert len(build_suite("symbolic", scale)) < SYMBOLIC_TOTAL
+        assert len(build_suite("human", scale, full_subset=True)) == scale.human_tasks
+
+    def test_unknown_id_fails_in_the_registry(self):
+        with pytest.raises(KeyError, match="unknown suite id 'nope'"):
+            build_suite("nope", ExperimentScale.tiny())
+        resolver = ManifestResolver(table4_manifest(ExperimentScale.tiny()))
+        with pytest.raises(KeyError, match="unknown suite id 'nope'"):
+            resolver.suite(SuiteSpec("nope"))
+
+    def test_table4_reads_the_registry(self):
+        assert set(TABLE4_SUITES) <= set(SUITES)
+        assert list(build_suites(ExperimentScale.tiny())) == list(TABLE4_SUITES)
+        manifest = table4_manifest(ExperimentScale.tiny(), baseline_keys=[], include_haven=False)
+        assert [spec.suite_id for spec in manifest.suites] == list(TABLE4_SUITES)
 
 
 class TestSuiteOperations:

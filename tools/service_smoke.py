@@ -15,7 +15,9 @@ shared journal.  It asserts the service contract:
 * ``/metrics`` parses and reports the exact requeue count and a nonzero
   units/s throughput.
 
-Exit code 0 on success; any broken assertion or timeout fails the job.
+Exit code 0 on success; any broken assertion or timeout fails the job.  The
+broker tree lives in a temporary directory that is removed either way; on a
+failure its path is printed first.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -96,8 +99,10 @@ def worker_cmd(broker_dir: Path, *args: str) -> list[str]:
 
 
 def main() -> int:
-    broker_dir = Path(tempfile.mkdtemp(prefix="service-smoke-")) / "broker"
+    scratch = Path(tempfile.mkdtemp(prefix="service-smoke-"))
+    broker_dir = scratch / "broker"
     procs: list[subprocess.Popen] = []
+    passed = False
     try:
         # --- boot the API server and parse its ephemeral port -------------
         server = subprocess.Popen(
@@ -206,11 +211,16 @@ def main() -> int:
         assert rate and rate[0] > 0, f"units/s not positive: {rate}"
         log(f"metrics ok: {requeue_line}; units/s={rate[0]}")
         log("PASS")
+        passed = True
         return 0
     finally:
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
+            proc.wait()
+        if not passed:
+            log(f"FAIL: removing the broker tree {broker_dir}")
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 if __name__ == "__main__":
