@@ -158,8 +158,9 @@ def check_samples(
 ) -> list[list[SampleCheck]]:
     """Generate, syntax-check and functionally check every drawn sample.
 
-    Each draw is ``(task, temperature, sample indices)``; the indices are
-    drawn one by one from the pipeline's sample stream (``generate_at``).
+    Each draw is ``(task, temperature, sample indices)``; its indices are
+    drawn from the pipeline's sample stream in one call
+    (``generate_indices``).
 
     Work that depends only on the source or the task is done once per key
     of the caller's memos: ``syntax`` keeps each source text's

@@ -14,6 +14,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ...symbolic.detector import SymbolicModality
 from ...verilog.analyzer import Attribute
@@ -133,6 +134,19 @@ class LLMBackend(abc.ABC):
             raise IndexError(f"sample index must be non-negative, got {index}")
         prefix = dataclasses.replace(config, num_samples=index + 1)
         return self.generate(context, prefix)[index]
+
+    def generate_indices(
+        self, context: GenerationContext, config: GenerationConfig, indices: Sequence[int]
+    ) -> list[GeneratedSample]:
+        """Produce the samples at ``indices`` of the deterministic sample stream.
+
+        One call per (task, configuration) draw, whatever indices it names:
+        each returned sample must equal ``generate_at`` of its index, so
+        splitting a draw's indices across calls changes no sample.  The
+        default draws them one by one; a backend with per-task work to share
+        between indices overrides it.
+        """
+        return [self.generate_at(context, config, index) for index in indices]
 
     def generate_one(self, context: GenerationContext, config: GenerationConfig | None = None) -> GeneratedSample:
         """Convenience wrapper returning a single sample."""

@@ -11,8 +11,19 @@ substitution table in DESIGN.md).  For every requested sample it:
 2. when every axis succeeds, emits the task's reference implementation (the
    competence ceiling);
 3. when an axis fails, injects the corresponding Table II defect into the code
-   via :class:`~repro.core.llm.corruption.CorruptionInjector` and reports the
+   via :class:`~repro.core.llm.corruption.CorruptionTable` and reports the
    intended hallucination.
+
+Drawing is split into a plan and its draws.  One
+:meth:`~SimulatedCodeGenLLM.generate_indices` call (``generate`` and
+``generate_at`` go through it too) draws any sample indices of one task at one
+temperature.  It builds the call's :class:`SamplePlan` once: the clamped
+demands, the per-(model, task) latents, the temperature jitter, every axis's
+latent quantile and success probability, and the task facts the sub-type pick
+reads.  Each index then costs only its draws: the sha256-seeded ``Random``,
+one Gaussian per axis, the sub-type pick, and the corruption's own picks
+against the reference's memoised corruption table.  A sample is seeded by its
+own key alone, so how its indices are grouped into calls never changes it.
 
 The emitted code — correct or corrupted — is then compiled and simulated by the
 benchmark evaluator, so pass/fail is always decided by the toolchain.
@@ -23,12 +34,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from typing import Sequence
 
 from ...symbolic.detector import SymbolicModality
 from ..taxonomy import HallucinationSubtype
-from .base import GeneratedSample, GenerationConfig, GenerationContext, LLMBackend, TaskDemands
-from .corruption import CorruptionInjector
+from .base import GeneratedSample, GenerationConfig, GenerationContext, LLMBackend
+from .corruption import corruption_table
 from .profiles import CapabilityProfile
 
 #: How hard each symbolic modality is to read directly from the raw prompt.
@@ -51,7 +62,7 @@ LOGISTIC_STEEPNESS = 8.0
 #: for hard tasks (as observed in the paper's tables) instead of saturating.
 TASK_APTITUDE_SIGMA = 0.15
 
-#: Baseline per-sample jitter of the shared task quantile (see ``evaluate_axes``).
+#: Baseline per-sample jitter of the shared task quantile (see :class:`SamplePlan`).
 #: Higher sampling temperature adds to this, which is exactly why the paper sweeps
 #: the temperature when reporting pass@5.
 SAMPLE_JITTER_BASE = 0.04
@@ -61,6 +72,24 @@ SYNTAX_DEMAND = 0.18
 
 #: Extra difficulty seen by models unfamiliar with spec-to-RTL chat prompts.
 CHAT_STYLE_PENALTY = 0.25
+
+
+#: The taxonomy axes, in the order their per-task latents are drawn.
+AXES = ("syntax", "symbolic", "knowledge", "logic", "general")
+
+#: The sub-type a failed symbolic axis yields, by the prompt's modality.
+_SYMBOLIC_SUBTYPES = {
+    SymbolicModality.TRUTH_TABLE: HallucinationSubtype.TRUTH_TABLE_MISINTERPRETATION,
+    SymbolicModality.WAVEFORM: HallucinationSubtype.WAVEFORM_MISINTERPRETATION,
+    SymbolicModality.STATE_DIAGRAM: HallucinationSubtype.STATE_DIAGRAM_MISINTERPRETATION,
+}
+
+#: General complexity failures show up as logic or knowledge slips.
+_GENERAL_SUBTYPES = (
+    HallucinationSubtype.INCORRECT_LOGICAL_EXPRESSION,
+    HallucinationSubtype.DESIGN_CONVENTION_MISAPPLICATION,
+    HallucinationSubtype.INCORRECT_CORNER_CASE_HANDLING,
+)
 
 
 def _logistic(x: float) -> float:
@@ -78,10 +107,14 @@ def sample_stream_key(
     distinct temperatures can never collide (an int-typed ``0`` and a float
     ``0.0`` are the same draw, while ``0.2`` vs ``0.5`` always differ).
     """
-    return (
-        f"{identity}|{backend_seed}|{task_id}|{config.seed}|"
-        f"{float(config.temperature)!r}|{index}"
-    )
+    return f"{_stream_key_prefix(identity, backend_seed, task_id, config)}{index}"
+
+
+def _stream_key_prefix(
+    identity: str, backend_seed: int, task_id: str, config: GenerationConfig
+) -> str:
+    """:func:`sample_stream_key` up to the sample index."""
+    return f"{identity}|{backend_seed}|{task_id}|{config.seed}|{float(config.temperature)!r}|"
 
 
 def success_probability(skill: float, demand: float, steepness: float = LOGISTIC_STEEPNESS) -> float:
@@ -89,13 +122,104 @@ def success_probability(skill: float, demand: float, steepness: float = LOGISTIC
     return _logistic(steepness * (skill - demand))
 
 
-@dataclass
-class AxisOutcome:
-    """Result of evaluating one taxonomy axis for one sample."""
+class SamplePlan:
+    """Everything one task's samples at one temperature share, built once per call.
 
-    axis: str
-    success_probability: float
-    failed: bool
+    Per-axis success probabilities come from the logistic skill-vs-demand
+    model (shifted by a per-(model, task) aptitude offset).  Whether a
+    particular *sample* succeeds on an axis is decided by comparing the
+    probability against a per-(model, task, axis) latent quantile that is
+    shared by every sample of the task, perturbed by a small per-sample
+    jitter that grows with the sampling temperature.  Samples of one task are
+    therefore strongly correlated — repeated sampling only flips outcomes for
+    borderline tasks — which reproduces the modest pass@1 → pass@5 gaps the
+    paper reports and makes the temperature sweep genuinely matter.
+
+    Attributes:
+        axes: ``(axis, latent quantile, success probability)`` of every axis
+            the task exercises, in decision order.
+        jitter: standard deviation of a sample's perturbation of each quantile.
+    """
+
+    __slots__ = (
+        "axes",
+        "jitter",
+        "key_prefix",
+        "reference",
+        "temperature",
+        "symbolic_subtype",
+        "has_attributes",
+        "mentions_if",
+        "has_branches",
+    )
+
+    def __init__(
+        self, backend: "SimulatedCodeGenLLM", context: GenerationContext, config: GenerationConfig
+    ):
+        profile = backend.profile
+        aptitude, quantiles = backend._task_latents(context)
+        self.axes = tuple(
+            (axis, quantiles[axis], success_probability(skill + aptitude[axis], demand))
+            for axis, skill, demand in backend.axis_table(context)
+        )
+        self.jitter = SAMPLE_JITTER_BASE + profile.temperature_sensitivity * max(config.temperature, 0.05)
+        self.key_prefix = _stream_key_prefix(
+            profile.latent_identity(), backend.seed, context.task_id, config
+        )
+        self.reference = context.reference_source
+        self.temperature = config.temperature
+        demands = context.demands
+        self.symbolic_subtype = _SYMBOLIC_SUBTYPES.get(
+            demands.modality, HallucinationSubtype.TRUTH_TABLE_MISINTERPRETATION
+        )
+        self.has_attributes = bool(demands.required_attributes)
+        self.mentions_if = "if" in context.prompt_text.lower()
+        self.has_branches = "case" in self.reference or "else" in self.reference
+
+    def draw(self, index: int) -> GeneratedSample:
+        """The sample at ``index``: only its own seed and draws are computed."""
+        digest = hashlib.sha256(f"{self.key_prefix}{index}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        jitter = self.jitter
+        failed = None
+        for axis, quantile, probability in self.axes:
+            # Every axis draws, whichever fails first: the picks after the
+            # loop see the same generator state for every failure pattern.
+            if quantile + rng.gauss(0.0, jitter) > probability and failed is None:
+                failed = axis
+        if failed is None:
+            return GeneratedSample(
+                code=self.reference,
+                injected_hallucinations=[],
+                sample_index=index,
+                temperature=self.temperature,
+            )
+        subtype = self._pick_subtype(failed, rng)
+        outcome = corruption_table(self.reference).inject(subtype, rng)
+        return GeneratedSample(
+            code=outcome.code,
+            injected_hallucinations=[outcome.record] if outcome.applied else [],
+            sample_index=index,
+            temperature=self.temperature,
+        )
+
+    def _pick_subtype(self, axis: str, rng: random.Random) -> HallucinationSubtype:
+        if axis == "syntax":
+            return HallucinationSubtype.VERILOG_SYNTAX_MISAPPLICATION
+        if axis == "symbolic":
+            return self.symbolic_subtype
+        if axis == "knowledge":
+            if self.has_attributes and rng.random() < 0.6:
+                return HallucinationSubtype.VERILOG_ATTRIBUTE_MISUNDERSTANDING
+            return HallucinationSubtype.DESIGN_CONVENTION_MISAPPLICATION
+        if axis == "logic":
+            roll = rng.random()
+            if self.mentions_if and roll < 0.35:
+                return HallucinationSubtype.INSTRUCTIONAL_LOGIC_FAILURE
+            if self.has_branches and roll < 0.65:
+                return HallucinationSubtype.INCORRECT_CORNER_CASE_HANDLING
+            return HallucinationSubtype.INCORRECT_LOGICAL_EXPRESSION
+        return rng.choice(_GENERAL_SUBTYPES)
 
 
 class SimulatedCodeGenLLM(LLMBackend):
@@ -111,101 +235,52 @@ class SimulatedCodeGenLLM(LLMBackend):
     # ------------------------------------------------------------------ generation
     def generate(self, context: GenerationContext, config: GenerationConfig) -> list[GeneratedSample]:
         """Generate ``config.num_samples`` candidates for one task."""
-        return [self.generate_at(context, config, index) for index in range(config.num_samples)]
+        return self.generate_indices(context, config, range(config.num_samples))
 
     def generate_at(
         self, context: GenerationContext, config: GenerationConfig, index: int
     ) -> GeneratedSample:
-        """Generate exactly the sample at ``index`` of the deterministic stream.
+        """Generate exactly the sample at ``index`` of the deterministic stream."""
+        return self.generate_indices(context, config, (index,))[0]
 
-        Every sample is seeded independently by
-        :func:`sample_stream_key` — not by ``num_samples`` or by the other
-        samples — so a sharded or resumed run that draws sample ``i`` in
+    def generate_indices(
+        self, context: GenerationContext, config: GenerationConfig, indices: Sequence[int]
+    ) -> list[GeneratedSample]:
+        """Generate the samples at ``indices`` of the deterministic stream.
+
+        Every sample is seeded independently by :func:`sample_stream_key` —
+        not by ``num_samples``, by the other samples or by the other indices
+        of the call — so a sharded or resumed run that draws sample ``i`` in
         isolation reproduces the serial run bit-for-bit.
         """
-        rng = self._sample_rng(context, config, index)
-        return self._generate_sample(context, config, index, rng)
-
-    def _generate_sample(
-        self,
-        context: GenerationContext,
-        config: GenerationConfig,
-        index: int,
-        rng: random.Random,
-    ) -> GeneratedSample:
-        outcomes = self.evaluate_axes(context, config.temperature, rng)
-        failed = [outcome for outcome in outcomes if outcome.failed]
-        if not failed:
-            return GeneratedSample(
-                code=context.reference_source,
-                injected_hallucinations=[],
-                sample_index=index,
-                temperature=config.temperature,
-            )
-        subtype = self._pick_subtype(failed[0].axis, context, rng)
-        injector = CorruptionInjector(rng)
-        outcome = injector.inject(context.reference_source, subtype)
-        return GeneratedSample(
-            code=outcome.code,
-            injected_hallucinations=[outcome.record] if outcome.applied else [],
-            sample_index=index,
-            temperature=config.temperature,
-        )
+        plan = SamplePlan(self, context, config)
+        return [plan.draw(index) for index in indices]
 
     # ------------------------------------------------------------------ axis model
-    def evaluate_axes(
-        self, context: GenerationContext, temperature: float, rng: random.Random
-    ) -> list[AxisOutcome]:
-        """Evaluate every taxonomy axis, in priority order, for one sample.
+    def axis_table(self, context: GenerationContext) -> list[tuple[str, float, float]]:
+        """``(axis, skill, demand)`` of every axis ``context`` exercises, in decision order.
 
-        Per-axis success probabilities come from the logistic skill-vs-demand
-        model (shifted by a per-(model, task) aptitude offset).  Whether a
-        particular *sample* succeeds on an axis is decided by comparing the
-        probability against a per-(model, task, axis) latent quantile that is
-        shared by every sample of the task, perturbed by a small per-sample
-        jitter that grows with the sampling temperature.  Samples of one task are
-        therefore strongly correlated — repeated sampling only flips outcomes for
-        borderline tasks — which reproduces the modest pass@1 → pass@5 gaps the
-        paper reports and makes the temperature sweep genuinely matter.
+        The symbolic axis exists only for prompts with a symbolic modality;
+        chat-style prompts add difficulty for models unused to them.
         """
+        profile = self.profile
         demands = context.demands.clamped()
-        jitter = SAMPLE_JITTER_BASE + self.profile.temperature_sensitivity * max(temperature, 0.05)
-        aptitude, quantiles = self._task_latents(context)
-
-        def shifted(skill: float, axis: str) -> float:
-            return skill + aptitude[axis]
-
-        def decide(axis: str, probability: float) -> bool:
-            """Return True when the axis FAILS for this sample."""
-            draw = quantiles[axis] + rng.gauss(0.0, jitter)
-            return draw > probability
-
-        outcomes: list[AxisOutcome] = []
-
-        syntax_p = success_probability(shifted(self.profile.syntax_skill, "syntax"), SYNTAX_DEMAND)
-        outcomes.append(AxisOutcome("syntax", syntax_p, decide("syntax", syntax_p)))
-
+        rows = [("syntax", profile.syntax_skill, SYNTAX_DEMAND)]
         if demands.modality is not SymbolicModality.NONE:
-            symbolic_skill = self.profile.effective_symbolic_skill(context.prompt_refined)
-            symbolic_demand = MODALITY_DEMAND[demands.modality]
-            symbolic_p = success_probability(shifted(symbolic_skill, "symbolic"), symbolic_demand)
-            outcomes.append(AxisOutcome("symbolic", symbolic_p, decide("symbolic", symbolic_p)))
-
-        knowledge_p = success_probability(
-            shifted(self.profile.knowledge_skill, "knowledge"), demands.knowledge
-        )
-        outcomes.append(AxisOutcome("knowledge", knowledge_p, decide("knowledge", knowledge_p)))
-
-        logic_p = success_probability(shifted(self.profile.logic_skill, "logic"), demands.logic)
-        outcomes.append(AxisOutcome("logic", logic_p, decide("logic", logic_p)))
-
+            rows.append(
+                (
+                    "symbolic",
+                    profile.effective_symbolic_skill(context.prompt_refined),
+                    MODALITY_DEMAND[demands.modality],
+                )
+            )
+        rows.append(("knowledge", profile.knowledge_skill, demands.knowledge))
+        rows.append(("logic", profile.logic_skill, demands.logic))
         difficulty = demands.difficulty
         if context.prompt_style == "spec_to_rtl":
-            difficulty = min(1.0, difficulty + (1.0 - self.profile.chat_alignment) * CHAT_STYLE_PENALTY)
-        general_p = success_probability(shifted(self.profile.general_skill, "general"), difficulty)
-        outcomes.append(AxisOutcome("general", general_p, decide("general", general_p)))
-
-        return outcomes
+            difficulty = min(1.0, difficulty + (1.0 - profile.chat_alignment) * CHAT_STYLE_PENALTY)
+        rows.append(("general", profile.general_skill, difficulty))
+        return rows
 
     def _task_latents(self, context: GenerationContext) -> tuple[dict[str, float], dict[str, float]]:
         """Per-(model, task) aptitude offsets and latent quantiles.
@@ -219,72 +294,19 @@ class SimulatedCodeGenLLM(LLMBackend):
         key = f"aptitude|{self.profile.latent_identity()}|{self.seed}|{context.task_id}"
         latents = self._latents.get(key)
         if latents is None:
-            digest = hashlib.sha256(key.encode()).hexdigest()
-            task_rng = random.Random(int(digest[:16], 16))
-            axes = ("syntax", "symbolic", "knowledge", "logic", "general")
-            aptitude = {axis: task_rng.gauss(0.0, TASK_APTITUDE_SIGMA) for axis in axes}
-            quantiles = {axis: task_rng.random() for axis in axes}
+            digest = hashlib.sha256(key.encode()).digest()
+            task_rng = random.Random(int.from_bytes(digest[:8], "big"))
+            aptitude = {axis: task_rng.gauss(0.0, TASK_APTITUDE_SIGMA) for axis in AXES}
+            quantiles = {axis: task_rng.random() for axis in AXES}
             latents = self._latents[key] = (aptitude, quantiles)
         return latents
 
     def pass_probability(self, context: GenerationContext, temperature: float = 0.2) -> float:
         """Closed-form expected pass probability (no sampling noise); for analysis."""
-        demands = context.demands.clamped()
-        probability = success_probability(self.profile.syntax_skill, SYNTAX_DEMAND)
-        if demands.modality is not SymbolicModality.NONE:
-            probability *= success_probability(
-                self.profile.effective_symbolic_skill(context.prompt_refined),
-                MODALITY_DEMAND[demands.modality],
-            )
-        probability *= success_probability(self.profile.knowledge_skill, demands.knowledge)
-        probability *= success_probability(self.profile.logic_skill, demands.logic)
-        difficulty = demands.difficulty
-        if context.prompt_style == "spec_to_rtl":
-            difficulty = min(1.0, difficulty + (1.0 - self.profile.chat_alignment) * CHAT_STYLE_PENALTY)
-        probability *= success_probability(self.profile.general_skill, difficulty)
+        probability = 1.0
+        for _axis, skill, demand in self.axis_table(context):
+            probability *= success_probability(skill, demand)
         return probability
-
-    # ------------------------------------------------------------------ helpers
-    def _pick_subtype(
-        self, axis: str, context: GenerationContext, rng: random.Random
-    ) -> HallucinationSubtype:
-        demands = context.demands
-        if axis == "syntax":
-            return HallucinationSubtype.VERILOG_SYNTAX_MISAPPLICATION
-        if axis == "symbolic":
-            return {
-                SymbolicModality.TRUTH_TABLE: HallucinationSubtype.TRUTH_TABLE_MISINTERPRETATION,
-                SymbolicModality.WAVEFORM: HallucinationSubtype.WAVEFORM_MISINTERPRETATION,
-                SymbolicModality.STATE_DIAGRAM: HallucinationSubtype.STATE_DIAGRAM_MISINTERPRETATION,
-            }.get(demands.modality, HallucinationSubtype.TRUTH_TABLE_MISINTERPRETATION)
-        if axis == "knowledge":
-            if demands.required_attributes and rng.random() < 0.6:
-                return HallucinationSubtype.VERILOG_ATTRIBUTE_MISUNDERSTANDING
-            return HallucinationSubtype.DESIGN_CONVENTION_MISAPPLICATION
-        if axis == "logic":
-            roll = rng.random()
-            if "if" in context.prompt_text.lower() and roll < 0.35:
-                return HallucinationSubtype.INSTRUCTIONAL_LOGIC_FAILURE
-            if ("case" in context.reference_source or "else" in context.reference_source) and roll < 0.65:
-                return HallucinationSubtype.INCORRECT_CORNER_CASE_HANDLING
-            return HallucinationSubtype.INCORRECT_LOGICAL_EXPRESSION
-        # General complexity failures show up as logic or knowledge slips.
-        return rng.choice(
-            [
-                HallucinationSubtype.INCORRECT_LOGICAL_EXPRESSION,
-                HallucinationSubtype.DESIGN_CONVENTION_MISAPPLICATION,
-                HallucinationSubtype.INCORRECT_CORNER_CASE_HANDLING,
-            ]
-        )
-
-    def _sample_rng(
-        self, context: GenerationContext, config: GenerationConfig, index: int
-    ) -> random.Random:
-        key = sample_stream_key(
-            self.profile.latent_identity(), self.seed, context.task_id, config, index
-        )
-        digest = hashlib.sha256(key.encode()).hexdigest()
-        return random.Random(int(digest[:16], 16))
 
 
 def make_backend(profile: CapabilityProfile, seed: int = 0) -> SimulatedCodeGenLLM:

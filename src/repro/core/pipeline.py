@@ -78,15 +78,15 @@ class HaVenPipeline:
             prompt_style: ``"completion"`` or ``"spec_to_rtl"``.
             task_id: identifier for deterministic sampling.
             sample_indices: draw only these indices of the deterministic sample
-                stream instead of ``range(config.num_samples)`` (the resumable
-                run engine uses this to execute individual work units; each
-                returned sample keeps its true ``sample_index``).
+                stream instead of ``range(config.num_samples)``, in one
+                ``generate_indices`` call (the resumable run engine uses this
+                to execute individual work units; each returned sample keeps
+                its true ``sample_index``).
         """
         config = config or GenerationConfig()
         demands = demands or TaskDemands()
 
         refined: RefinedPrompt | None = None
-        prompt_text = prompt.full_text()
         prompt_refined = False
         if self.use_sicot and self.sicot is not None:
             refined = self.sicot.refine(prompt)
@@ -94,6 +94,8 @@ class HaVenPipeline:
             prompt_refined = refined.modality is not SymbolicModality.NONE and bool(
                 refined.interpretation
             )
+        else:
+            prompt_text = prompt.full_text()
 
         context = GenerationContext(
             prompt_text=prompt_text,
@@ -107,7 +109,5 @@ class HaVenPipeline:
         if sample_indices is None:
             samples = self.backend.generate(context, config)
         else:
-            samples = [
-                self.backend.generate_at(context, config, index) for index in sample_indices
-            ]
+            samples = self.backend.generate_indices(context, config, sample_indices)
         return PipelineResult(refined_prompt=refined, samples=samples)

@@ -2,8 +2,9 @@
 
 Execution is grouped per ``(profile, suite)``.  For every task × temperature
 with pending units, only the missing sample indices are drawn from the
-pipeline's deterministic sample stream (``generate_at`` — so a resumed or
-sharded run reproduces the serial samples bit-for-bit).  Drawing,
+pipeline's deterministic sample stream (one ``generate_indices`` call, each
+sample seeded by its own index — so a resumed or sharded run reproduces the
+serial samples bit-for-bit).  Drawing,
 syntax-checking, deduplicating by :class:`~repro.bench.outcomes.ResultKey` and
 executing through :func:`~repro.bench.jobs.run_checks` (process pool when the
 manifest's ``EvaluationConfig.max_workers`` says so) is
@@ -135,12 +136,23 @@ class RunEngine:
         self._syntax: dict[str, SyntaxVerdict] = {}
         #: Run-wide check keys: suite id → (task id, temperature) → keys.
         self._check_keys: dict[str, dict[tuple[str, float], TaskCheckKeys]] = {}
+        #: The manifest's expansion, kept from a :meth:`units` call until the
+        #: next :meth:`run` takes it.
+        self._units: tuple[WorkUnit, ...] | None = None
         store.write_manifest(manifest)
 
     # ------------------------------------------------------------------ planning
     def units(self) -> list[WorkUnit]:
-        """The manifest's full work-unit list in deterministic expansion order."""
-        return self.manifest.expand(self.resolver.suite_task_ids())
+        """The manifest's full work-unit list in deterministic expansion order.
+
+        A caller that sizes a run before :meth:`run` and the run itself share
+        one expansion; every call returns a new list of the same units.
+        :meth:`run` releases the expansion, so an engine kept after its run
+        holds no units.
+        """
+        if self._units is None:
+            self._units = tuple(self.manifest.expand(self.resolver.suite_task_ids()))
+        return list(self._units)
 
     def shard_units(self, shard_index: int = 0, shard_count: int = 1) -> list[WorkUnit]:
         if shard_count < 1 or not (0 <= shard_index < shard_count):
@@ -167,6 +179,7 @@ class RunEngine:
         mid-sweep loses only the group that was running.
         """
         units = self.shard_units(shard_index, shard_count)
+        self._units = None
         stats = RunStats(total_units=len(units))
 
         pending: list[WorkUnit] = []

@@ -10,7 +10,9 @@ per-run views, so a scrape parses only the lines appended since the last
 one.  Process-local sources (HTTP request counters, rate-limit
 rejections, the design-database cache) come from the server's in-memory
 :class:`HttpCounters` and the process-wide
-:class:`~repro.verilog.design.DesignDatabase` stats.
+:class:`~repro.verilog.design.DesignDatabase` stats.  The formal proof
+counters are process-local too; a scrape reads them only when the process has
+loaded the prover, and reports zeros otherwise without loading it.
 
 The exposition format is the Prometheus text format, version 0.0.4:
 ``# HELP`` / ``# TYPE`` headers followed by ``name{labels} value`` samples.
@@ -20,6 +22,7 @@ Latency quantiles use the summary convention
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Callable, Iterable, Mapping
@@ -267,9 +270,13 @@ class ServiceMetrics:
         return [total]
 
     def _formal_families(self) -> list[MetricFamily]:
-        from ..formal import proof_stats
-
-        stats = proof_stats()
+        # The proof registry is process-local: a process that never loaded
+        # the prover has proved nothing, so a scrape does not load it either.
+        registry = sys.modules.get("repro.formal.stats")
+        if registry is None:
+            stats = {"total": 0, "results": {}, "conflicts": 0}
+        else:
+            stats = registry.proof_stats()
         proofs = MetricFamily(
             "repro_formal_proofs_total",
             "counter",

@@ -14,6 +14,7 @@ the scalar path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol
 
@@ -146,9 +147,13 @@ class TestbenchResult:
     #: ``None`` for simulation verdicts.
     proof_stats: dict | None = None
 
-    @property
+    @functools.cached_property
     def failure_summary(self) -> str:
-        """Human-readable description of why the run failed (empty when passed)."""
+        """Human-readable description of why the run failed (empty when passed).
+
+        Formatted once per result: every unit a memoised verdict answers
+        journals the same text, and results are not changed once built.
+        """
         if self.passed:
             return ""
         if self.error is not None:

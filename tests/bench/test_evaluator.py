@@ -187,11 +187,17 @@ class TestEvaluator:
         assert coverage["total"] == sum(coverage["reasons"].values())
 
     def test_each_sample_index_is_drawn_once(self, tiny_human_suite):
-        """Draws name their sample indices: one ``generate_at`` per work unit."""
+        """Draws name their sample indices: one ``generate_indices`` call per
+        (task, temperature), one ``generate_at`` per work unit."""
 
         class CountingBackend(PerfectBackend):
             def __init__(self):
                 self.calls: list[tuple[str, float, int]] = []
+                self.draws: list[tuple[str, float]] = []
+
+            def generate_indices(self, context, config, indices):
+                self.draws.append((context.task_id, config.temperature))
+                return super().generate_indices(context, config, indices)
 
             def generate_at(self, context, config, index):
                 self.calls.append((context.task_id, config.temperature, index))
@@ -206,6 +212,9 @@ class TestEvaluator:
             for task_id in tasks
             for temperature in (0.2, 0.8)
             for index in range(3)
+        ]
+        assert backend.draws == [
+            (task_id, temperature) for task_id in tasks for temperature in (0.2, 0.8)
         ]
         assert [task.num_samples for task in result.task_results] == [3] * 4
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.symbolic_suite import build_symbolic_suite
 from repro.bench.verilogeval import SuiteConfig
-from repro.core.llm.corruption import CorruptionInjector
+from repro.core.llm.corruption import CorruptionInjector, remove_span_keeping_structure
 from repro.core.taxonomy import HallucinationSubtype
 from repro.experiments import ExperimentScale, build_suites
 from repro.verilog.design import DesignDatabase, set_default_database
@@ -179,7 +179,7 @@ class TestParseOnce:
     def _remove(self, source: str, pattern: str) -> str | None:
         match = re.search(pattern, source)
         assert match is not None
-        return CorruptionInjector(random.Random(0))._remove_span_keeping_structure(source, match)
+        return remove_span_keeping_structure(source, match)
 
     def test_span_removal_keeps_a_parsable_candidate(self, fsm_source):
         candidate = self._remove(fsm_source, r"default\s*:.*")

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.bench.symbolic_suite import build_symbolic_suite
+from repro.bench.verilogeval import SuiteConfig
 from repro.core.llm.base import GenerationConfig, TaskDemands
+from repro.core.llm.corruption import corruption_table
 from repro.core.llm.profiles import BASELINE_PROFILES
 from repro.core.llm.simulated import SimulatedCodeGenLLM, sample_stream_key
 from repro.core.pipeline import HaVenPipeline
 from repro.core.prompt import DesignPrompt, ModuleInterface, PortSpec
+from repro.experiments import ExperimentScale, build_suites
 from test_llm import _context
 
 MUX_MODULE = (
@@ -150,3 +156,96 @@ class TestTemperatureKeying:
             for i in range(8)
         ]
         assert codes_low != codes_high
+
+
+@pytest.fixture(scope="module")
+def tiny_tasks():
+    """Every task of the five tiny-scale suites (every corruption handler's input)."""
+    scale = ExperimentScale.tiny()
+    suites = dict(build_suites(scale))
+    suites["symbolic"] = build_symbolic_suite(
+        SuiteConfig(num_tasks=scale.human_tasks, seed=scale.seed + 11)
+    )
+    return [task for suite in suites.values() for task in suite]
+
+
+def draw(pipeline: HaVenPipeline, task, temperature: float, indices) -> list:
+    return pipeline.generate(
+        prompt=task.prompt,
+        interface=task.interface,
+        reference_source=task.reference_source,
+        demands=task.demands,
+        config=GenerationConfig(temperature=temperature, num_samples=8, seed=1),
+        prompt_style=task.prompt_style,
+        task_id=task.task_id,
+        sample_indices=indices,
+    ).samples
+
+
+class TestGroupedDraws:
+    """A draw's samples do not depend on how its indices are grouped into calls."""
+
+    @pytest.mark.parametrize("use_sicot", [False, True])
+    def test_one_call_and_split_calls_agree(self, tiny_tasks, use_sicot):
+        pipeline = HaVenPipeline(backend("codellama-7b"), use_sicot=use_sicot)
+        injected = 0
+        for task in tiny_tasks:
+            for temperature in (0.2, 0.8):
+                whole = draw(pipeline, task, temperature, range(8))
+                # As service lease batches split a group: arbitrary cuts, any order.
+                split = (
+                    draw(pipeline, task, temperature, [0, 1, 2])
+                    + draw(pipeline, task, temperature, [3])
+                    + draw(pipeline, task, temperature, [7, 6, 5, 4])[::-1]
+                )
+                assert split == whole
+                assert [sample.sample_index for sample in whole] == list(range(8))
+                injected += sum(not sample.is_intended_correct for sample in whole)
+        assert injected > len(tiny_tasks)
+
+    def test_generate_at_is_the_one_index_case(self, tiny_tasks):
+        llm = backend("codellama-7b")
+        pipeline = HaVenPipeline(llm, use_sicot=False)
+        config = GenerationConfig(temperature=0.8, num_samples=8, seed=1)
+        for task in tiny_tasks:
+            context = _context(
+                prompt_text=task.prompt.full_text(),
+                interface=task.interface,
+                reference_source=task.reference_source,
+                demands=task.demands,
+                prompt_style=task.prompt_style,
+                task_id=task.task_id,
+            )
+            one_by_one = [llm.generate_at(context, config, index) for index in range(8)]
+            assert one_by_one == draw(pipeline, task, 0.8, range(8))
+            assert llm.generate_indices(context, config, []) == []
+
+
+class TestCorruptionTableCache:
+    def test_kept_and_evicted_tables_give_what_fresh_ones_do(self, tiny_tasks):
+        pipeline = HaVenPipeline(backend("codellama-7b"), use_sicot=False)
+
+        def sweep(tasks) -> list:
+            return [draw(pipeline, task, 0.8, range(8)) for task in tasks]
+
+        # The oracle: every sample drawn on a freshly built table.
+        fresh = []
+        for task in tiny_tasks:
+            samples = []
+            for index in range(8):
+                corruption_table.cache_clear()
+                samples += draw(pipeline, task, 0.8, [index])
+            fresh.append(samples)
+        assert sum(not s.is_intended_correct for drawn in fresh for s in drawn) > 50
+        corruption_table.cache_clear()
+        assert sweep(tiny_tasks) == fresh
+        tables = {task.reference_source: corruption_table(task.reference_source) for task in tiny_tasks}
+        # Kept tables hold the sites earlier draws picked; reuse must not show.
+        assert sweep(tiny_tasks[::-1])[::-1] == fresh
+        capacity = corruption_table.cache_info().maxsize
+        assert capacity < 10_000
+        for number in range(capacity):
+            corruption_table(f"// filler {number}\n")
+        assert all(corruption_table(source) is not table for source, table in tables.items())
+        assert sweep(tiny_tasks) == fresh
+        corruption_table.cache_clear()

@@ -3,7 +3,8 @@
 Besides its verdict memo (``test_memo.py``), ``RunEngine`` keeps each source's
 syntax verdict by source text and each suite task's check keys by
 ``(task, temperature)`` for its lifetime; ``WorkUnit.key`` is hashed once per
-unit.  None of them may change a journaled byte, and with
+unit, and an execution's failure summary is formatted once, however many
+units its verdict answers.  None of them may change a journaled byte, and with
 ``memoize_results=False`` every memo is fresh per ``check_samples`` call.
 """
 
@@ -19,6 +20,7 @@ import pytest
 import repro.bench.evaluator as check_core
 import repro.runs.engine as engine_module
 import repro.verilog.design as design
+import repro.verilog.simulator.testbench as testbench
 from repro.experiments import ExperimentScale
 from repro.runs.engine import RunEngine
 from repro.runs.manifest import WorkUnit
@@ -89,6 +91,28 @@ def test_check_keys_are_built_once_per_suite_task_and_temperature(
     distinct = {(unit.suite_id, unit.task_id, unit.temperature) for unit in engine.units()}
     assert sum(built.values()) == len(distinct)
     assert len(manifest.profiles) == 2
+
+
+def test_failure_summary_is_formatted_once_per_execution(manifest, resolver, monkeypatch):
+    formatted: Counter[int] = Counter()
+    summary = testbench.TestbenchResult.__dict__["failure_summary"]
+
+    class CountingSummary:
+        """Counts the reads that reach the class: a kept value shadows it."""
+
+        def __get__(self, result, owner=None):
+            if result is None:
+                return self
+            formatted[id(result)] += 1
+            return summary.__get__(result, owner)
+
+    monkeypatch.setattr(testbench.TestbenchResult, "failure_summary", CountingSummary())
+    store = RunStore.ephemeral()
+    stats = RunEngine(manifest, store, resolver).run()
+    checked = [record for record in store.records() if record["outcome"]["syntax_ok"]]
+    assert set(formatted.values()) == {1}
+    # Units whose candidates repeat share an execution, and with it its text.
+    assert 10 < len(formatted) < len(checked) <= stats.executed
 
 
 def test_memos_do_not_change_the_journal(manifest, resolver):

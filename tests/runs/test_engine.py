@@ -55,6 +55,25 @@ class TestExecution:
         done, total = engine.progress()
         assert done == total
 
+    def test_sizing_a_run_and_running_it_expand_the_manifest_once(self, manifest, monkeypatch):
+        calls = []
+        expand = type(manifest).expand
+
+        def counting_expand(self, suite_task_ids):
+            calls.append(self.name)
+            return expand(self, suite_task_ids)
+
+        monkeypatch.setattr(type(manifest), "expand", counting_expand)
+        engine = RunEngine(manifest, RunStore.ephemeral())
+        units = engine.units()
+        assert engine.units() == units and engine.units() is not units
+        stats = engine.run()
+        assert stats.executed == len(units)
+        assert len(calls) == 1
+        # The run released the expansion: an engine kept after it holds no units.
+        assert engine.units() == units
+        assert len(calls) == 2
+
     def test_completed_run_reexecutes_zero_units(self, manifest, tmp_path):
         store = RunStore(tmp_path / "run")
         RunEngine(manifest, store).run()

@@ -95,6 +95,23 @@ def test_http_server_loads_no_prover_or_run_engine():
     assert loaded(modules, SERVER_FORBIDDEN) == []
 
 
+def test_first_metrics_scrape_loads_no_prover(tmp_path):
+    """The server reports the prover's zero counters without importing it."""
+    modules, code = imported_modules(
+        "-c",
+        "import sys, repro.service.api\n"
+        "from repro.service.broker import FileBroker\n"
+        "from repro.service.metrics import ServiceMetrics\n"
+        f"text = ServiceMetrics(FileBroker({str(tmp_path)!r})).render()\n"
+        "assert 'repro_formal_proofs_total 0' in text, text\n"
+        "assert 'repro_formal_conflicts_total 0' in text, text\n"
+        "assert not any(name.startswith('repro.formal') for name in sys.modules)\n",
+    )
+    assert code == 0
+    assert "repro.service.metrics" in modules
+    assert loaded(modules, SERVER_FORBIDDEN) == []
+
+
 @pytest.fixture(scope="module")
 def planned_run(tmp_path_factory) -> Path:
     """A run directory holding a planned tiny Table IV run, nothing executed."""
