@@ -55,9 +55,12 @@ paper-table4:
 # Table IV simulation, Table V formal, the HTTP service queue) compared with
 # the committed e2ebench/reference.json; run.py exits 1 on `correct: false`.
 # Table V, the workload whose proofs unroll sequential designs, also runs at
-# the further stimulus seeds E2E_FORMAL_SEEDS.
+# the further stimulus seeds E2E_FORMAL_SEEDS, and quick Table IV, whose
+# simulation checks start every clocked design from its post-reset state, at
+# the further generation seeds E2E_SIM_SEEDS.
 E2E_WORKLOADS := table4-sim table5-formal service-queue
 E2E_FORMAL_SEEDS := 1 2 3
+E2E_SIM_SEEDS := 1 2 3
 
 e2e-verdicts:
 	set -e; for workload in $(E2E_WORKLOADS); do \
@@ -65,4 +68,7 @@ e2e-verdicts:
 	done; \
 	for seed in $(E2E_FORMAL_SEEDS); do \
 		python e2ebench/run.py --workload table5-formal --seed $$seed --seconds 0.1 --trace 0; \
+	done; \
+	for seed in $(E2E_SIM_SEEDS); do \
+		python e2ebench/run.py --workload table4-sim --seed $$seed --seconds 0.1 --trace 0; \
 	done

@@ -13,6 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 from ..logic.bittable import BitTable
 from ..logic.expr import BoolExpr
+from ..verilog.simulator.testbench import ResetSpec
 
 
 def _mask(width: int) -> int:
@@ -403,8 +404,7 @@ class VerilogGolden:
         dut_source: str,
         dut_module_name: str | None = None,
         sequential_steps: int | None = None,
-        reset: str | None = None,
-        reset_active_low: bool = False,
+        reset: ResetSpec | None = ResetSpec(),
         conflict_limit: int | None = None,
         induction_depth: int | None = None,
     ):
@@ -436,7 +436,6 @@ class VerilogGolden:
             sequential_steps=sequential_steps,
             clock=self.clock,
             reset=reset,
-            reset_active_low=reset_active_low,
             conflict_limit=conflict_limit,
             session=session,
             induction_depth=induction_depth if self.is_sequential else None,
@@ -617,8 +616,7 @@ def formal_equivalence_check(
     reference_module_name: str | None = None,
     sequential_steps: int | None = None,
     clock: str = "clk",
-    reset: str | None = None,
-    reset_active_low: bool = False,
+    reset: ResetSpec | None = ResetSpec(),
     conflict_limit: int | None = None,
     replay: bool = True,
     session=None,
@@ -669,7 +667,6 @@ def formal_equivalence_check(
                 depth=induction_depth,
                 clock=clock,
                 reset=reset,
-                reset_active_low=reset_active_low,
                 outputs=outputs,
                 module_name=module_name,
                 reference_module_name=reference_module_name,
@@ -684,7 +681,6 @@ def formal_equivalence_check(
                 steps=sequential_steps,
                 clock=clock,
                 reset=reset,
-                reset_active_low=reset_active_low,
                 outputs=outputs,
                 module_name=module_name,
                 reference_module_name=reference_module_name,
@@ -711,7 +707,6 @@ def formal_equivalence_check(
             steps=sequential_steps,
             clock=clock,
             reset=reset,
-            reset_active_low=reset_active_low,
             outputs=outputs,
             module_name=module_name,
             reference_module_name=reference_module_name,
@@ -744,7 +739,6 @@ def formal_equivalence_check(
             result.checked_outputs,
             clock=clock,
             reset=reset,
-            reset_active_low=reset_active_low,
             module_name=module_name,
             reference_module_name=reference_module_name,
         ):
@@ -761,35 +755,33 @@ def _replay_sequential_counterexample(
     steps: Sequence[Mapping[str, int]],
     checked_outputs: Sequence[str],
     clock: str,
-    reset: str | None,
-    reset_active_low: bool,
+    reset: ResetSpec | None,
     module_name: str | None,
     reference_module_name: str | None,
 ) -> bool:
     """Drive both designs cycle-by-cycle; ``True`` iff some output mismatches.
 
-    Each design starts from the post-reset state its sequential unroller
-    proved from (:func:`repro.formal.cone.post_reset_state`, memoised on the
-    compiled design) and runs the steps through
+    Each design starts from its post-reset state under ``reset``
+    (:func:`~repro.verilog.simulator.testbench.reset_state`, memoised on the
+    compiled design), the state its sequential unroller proved from and the
+    testbench runners score from, and runs the steps through
     :class:`~repro.verilog.simulator.testbench.ClockedCycles`: generated code
     once the state passes the x/z gate, the scalar simulator before that or
     when the design or the steps fall outside the gate.
     """
-    from ..formal.cone import post_reset_state, resolve_reset
     from ..verilog.design import get_default_database
-    from ..verilog.simulator.testbench import ClockedCycles, sequence_program
+    from ..verilog.simulator.testbench import ClockedCycles, reset_state, sequence_program
 
     stimulus = [dict(step_inputs) for step_inputs in steps]
 
     def prepared(source: str, name: str | None) -> ClockedCycles:
         compiled = get_default_database().compile(source, name)
-        resolved = resolve_reset(list(compiled.input_widths()), reset, reset_active_low)
         return ClockedCycles(
             compiled,
             clock,
             sequence_program(compiled, clock, stimulus),
             stimulus,
-            state=post_reset_state(compiled, clock, *resolved),
+            state=reset_state(compiled, clock, reset),
         )
 
     dut = prepared(dut_source, module_name)

@@ -85,11 +85,7 @@ def stimulus_key(
     deliberately split the memo (e.g. per temperature when memoisation is
     disabled for differential runs).
     """
-    reset_repr = (
-        (reset.signal, reset.active_low, reset.synchronous, reset.cycles)
-        if reset is not None
-        else None
-    )
+    reset_repr = (reset.signal, reset.active_low) if reset is not None else None
     payload = repr(
         (
             task_id,
@@ -279,14 +275,12 @@ def _formal_check(request: CheckRequest) -> TestbenchResult | None:
         return None
     try:
         if sequential:
-            reset = request.reset
             proof = formal_equivalence_check(
                 request.code,
                 request.reference_source,
                 outputs=request.check_outputs,
                 clock=request.clock,
-                reset=reset.signal if reset is not None else None,
-                reset_active_low=bool(reset.active_low) if reset is not None else False,
+                reset=request.reset,
                 conflict_limit=request.formal_conflict_limit,
                 induction_depth=request.induction_depth,
             )

@@ -22,7 +22,9 @@ concrete value:
 Sequential designs are symbolically executed once per clocking, into a
 :class:`TransitionRelation` (one clock step over free state and data inputs);
 :class:`SequentialUnroller` builds every time frame of a proof as a
-substituted copy of it, from the concrete reset state or from a symbolic one.
+substituted copy of it, from the concrete post-reset state of the task's
+:class:`~repro.verilog.simulator.testbench.ResetSpec` (the testbench's own
+:func:`~repro.verilog.simulator.testbench.reset_state`) or from a symbolic one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..verilog import ast_nodes as ast
 from ..verilog.design import CompiledDesign, coerce_compiled
 from ..verilog.simulator.scheduler import MAX_LOOP_ITERATIONS, ProcessKind
 from ..verilog.simulator.simulator import MAX_SETTLE_ITERATIONS, ElaboratedModule
+from ..verilog.simulator.testbench import ResetSpec, reset_pin, reset_state
 from .aig import AIG, FALSE, TRUE, FormalEncodingError, SymVector, concat_sym
 
 #: Key prefix for the shadow next-state entries used by non-blocking assigns.
@@ -933,8 +936,7 @@ class TransitionRelation:
 def encode_transition_relation(
     compiled: CompiledDesign,
     clock: str,
-    reset: str | None,
-    reset_active_low: bool,
+    reset: ResetSpec | None,
     aig: AIG | None = None,
 ) -> TransitionRelation:
     """Symbolically execute one clock step of ``compiled`` (see :class:`TransitionRelation`).
@@ -944,15 +946,16 @@ def encode_transition_relation(
     """
     design = compiled.elaborate()
     aig = AIG() if aig is None else aig
+    pin = reset_pin(compiled, reset)
     inputs = {
         name: SymVector(tuple(aig.add_input(f"{name}[{bit}]") for bit in range(width)))
         for name, width in design.store.widths.items()
-        if name not in (clock, reset)
+        if name not in (clock, pin)
     }
     executor = SymbolicExecutor(design, aig, input_literals=inputs)
     executor.set_concrete(clock, 0)
-    if reset is not None:
-        executor.set_concrete(reset, 1 if reset_active_low else 0)
+    if pin is not None:
+        executor.set_concrete(pin, 1 if reset.active_low else 0)
     executor.settle()
     executor.clock_step()
     executor.settle()
@@ -971,14 +974,16 @@ class SequentialUnroller:
     """Bounded unrolling of a (single-clock) sequential module.
 
     Every time frame is a substituted copy of the design's
-    :class:`TransitionRelation`.  Unrolling starts from the concrete reset
-    state — :func:`post_reset_state`, the scalar
-    :class:`~repro.verilog.simulator.ModuleSimulator` run through
-    :func:`apply_reset_pulse` (not the testbench runner's ``ResetSpec``
-    reset, which never parks the clock) — or from any symbolic state
-    (:meth:`symbolic_state`).  Register bits still ``x`` after reset become
-    tagged undef inputs (outputs depending on them are rejected at proof
-    time).  The relation and the reset state are memoised on the
+    :class:`TransitionRelation`.  Unrolling starts from the concrete
+    post-reset state —
+    :func:`~repro.verilog.simulator.testbench.reset_state` under the task's
+    ``reset``, the very snapshot the testbench runners start from — or from
+    any symbolic state (:meth:`symbolic_state`).  The reset pin is held
+    inactive in every frame when it is an input port of the design; a design
+    that names its reset otherwise has no reset here, and that pin is a data
+    input.  Register bits still ``x`` after reset become tagged undef inputs
+    (outputs depending on them are rejected at proof time).  The relation
+    and the reset state are memoised on the
     :class:`~repro.verilog.design.CompiledDesign`.
     """
 
@@ -987,8 +992,7 @@ class SequentialUnroller:
         module,
         aig: AIG,
         clock: str = "clk",
-        reset: str | None = None,
-        reset_active_low: bool = False,
+        reset: ResetSpec | None = ResetSpec(),
         module_name: str | None = None,
         parameter_overrides: dict[str, int] | None = None,
         undef_prefix: str = "",
@@ -998,17 +1002,16 @@ class SequentialUnroller:
         self.module = compiled.module
         self.aig = aig
         self.clock = clock
+        self.reset = reset
         self.design = compiled.elaborate()
         self.undef_prefix = undef_prefix
-        input_names = [port.name for port in self.design.input_ports()]
-        self.reset, self.reset_active_low = resolve_reset(
-            input_names, reset, reset_active_low
-        )
+        #: The reset pin held inactive while unrolling (``None``: no reset).
+        self.reset_pin = reset_pin(compiled, reset)
         self._check_clocking()
         self.data_inputs = [
-            name
-            for name in input_names
-            if name != clock and name != self.reset
+            port.name
+            for port in self.design.input_ports()
+            if port.name not in (clock, self.reset_pin)
         ]
 
     def _check_clocking(self) -> None:
@@ -1026,7 +1029,7 @@ class SequentialUnroller:
                 )
             edges_on_clock.update(clock_edges)
             for edge, signal in process.edge_signals():
-                if signal not in (self.clock, self.reset):
+                if signal not in (self.clock, self.reset_pin):
                     raise FormalEncodingError(
                         f"sequential process is sensitive to {signal!r}, which is "
                         "neither the clock nor the (constant-inactive) reset"
@@ -1039,17 +1042,14 @@ class SequentialUnroller:
     # ------------------------------------------------------------------ built once per design
     def relation(self) -> TransitionRelation:
         """The design's transition relation under this clocking."""
-        clocking = (self.clock, self.reset, self.reset_active_low)
         return self.compiled.derived(
-            ("transition-relation", *clocking),
-            lambda: encode_transition_relation(self.compiled, *clocking),
+            ("transition-relation", self.clock, self.reset),
+            lambda: encode_transition_relation(self.compiled, self.clock, self.reset),
         )
 
     def reset_state(self):
         """Concrete post-reset signal values (name → ``LogicVector``)."""
-        return post_reset_state(
-            self.compiled, self.clock, self.reset, self.reset_active_low
-        )
+        return reset_state(self.compiled, self.clock, self.reset)
 
     # ------------------------------------------------------------------ unrolling
     def unroll(
@@ -1146,87 +1146,3 @@ class SequentialUnroller:
             }
             for step in range(steps)
         ]
-
-
-#: Reset input names recognised by auto-detection, in priority order.
-RESET_NAMES = ("rst", "reset", "rst_n", "reset_n", "rstn", "resetn", "areset", "arst")
-
-#: Reset names treated as active-low unless the caller says otherwise.
-ACTIVE_LOW_RESET_NAMES = ("rst_n", "reset_n", "rstn", "resetn")
-
-#: Clock cycles the reset pin is held active during the concrete reset pulse.
-RESET_PULSE_CYCLES = 2
-
-
-def detect_reset(input_names: Sequence[str]) -> str | None:
-    """The design's reset input, by naming convention (``None`` when absent)."""
-    for candidate in RESET_NAMES:
-        if candidate in input_names:
-            return candidate
-    return None
-
-
-def resolve_reset(
-    input_names: Sequence[str], reset: str | None, reset_active_low: bool
-) -> tuple[str | None, bool]:
-    """Resolve ``(reset_name, active_low)``, auto-detecting either when unset."""
-    if reset is None:
-        reset = detect_reset(input_names)
-    if reset not in input_names:
-        return None, reset_active_low
-    if not reset_active_low:
-        reset_active_low = reset in ACTIVE_LOW_RESET_NAMES
-    return reset, reset_active_low
-
-
-def apply_reset_pulse(
-    simulator,
-    clock: str = "clk",
-    reset: str | None = None,
-    reset_active_low: bool = False,
-) -> None:
-    """Drive a scalar simulator through the canonical concrete reset pulse.
-
-    This is THE reset protocol of the formal subsystem.  It runs once per
-    design and clocking, inside :func:`post_reset_state`, whose memoised
-    result is both the sequential unroller's initial state and the state the
-    counterexample replay in ``bench.golden`` starts from, so both engines
-    always start k-step comparisons from the same state.  With no
-    (recognised) reset pin the clock is simply parked low.
-    """
-    reset_name, active_low = resolve_reset(
-        simulator.input_names(), reset, reset_active_low
-    )
-    if reset_name is not None:
-        active = 0 if active_low else 1
-        simulator.apply_inputs({reset_name: active})
-        for _ in range(RESET_PULSE_CYCLES):
-            simulator.apply_inputs({clock: 1})
-            simulator.apply_inputs({clock: 0})
-        simulator.apply_inputs({reset_name: 1 - active})
-    else:
-        simulator.apply_inputs({clock: 0})
-
-
-def post_reset_state(
-    compiled, clock: str, reset: str | None, reset_active_low: bool
-) -> dict:
-    """The design's signal values after :func:`apply_reset_pulse` (name → ``LogicVector``).
-
-    ``reset`` and ``reset_active_low`` are the design's reset as resolved by
-    :func:`resolve_reset`.  The pulse runs once per design and clocking on a
-    scalar :class:`~repro.verilog.simulator.ModuleSimulator`; the snapshot is
-    memoised on the :class:`~repro.verilog.design.CompiledDesign` under
-    ``("reset-state", clock, reset, reset_active_low)``.  Each call returns
-    a fresh copy.
-    """
-    from ..verilog.simulator import ModuleSimulator
-
-    clocking = (clock, reset, reset_active_low)
-
-    def simulate():
-        simulator = ModuleSimulator(compiled)
-        apply_reset_pulse(simulator, *clocking)
-        return dict(simulator.signals)
-
-    return dict(compiled.derived(("reset-state", *clocking), simulate))

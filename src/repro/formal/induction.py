@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..verilog.simulator.testbench import ResetSpec
 from .aig import AIG, FormalEncodingError, negate
 from .miter import (
     EquivalenceResult,
@@ -73,8 +74,7 @@ def prove_sequential_by_induction(
     reference_source: str,
     depth: int,
     clock: str = "clk",
-    reset: str | None = None,
-    reset_active_low: bool = False,
+    reset: ResetSpec | None = ResetSpec(),
     outputs: Sequence[str] | None = None,
     module_name: str | None = None,
     reference_module_name: str | None = None,
@@ -102,7 +102,6 @@ def prove_sequential_by_induction(
         steps=depth,
         clock=clock,
         reset=reset,
-        reset_active_low=reset_active_low,
         outputs=outputs,
         module_name=module_name,
         reference_module_name=reference_module_name,
@@ -116,7 +115,7 @@ def prove_sequential_by_induction(
     aig = AIG()
     dut_unroller, reference_unroller, step_inputs = _sequential_unrollers(
         aig, dut_source, reference_source, depth + 1, clock, reset,
-        reset_active_low, module_name, reference_module_name,
+        module_name, reference_module_name,
     )
     dut_steps, _ = dut_unroller.unroll(
         step_inputs, dut_unroller.symbolic_state("dut_state:")

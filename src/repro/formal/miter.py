@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 from ..logic.expr import BoolExpr
 from ..verilog.design import get_default_database
+from ..verilog.simulator.testbench import ResetSpec
 from .aig import AIG, FALSE, TRUE, FormalEncodingError, FormalError, SymVector
 from .cnf import CNF, tseitin
 from .cone import SequentialUnroller, build_combinational_cone
@@ -356,8 +357,7 @@ def _sequential_unrollers(
     reference_source: str,
     steps: int,
     clock: str,
-    reset: str | None,
-    reset_active_low: bool,
+    reset: ResetSpec | None,
     module_name: str | None,
     reference_module_name: str | None,
 ) -> tuple[SequentialUnroller, SequentialUnroller, list[dict[str, SymVector]]]:
@@ -372,7 +372,6 @@ def _sequential_unrollers(
             aig,
             clock=clock,
             reset=reset,
-            reset_active_low=reset_active_low,
             module_name=name,
             undef_prefix=prefix,
         )
@@ -406,8 +405,7 @@ def prove_sequential_equivalence(
     reference_source: str,
     steps: int,
     clock: str = "clk",
-    reset: str | None = None,
-    reset_active_low: bool = False,
+    reset: ResetSpec | None = ResetSpec(),
     outputs: Sequence[str] | None = None,
     module_name: str | None = None,
     reference_module_name: str | None = None,
@@ -416,8 +414,10 @@ def prove_sequential_equivalence(
 ) -> EquivalenceResult:
     """Bounded (k-step) sequential equivalence from the reset state.
 
-    Both designs are reset concretely, then unrolled ``steps`` clock cycles
-    over shared fresh inputs; the miter ORs every per-step output difference.
+    Both designs start from the concrete post-reset state of ``reset`` (the
+    testbench's :func:`~repro.verilog.simulator.testbench.reset_state`), then
+    are unrolled ``steps`` clock cycles over shared fresh inputs; the miter
+    ORs every per-step output difference.
     ``UNSAT`` proves the designs agree on *every* input sequence of length
     ``steps`` — stronger than any sampled stimulus sweep of the same depth,
     but (unlike the combinational proof) not an unbounded guarantee.
@@ -426,7 +426,7 @@ def prove_sequential_equivalence(
         raise ValueError("bounded sequential equivalence needs at least one step")
     aig = AIG()
     dut_unroller, reference_unroller, step_inputs = _sequential_unrollers(
-        aig, dut_source, reference_source, steps, clock, reset, reset_active_low,
+        aig, dut_source, reference_source, steps, clock, reset,
         module_name, reference_module_name,
     )
     dut_steps, dut_undefs = dut_unroller.unroll(step_inputs)

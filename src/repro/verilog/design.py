@@ -16,10 +16,10 @@ them re-ran that pipeline per call, so a pass@k sweep paid the front-end cost
 * the parsed module AST (treated as immutable by every consumer);
 * the elaborated *template* design — resolved parameters, port map, initial
   signal values, process list;
-* derived analyses computed once: sequential/latch-risk classification,
-  undef-source taint, clock/reset inference; analyses only some consumers
-  need (the formal transition relation and reset state) are built on first
-  request by :meth:`CompiledDesign.derived` and never written to disk;
+* derived analyses computed once: sequential/latch-risk classification and
+  undef-source taint; analyses only some consumers need (the formal
+  transition relation and the post-reset state) are built on first request
+  by :meth:`CompiledDesign.derived` and never written to disk;
 * :meth:`CompiledDesign.elaborate` clones the template's signal store in O(#
   signals) dict copies, so each simulator instance gets private mutable state
   without re-running constant evaluation.
@@ -71,17 +71,11 @@ from .simulator.simulator import ElaboratedModule, PortInfo, elaborate_module
 
 #: Bump when the pickled on-disk layout changes; stale entries are recompiled.
 #: The version is embedded in the on-disk *file name* (see ``_disk_path``), so
-#: a layout change — like v2's codegen artifact, v3's fused sequence program
-#: or v4's artifact without the per-edge sequential function — invalidates
-#: old entries by key rather than surfacing as unpickle errors or silently
-#: missing fields.
-DISK_FORMAT_VERSION = 4
-
-#: Conventional clock/reset input names used by the inference analyses (the
-#: same conventions :mod:`repro.verilog.analyzer` and the bench families use).
-CLOCK_NAMES = ("clk", "clock", "clk_in", "sysclk", "clk_i")
-RESET_NAMES = ("rst", "reset", "rst_n", "reset_n", "arst", "arst_n", "nrst", "resetn", "rst_i")
-_ACTIVE_LOW_RESETS = frozenset({"rst_n", "reset_n", "arst_n", "nrst", "resetn"})
+#: a layout change — like v2's codegen artifact, v3's fused sequence program,
+#: v4's artifact without the per-edge sequential function or v5's design
+#: without inferred clock/reset fields — invalidates old entries by key
+#: rather than surfacing as unpickle errors or silently missing fields.
+DISK_FORMAT_VERSION = 5
 
 
 def source_hash(source: str) -> str:
@@ -121,9 +115,6 @@ class CompiledDesign:
     has_sequential_processes: bool
     has_latch_risk: bool
     undef_sources: frozenset[str]
-    clock: str | None
-    reset: str | None
-    reset_active_low: bool
     #: Straight-line lowering of the design (source text + signal lists), or
     #: a rejection reason.  Generated eagerly so the disk tier carries it;
     #: the compiled functions themselves are cached process-wide by source.
@@ -450,7 +441,6 @@ def _compile_from_module(
     has_sequential = any(
         process.kind is ProcessKind.SEQUENTIAL for process in template.processes
     )
-    reset, reset_active_low = _infer_reset(template)
     latch_risk = _latch_risk(template)
     undef = _undef_sources(template)
     codegen = _generate_codegen(
@@ -464,9 +454,6 @@ def _compile_from_module(
         has_sequential_processes=has_sequential,
         has_latch_risk=latch_risk,
         undef_sources=undef,
-        clock=_infer_clock(template),
-        reset=reset,
-        reset_active_low=reset_active_low,
         codegen=codegen,
     )
 
@@ -615,42 +602,6 @@ def _assignment_sets(statement: ast.Statement | None) -> tuple[set[str], set[str
     if isinstance(statement, (ast.DelayStatement, ast.EventWait)):
         return _assignment_sets(statement.body)
     return set(), set()
-
-
-def _sequential_edge_signals(template: ElaboratedModule) -> list[str]:
-    ordered: list[str] = []
-    for process in template.processes:
-        if process.kind is not ProcessKind.SEQUENTIAL:
-            continue
-        for _, signal in process.edge_signals():
-            if signal not in ordered:
-                ordered.append(signal)
-    return ordered
-
-
-def _infer_clock(template: ElaboratedModule) -> str | None:
-    """Best-effort clock inference: conventional names first, else the sole edge."""
-    edge_signals = _sequential_edge_signals(template)
-    for name in edge_signals:
-        if name in CLOCK_NAMES:
-            return name
-    inputs = {port.name for port in template.input_ports()}
-    for name in CLOCK_NAMES:
-        if name in inputs:
-            return name
-    non_reset = [name for name in edge_signals if name not in RESET_NAMES]
-    if len(non_reset) == 1:
-        return non_reset[0]
-    return None
-
-
-def _infer_reset(template: ElaboratedModule) -> tuple[str | None, bool]:
-    """Best-effort reset inference: ``(name, active_low)`` by naming convention."""
-    inputs = [port.name for port in template.input_ports()]
-    for name in RESET_NAMES:
-        if name in inputs:
-            return name, name in _ACTIVE_LOW_RESETS or name.endswith("_n")
-    return None, False
 
 
 # --------------------------------------------------------------------------- default database

@@ -8,8 +8,13 @@ cycle-by-cycle with a golden reference model implemented in Python.
 :class:`TestbenchRunner` scores every check on the scalar four-state
 simulator, the oracle.  :class:`BatchTestbenchRunner` scores on generated code
 where it can — combinational checks as lanes of one batch pass, clocked ones
-on the fused cycle loop after a scalar reset — and hands every other check to
-the scalar path.
+on the fused cycle loop — and hands every other check to the scalar path.
+
+A clocked check starts from :func:`reset_state`, the task's
+:class:`ResetSpec` applied once per design on the scalar simulator and
+memoised.  It is the program's one reset protocol: the formal sequential
+unroller and its counterexample replay start from the same snapshot, so a
+verdict cannot depend on which engine reset the design.
 """
 
 from __future__ import annotations
@@ -107,14 +112,17 @@ class ReplayGolden:
     step = eval
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResetSpec:
-    """How to reset the DUT before applying stimulus."""
+    """The task's reset pin and its active level (see :func:`reset_state`)."""
 
     signal: str = "rst"
     active_low: bool = False
-    synchronous: bool = True
-    cycles: int = 2
+
+
+#: Clock cycles the reset pin is held active, so that both synchronous and
+#: asynchronous implementations observe it.
+RESET_CYCLES = 2
 
 
 @dataclass
@@ -186,16 +194,53 @@ def sequence_program(compiled, clock: str, stimulus: list[dict[str, int]]):
     return artifact.sequence
 
 
-class ClockedCycles:
-    """The clock cycles of one stimulus sequence, from a cycle-boundary state.
+def reset_pin(compiled, reset: ResetSpec | None) -> str | None:
+    """``reset``'s pin when it is an input port of the design, else ``None``."""
+    if reset is not None and reset.signal in compiled.input_widths():
+        return reset.signal
+    return None
 
-    Cycles run on the scalar simulator until the state passes ``program``'s
-    x/z gate (:meth:`~repro.verilog.codegen.SequenceProgram.ready`), and on
-    the design's fused generated loop
-    (:class:`~repro.verilog.codegen.SequenceRun`) from there on; with no
-    program every cycle is scalar.  The start is a live ``simulator`` or a
-    ``state`` snapshot of one's signals; from a snapshot the scalar
-    simulator is built only when a cycle has to run on it.
+
+def reset_state(compiled, clock: str, reset: ResetSpec | None) -> dict[str, LogicVector]:
+    """The design's signal values after the reset protocol (name → ``LogicVector``).
+
+    This is the only reset in the program: the testbench runners, the
+    sequential unroller of :mod:`repro.formal.cone` and the counterexample
+    replay of :mod:`repro.bench.golden` all start from it.  When ``reset``
+    names an input port of the design, that pin is held at its active level
+    across :data:`RESET_CYCLES` clock cycles and then released; otherwise
+    nothing is applied, and the pin — under whatever name the design gave
+    it — is an ordinary input.  The reset runs once per design, clock and
+    ``reset`` on a scalar :class:`ModuleSimulator`; the snapshot is memoised
+    on the :class:`~repro.verilog.design.CompiledDesign`.  Each call returns
+    a fresh copy.
+    """
+
+    def simulate() -> dict[str, LogicVector]:
+        simulator = ModuleSimulator(compiled)
+        pin = reset_pin(compiled, reset)
+        if pin is not None:
+            active = 0 if reset.active_low else 1
+            simulator.apply_inputs({pin: active})
+            for _ in range(RESET_CYCLES):
+                simulator.apply_inputs({clock: 1})
+                simulator.apply_inputs({clock: 0})
+            simulator.apply_inputs({pin: 1 - active})
+        return dict(simulator.signals)
+
+    return dict(compiled.derived(("reset-state", clock, reset), simulate))
+
+
+class ClockedCycles:
+    """The clock cycles of one stimulus sequence, from a post-reset state.
+
+    ``state`` is a snapshot of the design's signals at a cycle boundary,
+    normally :func:`reset_state`.  Cycles run on the scalar simulator until
+    the state passes ``program``'s x/z gate
+    (:meth:`~repro.verilog.codegen.SequenceProgram.ready`), and on the
+    design's fused generated loop (:class:`~repro.verilog.codegen.SequenceRun`)
+    from there on; with no program every cycle is scalar.  The scalar
+    simulator is built from the snapshot only when a cycle has to run on it.
     """
 
     def __init__(
@@ -204,15 +249,13 @@ class ClockedCycles:
         clock: str,
         program,
         stimulus: list[dict[str, int]],
-        *,
-        simulator: ModuleSimulator | None = None,
-        state: dict[str, LogicVector] | None = None,
+        state: dict[str, LogicVector],
     ):
         self._compiled = compiled
         self._clock = clock
         self._program = program
         self._applied = {clock}.union(*stimulus) if program is not None else None
-        self._simulator = simulator
+        self._simulator: ModuleSimulator | None = None
         self._state = state
         self._run = None
 
@@ -315,28 +358,28 @@ class TestbenchRunner:
     ) -> TestbenchResult:
         """Cycle-serial scoring of a compiled DUT against the golden model.
 
-        With ``program`` (the design's
-        :class:`~repro.verilog.codegen.SequenceProgram`), reset still runs on
-        the scalar engine; the cycles from the first boundary whose state
-        passes the program's x/z gate run on generated code instead
-        (:class:`ClockedCycles`).
+        A sequential golden's cycles start from :func:`reset_state`; with
+        ``program`` (the design's
+        :class:`~repro.verilog.codegen.SequenceProgram`), the cycles from the
+        first boundary whose state passes the program's x/z gate run on
+        generated code (:class:`ClockedCycles`).
         """
-        try:
-            simulator = ModuleSimulator(compiled)
-        except VerilogError as exc:
-            return TestbenchResult(passed=False, error=str(exc))
-
         mismatches: list[Mismatch] = []
         total_checks = 0
         golden.reset()
-        cycles = None
+        simulator = cycles = None
 
         try:
             if golden.is_sequential:
-                self._apply_reset(simulator, golden)
                 cycles = ClockedCycles(
-                    compiled, self.clock, program, stimulus, simulator=simulator
+                    compiled,
+                    self.clock,
+                    program,
+                    stimulus,
+                    state=reset_state(compiled, self.clock, self.reset),
                 )
+            else:
+                simulator = ModuleSimulator(compiled)
             for index, raw_inputs in enumerate(stimulus):
                 inputs = dict(raw_inputs)
                 if cycles is not None:
@@ -381,22 +424,6 @@ class TestbenchRunner:
         )
 
     # ------------------------------------------------------------------ helpers
-    def _apply_reset(self, simulator: ModuleSimulator, golden: GoldenModel) -> None:
-        if self.reset is None:
-            return
-        if self.reset.signal not in simulator.signals:
-            return
-        active = 0 if self.reset.active_low else 1
-        inactive = 1 - active
-        simulator.apply_inputs({self.reset.signal: active})
-        # Hold reset active across a few clock edges so both synchronous and
-        # asynchronous implementations observe it.
-        for _ in range(self.reset.cycles):
-            simulator.apply_inputs({self.clock: 1})
-            simulator.apply_inputs({self.clock: 0})
-        simulator.apply_inputs({self.reset.signal: inactive})
-        golden.reset()
-
     def _matches(self, actual: LogicVector | None, expected: int) -> bool:
         if actual is None:
             return False
@@ -413,8 +440,8 @@ class BatchTestbenchRunner(TestbenchRunner):
     become lanes of one :class:`~repro.verilog.simulator.batch.BatchSimulator`
     pass — removing the per-vector Python dispatch that dominates functional
     pass@k scoring.  A clocked design checked against a sequential golden
-    model is reset on the scalar engine and then runs its cycles on the
-    design's fused generated loop (:class:`~repro.verilog.codegen.SequenceRun`).
+    model starts from its memoised :func:`reset_state` and runs its cycles on
+    the design's fused generated loop (:class:`~repro.verilog.codegen.SequenceRun`).
     Everything else — combinational stimulus with inconsistent key sets
     (whose vectors inherit values from prior steps), latches, designs the
     lowering rejects, stimulus the x/z gate refuses, stimulus naming a

@@ -62,8 +62,8 @@ def unroll_from_reset(
                     bits.append(TRUE if (concrete.value >> bit) & 1 else FALSE)
             executor.values[name] = SymVector(tuple(bits))
     executor.set_concrete(unroller.clock, 0)
-    if unroller.reset is not None:
-        executor.set_concrete(unroller.reset, 1 if unroller.reset_active_low else 0)
+    if unroller.reset_pin is not None:
+        executor.set_concrete(unroller.reset_pin, 1 if unroller.reset.active_low else 0)
 
     outputs_per_step: list[dict[str, SymVector]] = []
     output_names = [port.name for port in unroller.design.output_ports()]
@@ -128,10 +128,8 @@ def unroll_from_symbolic_state(
         undef_prefix=unroller.undef_prefix,
     )
     executor.set_concrete(unroller.clock, 0)
-    if unroller.reset is not None:
-        executor.set_concrete(
-            unroller.reset, 1 if unroller.reset_active_low else 0
-        )
+    if unroller.reset_pin is not None:
+        executor.set_concrete(unroller.reset_pin, 1 if unroller.reset.active_low else 0)
     output_names = [port.name for port in unroller.design.output_ports()]
     outputs_per_step: list[dict[str, SymVector]] = []
     for step, inputs in enumerate(step_inputs):

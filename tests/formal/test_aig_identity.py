@@ -75,21 +75,12 @@ def _graphs(source: str, task, graph_class: type[AIG]):
     relation = None
     try:
         if task.golden().is_sequential:
-            reset = task.reset
             unroller = SequentialUnroller(
-                source,
-                graphs[0],
-                clock=task.clock,
-                reset=reset.signal if reset is not None else None,
-                reset_active_low=bool(reset.active_low) if reset is not None else False,
+                source, graphs[0], clock=task.clock, reset=task.reset
             )
             graphs.append(graph_class())
             relation = encode_transition_relation(
-                unroller.compiled,
-                unroller.clock,
-                unroller.reset,
-                unroller.reset_active_low,
-                aig=graphs[1],
+                unroller.compiled, unroller.clock, unroller.reset, aig=graphs[1]
             )
             assert relation == SequentialUnroller.relation(unroller)
             unroller.relation = lambda: relation

@@ -305,18 +305,6 @@ class TestSequentialUnroller:
             got = sum(bit << position for position, bit in enumerate(values))
             assert got == expected, f"step {step}"
 
-    def test_reset_detection(self):
-        aig = AIG()
-        unroller = SequentialUnroller(self.COUNTER, aig)
-        assert unroller.reset == "rst"
-        assert not unroller.reset_active_low
-        active_low = self.COUNTER.replace("rst", "rst_n").replace(
-            "if (rst_n)", "if (!rst_n)"
-        )
-        unroller = SequentialUnroller(active_low, AIG())
-        assert unroller.reset == "rst_n"
-        assert unroller.reset_active_low
-
     def test_mixed_clock_edges_rejected(self):
         source = """
         module m(input clk, input d, output reg q, output reg p);

@@ -14,8 +14,10 @@ import random
 import pytest
 
 from repro.formal import InductionInconclusive, prove_sequential_by_induction
-from repro.formal.cone import apply_reset_pulse
 from repro.verilog.simulator import ModuleSimulator
+from repro.verilog.simulator.testbench import ResetSpec
+
+RESET = ResetSpec(signal="rst")
 
 COUNTER_REF = """
 module counter(input clk, input rst, output reg [3:0] count);
@@ -79,7 +81,10 @@ def _long_horizon_mismatch(
     dut = ModuleSimulator.from_source(dut_source)
     reference = ModuleSimulator.from_source(reference_source)
     for simulator in (dut, reference):
-        apply_reset_pulse(simulator, clock="clk", reset="rst")
+        simulator.apply_inputs({"rst": 1})
+        simulator.clock_cycle("clk")
+        simulator.clock_cycle("clk")
+        simulator.apply_inputs({"rst": 0})
     for _ in range(cycles):
         stimulus = {name: rng.randrange(1 << width) for name, width in widths.items()}
         stimulus["rst"] = 0
@@ -97,7 +102,7 @@ def _long_horizon_mismatch(
 
 def test_equivalent_counters_proven_unbounded():
     result = prove_sequential_by_induction(
-        COUNTER_DUT, COUNTER_REF, depth=2, reset="rst"
+        COUNTER_DUT, COUNTER_REF, depth=2, reset=RESET
     )
     assert result.equivalent
     assert result.method == "induction"
@@ -109,7 +114,7 @@ def test_equivalent_counters_proven_unbounded():
 
 def test_buggy_counter_refuted_with_real_counterexample():
     result = prove_sequential_by_induction(
-        COUNTER_BAD, COUNTER_REF, depth=3, reset="rst"
+        COUNTER_BAD, COUNTER_REF, depth=3, reset=RESET
     )
     assert not result.equivalent
     assert result.counterexample is not None
@@ -122,7 +127,7 @@ def test_non_inductive_pair_is_inconclusive_never_wrong():
     # … but the inductive step fails from the unreachable dead state, so the
     # engine must refuse to answer rather than refute.
     with pytest.raises(InductionInconclusive):
-        prove_sequential_by_induction(RING, MOD3, depth=2, reset="rst")
+        prove_sequential_by_induction(RING, MOD3, depth=2, reset=RESET)
 
 
 def test_inconclusive_induction_falls_back_to_bounded_proof():
@@ -131,7 +136,7 @@ def test_inconclusive_induction_falls_back_to_bounded_proof():
     result = formal_equivalence_check(
         RING,
         MOD3,
-        reset="rst",
+        reset=RESET,
         induction_depth=2,
         sequential_steps=8,
     )
@@ -142,7 +147,7 @@ def test_inconclusive_induction_falls_back_to_bounded_proof():
 
 def test_depth_must_be_positive():
     with pytest.raises(ValueError):
-        prove_sequential_by_induction(COUNTER_DUT, COUNTER_REF, depth=0, reset="rst")
+        prove_sequential_by_induction(COUNTER_DUT, COUNTER_REF, depth=0, reset=RESET)
 
 
 def test_enable_counter_with_data_inputs():
@@ -155,7 +160,7 @@ def test_enable_counter_with_data_inputs():
     endmodule
     """
     dut = ref.replace("q + 4'd1", "q - 4'hF")
-    result = prove_sequential_by_induction(dut, ref, depth=2, reset="rst")
+    result = prove_sequential_by_induction(dut, ref, depth=2, reset=RESET)
     assert result.equivalent and result.method == "induction"
     assert not _long_horizon_mismatch(dut, ref, ["q"], inputs={"en": 1})
 
@@ -165,10 +170,10 @@ def test_registry_counts_induction_verdicts():
 
     reset_proof_stats()
     try:
-        prove_sequential_by_induction(COUNTER_DUT, COUNTER_REF, depth=2, reset="rst")
-        prove_sequential_by_induction(COUNTER_BAD, COUNTER_REF, depth=2, reset="rst")
+        prove_sequential_by_induction(COUNTER_DUT, COUNTER_REF, depth=2, reset=RESET)
+        prove_sequential_by_induction(COUNTER_BAD, COUNTER_REF, depth=2, reset=RESET)
         with pytest.raises(InductionInconclusive):
-            prove_sequential_by_induction(RING, MOD3, depth=1, reset="rst")
+            prove_sequential_by_induction(RING, MOD3, depth=1, reset=RESET)
         stats = proof_stats()
         assert stats["total"] == 3
         assert stats["results"] == {

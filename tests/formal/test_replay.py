@@ -1,18 +1,21 @@
-"""Counterexample replay from memoised reset states, and the two reset protocols.
+"""Counterexample replay and the one reset protocol.
 
 ``bench.golden._replay_sequential_counterexample`` starts each design from
-the post-reset state the sequential unroller memoised for the proof
-(:func:`repro.formal.cone.post_reset_state`) and runs its cycles on generated
-code once the state passes the x/z gate.  The oracle here is the replay as it
-was before: a fresh scalar simulator per design, reset by
-:func:`~repro.formal.cone.apply_reset_pulse`, then scalar clock cycles.
+its post-reset state (:func:`repro.verilog.simulator.testbench.reset_state`,
+memoised on the compiled design; the sequential unroller proved from the
+same snapshot and the testbench runners score from it) and runs its cycles
+on generated code once the state passes the x/z gate.  The oracle here
+uses neither the memo nor generated code: a fresh scalar simulator per
+design, reset by a live pulse of the task's pin (:func:`_pulsed`), then
+scalar clock cycles.
 
 Every sequential counterexample of a tiny formal-mode Table V run must replay
-to the same verdict on every prefix of its steps, a doctored one must still
-raise ``FormalError``, and the reset pulse must run once per clocked design
-and clocking across the whole run.  The last test measures where the
-testbench's ``ResetSpec`` reset and ``apply_reset_pulse`` leave a suite
-reference in different states.
+to the same verdict on every prefix of its steps, and a doctored one must
+still raise ``FormalError``.  The reset must run once per design, clock and
+``ResetSpec`` across a whole run, in formal and in simulation mode.  The
+memoised snapshot must equal the live pulse on every paper-scale sequential
+reference, and a candidate that renames the task's reset pin must get the
+same start, and the same verdict, from every engine.
 """
 
 from __future__ import annotations
@@ -24,22 +27,40 @@ import pytest
 
 import repro.bench.golden as golden
 import repro.formal as formal
-import repro.formal.cone as cone
 import repro.verilog.codegen as codegen
+from repro.bench.jobs import CheckRequest, execute_check
+from repro.bench.outcomes import ResultKey
 from repro.bench.symbolic_suite import build_symbolic_suite
 from repro.bench.verilogeval import SuiteConfig
 from repro.experiments import ExperimentScale, build_suites
-from repro.formal import Counterexample, EquivalenceResult, FormalError
+from repro.formal import AIG, Counterexample, EquivalenceResult, FormalError
+from repro.formal.cone import SequentialUnroller
 from repro.runs.engine import RunEngine
 from repro.runs.presets import table5_manifest
 from repro.runs.store import RunStore
-from repro.verilog.design import DesignDatabase, set_default_database
+from repro.verilog.design import CompiledDesign, DesignDatabase, set_default_database
 from repro.verilog.simulator import ModuleSimulator
-from repro.verilog.simulator.testbench import TestbenchRunner
+from repro.verilog.simulator.testbench import ExpectedTrace, ResetSpec, reset_state
 
 pytestmark = pytest.mark.formal
 
 REPLAY_PARAMETERS = inspect.signature(golden._replay_sequential_counterexample)
+
+
+def _pulsed(source, name, clock, reset) -> ModuleSimulator:
+    """The oracle's reset: a live pulse of ``reset``'s pin on a fresh scalar simulator.
+
+    The pin, when it is an input port, is held active across two clock
+    cycles and released; otherwise nothing is applied.
+    """
+    simulator = ModuleSimulator.from_source(source, name)
+    if reset is not None and reset.signal in simulator.input_names():
+        active = 0 if reset.active_low else 1
+        simulator.apply_inputs({reset.signal: active})
+        simulator.clock_cycle(clock)
+        simulator.clock_cycle(clock)
+        simulator.apply_inputs({reset.signal: 1 - active})
+    return simulator
 
 
 def _scalar_replay(
@@ -49,21 +70,12 @@ def _scalar_replay(
     checked_outputs,
     clock,
     reset,
-    reset_active_low,
     module_name,
     reference_module_name,
 ) -> bool:
     """The oracle: reset two fresh scalar simulators, then scalar cycles."""
-
-    def prepared(source, name):
-        simulator = ModuleSimulator.from_source(source, name)
-        cone.apply_reset_pulse(
-            simulator, clock=clock, reset=reset, reset_active_low=reset_active_low
-        )
-        return simulator
-
-    dut = prepared(dut_source, module_name)
-    reference = prepared(reference_source, reference_module_name)
+    dut = _pulsed(dut_source, module_name, clock, reset)
+    reference = _pulsed(reference_source, reference_module_name, clock, reset)
     for step_inputs in steps:
         dut.clock_cycle(clock, dict(step_inputs))
         reference.clock_cycle(clock, dict(step_inputs))
@@ -78,6 +90,32 @@ def _scalar_replay(
             if actual.has_unknown or actual.to_int() != (expected.to_int() & mask):
                 return True
     return False
+
+
+def _spy_resets(patch) -> tuple[list[tuple], list[tuple]]:
+    """Post-reset states requested from now on, and the resets that built one.
+
+    Each entry is ``(design key, clock, reset)``: the reset runs only where
+    the memo on the compiled design has no snapshot yet.
+    """
+    requested: list[tuple] = []
+    pulses: list[tuple] = []
+    derived = CompiledDesign.derived
+
+    def spy(self, key, build):
+        if key[0] != "reset-state":
+            return derived(self, key, build)
+        entry = (self.key, *key[1:])
+        requested.append(entry)
+
+        def pulse():
+            pulses.append(entry)
+            return build()
+
+        return derived(self, key, pulse)
+
+    patch.setattr(CompiledDesign, "derived", spy)
+    return requested, pulses
 
 
 def _counting(function, calls: list):
@@ -108,43 +146,49 @@ def _prefixes(replay: dict):
 
 
 # --------------------------------------------------------------------------- one Table V run
-@pytest.fixture(scope="module")
-def table5_run():
-    """A tiny formal-mode Table V run under a fresh design database.
+def _tiny_table5_run(mode: str, **changes) -> dict:
+    """A tiny Table V run in ``mode`` under a fresh design database.
 
-    Returns the arguments of every sequential counterexample replay and the
-    ``(design key, clocking)`` of every reset pulse, both in call order.
+    Returns the arguments of every sequential counterexample replay, and
+    every post-reset state requested and every reset run (see
+    :func:`_spy_resets`), all in call order.
     """
     replays: list[dict] = []
-    pulses: list[tuple] = []
     replay = golden._replay_sequential_counterexample
-    pulse = cone.apply_reset_pulse
 
     def spy_replay(*args, **kwargs):
         replays.append(dict(REPLAY_PARAMETERS.bind(*args, **kwargs).arguments))
         return replay(*args, **kwargs)
 
-    def spy_pulse(simulator, *clocking, **keywords):
-        pulses.append((simulator.compiled.key, clocking, tuple(sorted(keywords.items()))))
-        return pulse(simulator, *clocking, **keywords)
-
     manifest = table5_manifest(ExperimentScale.tiny())
-    manifest.config = dataclasses.replace(manifest.config, mode="formal")
+    manifest.config = dataclasses.replace(manifest.config, mode=mode, **changes)
     previous = set_default_database(DesignDatabase())
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(golden, "_replay_sequential_counterexample", spy_replay)
-            patch.setattr(cone, "apply_reset_pulse", spy_pulse)
+            requested, pulses = _spy_resets(patch)
             store = RunStore.ephemeral()
             RunEngine(manifest, store).run()
     finally:
         set_default_database(previous)
     assert list(store.records())
-    return replays, pulses
+    return {"replays": replays, "requested": requested, "pulses": pulses}
+
+
+@pytest.fixture(scope="module")
+def table5_run():
+    """The formal-mode run."""
+    return _tiny_table5_run("formal")
+
+
+@pytest.fixture(scope="module")
+def table5_simulation_run():
+    """The simulation-mode run, each batched verdict re-checked on the scalar runner."""
+    return _tiny_table5_run("simulation", differential_oracle=True)
 
 
 def test_replay_matches_the_scalar_replay_on_every_prefix(table5_run):
-    replays, _ = table5_run
+    replays = table5_run["replays"]
     assert len(replays) >= 20
     for replay in replays:
         assert golden._replay_sequential_counterexample(**replay), replay["dut_source"]
@@ -156,7 +200,7 @@ def test_replay_matches_the_scalar_replay_on_every_prefix(table5_run):
 
 def test_a_doctored_counterexample_raises_formal_error(table5_run, monkeypatch):
     """Cut each counterexample before its first mismatch: no output differs."""
-    replays, _ = table5_run
+    replays = table5_run["replays"]
     doctored = []
     for replay in replays:
         matching = [prefix for prefix in _prefixes(replay) if not _scalar_replay(**prefix)]
@@ -179,17 +223,16 @@ def test_a_doctored_counterexample_raises_formal_error(table5_run, monkeypatch):
                 reference_module_name=replay["reference_module_name"],
                 clock=replay["clock"],
                 reset=replay["reset"],
-                reset_active_low=replay["reset_active_low"],
                 induction_depth=1,
             )
 
 
 def test_reset_pulse_runs_once_per_design_and_clocking(table5_run):
-    replays, pulses = table5_run
+    pulses = table5_run["pulses"]
     assert len(pulses) == len(set(pulses))
     # Every replayed design was reset (once, above), so no replay reset again.
     database = DesignDatabase()
-    for replay in replays:
+    for replay in table5_run["replays"]:
         for source, name in (
             (replay["dut_source"], replay["module_name"]),
             (replay["reference_source"], replay["reference_module_name"]),
@@ -198,8 +241,18 @@ def test_reset_pulse_runs_once_per_design_and_clocking(table5_run):
             assert any(pulse[0] == key for pulse in pulses)
 
 
+def test_simulation_mode_resets_each_design_once(table5_simulation_run):
+    """The fused run and its scalar re-check start from one reset."""
+    requested = table5_simulation_run["requested"]
+    pulses = table5_simulation_run["pulses"]
+    assert pulses
+    assert len(pulses) == len(set(pulses))
+    assert set(pulses) == set(requested)
+    assert len(requested) > len(pulses)
+
+
 def test_a_handed_over_replay_builds_no_scalar_simulator(table5_run, monkeypatch):
-    replays, _ = table5_run
+    replays = table5_run["replays"]
     built, runs = _count_engines(monkeypatch)
     replay = replays[0]
     # The first replay memoises both reset states, as the proof would have.
@@ -243,8 +296,8 @@ STEPS = [
     [
         # Generated code rejects a non-constant shift: every cycle is scalar.
         (SHIFT.replace("d << s", "d >> s"), SHIFT, {"scalar": 2, "generated": 0}),
-        # No reset pin: ``q`` is x after the parked clock, so the first cycle
-        # is scalar and the rest hand over to generated code.
+        # No ``rst`` pin: ``q`` is x at the start, so the first cycle is
+        # scalar and the rest hand over to generated code.
         (LOADED.replace("d + s", "d - s"), LOADED, {"scalar": 2, "generated": 2}),
     ],
     ids=["rejected-design", "x-after-reset"],
@@ -259,8 +312,7 @@ def test_replay_leaves_generated_code_where_the_gate_refuses(
         steps=STEPS,
         checked_outputs=["q"],
         clock="clk",
-        reset=None,
-        reset_active_low=False,
+        reset=ResetSpec(signal="rst"),
         module_name=None,
         reference_module_name=None,
     )
@@ -272,12 +324,7 @@ def test_replay_leaves_generated_code_where_the_gate_refuses(
         assert golden._replay_sequential_counterexample(**prefix) == _scalar_replay(**prefix)
 
 
-# --------------------------------------------------------------------------- two reset protocols
-#: Sequential references (task ids) whose post-reset state differs between
-#: the testbench's ``ResetSpec`` reset and ``apply_reset_pulse``.
-PROTOCOLS_DIFFER: list[str] = []
-
-
+# --------------------------------------------------------------------------- one reset protocol
 def _sequential_references():
     """Every sequential task of the five suites at paper scale."""
     scale = ExperimentScale.paper()
@@ -293,27 +340,75 @@ def _sequential_references():
     ]
 
 
-def test_reset_protocols_differ_only_on_the_pinned_references():
+def test_memoised_reset_state_equals_a_live_pulse():
     tasks = _sequential_references()
     assert len(tasks) >= 200
     database = DesignDatabase()
-    differ = []
     for task in tasks:
-        golden_model = task.golden()
-        testbench = ModuleSimulator.from_source(task.reference_source)
-        TestbenchRunner(clock=task.clock, reset=task.reset)._apply_reset(
-            testbench, golden_model
-        )
-        reset = task.reset
-        formal_state = cone.post_reset_state(
-            database.compile(task.reference_source),
-            task.clock,
-            *cone.resolve_reset(
-                [port.name for port in testbench.design.input_ports()],
-                reset.signal if reset is not None else None,
-                bool(reset.active_low) if reset is not None else False,
-            ),
-        )
-        if testbench.signals != formal_state:
-            differ.append(task.task_id)
-    assert differ == PROTOCOLS_DIFFER
+        compiled = database.compile(task.reference_source)
+        first = reset_state(compiled, task.clock, task.reset)
+        first.clear()  # each call returns a copy: the memo is untouched
+        memoised = reset_state(compiled, task.clock, task.reset)
+        live = _pulsed(task.reference_source, None, task.clock, task.reset)
+        assert memoised == live.signals, task.task_id
+
+
+#: The task's counter, with the task's reset pin ``rst``.
+RST_COUNTER = """
+module counter(input clk, input rst, input en, output reg [3:0] q);
+    always @(posedge clk) if (rst) q <= 4'd0; else if (en) q <= q + 4'd1;
+endmodule
+"""
+
+#: A candidate that calls the pin ``reset``: nothing drives it, so ``q`` is x.
+RENAMED_RESET = RST_COUNTER.replace("rst", "reset")
+
+
+class _EnabledCounter:
+    is_sequential = True
+
+    def reset(self):
+        self.q = 0
+
+    def step(self, inputs):
+        if inputs["rst"]:
+            self.q = 0
+        elif inputs["en"]:
+            self.q = (self.q + 1) % 16
+        return {"q": self.q}
+
+
+def _check(mode: str, code: str, reset: ResetSpec):
+    stimulus = [{"rst": 0, "en": int(index % 3 != 2)} for index in range(8)]
+    request = CheckRequest(
+        key=ResultKey(code, "renamed-reset", mode),
+        code=code,
+        task_id="renamed-reset",
+        expected=ExpectedTrace.record(_EnabledCounter(), stimulus),
+        stimulus=stimulus,
+        reference_source=RST_COUNTER,
+        check_outputs=["q"],
+        reset=reset,
+        mode=mode,
+    )
+    return execute_check(request)[1]
+
+
+def test_a_renamed_reset_pin_is_a_free_input_in_every_engine(fresh_database):
+    reset = ResetSpec(signal="rst")
+    unroller = SequentialUnroller(RENAMED_RESET, AIG(), reset=reset)
+    assert unroller.reset_pin is None
+    assert "reset" in unroller.data_inputs
+    start = _pulsed(RENAMED_RESET, None, "clk", reset).signals
+    assert start["q"].has_unknown
+    assert unroller.reset_state() == start
+    compiled = DesignDatabase().compile(RENAMED_RESET)
+    assert reset_state(compiled, "clk", reset) == start
+    # The candidate fails in simulation; formal mode must not prove it.
+    verdicts = {mode: _check(mode, RENAMED_RESET, reset) for mode in ("simulation", "formal")}
+    assert not verdicts["simulation"].passed
+    assert verdicts["formal"].passed == verdicts["simulation"].passed
+    # The task's own pin still resets the reference in both modes.
+    assert _check("simulation", RST_COUNTER, reset).passed
+    proved = _check("formal", RST_COUNTER, reset)
+    assert proved.passed and proved.proof_stats["method"] == "induction"

@@ -33,6 +33,7 @@ from repro.formal.aig import AIG, FormalEncodingError, SymVector
 from repro.formal.cone import SequentialUnroller
 from repro.formal.miter import _solve_miter
 from repro.verilog.design import DesignDatabase, set_default_database
+from repro.verilog.simulator.testbench import ResetSpec
 
 DEPTHS = range(1, 6)
 
@@ -52,17 +53,16 @@ def _clocked_designs() -> list[tuple[str, str, dict]]:
     subtypes = list(HallucinationSubtype)
     designs = [
         ("counter", COUNTER, {}),
-        ("counter-active-low", ACTIVE_LOW_COUNTER, {}),
+        (
+            "counter-active-low",
+            ACTIVE_LOW_COUNTER,
+            {"reset": ResetSpec("rst_n", active_low=True)},
+        ),
     ]
     for index, task in enumerate(tasks):
         if not task.golden().is_sequential:
             continue
-        reset = task.reset
-        clocking = {
-            "clock": task.clock,
-            "reset": reset.signal if reset is not None else None,
-            "reset_active_low": bool(reset.active_low) if reset is not None else False,
-        }
+        clocking = {"clock": task.clock, "reset": task.reset}
         candidate = CorruptionInjector(random.Random(index)).inject(
             task.reference_source, subtypes[index % len(subtypes)]
         ).code

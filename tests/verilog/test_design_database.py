@@ -282,9 +282,6 @@ class TestCompiledDesign:
         db = DesignDatabase()
         counter = db.compile(PARAM_COUNTER)
         assert counter.has_sequential_processes
-        assert counter.clock == "clk"
-        assert counter.reset == "rst"
-        assert not counter.reset_active_low
         latchy = db.compile(LATCHY)
         assert latchy.has_latch_risk
         assert not latchy.has_sequential_processes
