@@ -1,6 +1,7 @@
 PYTHONPATH := src
 
-.PHONY: test test-fast coverage bench bench-update perf-tests formal chaos service-smoke e2e-verdicts paper-table4
+.PHONY: test test-fast coverage bench bench-update perf-tests formal chaos service-smoke e2e-verdicts paper-table4 \
+	codegen-differential
 
 # Functional suite only; the perf gate is machine-sensitive, run it via
 # `make bench` / `make perf-tests`.
@@ -72,3 +73,9 @@ e2e-verdicts:
 	for seed in $(E2E_SIM_SEEDS); do \
 		python e2ebench/run.py --workload table4-sim --seed $$seed --seconds 0.1 --trace 0; \
 	done
+
+# Quick Table IV and quick Table V (simulation mode) in-process with
+# differential_oracle=True: every check that ran on generated code is
+# re-checked on the scalar simulator; exits 1 on any divergence.
+codegen-differential:
+	PYTHONPATH=$(PYTHONPATH) python tools/codegen_differential.py

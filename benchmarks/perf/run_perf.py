@@ -68,6 +68,11 @@ def _render(results: dict) -> str:
             f"codegen_seq               {sq['scalar_s']:<13.6f} {sq['codegen_s']:<13.6f} {sq['speedup']:.1f}x"
             f"  ({int(sq['cycles'])}-cycle clocked check, fused generated loop vs scalar)"
         )
+        if "cold_s" in sq:
+            lines.append(
+                f"codegen_seq cold         {'':<13} {sq['cold_s']:<13.6f}"
+                f"  (lowering + compile() of the design's codegen_run, first sight)"
+            )
     cc = benches.get("compile_cache")
     if cc is not None:
         lines.append(

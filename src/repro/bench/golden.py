@@ -767,28 +767,34 @@ def _replay_sequential_counterexample(
     testbench runners score from, and runs the steps through
     :class:`~repro.verilog.simulator.testbench.ClockedCycles`: generated code
     once the state passes the x/z gate, the scalar simulator before that or
-    when the design or the steps fall outside the gate.
+    when the design or the steps fall outside the gate.  The steps carry the
+    union of both designs' data inputs; each design is driven with its own
+    input ports only.
     """
     from ..verilog.design import get_default_database
     from ..verilog.simulator.testbench import ClockedCycles, reset_state, sequence_program
 
-    stimulus = [dict(step_inputs) for step_inputs in steps]
-
-    def prepared(source: str, name: str | None) -> ClockedCycles:
+    def prepared(source: str, name: str | None) -> tuple[ClockedCycles, list[dict[str, int]]]:
         compiled = get_default_database().compile(source, name)
-        return ClockedCycles(
+        ports = compiled.input_widths()
+        stimulus = [
+            {signal: value for signal, value in step.items() if signal in ports}
+            for step in steps
+        ]
+        cycles = ClockedCycles(
             compiled,
             clock,
             sequence_program(compiled, clock, stimulus),
             stimulus,
             state=reset_state(compiled, clock, reset),
         )
+        return cycles, stimulus
 
-    dut = prepared(dut_source, module_name)
-    reference = prepared(reference_source, reference_module_name)
-    for data in stimulus:
-        dut.cycle(data)
-        reference.cycle(data)
+    dut, dut_stimulus = prepared(dut_source, module_name)
+    reference, reference_stimulus = prepared(reference_source, reference_module_name)
+    for dut_data, reference_data in zip(dut_stimulus, reference_stimulus):
+        dut.cycle(dut_data)
+        reference.cycle(reference_data)
         for name in checked_outputs:
             expected = reference.read(name)
             if expected.has_unknown:

@@ -1,25 +1,25 @@
-"""Straight-line Python code generation: the fast simulation engine.
+"""Two-state Python code generation: the fast simulation engine.
 
-For the large class of designs whose constructs all have a straight-line
-form, this module lowers the elaborated processes once into specialised
-Python functions over bare integer columns — no AST, no objects, no
-four-state planes — which ``compile()`` once and are cached process-wide by
-source text.  The scalar
-:class:`~repro.verilog.simulator.simulator.ModuleSimulator` is the oracle
-and takes every check generated code cannot.
+For the large class of designs whose constructs all have a two-state form,
+this module lowers the elaborated processes once into specialised Python
+functions over bare integers — no AST, no objects, no four-state planes —
+which ``compile()`` once and are cached process-wide by source text.  The
+scalar :class:`~repro.verilog.simulator.simulator.ModuleSimulator` is the
+oracle and takes every check generated code cannot.
 
 Two-state soundness
 -------------------
 
-Generated code is *two-state*: it tracks value columns only and assumes every
-bit it consumes is 0/1.  That is sound because
+Generated code is *two-state*: it tracks values only and assumes every bit
+it consumes is 0/1.  That is sound because
 
 * designs whose semantics inherently produce x/z (undef sources, inferred
   latches, x/z literals, out-of-range selects, division) are **rejected at
-  generation time** with a recorded reason, and
-* before every settle the runtime checks a *gate set* — the signals the
-  generated code reads from outside its own recomputation, plus every write
-  target whose old value can survive a masked merge — and refuses the call
+  generation time** with a recorded reason — the same reasons, in the same
+  order, for both lowerings below — and
+* before generated code runs, the runtime checks a *gate set* — the signals
+  the code reads from outside its own recomputation, plus every write target
+  whose old value can survive a partial or conditional write — and refuses
   while any of them still carries x/z bits; the check then leaves generated
   code for the scalar simulator.
 
@@ -34,21 +34,28 @@ Combinational lanes
 ``codegen_settle`` settles every combinational process over column-packed
 lanes: bit ``j`` of a column is one signal bit on stimulus lane ``j``, so one
 call scores a whole stimulus set (:class:`CodegenRuntime`, driven by
-:class:`~repro.verilog.simulator.batch.BatchSimulator`).
+:class:`~repro.verilog.simulator.batch.BatchSimulator`).  Lanes need masks,
+so this lowering is bit-level column algebra: one local per signal bit, every
+``if``/``case`` arm merged under its lane mask (:class:`_Lowerer`).
 
 Fused clocked runs
 ------------------
 
-Designs with edge-triggered processes also get ``codegen_run``: one
-generator per design that keeps every signal bit in locals across a whole
-stimulus sequence.  Each cycle is a list of *input applications* (full input
-tuples); for each it detects bit-0 edges on the inputs, settles, runs the
-triggered processes and settles again — the scalar
-:class:`~repro.verilog.simulator.simulator.ModuleSimulator` schedule — and
-then yields the packed output ports.  :class:`SequenceRun` drives it from a
+Designs with edge-triggered processes get ``codegen_run`` instead: one
+generator per design that keeps every signal in locals across a whole
+stimulus sequence.  It runs one lane, so it is lowered **word by word**
+(:class:`_WordLowerer`): each signal is one ``int`` masked to its width,
+``if``/``case``/``casez`` are real ``if``/``elif`` chains (``casez`` a mask
+compare), expression widths follow the scalar evaluator, and non-blocking
+assignments commit after every triggered process, as ``commit_nonblocking``
+does.  Each cycle is a list of *input applications* (full input tuples); for
+each it detects bit-0 edges on the inputs, settles, runs the triggered
+processes and settles again — the scalar ``ModuleSimulator`` schedule — and
+then yields the output ports' values.  :class:`SequenceRun` drives it from a
 scalar simulator's post-reset state (a live simulator's, or a memoised
-snapshot of one's) once that state passes the program's x/z gate; from there
-two-state code cannot produce x again.
+snapshot of one's) once that state passes the program's x/z gate
+(:meth:`SequenceProgram.ready`); from there two-state code cannot produce x
+again.
 
 Checks that leave generated code for the scalar simulator — design-level
 rejections and x/z gate refusals — are recorded in a process-wide registry
@@ -57,6 +64,7 @@ rejections and x/z gate refusals — are recorded in a process-wide registry
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from dataclasses import dataclass
@@ -84,8 +92,9 @@ __all__ = [
     "reset_fallback_stats",
 ]
 
-#: Reject designs whose referenced signals are wider than this: the lowering
-#: is bit-unrolled, so pathological widths would explode the generated code.
+#: Reject designs whose referenced signals are wider than this: the lanes'
+#: lowering is bit-unrolled, so pathological widths would explode its code
+#: (the word-level run rejects them too, for the same verdict routing).
 MAX_SIGNAL_WIDTH = 256
 
 #: Reject generated functions longer than this many lines (runaway designs).
@@ -176,10 +185,11 @@ class SequenceProgram:
     """Source and signal lists of one design's fused ``codegen_run``.
 
     ``state`` — every signal the settle or sequential code reads or writes,
-    so a superset of both gates — is flattened into the generator's locals
-    (and its dump); ``inputs`` are the input ports every application tuple
-    carries, in order; ``outputs`` the output ports each cycle yields,
-    packed; ``edge_inputs`` the input ports some process is edge-sensitive to.
+    so a superset of both gates — lives in the generator's locals, one
+    ``int`` per signal (and so does its dump); ``inputs`` are the input ports
+    every application tuple carries, in order; ``outputs`` the output ports
+    each cycle yields, one value each; ``edge_inputs`` the input ports some
+    process is edge-sensitive to.
     """
 
     source: str
@@ -210,10 +220,12 @@ class CodegenArtifact:
 
     Only source text and signal lists are stored (code objects do not
     pickle); the compiled functions are cached process-wide by source text.
-    A rejected design carries ``reject_reason`` and nothing else.
+    A rejected design carries ``reject_reason`` and nothing else, and a
+    clocked design only its ``sequence``: lanes never run it.
     """
 
     reject_reason: str | None = None
+    #: The lanes' ``codegen_settle`` (``None`` for a clocked design).
     settle_source: str | None = None
     #: Signals (name, width) flattened into the settle state tuple, in order.
     settle_state: tuple[tuple[str, int], ...] = ()
@@ -222,7 +234,7 @@ class CodegenArtifact:
     #: Signals that must be x/z-free for the settle call to be sound.
     settle_gate: tuple[str, ...] = ()
     #: Fused cycle loop for clocked designs (``None``: combinational, or a
-    #: design whose processes write an input port).
+    #: design whose processes write an input port or that has none to apply).
     sequence: SequenceProgram | None = None
 
     @property
@@ -350,7 +362,11 @@ class _Generator:
         )
         names = sorted(self.widths)
         self.varname = {name: f"s{index}" for index, name in enumerate(names)}
-        self.signal_vars = {
+
+    @functools.cached_property
+    def signal_vars(self) -> set[str]:
+        """Every per-bit column local of the lanes' lowering."""
+        return {
             f"{base}_{bit}"
             for name, base in self.varname.items()
             for bit in range(self.widths[name])
@@ -376,6 +392,10 @@ class _Generator:
             if self.widths[name] > MAX_SIGNAL_WIDTH:
                 raise UnsupportedConstruct("wide-signal")
 
+        if seq:
+            # Lanes never run a clocked design (``BatchSimulator`` refuses
+            # it), so it is lowered for its fused run alone.
+            return CodegenArtifact(sequence=self._build_run(comb, comb_scans, seq, seq_scans))
         settle_lines, settle_state, settle_writes = self._settle_lines(comb, comb_scans)
 
         comb_defined: set[str] = set()
@@ -387,19 +407,11 @@ class _Generator:
             settle_gate |= scan.writes - scan.full_defined
         settle_gate -= comb_defined
 
-        sequence = None
-        if seq:
-            seq_lines, seq_state = self._sequential_lines(seq, seq_scans)
-            sequence = self._build_run(
-                seq, comb_scans + seq_scans,
-                settle_lines, settle_state, seq_lines, seq_state,
-            )
         return CodegenArtifact(
             settle_source=self._settle_source(settle_lines, settle_state, settle_writes),
             settle_state=settle_state,
             settle_writes=settle_writes,
             settle_gate=tuple(sorted(settle_gate)),
-            sequence=sequence,
         )
 
     # ------------------------------------------------------------------ analysis
@@ -627,7 +639,7 @@ class _Generator:
             saves = [writer.fresh() for _ in write_vars]
             for save, var in zip(saves, write_vars):
                 writer.emit(f"{save} = {var}")
-            lowerer.statement(process.body, "FULL", nonblocking=False)
+            lowerer.statement(process.body, "FULL")
             if write_vars:
                 comparison = " or ".join(
                     f"{var} != {save}" for var, save in zip(write_vars, saves)
@@ -659,39 +671,21 @@ class _Generator:
             lines.append("    return ()")
         return "\n".join(lines) + "\n"
 
-    # ------------------------------------------------------------------ sequential
-    def _sequential_lines(
-        self, processes: list[Process], scans: list[_ProcessScan]
-    ) -> tuple[list[str], tuple[tuple[str, int], ...]]:
-        """The edge-triggered pass under masks ``_m<i>``, its commits, its state."""
-        referenced: set[str] = set()
-        for scan in scans:
-            referenced |= scan.external_reads | scan.writes
-        state = tuple((name, self.widths[name]) for name in sorted(referenced))
-
-        writer = _Writer()
-        lowerer = _Lowerer(self, writer)
-        for index, process in enumerate(processes):
-            lowerer.statement(process.body, f"_m{index}", nonblocking=True)
-        lowerer.emit_commits()
-        return writer.lines, state
-
     # ------------------------------------------------------------------ fused run
     def _build_run(
         self,
-        processes: list[Process],
-        scans: list[_ProcessScan],
-        settle_body: list[str],
-        settle_state: tuple[tuple[str, int], ...],
-        seq_body: list[str],
-        seq_state: tuple[tuple[str, int], ...],
+        comb: list[Process],
+        comb_scans: list[_ProcessScan],
+        seq: list[Process],
+        seq_scans: list[_ProcessScan],
     ) -> SequenceProgram | None:
         """The fused ``codegen_run`` generator for a clocked design.
 
-        Mirrors ``ModuleSimulator.apply_inputs`` per application: edges on the
-        applied inputs' bit 0, settle, triggered processes, settle.  Two
-        settles are skipped where the scalar engine's are no-ops: the state is
-        settled between applications, so only a changed comb-read input (or a
+        Lowered word by word (:class:`_WordLowerer`).  Mirrors
+        ``ModuleSimulator.apply_inputs`` per application: edges on the applied
+        inputs' bit 0, settle, triggered processes, settle.  Two settles are
+        skipped where the scalar engine's are no-ops: the state is settled
+        between applications, so only a changed comb-read input (or a
         sequential pass) can move the fixpoint.
         """
         ports = self.design.ports
@@ -700,18 +694,19 @@ class _Generator:
             for port in ports
             if port.direction is ast.PortDirection.INPUT
         }
+        settle_names: set[str] = set()
+        for scan in comb_scans:
+            settle_names |= scan.external_reads | scan.writes
+        state_names = set(settle_names)
         written: set[str] = set()
-        for scan in scans:
+        for scan in seq_scans:
+            state_names |= scan.external_reads | scan.writes
+        for scan in comb_scans + seq_scans:
             written |= scan.writes
-        if written & set(input_widths):
-            return None  # a driven input is not a plain stimulus any more
-        state_names = {name for name, _ in settle_state} | {name for name, _ in seq_state}
-        state = tuple((name, self.widths[name]) for name in sorted(state_names))
-        settle_names = {name for name, _ in settle_state}
         edge_inputs = sorted(
             {
                 signal
-                for process in processes
+                for process in seq
                 for _, signal in process.edge_signals()
                 if signal in input_widths
             }
@@ -721,84 +716,103 @@ class _Generator:
             for name in sorted(input_widths)
             if name in state_names or name in edge_inputs
         )
-        if not inputs:
-            return None
+        slot = {name: index for index, (name, _) in enumerate(inputs)}
+        # An applied input lives in its previous-value local ``_p<slot>``.
+        variables = dict(self.varname)
+        variables.update((name, f"_p{index}") for name, index in slot.items())
+
+        # Combinational processes first: rejections come in the order the
+        # lanes' lowering raises them for a combinational design.
+        lowerer = _WordLowerer(self, variables, seq)
+        settle_lines = lowerer.settle(comb, comb_scans)
+        seq_lines = lowerer.sequential(seq)
+        if written & set(input_widths) or not inputs:
+            return None  # a driven input is not a plain stimulus any more
+
+        # Edges compare ``_i<slot>`` (applied) with ``_p<slot>`` (previous),
+        # and so does the settle's dirty mark for a comb-read input; every
+        # other input unpacks straight into its ``_p<slot>``.
+        dirty = [
+            index for index, (name, _) in enumerate(inputs) if settle_lines and name in settle_names
+        ]
+        watched = [
+            index for index, (name, _) in enumerate(inputs) if index in dirty or name in edge_inputs
+        ]
+        masks = []
+        for process in seq:
+            terms = []
+            for edge, signal in process.edge_signals():
+                if signal not in slot:
+                    continue  # internal signals are never applied: no edge
+                new, old = f"_i{slot[signal]}", f"_p{slot[signal]}"
+                if edge is ast.EdgeKind.POSEDGE:
+                    terms.append(f"{new} & ~{old} & 1")
+                else:
+                    terms.append(f"{old} & ~{new} & 1")
+            masks.append(" | ".join(terms) if terms else "0")
+        body: list[str] = []
+        if settle_lines:
+            changed = " or ".join(f"_i{index} != _p{index}" for index in dirty)
+            body.append(f"_dirty = {changed or 0}")
+        if len(seq) == 1:
+            body.append(f"_seq = {masks[0]}")
+        else:
+            body.extend(f"_m{index} = {mask}" for index, mask in enumerate(masks))
+            body.append(f"_seq = {' | '.join(f'_m{index}' for index in range(len(seq)))}")
+        if watched:
+            body.append(
+                f"{', '.join(f'_p{index}' for index in watched)} = "
+                f"{', '.join(f'_i{index}' for index in watched)}"
+            )
+        if settle_lines:
+            body.append("while True:")
+            body.append("    if _dirty:")
+            body.append(f"        for _pass in range({MAX_SETTLE_ITERATIONS}):")
+            body.append("            _chg = False")
+            body.extend(_indent(settle_lines, 3))
+            body.append("            if not _chg:")
+            body.append("                break")
+            body.append("        else:")
+            body.append("            raise SimulationError(settle_error)")
+            body.append("    if not _seq:")
+            body.append("        break")
+            body.extend(_indent(seq_lines, 1))
+            body.append("    _seq = 0")
+            body.append("    _dirty = 1")
+        else:
+            body.append("if _seq:")
+            body.extend(_indent(seq_lines, 1))
+
+        state = tuple((name, self.widths[name]) for name in sorted(state_names))
         outputs = tuple(
             (port.name, port.width)
             for port in ports
             if port.direction is ast.PortDirection.OUTPUT and port.name in state_names
         )
-        slot = {name: index for index, (name, _) in enumerate(inputs)}
-
-        body: list[str] = []
-        if settle_body:
-            body.append("_dirty = 0")
-        body.extend(f"_o{slot[name]} = _p{slot[name]}" for name in edge_inputs)
-        for index, (name, width) in enumerate(inputs):
-            body.append(f"if _i{index} != _p{index}:")
-            body.append(f"    _p{index} = _i{index}")
-            if name in state_names:
-                base = self.varname[name]
-                body.append(f"    {base}_0 = _i{index} & 1")
-                body.extend(
-                    f"    {base}_{bit} = _i{index} >> {bit} & 1" for bit in range(1, width)
-                )
-            if settle_body and name in settle_names:
-                body.append("    _dirty = 1")
-        for index, process in enumerate(processes):
-            terms = []
-            for edge, signal in process.edge_signals():
-                if signal not in slot:
-                    continue  # internal signals are never applied: no edge
-                new, old = f"_i{slot[signal]}", f"_o{slot[signal]}"
-                if edge is ast.EdgeKind.POSEDGE:
-                    terms.append(f"{new} & ~{old} & 1")
-                else:
-                    terms.append(f"{old} & ~{new} & 1")
-            body.append(f"_m{index} = {' | '.join(terms) if terms else '0'}")
-        body.append(f"_seq = {' | '.join(f'_m{index}' for index in range(len(processes)))}")
-        body.append("while True:")
-        if settle_body:
-            body.append("    if _dirty:")
-            body.append(f"        for _pass in range({MAX_SETTLE_ITERATIONS}):")
-            body.append("            _chg = False")
-            body.extend(f"            {line}" for line in settle_body)
-            body.append("            if not _chg:")
-            body.append("                break")
-            body.append("        else:")
-            body.append("            raise SimulationError(settle_error)")
-        body.append("    if not _seq:")
-        body.append("        break")
-        body.extend(f"    {line}" for line in seq_body)
-        body.append("    _seq = 0")
-        if settle_body:
-            body.append("    _dirty = 1")
-
-        state_vars = self.state_vars(state)
-        packed = []
-        for name, width in outputs:
-            base = self.varname[name]
-            packed.append(
-                " | ".join([f"{base}_0"] + [f"{base}_{bit} << {bit}" for bit in range(1, width)])
-            )
+        registers = [variables[name] for name, _ in state if name not in slot]
         previous = ", ".join(f"_p{index}" for index in range(len(inputs)))
         lines = [
             "def codegen_run(state, check_deadline, SimulationError, settle_error, "
-            f"{previous}):",
-            "    FULL = 1",
+            f"{previous}):"
         ]
-        if state_vars:
-            lines.append(f"    ({', '.join(state_vars)},) = state")
+        if registers:
+            lines.append(f"    ({', '.join(registers)},) = state")
         lines.append("    _events = yield")
         lines.append("    while True:")
-        applied = ", ".join(f"_i{index}" for index in range(len(inputs)))
+        applied = ", ".join(
+            f"_i{index}" if index in watched else f"_p{index}" for index in range(len(inputs))
+        )
         lines.append(f"        for ({applied},) in _events:")
-        lines.extend(f"            {line}" for line in body)
+        lines.extend(_indent(body, 3))
         lines.append('        check_deadline("codegen_run")')
-        lines.append(f"        _events = yield ({''.join(f'{p}, ' for p in packed)})")
+        lines.append(
+            f"        _events = yield ({''.join(f'{variables[name]}, ' for name, _ in outputs)})"
+        )
         lines.append("        while _events is None:")
-        lines.append(f"            _events = yield ({''.join(f'{v}, ' for v in state_vars)})")
-        if len(lines) > MAX_GENERATED_LINES:
+        lines.append(
+            f"            _events = yield ({''.join(f'{variables[name]}, ' for name, _ in state)})"
+        )
+        if len(lines) > MAX_GENERATED_LINES or _nesting(lines) > MAX_NESTING:
             raise UnsupportedConstruct("code-size")
         return SequenceProgram(
             source="\n".join(lines) + "\n",
@@ -808,6 +822,32 @@ class _Generator:
             edge_inputs=tuple(edge_inputs),
         )
 
+    # ------------------------------------------------------------------ targets
+    def select_base(self, base: ast.Expression) -> tuple[str, int]:
+        if not isinstance(base, ast.Identifier) or base.name not in self.widths:
+            raise UnsupportedConstruct("select-target")
+        return base.name, self.widths[base.name]
+
+    def target_width(self, target: ast.Expression) -> int:
+        if isinstance(target, ast.Identifier):
+            return self.widths.get(target.name, 1)
+        if isinstance(target, ast.BitSelect):
+            return 1
+        if isinstance(target, ast.PartSelect):
+            if target.mode == ":":
+                first = self.const_int(target.msb)
+                second = self.const_int(target.lsb)
+                if first is None or second is None:
+                    raise UnsupportedConstruct("non-constant-select")
+                return abs(first - second) + 1
+            second = self.const_int(target.lsb)
+            if second is None:
+                raise UnsupportedConstruct("non-constant-select")
+            return second
+        if isinstance(target, ast.Concat):
+            return sum(self.target_width(part) for part in target.parts)
+        raise UnsupportedConstruct(f"target:{type(target).__name__}")
+
 
 # ---------------------------------------------------------------------------
 # expression/statement lowering
@@ -815,14 +855,12 @@ class _Generator:
 
 
 class _Lowerer:
-    """Lowers statements into a writer as masked two-state column algebra."""
+    """Lowers combinational statements into a writer as masked column algebra."""
 
     def __init__(self, gen: _Generator, writer: _Writer):
         self.gen = gen
         self.writer = writer
         self._mask_inv: dict[str, str] = {}
-        #: Non-blocking commits: (target, rhs_width, rhs_cols, mask_atom).
-        self._commits: list[tuple[ast.Expression, int, list[str], str]] = []
 
     # -------------------------------------------------------------- expressions
     def lower(self, node: ast.Expression) -> tuple[int, list[str]]:
@@ -1015,42 +1053,31 @@ class _Lowerer:
         raise UnsupportedConstruct("user-function")
 
     # -------------------------------------------------------------- statements
-    def statement(
-        self, node: ast.Statement | None, mask: str, *, nonblocking: bool
-    ) -> None:
+    def statement(self, node: ast.Statement | None, mask: str) -> None:
+        """Lower ``node`` under ``mask``; a process's non-blocking assigns are blocking."""
         if node is None or isinstance(node, ast.NullStatement) or mask == "0":
             return
         if isinstance(node, ast.Block):
             for inner in node.statements:
-                self.statement(inner, mask, nonblocking=nonblocking)
+                self.statement(inner, mask)
             return
-        if isinstance(node, ast.BlockingAssign):
+        if isinstance(node, (ast.BlockingAssign, ast.NonBlockingAssign)):
             width, cols = self.lower(node.value)
             self.assign(node.target, width, cols, mask)
-            return
-        if isinstance(node, ast.NonBlockingAssign):
-            width, cols = self.lower(node.value)
-            if not nonblocking:
-                self.assign(node.target, width, cols, mask)
-                return
-            # Snapshot signal columns now: the queue stores values, and a
-            # later blocking assign must not leak into the commit.
-            cols = [self._shield_col(col) for col in cols]
-            self._commits.append((node.target, width, cols, mask))
             return
         if isinstance(node, ast.IfStatement):
             _, cond_cols = self.lower(node.condition)
             truth = self._truth(cond_cols)
             then_mask = self.writer.atom(_and(mask, truth))
             else_mask = self.writer.atom(_and(mask, _not(truth)))
-            self.statement(node.then_branch, then_mask, nonblocking=nonblocking)
-            self.statement(node.else_branch, else_mask, nonblocking=nonblocking)
+            self.statement(node.then_branch, then_mask)
+            self.statement(node.else_branch, else_mask)
             return
         if isinstance(node, ast.CaseStatement):
-            self._lower_case(node, mask, nonblocking=nonblocking)
+            self._lower_case(node, mask)
             return
         if isinstance(node, (ast.DelayStatement, ast.EventWait)):
-            self.statement(node.body, mask, nonblocking=nonblocking)
+            self.statement(node.body, mask)
             return
         if isinstance(node, (ast.ForLoop, ast.WhileLoop, ast.RepeatLoop)):
             raise UnsupportedConstruct("loop")
@@ -1058,15 +1085,7 @@ class _Lowerer:
             raise UnsupportedConstruct("system-task")
         raise UnsupportedConstruct(f"statement:{type(node).__name__}")
 
-    def emit_commits(self) -> None:
-        """Emit queued non-blocking commits in execution order."""
-        for target, width, cols, mask in self._commits:
-            self.assign(target, width, cols, mask)
-        self._commits.clear()
-
-    def _lower_case(
-        self, node: ast.CaseStatement, mask: str, *, nonblocking: bool
-    ) -> None:
+    def _lower_case(self, node: ast.CaseStatement, mask: str) -> None:
         subject_width, subject_cols = self.lower(node.subject)
         remaining = mask
         default_item: ast.CaseItem | None = None
@@ -1077,10 +1096,10 @@ class _Lowerer:
             for expression in item.expressions:
                 match = self._case_match(node.kind, subject_width, subject_cols, expression)
                 arm_mask = self.writer.atom(_and(match, remaining))
-                self.statement(item.body, arm_mask, nonblocking=nonblocking)
+                self.statement(item.body, arm_mask)
                 remaining = self.writer.atom(_and(remaining, _not(match)))
         if default_item is not None:
-            self.statement(default_item.body, remaining, nonblocking=nonblocking)
+            self.statement(default_item.body, remaining)
 
     def _case_match(
         self,
@@ -1091,10 +1110,8 @@ class _Lowerer:
     ) -> str:
         """Column expression for lanes where ``candidate`` matches the subject."""
         if isinstance(candidate, ast.Number):
-            width = max(subject_width, candidate.width or 32)
-            subject = _zext(subject_cols, width)
             match = "FULL"
-            for bit in range(width):
+            for bit in range(subject_width):
                 value_bit = (candidate.value >> bit) & 1
                 xz_bit = (candidate.xz_mask >> bit) & 1
                 if xz_bit:
@@ -1102,8 +1119,16 @@ class _Lowerer:
                     if (kind == "casez" and is_z) or kind == "casex":
                         continue  # wildcard bit
                     return "0"  # x (or any x/z in plain case): never matches
-                term = subject[bit] if value_bit else _not(subject[bit])
+                term = subject_cols[bit] if value_bit else _not(subject_cols[bit])
                 match = _and(match, self.writer.atom(term))
+            # Above the subject every column is 0: a 1, or an x/z that is not
+            # a wildcard, never matches there.
+            width = max(subject_width, candidate.width or 32)
+            high = _mask(width) ^ _mask(subject_width)
+            xz = candidate.xz_mask & high
+            wildcard = xz if kind == "casex" else (xz & candidate.value if kind == "casez" else 0)
+            if xz & ~wildcard or candidate.value & high & ~xz:
+                return "0"
             return self.writer.atom(match)
         cand_width, cand_cols = self.lower(candidate)
         width = max(subject_width, cand_width)
@@ -1135,7 +1160,7 @@ class _Lowerer:
             self._merge_bits(base, range(declared), resized, mask)
             return
         if isinstance(target, ast.BitSelect):
-            name, declared = self._select_base(target.target)
+            name, declared = self.gen.select_base(target.target)
             index = self.gen.const_int(target.index)
             if index is None:
                 raise UnsupportedConstruct("non-constant-select")
@@ -1144,7 +1169,7 @@ class _Lowerer:
             self._merge_bits(self.gen.varname[name], [index], _zext(cols, 1), mask)
             return
         if isinstance(target, ast.PartSelect):
-            name, declared = self._select_base(target.target)
+            name, declared = self.gen.select_base(target.target)
             first = self.gen.const_int(target.msb)
             second = self.gen.const_int(target.lsb)
             if first is None or second is None:
@@ -1160,7 +1185,7 @@ class _Lowerer:
             )
             return
         if isinstance(target, ast.Concat):
-            widths = [self._target_width(part) for part in target.parts]
+            widths = [self.gen.target_width(part) for part in target.parts]
             total = sum(widths)
             resized = _zext(cols, total)
             offset = total
@@ -1186,31 +1211,6 @@ class _Lowerer:
         for position, col in zip(positions, cols):
             var = f"{base}_{position}"
             self.writer.emit(f"{var} = {_or(_and(col, mask), _and(var, inverse))}")
-
-    def _select_base(self, base: ast.Expression) -> tuple[str, int]:
-        if not isinstance(base, ast.Identifier) or base.name not in self.gen.widths:
-            raise UnsupportedConstruct("select-target")
-        return base.name, self.gen.widths[base.name]
-
-    def _target_width(self, target: ast.Expression) -> int:
-        if isinstance(target, ast.Identifier):
-            return self.gen.widths.get(target.name, 1)
-        if isinstance(target, ast.BitSelect):
-            return 1
-        if isinstance(target, ast.PartSelect):
-            if target.mode == ":":
-                first = self.gen.const_int(target.msb)
-                second = self.gen.const_int(target.lsb)
-                if first is None or second is None:
-                    raise UnsupportedConstruct("non-constant-select")
-                return abs(first - second) + 1
-            second = self.gen.const_int(target.lsb)
-            if second is None:
-                raise UnsupportedConstruct("non-constant-select")
-            return second
-        if isinstance(target, ast.Concat):
-            return sum(self._target_width(part) for part in target.parts)
-        raise UnsupportedConstruct(f"target:{type(target).__name__}")
 
     def _target_vars(self, target: ast.Expression) -> set[str]:
         names: set[str] = set()
@@ -1250,6 +1250,869 @@ def _part_bounds(mode: str, first: int, second: int) -> tuple[int, int]:
     if mode == "+:":
         return first + second - 1, first
     return first, first - second + 1  # "-:"
+
+
+# ---------------------------------------------------------------------------
+# word-level lowering (the fused clocked run)
+# ---------------------------------------------------------------------------
+
+#: Bind a lowered expression to a temporary beyond this nesting depth, which
+#: keeps generated expressions far from the Python parser's nesting limits.
+MAX_EXPRESSION_DEPTH = 24
+
+#: Reject a fused run whose statements nest deeper than this many blocks
+#: (Python allows 100 levels of indentation).
+MAX_NESTING = 90
+
+
+def _mask(width: int) -> int:
+    return (1 << width) - 1
+
+
+def _indent(lines: list[str], levels: int) -> list[str]:
+    prefix = "    " * levels
+    return [prefix + line for line in lines]
+
+
+def _nesting(lines: list[str]) -> int:
+    return max((len(line) - len(line.lstrip(" "))) // 4 for line in lines)
+
+
+def _is_if_chain(lines: list[str]) -> bool:
+    """Whether ``lines`` are exactly one ``if`` statement (so may follow ``el``)."""
+    return bool(lines) and lines[0].startswith("if ") and all(
+        line.startswith((" ", "elif ", "else:")) for line in lines[1:]
+    )
+
+
+# Three-valued bits (0, 1, ``None`` = not constant) folded by the column
+# lowering's rules (``_and``/``_or``/``_xor``/``_not``), bit for bit.
+def _t_not(a):
+    return None if a is None else 1 - a
+
+
+def _t_and(a, b):
+    if a == 0 or b == 0:
+        return 0
+    if a is None or b is None:
+        return None
+    return 1
+
+
+def _t_or(a, b):
+    if a == 1 or b == 1:
+        return 1
+    if a is None or b is None:
+        return None
+    return 0
+
+
+def _t_xor(a, b):
+    return None if a is None or b is None else a ^ b
+
+
+class _Word:
+    """One lowered expression: a Python ``int`` expression below ``2**width``.
+
+    ``known`` marks the bits constant folding fixes and ``ones`` those of
+    them that are 1 — the columns the column lowering folds to ``FULL`` or
+    ``0`` — so a statement it skips as dead code is skipped here too.
+    ``boolean`` marks an expression that may evaluate to a ``bool``; ``depth``
+    is its nesting.
+    """
+
+    __slots__ = ("width", "expr", "known", "ones", "boolean", "depth")
+
+    def __init__(self, width, expr, known=0, ones=0, boolean=False, depth=0):
+        self.width = width
+        self.expr = expr
+        self.known = known
+        self.ones = ones
+        self.boolean = boolean
+        self.depth = depth
+
+    @property
+    def const(self) -> bool:
+        return self.known == _mask(self.width)
+
+    def bit(self, index: int):
+        if index >= self.width:
+            return 0
+        return self.ones >> index & 1 if self.known >> index & 1 else None
+
+    def truth(self):
+        """The column lowering's folded truth: 1, 0 or ``None``."""
+        if self.ones:
+            return 1
+        return 0 if self.const else None
+
+    def extended(self, width: int) -> tuple[int, int]:
+        """``(known, ones)`` zero-extended to ``width`` (the new bits are known 0)."""
+        return self.known | (_mask(width) ^ _mask(self.width)), self.ones
+
+    def widened(self, width: int) -> "_Word":
+        known, ones = self.extended(width)
+        return _Word(width, self.expr, known, ones, self.boolean, self.depth)
+
+
+def _equal(left: _Word, right: _Word, width: int):
+    known_l, ones_l = left.extended(width)
+    known_r, ones_r = right.extended(width)
+    known = known_l & known_r
+    if (ones_l ^ ones_r) & known:
+        return 0
+    return 1 if known == _mask(width) else None
+
+
+def _less(left: _Word, right: _Word, inclusive: bool):
+    """Folded ``left < right`` (``<=`` when ``inclusive``), MSB first."""
+    if not (left.known or right.known):
+        return None
+    if left.const and right.const:
+        return int(left.ones <= right.ones if inclusive else left.ones < right.ones)
+    lt, eq = 0, 1
+    for index in reversed(range(max(left.width, right.width))):
+        lhs, rhs = left.bit(index), right.bit(index)
+        lt = _t_or(lt, _t_and(eq, _t_and(_t_not(lhs), rhs)))
+        eq = _t_and(eq, _t_not(_t_xor(lhs, rhs)))
+    return _t_or(lt, eq) if inclusive else lt
+
+
+def _sum_bits(left: _Word, right: _Word, width: int, subtract: bool) -> tuple[int, int]:
+    """Folded ``(known, ones)`` of the ripple adder over ``width`` bits."""
+    if left.const and right.const:
+        value = left.ones - right.ones if subtract else left.ones + right.ones
+        return _mask(width), value & _mask(width)
+    if not (left.known or right.known):
+        return 0, 0
+    known = ones = 0
+    carry = 1 if subtract else 0
+    for index in range(width):
+        lhs, rhs = left.bit(index), right.bit(index)
+        if subtract:
+            rhs = _t_not(rhs)
+        axb = _t_xor(lhs, rhs)
+        out = _t_xor(axb, carry)
+        carry = _t_or(_t_and(lhs, rhs), _t_and(carry, axb))
+        if out is not None:
+            known |= 1 << index
+            ones |= out << index
+    return known, ones
+
+
+def _merged(base: str, width: int, lsb: int, nbits: int, part: str) -> str:
+    """``base`` with bits ``[lsb, lsb + nbits)`` replaced by ``part``."""
+    if lsb == 0 and nbits == width:
+        return part
+    keep = f"{base} & {_mask(width) ^ (_mask(nbits) << lsb)}"
+    if part == "0":
+        return keep
+    return f"{keep} | {part}" if lsb == 0 else f"{keep} | {part} << {lsb}"
+
+
+def _assigned(statement, blocking: set[str], nonblocking: set[str]) -> None:
+    """Collect the signals ``statement`` assigns, by assignment kind."""
+    if isinstance(statement, ast.Block):
+        for inner in statement.statements:
+            _assigned(inner, blocking, nonblocking)
+    elif isinstance(statement, (ast.BlockingAssign, ast.NonBlockingAssign)):
+        names = blocking if isinstance(statement, ast.BlockingAssign) else nonblocking
+        pending = [statement.target]
+        while pending:
+            target = pending.pop()
+            if isinstance(target, ast.Concat):
+                pending.extend(target.parts)
+            elif isinstance(target, (ast.BitSelect, ast.PartSelect)):
+                pending.append(target.target)
+            elif isinstance(target, ast.Identifier):
+                names.add(target.name)
+    elif isinstance(statement, ast.IfStatement):
+        _assigned(statement.then_branch, blocking, nonblocking)
+        _assigned(statement.else_branch, blocking, nonblocking)
+    elif isinstance(statement, ast.CaseStatement):
+        for item in statement.items:
+            _assigned(item.body, blocking, nonblocking)
+    elif isinstance(statement, (ast.DelayStatement, ast.EventWait)):
+        _assigned(statement.body, blocking, nonblocking)
+
+
+def _identifiers(node, names: set[str]) -> set[str]:
+    """Add every identifier ``node`` reads to ``names``; return it."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Identifier):
+            names.add(node.name)
+        elif isinstance(node, ast.UnaryOp):
+            pending.append(node.operand)
+        elif isinstance(node, ast.BinaryOp):
+            pending += (node.left, node.right)
+        elif isinstance(node, ast.Ternary):
+            pending += (node.condition, node.if_true, node.if_false)
+        elif isinstance(node, ast.Concat):
+            pending += node.parts
+        elif isinstance(node, ast.Replication):
+            pending += (node.count, node.value)
+        elif isinstance(node, ast.BitSelect):
+            pending += (node.target, node.index)
+        elif isinstance(node, ast.PartSelect):
+            pending += (node.target, node.msb, node.lsb)
+        elif isinstance(node, ast.FunctionCall):
+            pending += node.args
+    return names
+
+
+def _late_reads(statement, queued: set[str], late: set[str]) -> set[str]:
+    """Signals read after a non-blocking assignment to them may have run.
+
+    Walks ``statement`` in execution order: ``queued`` holds the signals a
+    non-blocking assignment may already have assigned on some path, and
+    every read of one is added to ``late``.  Returns ``queued`` after it.
+    """
+    if isinstance(statement, ast.Block):
+        for inner in statement.statements:
+            queued = _late_reads(inner, queued, late)
+    elif isinstance(statement, (ast.BlockingAssign, ast.NonBlockingAssign)):
+        late |= _identifiers(statement.value, set()) & queued
+        if isinstance(statement, ast.NonBlockingAssign):
+            queued = queued | _assigned_names(statement)
+    elif isinstance(statement, ast.IfStatement):
+        late |= _identifiers(statement.condition, set()) & queued
+        queued = _late_reads(statement.then_branch, queued, late) | _late_reads(
+            statement.else_branch, queued, late
+        )
+    elif isinstance(statement, ast.CaseStatement):
+        reads = _identifiers(statement.subject, set())
+        for item in statement.items:
+            for expression in item.expressions:
+                _identifiers(expression, reads)
+        late |= reads & queued
+        arms = set(queued)
+        for item in statement.items:
+            arms |= _late_reads(item.body, queued, late)
+        queued = arms
+    elif isinstance(statement, (ast.DelayStatement, ast.EventWait)):
+        queued = _late_reads(statement.body, queued, late)
+    return queued
+
+
+def _assigned_names(statement) -> set[str]:
+    names: set[str] = set()
+    _assigned(statement, names, names)
+    return names
+
+
+def _single_assignments(statement) -> list | None:
+    """The assignments of a body that is nothing else, none re-assigning a signal."""
+    pending = [statement]
+    assigns = []
+    names: set[str] = set()
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Block):
+            pending.extend(reversed(node.statements))
+        elif isinstance(node, (ast.BlockingAssign, ast.NonBlockingAssign)):
+            targets = _assigned_names(node)
+            if targets & names or _target_count(node.target) != len(targets):
+                return None
+            names |= targets
+            assigns.append(node)
+        elif node is not None and not isinstance(node, ast.NullStatement):
+            return None
+    return assigns
+
+
+def _target_count(target: ast.Expression) -> int:
+    if isinstance(target, ast.Concat):
+        return sum(_target_count(part) for part in target.parts)
+    return 1
+
+
+class _WordLowerer:
+    """Lowers processes to word-level Python with real control flow.
+
+    Every signal is one two-state ``int`` masked to its width (``variables``
+    names its local); ``if``/``case`` become ``if``/``elif`` chains, and
+    expression widths follow the scalar evaluator
+    (:mod:`~repro.verilog.simulator.eval`).  A design is rejected exactly
+    where the column lowering rejects it, in the same order: statements that
+    lowering skips as dead (a branch whose folded condition is constant) are
+    not lowered here either, and non-blocking targets are checked once every
+    process is lowered, where the column lowering emitted its commits.
+
+    Non-blocking assignments commit after every triggered process, in
+    execution order, as ``commit_nonblocking`` does.  A signal nothing reads
+    after its non-blocking assignment may have run is assigned in place; one
+    that is read later writes a shadow ``_n<var>`` committed after the pass;
+    and one that an edge-triggered process also assigns blocking keeps one
+    pending value per assignment.
+    """
+
+    def __init__(self, gen: _Generator, variables: dict[str, str], seq: list[Process]):
+        self.gen = gen
+        self.var = variables
+        self._counter = 0
+        blocking: set[str] = set()
+        nonblocking: set[str] = set()
+        queued: set[str] = set()
+        #: Signals read after a non-blocking assignment to them may have run.
+        self._late: set[str] = set()
+        for process in seq:
+            _assigned(process.body, blocking, nonblocking)
+            queued = _late_reads(process.body, queued, self._late)
+        #: Signals whose non-blocking commits stay per assignment.
+        self._pending_only = blocking & nonblocking
+        #: Shadowed signal → shadow local, in first-assignment order.
+        self._shadows: dict[str, str] = {}
+        #: (pending local, signal, lsb, nbits) per assignment, in order.
+        self._pending: list[tuple[str, str, int, int]] = []
+        self._deferred: UnsupportedConstruct | None = None
+
+    def _fresh(self) -> str:
+        self._counter += 1
+        return f"_t{self._counter}"
+
+    # -------------------------------------------------------------- processes
+    def sequential(self, processes: list[Process]) -> list[str]:
+        """One pass of the triggered processes (``if _m<i>:``) and its commits.
+
+        A lone process is not guarded: the pass runs only when it triggered.
+        """
+        passes: list[str] = []
+        for index, process in enumerate(processes):
+            lines: list[str] = []
+            self.statement(process.body, lines, nonblocking=True)
+            if len(processes) == 1:
+                passes = lines  # the pass runs only when its process triggered
+            elif lines:
+                passes.append(f"if _m{index}:")
+                passes.extend(_indent(lines, 1))
+        if self._deferred is not None:
+            raise self._deferred
+        out = [f"{shadow} = {self.var[name]}" for name, shadow in self._shadows.items()]
+        out.extend(f"{local} = None" for local, *_ in self._pending)
+        out.extend(passes)
+        out.extend(f"{self.var[name]} = {shadow}" for name, shadow in self._shadows.items())
+        for local, name, lsb, nbits in self._pending:
+            var = self.var[name]
+            out.append(f"if {local} is not None:")
+            out.append(f"    {var} = {_merged(var, self.gen.widths[name], lsb, nbits, local)}")
+        return out
+
+    def settle(self, processes: list[Process], scans: list[_ProcessScan]) -> list[str]:
+        """One settle pass over the combinational processes (sets ``_chg``)."""
+        out: list[str] = []
+        for process, scan in zip(processes, scans):
+            assigns = _single_assignments(process.body)
+            if assigns is not None:
+                # Each signal is assigned once: compare as it is assigned.
+                for node in assigns:
+                    value = self.lower(node.value, out)
+                    for name, lsb, nbits, part in self._fields(
+                        self._pieces(node.target), value, out
+                    ):
+                        var = self.var[name]
+                        merged = _merged(var, self.gen.widths[name], lsb, nbits, part)
+                        out.append(f"_chg = {var} != ({var} := {merged}) or _chg")
+                continue
+            written = [self.var[name] for name in sorted(scan.writes)]
+            out.extend(f"_w{var} = {var}" for var in written)
+            self.statement(process.body, out, nonblocking=False)
+            if written:
+                changed = " or ".join(f"{var} != _w{var}" for var in written)
+                out.append(f"_chg = _chg or {changed}")
+        return out
+
+    # -------------------------------------------------------------- statements
+    def statement(self, node: ast.Statement | None, out: list[str], *, nonblocking: bool) -> None:
+        if node is None or isinstance(node, ast.NullStatement):
+            return
+        if isinstance(node, ast.Block):
+            for inner in node.statements:
+                self.statement(inner, out, nonblocking=nonblocking)
+            return
+        if isinstance(node, (ast.BlockingAssign, ast.NonBlockingAssign)):
+            value = self.lower(node.value, out)
+            if nonblocking and isinstance(node, ast.NonBlockingAssign):
+                self._schedule(node.target, value, out)
+            else:
+                self._store(node.target, value, out)
+            return
+        if isinstance(node, ast.IfStatement):
+            condition = self.lower(node.condition, out)
+            truth = condition.truth()
+            then_lines: list[str] = []
+            else_lines: list[str] = []
+            if truth != 0:
+                self.statement(node.then_branch, then_lines, nonblocking=nonblocking)
+            if truth != 1:
+                self.statement(node.else_branch, else_lines, nonblocking=nonblocking)
+            if truth is not None:
+                out.extend(then_lines if truth else else_lines)
+            elif then_lines:
+                out.append(f"if {condition.expr}:")
+                out.extend(_indent(then_lines, 1))
+                self._else(else_lines, out)
+            elif else_lines:
+                out.append(f"if not {condition.expr}:")
+                out.extend(_indent(else_lines, 1))
+            return
+        if isinstance(node, ast.CaseStatement):
+            self._case(node, out, nonblocking)
+            return
+        if isinstance(node, (ast.DelayStatement, ast.EventWait)):
+            self.statement(node.body, out, nonblocking=nonblocking)
+            return
+        if isinstance(node, (ast.ForLoop, ast.WhileLoop, ast.RepeatLoop)):
+            raise UnsupportedConstruct("loop")
+        if isinstance(node, ast.SystemTaskCall):
+            raise UnsupportedConstruct("system-task")
+        raise UnsupportedConstruct(f"statement:{type(node).__name__}")
+
+    @staticmethod
+    def _else(lines: list[str], out: list[str]) -> None:
+        if not lines:
+            return
+        if _is_if_chain(lines):
+            out.append("el" + lines[0])
+            out.extend(lines[1:])
+        else:
+            out.append("else:")
+            out.extend(_indent(lines, 1))
+
+    def _case(self, node: ast.CaseStatement, out: list[str], nonblocking: bool) -> None:
+        """An ``if``/``elif`` chain; every label reads the pre-case values."""
+        subject = self.lower(node.subject, out)
+        if not subject.const and not _ATOM_RE.match(subject.expr):
+            temp = self._fresh()
+            out.append(f"{temp} = {subject.expr}")
+            subject = _Word(subject.width, temp, subject.known, subject.ones, subject.boolean)
+        arms: list[tuple[list[str], list[str]]] = []
+        final: list[str] | None = None
+        open_ = True  # the column lowering's remaining mask is not constant 0
+        default_item: ast.CaseItem | None = None
+        for item in node.items:
+            if item.is_default:
+                default_item = item
+                continue
+            conditions: list[str] = []
+            body: list[str] | None = None
+            always = False
+            for expression in item.expressions:
+                condition, match = self._case_match(node.kind, subject, expression, out)
+                if open_ and match != 0:
+                    if body is None:
+                        body = []
+                        self.statement(item.body, body, nonblocking=nonblocking)
+                    if match == 1:
+                        always = True
+                    else:
+                        conditions.append(condition)
+                if match == 1:
+                    open_ = False
+            if body is None:
+                continue
+            if always:
+                final = body
+            else:
+                arms.append((conditions, body))
+        if default_item is not None and open_:
+            final = []
+            self.statement(default_item.body, final, nonblocking=nonblocking)
+        if not arms:
+            out.extend(final or ())
+            return
+        for index, (conditions, body) in enumerate(arms):
+            keyword = "if" if index == 0 else "elif"
+            out.append(f"{keyword} {' or '.join(conditions)}:")
+            out.extend(_indent(body or ["pass"], 1))
+        if final:
+            out.append("else:")
+            out.extend(_indent(final, 1))
+
+    def _case_match(
+        self, kind: str, subject: _Word, candidate: ast.Expression, out: list[str]
+    ) -> tuple[str, int | None]:
+        """The label's match condition and its folded value (1, 0 or ``None``)."""
+        if isinstance(candidate, ast.Number):
+            width = max(subject.width, candidate.width or 32)
+            full = _mask(width)
+            xz = candidate.xz_mask & full
+            wildcard = xz if kind == "casex" else (xz & candidate.value if kind == "casez" else 0)
+            if xz & ~wildcard:
+                return "False", 0  # an x (or any x/z in a plain case) never matches
+            care = full & ~wildcard
+            value = candidate.value & care
+            known, ones = subject.extended(width)
+            if (ones ^ value) & known & care:
+                return "False", 0
+            if known & care == care:
+                return "True", 1
+            if care & _mask(subject.width) == _mask(subject.width):
+                return f"{subject.expr} == {value}", None
+            return f"{subject.expr} & {care & _mask(subject.width)} == {value}", None
+        label = self.lower(candidate, out)
+        match = _equal(subject, label, max(subject.width, label.width))
+        return f"{subject.expr} == {label.expr}", match
+
+    # -------------------------------------------------------------- assignment
+    def _pieces(self, target: ast.Expression, offset: int = 0) -> list[tuple[str, int, int, int]]:
+        """``(signal, lsb, nbits, value offset)`` per written field, in order.
+
+        Raises exactly as the column lowering's ``_assign_inner`` does.
+        """
+        if isinstance(target, ast.Identifier):
+            return [(target.name, 0, self.gen.widths[target.name], offset)]
+        if isinstance(target, ast.BitSelect):
+            name, declared = self.gen.select_base(target.target)
+            index = self.gen.const_int(target.index)
+            if index is None:
+                raise UnsupportedConstruct("non-constant-select")
+            if not 0 <= index < declared:
+                raise UnsupportedConstruct("select-out-of-range")
+            return [(name, index, 1, offset)]
+        if isinstance(target, ast.PartSelect):
+            name, declared = self.gen.select_base(target.target)
+            first = self.gen.const_int(target.msb)
+            second = self.gen.const_int(target.lsb)
+            if first is None or second is None:
+                raise UnsupportedConstruct("non-constant-select")
+            msb, lsb = _part_bounds(target.mode, first, second)
+            if not 0 <= lsb <= msb < declared:
+                raise UnsupportedConstruct("select-out-of-range")
+            return [(name, lsb, msb - lsb + 1, offset)]
+        if isinstance(target, ast.Concat):
+            widths = [self.gen.target_width(part) for part in target.parts]
+            pieces: list[tuple[str, int, int, int]] = []
+            position = sum(widths)
+            for part, width in zip(target.parts, widths):
+                position -= width
+                pieces.extend(self._pieces(part, offset + position))
+            return pieces
+        raise UnsupportedConstruct(f"target:{type(target).__name__}")
+
+    def _fields(self, pieces, value: _Word, out: list[str]):
+        """``(signal, lsb, nbits, int expression)`` of each piece's value bits."""
+        if len(pieces) > 1 and not value.const and not _ATOM_RE.match(value.expr):
+            temp = self._fresh()
+            out.append(f"{temp} = {value.expr}")
+            value = _Word(value.width, temp, value.known, value.ones, value.boolean)
+        for name, lsb, nbits, offset in pieces:
+            field = _mask(nbits)
+            # Bits above the field need no mask when they are known zeros.
+            high = _mask(value.width) >> (offset + nbits) << (offset + nbits)
+            fits = value.known & high == high and not value.ones & high
+            if value.const or offset >= value.width:
+                part = str(value.ones >> offset & field)
+            elif offset == 0 and fits:
+                part = f"(+{value.expr})" if value.boolean else value.expr
+            elif offset == 0:
+                part = f"({value.expr} & {field})"
+            elif fits:
+                part = f"({value.expr} >> {offset})"
+            else:
+                part = f"({value.expr} >> {offset} & {field})"
+            yield name, lsb, nbits, part
+
+    def _store(self, target: ast.Expression, value: _Word, out: list[str]) -> None:
+        for name, lsb, nbits, part in self._fields(self._pieces(target), value, out):
+            var = self.var[name]
+            out.append(f"{var} = {_merged(var, self.gen.widths[name], lsb, nbits, part)}")
+
+    def _schedule(self, target: ast.Expression, value: _Word, out: list[str]) -> None:
+        """A non-blocking assignment of an edge-triggered process."""
+        try:
+            pieces = self._pieces(target)
+        except UnsupportedConstruct as exc:
+            if self._deferred is None:
+                self._deferred = exc
+            return
+        for name, lsb, nbits, part in self._fields(pieces, value, out):
+            if name in self._pending_only:
+                local = f"_v{len(self._pending)}"
+                self._pending.append((local, name, lsb, nbits))
+                out.append(f"{local} = {part}")
+                continue
+            if name in self._late:
+                local = self._shadows.setdefault(name, f"_n{self.var[name]}")
+            else:
+                local = self.var[name]  # nothing reads it before the commit
+            out.append(f"{local} = {_merged(local, self.gen.widths[name], lsb, nbits, part)}")
+
+    # -------------------------------------------------------------- expressions
+    def _const(self, value: int, width: int) -> _Word:
+        value &= _mask(width)
+        return _Word(width, str(value), _mask(width), value)
+
+    def _result(
+        self, out: list[str], width: int, expr: str, known: int = 0, ones: int = 0,
+        *, boolean: bool = False, depth: int = 1,
+    ) -> _Word:
+        full = _mask(width)
+        known &= full
+        if known == full:
+            return _Word(width, str(ones & full), full, ones & full)
+        if depth > MAX_EXPRESSION_DEPTH:
+            temp = self._fresh()
+            out.append(f"{temp} = {expr}")
+            expr, depth = temp, 0
+        return _Word(width, expr, known, ones & known, boolean, depth)
+
+    def _flag(self, out: list[str], value, expr: str, depth: int) -> _Word:
+        """A one-bit result with folded value ``value`` (1, 0 or ``None``)."""
+        if value is not None:
+            return self._const(value, 1)
+        return self._result(out, 1, expr, boolean=True, depth=depth)
+
+    @staticmethod
+    def _truth_expr(word: _Word) -> str:
+        return word.expr if word.width == 1 else f"({word.expr} != 0)"
+
+    def lower(self, node: ast.Expression, out: list[str]) -> _Word:
+        if isinstance(node, ast.Number):
+            if node.xz_mask:
+                raise UnsupportedConstruct("xz-literal")
+            return self._const(node.value, node.width if node.width is not None else 32)
+        if isinstance(node, ast.Identifier):
+            name = node.name
+            if name in self.gen.widths:
+                return _Word(self.gen.widths[name], self.var[name])
+            if name in self.gen.parameters:
+                return self._const(self.gen.parameters[name], 32)
+            raise UnsupportedConstruct("unknown-identifier")
+        if isinstance(node, ast.UnaryOp):
+            return self._unary(node, out)
+        if isinstance(node, ast.BinaryOp):
+            return self._binary(node, out)
+        if isinstance(node, ast.Ternary):
+            return self._ternary(node, out)
+        if isinstance(node, ast.Concat):
+            return self._concat([self.lower(part, out) for part in node.parts], out)
+        if isinstance(node, ast.Replication):
+            count = self.gen.const_int(node.count)
+            if count is None or count <= 0:
+                raise UnsupportedConstruct("non-constant-replication")
+            value = self.lower(node.value, out)
+            if count == 1:
+                return value
+            repeat = sum(1 << (index * value.width) for index in range(count))
+            return self._result(
+                out, value.width * count, f"({value.expr} * {repeat})",
+                value.known * repeat, value.ones * repeat, depth=value.depth + 1,
+            )
+        if isinstance(node, ast.BitSelect):
+            target = self.lower(node.target, out)
+            index = self.gen.const_int(node.index)
+            if index is None:
+                raise UnsupportedConstruct("non-constant-select")
+            if not 0 <= index < target.width:
+                raise UnsupportedConstruct("select-out-of-range")
+            return self._slice(target, index, 1, out)
+        if isinstance(node, ast.PartSelect):
+            target = self.lower(node.target, out)
+            first = self.gen.const_int(node.msb)
+            second = self.gen.const_int(node.lsb)
+            if first is None or second is None:
+                raise UnsupportedConstruct("non-constant-select")
+            msb, lsb = _part_bounds(node.mode, first, second)
+            if not 0 <= lsb <= msb < target.width:
+                raise UnsupportedConstruct("select-out-of-range")
+            return self._slice(target, lsb, msb - lsb + 1, out)
+        if isinstance(node, ast.FunctionCall):
+            name = node.name
+            if name in ("$signed", "$unsigned") and len(node.args) == 1:
+                return self.lower(node.args[0], out)
+            if name == "$clog2" and len(node.args) == 1:
+                value = self.gen.const_int(node.args[0])
+                if value is None:
+                    raise UnsupportedConstruct("system-function")
+                return self._const(max(0, (value - 1).bit_length()), 32)
+            if name.startswith("$"):
+                raise UnsupportedConstruct("system-function")
+            raise UnsupportedConstruct("user-function")
+        raise UnsupportedConstruct(f"expression:{type(node).__name__}")
+
+    def _slice(self, word: _Word, lsb: int, width: int, out: list[str]) -> _Word:
+        if lsb == 0 and width == word.width:
+            return word
+        expr = word.expr if lsb == 0 else f"{word.expr} >> {lsb}"
+        if lsb + width < word.width:
+            expr = f"{expr} & {_mask(width)}"
+        return self._result(
+            out, width, f"({expr})", word.known >> lsb, word.ones >> lsb, depth=word.depth + 1
+        )
+
+    def _concat(self, parts: list[_Word], out: list[str]) -> _Word:
+        width = sum(part.width for part in parts)
+        known = ones = constant = 0
+        terms: list[str] = []
+        position = width
+        for part in parts:
+            position -= part.width
+            known |= part.known << position
+            ones |= part.ones << position
+            if part.const:
+                constant |= part.ones << position
+            else:
+                terms.append(part.expr if position == 0 else f"{part.expr} << {position}")
+        if len(terms) == 1 and not constant and parts[-1].expr == terms[0]:
+            last = parts[-1]
+            return _Word(width, last.expr, known, ones, last.boolean, last.depth)
+        if constant:
+            terms.append(str(constant))
+        depth = 1 + max(part.depth for part in parts)
+        return self._result(out, width, f"({' | '.join(terms)})", known, ones, depth=depth)
+
+    def _unary(self, node: ast.UnaryOp, out: list[str]) -> _Word:
+        operand = self.lower(node.operand, out)
+        op = node.op
+        width = operand.width
+        full = _mask(width)
+        x = operand.expr
+        depth = operand.depth + 1
+        if op == "+":
+            return operand
+        if op == "-":
+            known = ones = 0
+            if operand.const:
+                known, ones = full, -operand.ones & full
+            elif operand.known:
+                carry = 1
+                for index in range(width):
+                    inverted = _t_not(operand.bit(index))
+                    bit = _t_xor(inverted, carry)
+                    carry = _t_and(inverted, carry)
+                    if bit is not None:
+                        known |= 1 << index
+                        ones |= bit << index
+            return self._result(out, width, f"(-{x} & {full})", known, ones, depth=depth)
+        if op == "~":
+            return self._result(
+                out, width, f"({x} ^ {full})", operand.known, ~operand.ones, depth=depth
+            )
+        if op == "!":
+            expr = f"({x} ^ 1)" if width == 1 else f"({x} == 0)"
+            return self._flag(out, _t_not(operand.truth()), expr, depth)
+        if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
+            if op in ("&", "~&"):
+                value = 0 if operand.known & ~operand.ones else (1 if operand.ones == full else None)
+                expr = f"({x} == {full})"
+            elif op in ("|", "~|"):
+                value = operand.truth()
+                expr = f"({x} != 0)"
+            else:
+                value = operand.ones.bit_count() & 1 if operand.const else None
+                expr = f"({x}.bit_count() & 1)"
+            if width == 1:
+                expr = x
+            if op in ("~&", "~|", "~^", "^~"):
+                return self._flag(out, _t_not(value), f"({expr} ^ 1)", depth)
+            if width == 1:
+                return operand
+            return self._flag(out, value, expr, depth)
+        raise UnsupportedConstruct(f"operator:{op}")
+
+    def _binary(self, node: ast.BinaryOp, out: list[str]) -> _Word:
+        op = node.op
+        if op in ("*", "/", "%", "**"):
+            raise UnsupportedConstruct("mul-div-mod")
+        if op in ("<<", ">>", "<<<", ">>>"):
+            return self._shift(node, out)
+        left = self.lower(node.left, out)
+        right = self.lower(node.right, out)
+        depth = 1 + max(left.depth, right.depth)
+        a, b = left.expr, right.expr
+        if op in ("&&", "||"):
+            if op == "&&":
+                value = _t_and(left.truth(), right.truth())
+            else:
+                value = _t_or(left.truth(), right.truth())
+            keyword = "and" if op == "&&" else "or"
+            expr = f"({self._truth_expr(left)} {keyword} {self._truth_expr(right)})"
+            return self._flag(out, value, expr, depth)
+        width = max(left.width, right.width)
+        if op in ("==", "!=", "===", "!=="):
+            value = _equal(left, right, width)
+            if op in ("==", "==="):
+                return self._flag(out, value, f"({a} == {b})", depth)
+            return self._flag(out, _t_not(value), f"({a} != {b})", depth)
+        if op in ("<", "<=", ">", ">="):
+            if op in ("<", "<="):
+                value = _less(left, right, op == "<=")
+            else:
+                value = _less(right, left, op == ">=")
+            return self._flag(out, value, f"({a} {op} {b})", depth)
+        if op in ("+", "-"):
+            known, ones = _sum_bits(left, right, width + 1, op == "-")
+            expr = f"({a} + {b})" if op == "+" else f"({a} - {b} & {_mask(width + 1)})"
+            return self._result(out, width + 1, expr, known, ones, depth=depth)
+        if op in ("&", "|", "^", "~^", "^~"):
+            known_l, ones_l = left.extended(width)
+            known_r, ones_r = right.extended(width)
+            if op == "&":
+                ones = ones_l & ones_r
+                known = ones | (known_l & ~ones_l) | (known_r & ~ones_r)
+            elif op == "|":
+                ones = ones_l | ones_r
+                known = ones | (known_l & ~ones_l & known_r & ~ones_r)
+            else:
+                known = known_l & known_r
+                ones = ones_l ^ ones_r
+            if op in ("~^", "^~"):
+                return self._result(
+                    out, width, f"({a} ^ {b} ^ {_mask(width)})", known, ~ones, depth=depth
+                )
+            boolean = left.boolean and right.boolean
+            return self._result(
+                out, width, f"({a} {op} {b})", known, ones, boolean=boolean, depth=depth
+            )
+        raise UnsupportedConstruct(f"operator:{op}")
+
+    def _shift(self, node: ast.BinaryOp, out: list[str]) -> _Word:
+        left = self.lower(node.left, out)
+        amount = self.gen.const_int(node.right)
+        if amount is None:
+            raise UnsupportedConstruct("non-constant-shift")
+        if amount == 0:
+            return left
+        width = left.width
+        full = _mask(width)
+        x = left.expr
+        depth = left.depth + 1
+        if node.op in ("<<", "<<<"):
+            known = left.known << amount | _mask(min(amount, width))
+            return self._result(
+                out, width, f"({x} << {amount} & {full})", known, left.ones << amount, depth=depth
+            )
+        fill = full ^ (full >> amount)
+        known, ones = left.known >> amount | fill, left.ones >> amount
+        if node.op == ">>":
+            return self._result(out, width, f"({x} >> {amount})", known, ones, depth=depth)
+        sign = left.bit(width - 1)
+        if sign is None:
+            known &= ~fill
+        elif sign:
+            ones |= fill
+        top = 1 << (width - 1)
+        return self._result(
+            out, width, f"(({x} ^ {top}) - {top} >> {amount} & {full})", known, ones, depth=depth
+        )
+
+    def _ternary(self, node: ast.Ternary, out: list[str]) -> _Word:
+        condition = self.lower(node.condition, out)
+        truth = condition.truth()
+        if_true = self.lower(node.if_true, out)
+        if_false = self.lower(node.if_false, out)
+        width = max(if_true.width, if_false.width)
+        if truth is not None:
+            return (if_true if truth else if_false).widened(width)
+        known_t, ones_t = if_true.extended(width)
+        known_f, ones_f = if_false.extended(width)
+        known = known_t & ~ones_t & known_f & ~ones_f
+        expr = f"({if_true.expr} if {condition.expr} else {if_false.expr})"
+        depth = 1 + max(condition.depth, if_true.depth, if_false.depth)
+        boolean = if_true.boolean or if_false.boolean
+        return self._result(out, width, expr, known, 0, boolean=boolean, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -1312,17 +2175,13 @@ class SequenceRun:
     def __init__(self, program: SequenceProgram, values: dict, clock: str, design: str):
         self._program = program
         self._values = values
-        flat: list[int] = []
-        for name, width in program.state:
-            value = values[name].value
-            flat.extend((value >> bit) & 1 for bit in range(width))
         self._current = [
             -1 if values[name].xz_mask else values[name].value for name, _ in program.inputs
         ]
         self._slots = {name: index for index, (name, _) in enumerate(program.inputs)}
         self._masks = [(1 << width) - 1 for _, width in program.inputs]
         self._clock = self._slots.get(clock)
-        #: Output name → (sample slot, width, packed value → vector cache).
+        #: Output name → (sample slot, width, value → vector cache).
         self._outputs = {
             name: (index, width, {}) for index, (name, width) in enumerate(program.outputs)
         }
@@ -1333,8 +2192,9 @@ class SequenceRun:
         self._driven: dict[str, int] = {}
         self._sample: tuple = ()
         fn = _compiled_function(program.source, "codegen_run")
+        # Applied inputs enter as the generator's previous-value arguments.
         self._gen = fn(
-            tuple(flat),
+            tuple(values[name].value for name, _ in program.state if name not in self._slots),
             check_deadline,
             SimulationError,
             f"combinational logic in module {design!r} did not settle after "
@@ -1381,15 +2241,5 @@ class SequenceRun:
         return values[name]
 
     def dump(self) -> dict[str, int]:
-        """Every state signal's current value, packed (valid after a cycle)."""
-        flat = self._gen.send(None)
-        packed: dict[str, int] = {}
-        position = 0
-        for name, width in self._program.state:
-            value = 0
-            for bit in range(width):
-                value |= flat[position + bit] << bit
-            packed[name] = value
-            position += width
-        return packed
-
+        """Every state signal's current value (valid after a cycle)."""
+        return dict(zip((name for name, _ in self._program.state), self._gen.send(None)))

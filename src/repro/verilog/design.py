@@ -72,10 +72,11 @@ from .simulator.simulator import ElaboratedModule, PortInfo, elaborate_module
 #: Bump when the pickled on-disk layout changes; stale entries are recompiled.
 #: The version is embedded in the on-disk *file name* (see ``_disk_path``), so
 #: a layout change — like v2's codegen artifact, v3's fused sequence program,
-#: v4's artifact without the per-edge sequential function or v5's design
-#: without inferred clock/reset fields — invalidates old entries by key
-#: rather than surfacing as unpickle errors or silently missing fields.
-DISK_FORMAT_VERSION = 5
+#: v4's artifact without the per-edge sequential function, v5's design
+#: without inferred clock/reset fields or v6's word-level sequence program
+#: (one state value per signal, not per bit) — invalidates old entries by
+#: key rather than surfacing as unpickle errors or silently missing fields.
+DISK_FORMAT_VERSION = 6
 
 
 def source_hash(source: str) -> str:

@@ -73,12 +73,18 @@ def _scalar_replay(
     module_name,
     reference_module_name,
 ) -> bool:
-    """The oracle: reset two fresh scalar simulators, then scalar cycles."""
+    """The oracle: reset two fresh scalar simulators, then scalar cycles.
+
+    Each design is driven with the step inputs that are its own input ports.
+    """
     dut = _pulsed(dut_source, module_name, clock, reset)
     reference = _pulsed(reference_source, reference_module_name, clock, reset)
     for step_inputs in steps:
-        dut.clock_cycle(clock, dict(step_inputs))
-        reference.clock_cycle(clock, dict(step_inputs))
+        for simulator in (dut, reference):
+            ports = simulator.input_names()
+            simulator.clock_cycle(
+                clock, {name: value for name, value in step_inputs.items() if name in ports}
+            )
         for name in checked_outputs:
             expected = reference.get(name)
             if expected.has_unknown:
@@ -412,3 +418,42 @@ def test_a_renamed_reset_pin_is_a_free_input_in_every_engine(fresh_database):
     assert _check("simulation", RST_COUNTER, reset).passed
     proved = _check("formal", RST_COUNTER, reset)
     assert proved.passed and proved.proof_stats["method"] == "induction"
+
+
+#: A candidate with an input the task does not have: ``hold`` pauses it.
+HOLD_COUNTER = RST_COUNTER.replace("input en,", "input en, input hold,").replace(
+    "else if (en)", "else if (en && !hold)"
+)
+
+
+def test_an_extra_candidate_input_replays_with_each_designs_own_inputs(fresh_database):
+    """The reference never reads ``hold``: formal reports a counterexample too.
+
+    The counterexample's steps drive ``hold``, which only the candidate
+    declares.  Its replay must report the mismatching step the scalar oracle
+    reports, on every prefix, instead of failing on the reference's
+    undeclared signal.
+    """
+    reset = ResetSpec(signal="rst")
+    verdicts = {mode: _check(mode, HOLD_COUNTER, reset) for mode in ("simulation", "formal")}
+    for mode, verdict in verdicts.items():
+        assert not verdict.passed and verdict.error is None and verdict.mismatches, mode
+    (mismatch,) = verdicts["formal"].mismatches
+    assert mismatch.inputs["hold"] == 1
+    result = golden.formal_equivalence_check(
+        HOLD_COUNTER, RST_COUNTER, outputs=["q"], reset=reset, induction_depth=4, replay=False
+    )
+    replay = dict(
+        dut_source=HOLD_COUNTER,
+        reference_source=RST_COUNTER,
+        steps=result.counterexample.steps,
+        checked_outputs=["q"],
+        clock="clk",
+        reset=reset,
+        module_name=None,
+        reference_module_name=None,
+    )
+    outcomes = [golden._replay_sequential_counterexample(**prefix) for prefix in _prefixes(replay)]
+    assert outcomes == [_scalar_replay(**prefix) for prefix in _prefixes(replay)]
+    # The first mismatching prefix ends at the step formal mode reports.
+    assert outcomes.index(True) == mismatch.step_index + 1

@@ -10,6 +10,8 @@ disk-cached artifacts).
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.deadline import CheckTimeout, deadline_scope
@@ -275,6 +277,184 @@ class TestCompileCache:
 
     def test_cap_holds_a_full_design_database(self):
         assert codegen.COMPILE_CACHE_ENTRIES >= DesignDatabase().max_entries
+
+
+#: A three-block 4-state Moore FSM: the emission-size reference design.
+FSM = """
+module fsm(input clk, input rst, input x, output reg [1:0] state, output z);
+    localparam A = 2'd0, B = 2'd1, C = 2'd2, D = 2'd3;
+    reg [1:0] next;
+    always @(posedge clk) begin
+        if (rst) state <= A;
+        else state <= next;
+    end
+    always @(*) begin
+        case (state)
+            A: next = x ? B : A;
+            B: next = x ? B : C;
+            C: next = x ? D : A;
+            D: next = x ? B : C;
+            default: next = A;
+        endcase
+    end
+    assign z = state == D;
+endmodule
+"""
+
+
+def _lockstep(source: str, cycles: int = 24, seed: int = 0) -> int:
+    """Run ``source`` on its fused loop and on the scalar oracle; cycles compared.
+
+    Reset (``rst``, when declared) runs on the scalar engine; from the first
+    boundary the gate admits, every state signal must agree after every cycle.
+    """
+    import random
+
+    from repro.verilog.simulator.values import LogicVector
+
+    compiled = DesignDatabase().compile(source)
+    program = compiled.codegen.sequence
+    assert program is not None, compiled.codegen.reject_reason
+    widths = compiled.input_widths()
+    data_inputs = sorted(set(widths) - {"clk"})
+    oracle = ModuleSimulator(compiled)
+    oracle.apply_inputs({name: 0 for name in widths})
+    if "rst" in widths:
+        oracle.apply_inputs({"rst": 1})
+        oracle.clock_cycle()
+        oracle.apply_inputs({"rst": 0})
+    rng = random.Random(seed)
+    run = None
+    compared = 0
+    for _ in range(cycles):
+        data = {name: rng.randrange(1 << widths[name]) for name in data_inputs}
+        if "rst" in data:
+            data["rst"] = int(rng.random() < 0.1)
+        if run is None and program.ready(oracle.signals, data, set(widths)):
+            run = codegen.SequenceRun(program, dict(oracle.signals), "clk", compiled.name)
+        oracle.apply_inputs(data)
+        oracle.clock_cycle()
+        if run is None:
+            continue
+        run.cycle(data)
+        for name, value in run.dump().items():
+            width = oracle.get(name).width
+            assert LogicVector.from_int(value, width) == oracle.get(name), name
+        compared += 1
+    return compared
+
+
+class TestWordLevelRun:
+    """The fused loop is word-level Python with real control flow."""
+
+    def test_fsm_emission_is_small_and_word_level(self):
+        source = DesignDatabase().compile(FSM).codegen.sequence.source
+        # The column lowering emitted 93 lines for this design.
+        assert source.count("\n") <= 45
+        assert "elif" in source
+        assert not re.search(r"\bs\d+_\d+\b", source), "per-bit state local"
+        assert _lockstep(FSM) > 0
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            # A branch whose condition folds to 0 is dead code, as the
+            # lanes' lowering folds it: its division is never lowered.
+            ("if (1'b0 && en) q <= a / b; else q <= a; r <= b;", None),
+            ("case (2'd1) 2'd0: q <= a / b; default: q <= a; endcase r <= b;", None),
+            ("if (en) q <= a / b; else q <= a; r <= b;", "mul-div-mod"),
+            # Non-blocking targets are checked after every process, where
+            # the lanes' lowering checked its commits.
+            ("q[a] <= b; r <= a % b;", "mul-div-mod"),
+            ("q[a] <= b; r <= a;", "non-constant-select"),
+            ("q <= a << b; r <= b;", "non-constant-shift"),
+        ],
+    )
+    def test_rejections_match_the_column_lowering(self, body, reason):
+        source = (
+            "module m(input clk, input en, input [3:0] a, input [3:0] b,"
+            " output reg [3:0] q, output reg [3:0] r);"
+            f" always @(posedge clk) begin {body} end endmodule"
+        )
+        artifact = DesignDatabase().compile(source).codegen
+        assert artifact.reject_reason == reason
+        if reason is None:
+            assert artifact.sequence is not None
+            assert _lockstep(source) > 0
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # Read after its non-blocking assignment: committed from a shadow.
+            "a <= b; b <= a ^ d;",
+            # Assigned in place: nothing reads it before the commit.
+            "if (d[0]) a <= d; else a <= a + 4'd1; b[1:0] <= d[3:2]; b[3:2] <= a[1:0];",
+            # Blocking and non-blocking: one pending value per assignment.
+            "a = a + 4'd1; if (d[1]) a <= d; b <= a; if (d[2]) a[0] <= 1'b0;",
+            # A blocking temporary feeding a non-blocking assignment.
+            "t = d ^ b; b <= t; a <= {t[1:0], t[3:2]};",
+        ],
+    )
+    def test_nonblocking_commits_match_the_scalar_oracle(self, body):
+        source = (
+            "module m(input clk, input rst, input [3:0] d, output reg [3:0] a,"
+            " output reg [3:0] b); reg [3:0] t;"
+            " always @(posedge clk) begin if (rst) begin a <= 4'd0; b <= 4'd5; t = 0; end"
+            f" else begin {body} end end endmodule"
+        )
+        assert _lockstep(source) > 0
+
+    def test_processes_on_both_edges_match_the_scalar_oracle(self):
+        source = """
+        module m(input clk, input rst, input [3:0] d, output reg [3:0] p, output reg [3:0] n,
+                 output [4:0] s);
+            always @(posedge clk) if (rst) p <= 4'd0; else p <= p + d;
+            always @(negedge clk) if (rst) n <= 4'd0; else n <= p ^ n;
+            assign s = {1'b0, p} + n;
+        endmodule
+        """
+        assert _lockstep(source) > 0
+
+
+def _tool(name: str):
+    """A module of ``tools/``, loaded by path."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_suite_agrees_with_the_scalar_oracle(monkeypatch):
+    """The five suites at tiny scale, every fast check re-checked on the scalar engine.
+
+    A divergence degrades its check (the re-check raises), so every run
+    must be clean; and fused clocked runs must have been compared at all.
+    """
+    from repro.experiments import ExperimentScale
+    from repro.verilog.design import set_default_database
+
+    runs = []
+    original = codegen.SequenceRun.__init__
+
+    def counting(self, *args, **kwargs):
+        runs.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(codegen.SequenceRun, "__init__", counting)
+    previous = set_default_database(DesignDatabase())
+    try:
+        summaries = _tool("codegen_differential").differential_runs(ExperimentScale.tiny())
+    finally:
+        set_default_database(previous)
+    assert [summary["manifest"] for summary in summaries] == ["table4", "table5"]
+    for summary in summaries:
+        assert summary["units"] > 0
+        assert (summary["quarantined"], summary["degraded"], summary["warnings"]) == (0, 0, 0)
+    assert runs
 
 
 class TestDeadline:

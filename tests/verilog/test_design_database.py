@@ -9,6 +9,7 @@ cached and cold evaluation agree on random writer round-tripped modules.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from repro.verilog.design import (
     get_default_database,
     set_default_database,
 )
+from repro.verilog.codegen import SequenceRun
 from repro.verilog.errors import ElaborationError, ParseError, VerilogError
 from repro.verilog.parser import parse_module
 from repro.verilog.simulator import BatchSimulator, ModuleSimulator, elaborate_module
@@ -232,6 +234,36 @@ class TestDiskTier:
         # The recompile rewrote the entry under the current version.
         names = {entry.name for entry in tmp_path.iterdir()}
         assert any(name.endswith(f"-v{DISK_FORMAT_VERSION}.pkl") for name in names)
+
+    def test_old_version_entry_of_a_clocked_design_is_recompiled(self, tmp_path):
+        """An entry written under the previous version is never loaded.
+
+        Its pickled sequence program may have another state layout (a v5
+        program flattened every signal into bits), so even a file that
+        carries the current name but the old payload version recompiles.
+        """
+        from repro.verilog.design import DISK_FORMAT_VERSION
+
+        writer = DesignDatabase(cache_dir=tmp_path)
+        writer.compile(PARAM_COUNTER)
+        (entry,) = tmp_path.iterdir()
+        payload = pickle.loads(entry.read_bytes())
+        payload["version"] = DISK_FORMAT_VERSION - 1
+        entry.write_bytes(pickle.dumps(payload))
+        fresh = DesignDatabase(cache_dir=tmp_path)
+        compiled = fresh.compile(PARAM_COUNTER)
+        assert (fresh.stats.disk_hits, fresh.stats.misses) == (0, 1)
+        assert pickle.loads(entry.read_bytes())["version"] == DISK_FORMAT_VERSION
+        program = compiled.codegen.sequence
+        assert program is not None
+        simulator = ModuleSimulator(compiled)
+        simulator.apply_inputs({"clk": 0, "rst": 1})
+        simulator.clock_cycle()
+        simulator.apply_inputs({"rst": 0})
+        run = SequenceRun(program, simulator.signals, "clk", compiled.name)
+        run.cycle({})
+        run.cycle({})
+        assert run.read("count").to_int() == 2
 
     def test_codegen_artifact_survives_disk_round_trip(self, tmp_path):
         writer_db = DesignDatabase(cache_dir=tmp_path)
