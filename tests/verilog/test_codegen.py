@@ -11,11 +11,12 @@ disk-cached artifacts).
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
 from repro.deadline import CheckTimeout, deadline_scope
-from repro.verilog import codegen
+from repro.verilog import codegen, wordgen
 from repro.verilog.design import DesignDatabase
 from repro.verilog.simulator import (
     BatchSimulator,
@@ -362,6 +363,11 @@ class TestWordLevelRun:
             # lanes' lowering folds it: its division is never lowered.
             ("if (1'b0 && en) q <= a / b; else q <= a; r <= b;", None),
             ("case (2'd1) 2'd0: q <= a / b; default: q <= a; endcase r <= b;", None),
+            # The partly constant words both lowerings fold.
+            ("if ((a & 4'd0) != 0) q <= a / b; else q <= a; r <= b;", None),
+            ("if ((a | 4'hf) == 4'hf) q <= a; else q <= a / b; r <= b;", None),
+            ("if (a < 4'd0) q <= a / b; else q <= a; r <= b;", None),
+            ("if ((a << 4) != 0) q <= a / b; else q <= a; r <= b;", None),
             ("if (en) q <= a / b; else q <= a; r <= b;", "mul-div-mod"),
             # Non-blocking targets are checked after every process, where
             # the lanes' lowering checked its commits.
@@ -385,9 +391,9 @@ class TestWordLevelRun:
     @pytest.mark.parametrize(
         "body",
         [
-            # Read after its non-blocking assignment: committed from a shadow.
+            # Read after its non-blocking assignment: the read sees the old value.
             "a <= b; b <= a ^ d;",
-            # Assigned in place: nothing reads it before the commit.
+            # Assigned in branches and by parts.
             "if (d[0]) a <= d; else a <= a + 4'd1; b[1:0] <= d[3:2]; b[3:2] <= a[1:0];",
             # Blocking and non-blocking: one pending value per assignment.
             "a = a + 4'd1; if (d[1]) a <= d; b <= a; if (d[2]) a[0] <= 1'b0;",
@@ -402,6 +408,36 @@ class TestWordLevelRun:
             " always @(posedge clk) begin if (rst) begin a <= 4'd0; b <= 4'd5; t = 0; end"
             f" else begin {body} end end endmodule"
         )
+        assert _lockstep(source) > 0
+
+    @pytest.mark.parametrize("arms", [900, 3000])
+    def test_a_long_case_chain_compiles_or_is_rejected(self, arms):
+        """Python compiles an ``elif`` as an ``if`` nested in the arm before.
+
+        A case chain nests one level per arm without indenting, and
+        ``compile()`` recurses once per level, so a long lookup table is
+        either lowered shallow enough to compile or rejected as code-size.
+        """
+        rows = " ".join(f"{i}: q <= 8'd{i * 37 & 255};" for i in range(arms))
+        source = (
+            "module rom(input clk, input [11:0] addr, output reg [7:0] q);"
+            f" always @(posedge clk) case (addr) {rows} default: q <= 8'd0; endcase"
+            " endmodule"
+        )
+        artifact = DesignDatabase().compile(source).codegen
+        if arms > wordgen.MAX_STATEMENT_DEPTH:
+            assert artifact.reject_reason == "code-size"
+            return
+        assert artifact.sequence is not None, artifact.reject_reason
+
+        def nested(frames: int):
+            # Compile under a deep Python stack: the compiler's limit is
+            # what remains of the recursion limit.
+            if frames:
+                return nested(frames - 1)
+            return compile(artifact.sequence.source, "<codegen_run>", "exec")
+
+        nested(sys.getrecursionlimit() // 2)
         assert _lockstep(source) > 0
 
     def test_processes_on_both_edges_match_the_scalar_oracle(self):

@@ -1,6 +1,6 @@
 """Generated code against the scalar oracle on the real suites.
 
-    PYTHONPATH=src python tools/codegen_differential.py [--scale tiny]
+    PYTHONPATH=src python tools/codegen_differential.py
     # or: make codegen-differential
 
 Runs quick-scale Table IV (the four Table IV suites) and Table V's symbolic
@@ -14,7 +14,6 @@ degraded, so a clean run is the evidence: prints one JSON line per manifest
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import sys
@@ -52,14 +51,10 @@ def clean(summary: dict) -> bool:
     return not (summary["quarantined"] or summary["degraded"] or summary["warnings"])
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     from repro.experiments import ExperimentScale
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=("quick", "tiny"), default="quick")
-    args = parser.parse_args(argv)
-    scale = ExperimentScale.tiny() if args.scale == "tiny" else ExperimentScale.quick()
-    summaries = differential_runs(scale)
+    summaries = differential_runs(ExperimentScale.quick())
     for summary in summaries:
         print(json.dumps(summary, sort_keys=True))
     return 0 if all(clean(summary) for summary in summaries) else 1
