@@ -559,30 +559,34 @@ FORMAL_EQ_SWEEP_LANES = 1024
 
 def bench_formal_eq(repeat: int = 3) -> dict[str, float]:
     """Complete SAT equivalence proof of a 24-input miter vs a sampled sweep."""
-    from repro.bench.golden import (
-        batch_equivalence_check,
-        batch_equivalence_mismatches,
-        random_vectors,
-    )
+    from repro.bench.golden import formal_equivalence_check, random_vectors
     from repro.formal import prove_combinational_equivalence
+    from repro.verilog.design import compile_design
+    from repro.verilog.simulator.testbench import BatchTestbenchRunner, ReplayGolden
 
     # Differential gates before timing: the proof must go through the SAT
-    # engine (not a structural fold), a mutated DUT must be refuted, and its
-    # counterexample must replay as a real mismatch on the batched simulator.
+    # engine (not a structural fold), and a mutated DUT must be refuted with
+    # a counterexample that replays as a real mismatch (formal_equivalence_check
+    # raises FormalError when it does not).
     proof = prove_combinational_equivalence(FORMAL_EQ_DUT, FORMAL_EQ_REFERENCE)
     assert proof.equivalent and proof.method == "sat", (
         "formal_eq workload no longer exercises the SAT engine"
     )
     buggy = FORMAL_EQ_DUT.replace("+ 6'd1", "+ 6'd2")
-    refutation = prove_combinational_equivalence(buggy, FORMAL_EQ_REFERENCE)
-    assert not refutation.equivalent
-    assert batch_equivalence_mismatches(
-        buggy, FORMAL_EQ_REFERENCE, [refutation.counterexample.inputs]
-    ), "SAT counterexample failed to replay on the batched simulator"
+    assert not formal_equivalence_check(buggy, FORMAL_EQ_REFERENCE).equivalent
 
     stimulus = random_vectors({"a": 12, "b": 12}, FORMAL_EQ_SWEEP_LANES, seed=5)
+    runner = BatchTestbenchRunner()
+
+    def sampled_sweep():
+        # The DUT scored against the reference's outputs on every lane.
+        reference = compile_design(FORMAL_EQ_REFERENCE)
+        trace = runner.record(reference, stimulus, ["s"], sequential=False)
+        return runner.run(FORMAL_EQ_DUT, ReplayGolden(trace), stimulus, check_outputs=["s"])
+
+    assert sampled_sweep().passed, "formal_eq DUT mismatches its reference on the sweep"
     sweep_s, prove_s = measure_pair(
-        lambda: batch_equivalence_check(FORMAL_EQ_DUT, FORMAL_EQ_REFERENCE, stimulus),
+        sampled_sweep,
         lambda: prove_combinational_equivalence(FORMAL_EQ_DUT, FORMAL_EQ_REFERENCE),
         repeat=repeat,
     )

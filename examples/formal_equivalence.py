@@ -5,8 +5,9 @@ This example walks the `repro.formal` user journey:
 1. prove two structurally different combinational designs equivalent with a
    complete SAT miter proof (no stimulus sweep, every input assignment);
 2. refute a buggy variant and extract the concrete counterexample;
-3. replay the counterexample on the batched simulator (the differential
-   oracle) and minimise the failing logic with Quine–McCluskey;
+3. replay the counterexample on the testbench runner (the differential
+   oracle: the buggy design scored against the reference's recorded outputs)
+   and minimise the failing logic with Quine–McCluskey;
 4. classify the hallucination behind the bug, letting the counterexample
    sharpen the Table II subtype split;
 5. bounded sequential equivalence: unroll two counters from reset and find
@@ -19,11 +20,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench.golden import batch_equivalence_mismatches, formal_equivalence_check
+from repro.bench.golden import formal_equivalence_check
 from repro.core.hallucination_detector import classify_generation
 from repro.formal import prove_sequential_equivalence
 from repro.logic.expr import And, Not, Or, Var
 from repro.logic.minimize import minimize_expression
+from repro.verilog.design import compile_design
+from repro.verilog.simulator.testbench import BatchTestbenchRunner, ReplayGolden
 
 # --------------------------------------------------------------------------- designs
 REFERENCE = """
@@ -80,13 +83,17 @@ def main() -> None:
     print(f"counterexample: {counterexample.describe()}")
 
     # ------------------------------------------------------------- 3. replay + minimise
-    # formal_equivalence_check already replayed the counterexample on the
-    # batched simulator before returning it; doing it again explicitly shows
-    # the differential-oracle loop.
-    (replayed,) = batch_equivalence_mismatches(
-        BUGGY, REFERENCE, [counterexample.inputs]
-    )
-    print("\n== Replay on the batched simulator ==")
+    # formal_equivalence_check already replayed the counterexample before
+    # returning it; doing it again explicitly shows the differential-oracle
+    # loop: record the reference's outputs on the counterexample, then score
+    # the buggy design against them.
+    runner = BatchTestbenchRunner()
+    stimulus = [counterexample.inputs]
+    trace = runner.record(compile_design(REFERENCE), stimulus, ["out"], sequential=False)
+    (replayed,) = runner.run(
+        BUGGY, ReplayGolden(trace), stimulus, check_outputs=["out"]
+    ).mismatches
+    print("\n== Replay on the testbench runner ==")
     print(f"simulator confirms: {replayed}")
 
     a, b, c = Var("a"), Var("b"), Var("c")

@@ -10,7 +10,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".scoring": ("EvaluationConfig", "SuiteResult", "TaskResult"),
         ".evaluator": ("check_reference_designs",),
-        ".golden": ("GoldenCache", "VerilogGolden", "batch_equivalence_check"),
+        ".golden": ("GoldenCache", "VerilogGolden"),
         ".outcomes": ("ResultKey",),
         ".jobs": (
             "CheckExecution",
@@ -34,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "table4_row_from_results",
         ),
         ".rtllm": ("RTLLMConfig", "RTLLM_TASK_COUNT", "build_rtllm"),
-        ".symbolic_suite": ("SYMBOLIC_TOTAL", "build_symbolic_suite", "modality_counts"),
+        ".symbolic_suite": ("SYMBOLIC_TOTAL", "build_symbolic_suite"),
         ".task": ("BenchmarkSuite", "BenchmarkTask"),
         ".verilogeval": (
             "HUMAN_TASK_COUNT",

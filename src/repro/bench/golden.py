@@ -476,137 +476,6 @@ class GoldenCache:
         return len(self._models)
 
 
-@dataclass
-class LaneMismatch:
-    """Structured counterexample for one mismatching stimulus lane.
-
-    Attributes:
-        lane: index of the stimulus vector in the sweep.
-        inputs: the full input assignment driven on that lane.
-        expected: reference value per mismatching output (defined outputs only).
-        actual: DUT value per mismatching output — an ``int`` when defined, the
-            Verilog literal string (e.g. ``"4'bxx10"``) when the DUT output has
-            ``x``/``z`` bits, absent when the output is missing entirely.
-        missing_outputs: checked outputs the DUT does not declare at all.
-    """
-
-    lane: int
-    inputs: dict[str, int]
-    expected: dict[str, int] = field(default_factory=dict)
-    actual: dict[str, int | str] = field(default_factory=dict)
-    missing_outputs: list[str] = field(default_factory=list)
-
-    @property
-    def has_missing_output(self) -> bool:
-        return bool(self.missing_outputs)
-
-    def __str__(self) -> str:
-        parts = [
-            f"{name} expected {self.expected[name]} got {self.actual.get(name, '<missing>')}"
-            for name in self.expected
-        ]
-        for name in self.missing_outputs:
-            parts.append(f"{name} missing from DUT")
-        return f"lane {self.lane} (inputs {self.inputs}): " + "; ".join(parts)
-
-
-def batch_equivalence_mismatches(
-    dut_source: str,
-    reference_source: str,
-    input_vectors: Sequence[Mapping[str, int]],
-    outputs: Sequence[str] | None = None,
-    module_name: str | None = None,
-    reference_module_name: str | None = None,
-) -> list[LaneMismatch]:
-    """Batched combinational equivalence sweep with structured counterexamples.
-
-    Both designs are elaborated once and evaluated over every stimulus vector,
-    each on its own independent lane
-    (:func:`~repro.verilog.simulator.batch.simulate_lanes`: one generated-code
-    pass per design, or one fresh scalar simulator per vector for a design
-    generated code cannot take).  Returns one :class:`LaneMismatch` per
-    mismatching vector, ordered by lane (empty list == equivalent on the
-    sweep).  An output that is ``x``/``z`` in the *reference* constrains
-    nothing; an ``x``/``z`` DUT output mismatches any defined reference value.
-    """
-    from ..verilog.design import compile_design
-    from ..verilog.errors import SimulationError
-    from ..verilog.simulator.batch import simulate_lanes
-
-    if not input_vectors:
-        return []
-    names = set(input_vectors[0])
-    if any(set(vector) != names for vector in input_vectors):
-        raise ValueError("equivalence sweeps require a consistent input-name set")
-    dut = compile_design(dut_source, module_name)
-    reference = compile_design(reference_source, reference_module_name)
-    if outputs is not None:
-        checked = list(outputs)
-    else:
-        checked = [port.name for port in reference.output_ports()]
-    expected_values = simulate_lanes(reference, input_vectors, checked)
-    actual_values = simulate_lanes(dut, input_vectors, checked)
-    mismatches: dict[int, LaneMismatch] = {}
-
-    def lane_record(lane: int) -> LaneMismatch:
-        record = mismatches.get(lane)
-        if record is None:
-            record = LaneMismatch(lane=lane, inputs=dict(input_vectors[lane]))
-            mismatches[lane] = record
-        return record
-
-    for name in checked:
-        expected = expected_values.get(name)
-        if expected is None:
-            raise SimulationError(f"read of undeclared signal {name!r}")
-        actual = actual_values.get(name)
-        for lane, expected_lane in enumerate(expected):
-            if expected_lane.has_unknown:
-                continue
-            if actual is None:
-                lane_record(lane).missing_outputs.append(name)
-                continue
-            actual_lane = actual[lane]
-            if actual_lane.has_unknown:
-                record = lane_record(lane)
-                record.expected[name] = expected_lane.to_int()
-                record.actual[name] = actual_lane.to_verilog_literal()
-            elif actual_lane.to_int() != (
-                expected_lane.to_int() & _mask(actual_lane.width)
-            ):
-                record = lane_record(lane)
-                record.expected[name] = expected_lane.to_int()
-                record.actual[name] = actual_lane.to_int()
-    return [mismatches[lane] for lane in sorted(mismatches)]
-
-
-def batch_equivalence_check(
-    dut_source: str,
-    reference_source: str,
-    input_vectors: Sequence[Mapping[str, int]],
-    outputs: Sequence[str] | None = None,
-    module_name: str | None = None,
-    reference_module_name: str | None = None,
-) -> list[int]:
-    """Index-list view of :func:`batch_equivalence_mismatches` (legacy API).
-
-    Returns the indices of mismatching vectors (empty list == equivalent on
-    the sweep); use :func:`batch_equivalence_mismatches` for the input
-    assignment and expected/actual values behind each index.
-    """
-    return [
-        mismatch.lane
-        for mismatch in batch_equivalence_mismatches(
-            dut_source,
-            reference_source,
-            input_vectors,
-            outputs=outputs,
-            module_name=module_name,
-            reference_module_name=reference_module_name,
-        )
-    ]
-
-
 # --------------------------------------------------------------------------- formal equivalence
 def formal_equivalence_check(
     dut_source: str,
@@ -618,7 +487,6 @@ def formal_equivalence_check(
     clock: str = "clk",
     reset: ResetSpec | None = ResetSpec(),
     conflict_limit: int | None = None,
-    replay: bool = True,
     session=None,
     induction_depth: int | None = None,
 ):
@@ -632,11 +500,10 @@ def formal_equivalence_check(
     given).  ``session`` — a :class:`repro.formal.EquivalenceSession` built for
     this reference — makes the combinational proof incremental: same verdicts
     and counterexample contract, one persistent solver across a candidate
-    sweep.  When the proof fails, the SAT counterexample is replayed on the
-    simulation engines (:func:`batch_equivalence_mismatches` for combinational
-    designs; for sequential ones, cycle-by-cycle from each design's memoised
-    post-reset state, on generated code where the handover gate allows and
-    on the scalar simulator otherwise) as a differential oracle: a
+    sweep.  When the proof fails, the SAT counterexample is replayed as a
+    differential oracle (:func:`_counterexample_reproduces`): the DUT is
+    scored on :class:`~repro.verilog.simulator.testbench.BatchTestbenchRunner`
+    against the reference's outputs over the counterexample's steps.  A
     counterexample that does not reproduce as a real mismatch raises
     ``FormalError`` instead of being reported.
 
@@ -713,100 +580,77 @@ def formal_equivalence_check(
             conflict_limit=conflict_limit,
         )
     counterexample = result.counterexample
-    if not replay or result.equivalent or counterexample is None:
-        return result
-    if counterexample.missing_outputs:
-        return result  # nothing to replay: the DUT lacks the output entirely
-    if not sequential:
-        replayed = batch_equivalence_mismatches(
-            dut_source,
-            reference_source,
-            [counterexample.inputs],
-            outputs=result.checked_outputs,
-            module_name=module_name,
-            reference_module_name=reference_module_name,
+    if result.equivalent or counterexample is None or counterexample.missing_outputs:
+        return result  # nothing to replay (a missing output needs no simulation)
+    if not _counterexample_reproduces(
+        dut_source,
+        reference_source,
+        counterexample.steps,
+        result.checked_outputs,
+        sequential,
+        clock=clock,
+        reset=reset,
+        module_name=module_name,
+        reference_module_name=reference_module_name,
+    ):
+        raise FormalError(
+            "SAT counterexample did not reproduce in simulation: " + counterexample.describe()
         )
-        if not replayed:
-            raise FormalError(
-                "SAT counterexample did not reproduce on the batched simulator: "
-                + counterexample.describe()
-            )
-    else:
-        if not _replay_sequential_counterexample(
-            dut_source,
-            reference_source,
-            counterexample.steps,
-            result.checked_outputs,
-            clock=clock,
-            reset=reset,
-            module_name=module_name,
-            reference_module_name=reference_module_name,
-        ):
-            raise FormalError(
-                "SAT counterexample did not reproduce in cycle simulation: "
-                + counterexample.describe()
-            )
     return result
 
 
-def _replay_sequential_counterexample(
+def _counterexample_reproduces(
     dut_source: str,
     reference_source: str,
     steps: Sequence[Mapping[str, int]],
     checked_outputs: Sequence[str],
+    sequential: bool,
     clock: str,
     reset: ResetSpec | None,
     module_name: str | None,
     reference_module_name: str | None,
 ) -> bool:
-    """Drive both designs cycle-by-cycle; ``True`` iff some output mismatches.
+    """Whether the DUT mismatches the reference somewhere on ``steps``.
 
-    Each design starts from its post-reset state under ``reset``
-    (:func:`~repro.verilog.simulator.testbench.reset_state`, memoised on the
-    compiled design), the state its sequential unroller proved from and the
-    testbench runners score from, and runs the steps through
-    :class:`~repro.verilog.simulator.testbench.ClockedCycles`: generated code
-    once the state passes the x/z gate, the scalar simulator before that or
-    when the design or the steps fall outside the gate.  The steps carry the
-    union of both designs' data inputs; each design is driven with its own
-    input ports only.
+    The reference's outputs are recorded as an
+    :class:`~repro.verilog.simulator.testbench.ExpectedTrace` by the runner's
+    own steps (:meth:`~repro.verilog.simulator.testbench.TestbenchRunner.record`:
+    a sequential design from its memoised ``reset_state`` under ``reset``,
+    x/z outputs left out), then the DUT is scored against it on
+    :class:`~repro.verilog.simulator.testbench.BatchTestbenchRunner`.  The
+    steps carry the union of both designs' inputs; each design is driven
+    with its own input ports only.  A simulation error met before any
+    mismatch is raised: the reference's own exception, or the DUT's as a
+    :class:`~repro.verilog.errors.SimulationError` with its text (the runner
+    keeps only the text; compiled, a design raises nothing else).
     """
     from ..verilog.design import get_default_database
-    from ..verilog.simulator.testbench import ClockedCycles, reset_state, sequence_program
+    from ..verilog.errors import SimulationError
+    from ..verilog.simulator.testbench import BatchTestbenchRunner, ReplayGolden
 
-    def prepared(source: str, name: str | None) -> tuple[ClockedCycles, list[dict[str, int]]]:
-        compiled = get_default_database().compile(source, name)
+    def own_inputs(compiled) -> list[dict[str, int]]:
         ports = compiled.input_widths()
-        stimulus = [
-            {signal: value for signal, value in step.items() if signal in ports}
-            for step in steps
-        ]
-        cycles = ClockedCycles(
-            compiled,
-            clock,
-            sequence_program(compiled, clock, stimulus),
-            stimulus,
-            state=reset_state(compiled, clock, reset),
-        )
-        return cycles, stimulus
+        return [{name: value for name, value in step.items() if name in ports} for step in steps]
 
-    dut, dut_stimulus = prepared(dut_source, module_name)
-    reference, reference_stimulus = prepared(reference_source, reference_module_name)
-    for dut_data, reference_data in zip(dut_stimulus, reference_stimulus):
-        dut.cycle(dut_data)
-        reference.cycle(reference_data)
-        for name in checked_outputs:
-            expected = reference.read(name)
-            if expected.has_unknown:
-                continue
-            actual = dut.read(name)
-            if actual is None:
-                return True
-            if actual.has_unknown or actual.to_int() != (
-                expected.to_int() & _mask(actual.width)
-            ):
-                return True
-    return False
+    database = get_default_database()
+    reference = database.compile(reference_source, reference_module_name)
+    dut = database.compile(dut_source, module_name)
+    runner = BatchTestbenchRunner(clock=clock, reset=reset)
+    trace = runner.record(reference, own_inputs(reference), checked_outputs, sequential)
+    replayed = runner.run(
+        dut_source,
+        ReplayGolden(trace),
+        own_inputs(dut),
+        module_name=module_name,
+        check_outputs=list(checked_outputs),
+    )
+    if replayed.mismatches:
+        return True
+    if replayed.error is None:
+        return False
+    if trace.error is not None and replayed.error == str(trace.error):
+        raise trace.error
+    raise SimulationError(replayed.error)
 
 
 # --------------------------------------------------------------------------- stimulus helpers

@@ -23,8 +23,3 @@ def build_symbolic_suite(config: SuiteConfig | None = None) -> BenchmarkSuite:
     suite = build_symbolic_subset(human)
     suite.name = "Symbolic-Modalities"
     return suite
-
-
-def modality_counts(suite: BenchmarkSuite) -> dict[str, int]:
-    """Task counts per modality category (truth_table / waveform / state_diagram)."""
-    return suite.categories()

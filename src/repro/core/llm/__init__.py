@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "LOGISTIC_STEEPNESS",
             "MODALITY_DEMAND",
             "SimulatedCodeGenLLM",
-            "make_backend",
             "success_probability",
         ),
     },

@@ -307,8 +307,3 @@ class SimulatedCodeGenLLM(LLMBackend):
         for _axis, skill, demand in self.axis_table(context):
             probability *= success_probability(skill, demand)
         return probability
-
-
-def make_backend(profile: CapabilityProfile, seed: int = 0) -> SimulatedCodeGenLLM:
-    """Factory mirroring how a real backend would be constructed from a model id."""
-    return SimulatedCodeGenLLM(profile=profile, seed=seed)

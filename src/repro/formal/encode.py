@@ -8,7 +8,7 @@ shared sub-tables — and there are many in minimised covers — encode once).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..logic.bittable import BitTable
 from ..logic.expr import And, BoolExpr, Const, Not, Or, Var, Xor
@@ -108,8 +108,3 @@ def bittable_to_aig(table: BitTable, aig: AIG, inputs: Mapping[str, int]) -> int
     if not table.names:
         return aig.const(table.bits & 1)
     return expand(table.bits, table.width)
-
-
-def declare_inputs(aig: AIG, names: Sequence[str], prefix: str = "") -> dict[str, int]:
-    """Declare one AIG input per name (with an optional prefix) and map them."""
-    return {name: aig.add_input(prefix + name) for name in names}

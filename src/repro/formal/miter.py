@@ -6,10 +6,11 @@ makes the designs disagree.  ``UNSAT`` is therefore a **complete combinational
 equivalence proof** — the formal counterpart of the (exponential or sampled)
 sweeps in :mod:`repro.bench.golden`.
 
-Output comparison deliberately mirrors ``batch_equivalence_check``: each output
+Output comparison deliberately mirrors the testbench runner's: each output
 is compared at the *DUT's* declared width with the reference value
 zero-extended/truncated, so the formal and simulation engines return the same
-verdict on width-mismatched interfaces.
+verdict on width-mismatched interfaces (and a counterexample replays on
+:class:`~repro.verilog.simulator.testbench.BatchTestbenchRunner`).
 
 Sequential designs get *bounded* equivalence: both designs are unrolled ``k``
 steps from their concretely-computed reset states with fresh shared inputs per

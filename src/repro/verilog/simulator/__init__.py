@@ -15,13 +15,7 @@ from .simulator import (
     resolve_parameters,
     simulate_combinational,
 )
-from .batch import (
-    BatchSimulator,
-    LaneFallback,
-    differential_combinational,
-    simulate_combinational_batch,
-    simulate_lanes,
-)
+from .batch import BatchSimulator, LaneFallback
 from .testbench import (
     BatchTestbenchRunner,
     CombinationalGolden,
@@ -49,9 +43,6 @@ __all__ = [
     "simulate_combinational",
     "BatchSimulator",
     "LaneFallback",
-    "differential_combinational",
-    "simulate_combinational_batch",
-    "simulate_lanes",
     "BatchTestbenchRunner",
     "CombinationalGolden",
     "GoldenModel",

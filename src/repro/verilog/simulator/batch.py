@@ -17,9 +17,9 @@ Anything else raises :class:`LaneFallback` after recording the reason in the
 codegen fallback registry (:func:`~repro.verilog.codegen.fallback_stats`).
 The caller then runs the scalar
 :class:`~repro.verilog.simulator.simulator.ModuleSimulator` — the oracle —
-instead: :class:`~repro.verilog.simulator.testbench.BatchTestbenchRunner`
-scores the check cycle-serially, and :func:`simulate_lanes` runs one fresh
-scalar simulator per vector, the same independent-lane semantics.
+instead: :class:`~repro.verilog.simulator.testbench.BatchTestbenchRunner`,
+the one user, steps the check cycle-serially, for scoring a DUT and for
+recording a reference design's trace alike.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Mapping, Sequence, Union
 from .. import codegen
 from ..errors import SimulationError
 from .scheduler import ProcessKind
-from .simulator import ModuleSimulator
 from .values import BatchVector, LogicVector
 
 #: Input value accepted per lane (scalars broadcast across all lanes).
@@ -164,89 +163,3 @@ class BatchSimulator:
                 raise SimulationError(f"unknown input signal {name!r}")
             self._values[name] = self._coerce(name, value)
         self.settle()
-
-
-def simulate_lanes(
-    design,
-    input_vectors: Sequence[Mapping[str, int]],
-    names: Sequence[str] | None = None,
-    module_name: str | None = None,
-) -> dict[str, list[LogicVector]]:
-    """Drive every vector on its own lane; the per-lane values of ``names``.
-
-    ``design`` is source text, a parsed module or a compiled design;
-    ``names`` defaults to the output ports, and a name the design does not
-    declare is left out.  The lanes run on one :class:`BatchSimulator`; when
-    generated code cannot take the design or the vectors, each vector runs
-    on a fresh scalar :class:`ModuleSimulator` instead.  Every vector must
-    drive the same input names.
-    """
-    from ..design import coerce_compiled
-
-    compiled = coerce_compiled(design, module_name)
-    if names is None:
-        names = [port.name for port in compiled.output_ports()]
-    try:
-        simulator = BatchSimulator(compiled, lanes=len(input_vectors))
-        simulator.apply_inputs(
-            {name: [vector[name] for vector in input_vectors] for name in input_vectors[0]}
-        )
-    except LaneFallback:
-        scalars = []
-        for vector in input_vectors:
-            scalar = ModuleSimulator(compiled)
-            scalar.apply_inputs(dict(vector))
-            scalars.append(scalar)
-        return {
-            name: [scalar.get(name) for scalar in scalars]
-            for name in names
-            if name in scalars[0].signals
-        }
-    return {
-        name: simulator.get(name).to_vectors() for name in names if name in simulator.signals
-    }
-
-
-def simulate_combinational_batch(
-    source: str,
-    input_vectors: Sequence[Mapping[str, int]],
-    module_name: str | None = None,
-) -> list[dict[str, LogicVector]]:
-    """Batched drop-in for :func:`simulate_combinational`: one lane per vector.
-
-    All vectors must drive the same input names (independent lanes have no
-    "previous vector" to inherit missing signals from).
-    """
-    if not input_vectors:
-        return []
-    names = set(input_vectors[0])
-    if any(set(vector) != names for vector in input_vectors):
-        raise SimulationError("batched simulation requires a consistent input-name set")
-    outputs = simulate_lanes(source, input_vectors, module_name=module_name)
-    return [
-        {name: values[lane] for name, values in outputs.items()}
-        for lane in range(len(input_vectors))
-    ]
-
-
-def differential_combinational(
-    source: str,
-    input_vectors: Sequence[Mapping[str, int]],
-    module_name: str | None = None,
-) -> list[dict[str, LogicVector]]:
-    """Run the batch engine against the scalar oracle and assert bit-exactness.
-
-    Returns the batched outputs; raises :class:`SimulationError` on divergence.
-    Used by the differential tests and the perf regression harness.
-    """
-    from .simulator import simulate_combinational
-
-    batched = simulate_combinational_batch(source, input_vectors, module_name)
-    scalar = simulate_combinational(source, [dict(v) for v in input_vectors], module_name)
-    for index, (fast, slow) in enumerate(zip(batched, scalar)):
-        if fast != slow:
-            raise SimulationError(
-                f"batch simulator diverged from the scalar oracle on vector {index}: "
-                f"{ {k: str(v) for k, v in fast.items()} } != { {k: str(v) for k, v in slow.items()} }"
-            )
-    return batched

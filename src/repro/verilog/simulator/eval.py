@@ -262,10 +262,20 @@ class ExpressionEvaluator:
 
     def _evaluate_ternary(self, expression: ast.Ternary) -> LogicVector:
         condition = self.evaluate(expression.condition).is_true()
-        if condition is True:
-            return self.evaluate(expression.if_true)
-        if condition is False:
-            return self.evaluate(expression.if_false)
+        if condition is not None:
+            # IEEE 1364 sizes ``?:`` to its wider branch, taken or not; the
+            # branch not taken only lends its width, so what it raises is dropped.
+            chosen, other = (
+                (expression.if_true, expression.if_false)
+                if condition
+                else (expression.if_false, expression.if_true)
+            )
+            value = self.evaluate(chosen)
+            try:
+                width = self.evaluate(other).width
+            except Exception:
+                return value
+            return value.resized(width) if width > value.width else value
         true_value = self.evaluate(expression.if_true)
         false_value = self.evaluate(expression.if_false)
         width = max(true_value.width, false_value.width)

@@ -9,6 +9,9 @@ cycle-by-cycle with a golden reference model implemented in Python.
 simulator, the oracle.  :class:`BatchTestbenchRunner` scores on generated code
 where it can — combinational checks as lanes of one batch pass, clocked ones
 on the fused cycle loop — and hands every other check to the scalar path.
+Every path feeds one comparison loop, and the same steps record a reference
+design's outputs as an :class:`ExpectedTrace`, which is how SAT
+counterexamples replay (:mod:`repro.bench.golden`).
 
 A clocked check starts from :func:`reset_state`, the task's
 :class:`ResetSpec` applied once per design on the scalar simulator and
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Iterator, Mapping, Protocol, Sequence
 
 from ..errors import VerilogError
 from .simulator import ModuleSimulator
@@ -298,6 +301,12 @@ class TestbenchRunner:
     The DUT source is compiled exactly once per run through the (default)
     :class:`~repro.verilog.design.DesignDatabase`, so scoring many candidates
     — or the same candidate many times — re-uses the cached front end.
+
+    Scoring has two halves: the design's steps, which drive the stimulus and
+    yield one reader of the design's signal values per step
+    (:meth:`_steps`), and the one comparison loop (:meth:`_score`).  The
+    same steps record a reference design's outputs as an
+    :class:`ExpectedTrace` (:meth:`record`).
     """
 
     #: Not a pytest test class, despite the name.
@@ -341,63 +350,107 @@ class TestbenchRunner:
             stimulus: one input dict per step (combinational) or per cycle (sequential).
             module_name: module to simulate (defaults to the first in the source).
             check_outputs: subset of outputs to compare; defaults to every key the
-                golden model produces.
+                golden model produces.  An output a step's expected row omits
+                is not checked on that step.
         """
         compiled = self._compile(dut_source, module_name)
         if isinstance(compiled, TestbenchResult):
             return compiled
-        return self._run_scalar(compiled, golden, stimulus, check_outputs)
+        steps = self._steps(compiled, golden.is_sequential, stimulus)
+        return self._score(golden, stimulus, check_outputs, steps)
 
-    def _run_scalar(
+    def record(
+        self, compiled, stimulus: list[dict[str, int]], outputs: Sequence[str], sequential: bool
+    ) -> ExpectedTrace:
+        """A design's ``outputs`` over ``stimulus``, stepped as :meth:`run` steps a DUT.
+
+        A sequential design starts from :func:`reset_state` under this
+        runner's clock and :class:`ResetSpec`.  Outputs that are x/z or
+        undeclared are left out of each row, so they constrain nothing when
+        the trace is replayed; what the design raised is kept as the trace's
+        ``error``, as :meth:`ExpectedTrace.record` keeps a golden's.
+        """
+        rows: list[dict[str, int]] = []
+        try:
+            for read in self._steps(compiled, sequential, stimulus)():
+                row = {}
+                for name in outputs:
+                    value = read(name)
+                    if value is not None and not value.has_unknown:
+                        row[name] = value.to_int()
+                rows.append(row)
+        except Exception as exc:
+            return ExpectedTrace(sequential, tuple(rows), exc.with_traceback(None))
+        return ExpectedTrace(sequential, tuple(rows))
+
+    # ------------------------------------------------------------------ steps
+    def _steps(self, compiled, sequential: bool, stimulus: list[dict[str, int]]):
+        """How this runner steps ``compiled``: the scalar steps."""
+        return functools.partial(self._serial_steps, compiled, sequential, stimulus)
+
+    def _serial_steps(
+        self, compiled, sequential: bool, stimulus: list[dict[str, int]], program=None
+    ) -> Iterator[Callable[[str], LogicVector | None]]:
+        """Cycle-serial steps on the scalar simulator, one reader per vector.
+
+        Sequential steps start from :func:`reset_state`; with ``program``
+        (the design's :class:`~repro.verilog.codegen.SequenceProgram`), the
+        cycles from the first boundary whose state passes the program's x/z
+        gate run on the fused generated loop instead (:class:`ClockedCycles`).
+        """
+        if sequential:
+            cycles = ClockedCycles(
+                compiled,
+                self.clock,
+                program,
+                stimulus,
+                state=reset_state(compiled, self.clock, self.reset),
+            )
+
+            def step(inputs: dict[str, int]):
+                cycles.cycle({name: value for name, value in inputs.items() if name != self.clock})
+                return cycles.read
+
+        else:
+            simulator = ModuleSimulator(compiled)
+
+            def step(inputs: dict[str, int]):
+                simulator.apply_inputs(dict(inputs))
+                return simulator.signals.get
+
+        return map(step, stimulus)
+
+    # ------------------------------------------------------------------ scoring
+    def _score(
         self,
-        compiled,
         golden: GoldenModel,
         stimulus: list[dict[str, int]],
         check_outputs: list[str] | None,
-        program=None,
+        steps: Callable[[], Iterator[Callable[[str], LogicVector | None]]],
     ) -> TestbenchResult:
-        """Cycle-serial scoring of a compiled DUT against the golden model.
+        """The comparison loop: the golden's row against the design, step by step.
 
-        A sequential golden's cycles start from :func:`reset_state`; with
-        ``program`` (the design's
-        :class:`~repro.verilog.codegen.SequenceProgram`), the cycles from the
-        first boundary whose state passes the program's x/z gate run on
-        generated code (:class:`ClockedCycles`).
+        ``steps`` starts the design and returns its per-step readers.  An
+        output the expected row omits is skipped: an x/z reference value
+        constrains nothing.  An x/z or missing DUT output mismatches.
         """
         mismatches: list[Mismatch] = []
         total_checks = 0
         golden.reset()
-        simulator = cycles = None
-
+        drive = golden.step if golden.is_sequential else golden.eval
         try:
-            if golden.is_sequential:
-                cycles = ClockedCycles(
-                    compiled,
-                    self.clock,
-                    program,
-                    stimulus,
-                    state=reset_state(compiled, self.clock, self.reset),
-                )
-            else:
-                simulator = ModuleSimulator(compiled)
+            readers = steps()
             for index, raw_inputs in enumerate(stimulus):
                 inputs = dict(raw_inputs)
-                if cycles is not None:
-                    expected = golden.step(inputs)
-                    cycles.cycle(
-                        {name: value for name, value in inputs.items() if name != self.clock}
-                    )
-                else:
-                    expected = golden.eval(inputs)
-                    simulator.apply_inputs(dict(inputs))
+                expected = drive(inputs)
+                read = next(readers)
                 outputs_to_check = check_outputs if check_outputs is not None else sorted(expected)
                 for output in outputs_to_check:
+                    if output not in expected:
+                        continue
                     total_checks += 1
                     expected_value = expected[output]
-                    if cycles is not None:
-                        actual = cycles.read(output)
-                    else:
-                        actual = simulator.signals.get(output)
+                    actual = read(output)
                     if not self._matches(actual, expected_value):
                         mismatches.append(
                             Mismatch(
@@ -423,7 +476,6 @@ class TestbenchRunner:
             mismatches=mismatches,
         )
 
-    # ------------------------------------------------------------------ helpers
     def _matches(self, actual: LogicVector | None, expected: int) -> bool:
         if actual is None:
             return False
@@ -434,7 +486,7 @@ class TestbenchRunner:
 
 
 class BatchTestbenchRunner(TestbenchRunner):
-    """Testbench runner that scores DUTs on generated code where it can.
+    """Testbench runner that steps DUTs on generated code where it can.
 
     For a purely combinational design and golden model, all stimulus vectors
     become lanes of one :class:`~repro.verilog.simulator.batch.BatchSimulator`
@@ -445,10 +497,10 @@ class BatchTestbenchRunner(TestbenchRunner):
     Everything else — combinational stimulus with inconsistent key sets
     (whose vectors inherit values from prior steps), latches, designs the
     lowering rejects, stimulus the x/z gate refuses, stimulus naming a
-    non-input — runs on the scalar cycle-serial path, which also remains the
+    non-input — runs on the scalar cycle-serial steps, which also remain the
     differential oracle: with ``differential=True`` every fast run is
-    re-checked against :class:`TestbenchRunner` and a divergence raises
-    ``AssertionError``.
+    re-checked on the scalar steps, and a divergence of ``passed``,
+    ``total_checks`` or ``failure_summary`` raises ``AssertionError``.
     """
 
     def __init__(
@@ -473,105 +525,67 @@ class BatchTestbenchRunner(TestbenchRunner):
         compiled = self._compile(dut_source, module_name)
         if isinstance(compiled, TestbenchResult):
             return compiled
-        program = (
-            sequence_program(compiled, self.clock, stimulus) if golden.is_sequential else None
+        sequential = golden.is_sequential
+        scalar = super()._steps(compiled, sequential, stimulus)
+        fast = self._fast_steps(compiled, sequential, stimulus)
+        result = self._score(golden, stimulus, check_outputs, fast or scalar)
+        if self.differential and fast is not None:
+            oracle = self._score(golden, stimulus, check_outputs, scalar)
+            fast_outcome = (result.passed, result.total_checks, result.failure_summary)
+            scalar_outcome = (oracle.passed, oracle.total_checks, oracle.failure_summary)
+            if fast_outcome != scalar_outcome:
+                raise AssertionError(
+                    f"generated code diverged from the scalar oracle: "
+                    f"codegen {fast_outcome}, scalar {scalar_outcome}"
+                )
+        return result
+
+    def _steps(self, compiled, sequential: bool, stimulus: list[dict[str, int]]):
+        """Generated-code steps where the design and stimulus allow, else scalar ones."""
+        return self._fast_steps(compiled, sequential, stimulus) or super()._steps(
+            compiled, sequential, stimulus
         )
-        if program is not None:
-            result = self._run_scalar(compiled, golden, stimulus, check_outputs, program)
-            if self.differential:
-                golden.reset()
-                scalar = self._run_scalar(compiled, golden, stimulus, check_outputs)
-                fast = (result.passed, result.total_checks, result.failure_summary)
-                slow = (scalar.passed, scalar.total_checks, scalar.failure_summary)
-                if fast != slow:
-                    raise AssertionError(
-                        f"generated sequential run diverged from the scalar oracle: "
-                        f"codegen {fast}, scalar {slow}"
-                    )
-            return result
+
+    def _fast_steps(self, compiled, sequential: bool, stimulus: list[dict[str, int]]):
+        """The generated-code steps of ``stimulus``, or ``None`` when only scalar ones fit."""
+        if sequential:
+            program = sequence_program(compiled, self.clock, stimulus)
+            if program is None:
+                return None
+            return functools.partial(self._serial_steps, compiled, True, stimulus, program)
         if (
-            not self._batchable(golden, stimulus)
+            not stimulus
+            or any(vector.keys() != stimulus[0].keys() for vector in stimulus)
             # Edge-triggered registers and inferred latches carry history across
             # serially-applied vectors (e.g. a wrongly clocked answer to a
             # combinational task); independent lanes cannot reproduce that.
             or compiled.has_sequential_processes
             or compiled.has_latch_risk
         ):
-            return self._run_scalar(compiled, golden, stimulus, check_outputs)
-        result = self._run_batched(compiled, golden, stimulus, check_outputs)
-        if self.differential:
-            golden.reset()
-            scalar = self._run_scalar(compiled, golden, stimulus, check_outputs)
-            if scalar.passed != result.passed:
-                raise AssertionError(
-                    f"batched testbench diverged from the scalar oracle: "
-                    f"batch passed={result.passed}, scalar passed={scalar.passed}"
-                )
-        return result
+            return None
+        return functools.partial(self._lane_steps, compiled, stimulus)
 
-    # ------------------------------------------------------------------ helpers
-    def _batchable(self, golden: GoldenModel, stimulus: list[dict[str, int]]) -> bool:
-        if golden.is_sequential or not stimulus:
-            return False
-        names = set(stimulus[0])
-        return all(set(vector) == names for vector in stimulus)
+    def _lane_steps(self, compiled, stimulus: list[dict[str, int]]):
+        """One batch pass over all vectors, one lane reader per vector.
 
-    def _run_batched(
-        self,
-        compiled,
-        golden: GoldenModel,
-        stimulus: list[dict[str, int]],
-        check_outputs: list[str] | None,
-    ) -> TestbenchResult:
-        """One batch pass over all vectors; the scalar path when generated code cannot."""
+        The scalar steps when generated code cannot take the design or the
+        stimulus.
+        """
         from .batch import BatchSimulator, LaneFallback
 
-        golden.reset()
-        mismatches: list[Mismatch] = []
-        total_checks = 0
         try:
             simulator = BatchSimulator(compiled, lanes=len(stimulus))
-            expected_per_lane = [golden.eval(dict(vector)) for vector in stimulus]
-            inputs = {
-                name: [vector[name] for vector in stimulus] for name in stimulus[0]
-            }
-            simulator.apply_inputs(inputs)
-            for index, vector in enumerate(stimulus):
-                expected = expected_per_lane[index]
-                outputs_to_check = check_outputs if check_outputs is not None else sorted(expected)
-                for output in outputs_to_check:
-                    total_checks += 1
-                    expected_value = expected[output]
-                    if output in simulator.signals:
-                        actual = simulator.get_lane(output, index)
-                    else:
-                        actual = None
-                    if not self._matches(actual, expected_value):
-                        mismatches.append(
-                            Mismatch(
-                                step_index=index,
-                                output=output,
-                                expected=expected_value,
-                                actual=actual.to_verilog_literal() if actual is not None else "<missing>",
-                                inputs=dict(vector),
-                            )
-                        )
-                        if len(mismatches) >= self.max_mismatches:
-                            raise _EarlyStop()
-        except _EarlyStop:
-            pass
-        except LaneFallback:
-            golden.reset()
-            return self._run_scalar(compiled, golden, stimulus, check_outputs)
-        except VerilogError as exc:
-            return TestbenchResult(
-                passed=False, total_checks=total_checks, mismatches=mismatches, error=str(exc)
+            simulator.apply_inputs(
+                {name: [vector[name] for vector in stimulus] for name in stimulus[0]}
             )
-        return TestbenchResult(
-            passed=not mismatches and total_checks > 0,
-            total_checks=total_checks,
-            mismatches=mismatches,
-        )
+        except LaneFallback:
+            return self._serial_steps(compiled, False, stimulus)
+        signals = simulator.signals
+
+        def lane(index: int):
+            return lambda name: simulator.get_lane(name, index) if name in signals else None
+
+        return map(lane, range(len(stimulus)))
 
 
 class _EarlyStop(Exception):

@@ -321,12 +321,6 @@ def _assigned(statement, blocking: set[str], nonblocking: set[str]) -> None:
         _assigned(statement.body, blocking, nonblocking)
 
 
-def _assigned_names(statement) -> set[str]:
-    names: set[str] = set()
-    _assigned(statement, names, names)
-    return names
-
-
 class _WordLowerer:
     """Lowers processes to word-level Python with real control flow.
 

@@ -16,11 +16,11 @@ from repro.bench.golden import (
     TableGolden,
     VectorFunctionGolden,
     VerilogGolden,
-    batch_equivalence_check,
     exhaustive_vectors,
     random_vectors,
 )
 from repro.logic.expr import And, Var
+from scoring import design_mismatches
 
 
 class TestCombinationalGoldens:
@@ -256,13 +256,28 @@ class TestVerilogGolden:
         assert session.proofs == 3
 
 
-class TestBatchEquivalenceCheck:
+class TestReferenceDesignScoring:
+    """A DUT scored against a reference design's recorded outputs.
+
+    The reference's outputs over the vectors are recorded as an
+    ``ExpectedTrace`` (x/z values left out) and the DUT is scored against
+    it on ``BatchTestbenchRunner`` — the path every SAT counterexample
+    replays on (:func:`scoring.design_mismatches`).
+    """
+
     REFERENCE = (
         "module ref(input [3:0] a, input [3:0] b, output gt, output eq);\n"
         "    assign gt = a > b;\n"
         "    assign eq = a == b;\n"
         "endmodule\n"
     )
+
+    @staticmethod
+    def _rows(mismatches) -> list[tuple]:
+        return [
+            (mismatch.step_index, mismatch.output, mismatch.expected, mismatch.actual)
+            for mismatch in mismatches
+        ]
 
     def test_equivalent_designs_report_no_mismatches(self):
         dut = (
@@ -272,40 +287,9 @@ class TestBatchEquivalenceCheck:
             "endmodule\n"
         )
         vectors = [{"a": a, "b": b} for a in range(8) for b in range(8)]
-        assert batch_equivalence_check(dut, self.REFERENCE, vectors) == []
+        assert design_mismatches(dut, self.REFERENCE, vectors) == []
 
-    def test_inequivalent_designs_report_mismatching_vectors(self):
-        dut = (
-            "module dut(input [3:0] a, input [3:0] b, output gt, output eq);\n"
-            "    assign gt = a >= b;\n"  # wrong on a == b
-            "    assign eq = a == b;\n"
-            "endmodule\n"
-        )
-        vectors = [{"a": a, "b": b} for a in range(4) for b in range(4)]
-        mismatched = batch_equivalence_check(dut, self.REFERENCE, vectors)
-        expected = [index for index, v in enumerate(vectors) if v["a"] == v["b"]]
-        assert mismatched == expected
-
-    def test_missing_output_counts_as_mismatch(self):
-        dut = "module dut(input [3:0] a, input [3:0] b, output gt); assign gt = a > b; endmodule"
-        vectors = [{"a": 1, "b": 2}]
-        assert batch_equivalence_check(dut, self.REFERENCE, vectors) == [0]
-
-
-class TestBatchEquivalenceMismatches:
-    """Regression tests for the structured counterexample records.
-
-    ``batch_equivalence_check`` used to return bare lane indices and fold
-    "DUT output missing" into generic lane mismatches; the structured API
-    exposes the stimulus, the expected/actual values and the missing-output
-    flag, with the index list kept as a thin wrapper over it.
-    """
-
-    REFERENCE = TestBatchEquivalenceCheck.REFERENCE
-
-    def test_records_carry_inputs_and_values(self):
-        from repro.bench.golden import batch_equivalence_mismatches
-
+    def test_mismatches_carry_inputs_and_values(self):
         dut = (
             "module dut(input [3:0] a, input [3:0] b, output gt, output eq);\n"
             "    assign gt = a >= b;\n"  # wrong exactly when a == b
@@ -313,68 +297,38 @@ class TestBatchEquivalenceMismatches:
             "endmodule\n"
         )
         vectors = [{"a": a, "b": b} for a in range(4) for b in range(4)]
-        mismatches = batch_equivalence_mismatches(dut, self.REFERENCE, vectors)
-        assert mismatches, "expected mismatching lanes"
+        mismatches = design_mismatches(dut, self.REFERENCE, vectors)
+        expected = [index for index, v in enumerate(vectors) if v["a"] == v["b"]]
+        assert [mismatch.step_index for mismatch in mismatches] == expected
         for mismatch in mismatches:
-            assert mismatch.inputs == vectors[mismatch.lane]
-            assert mismatch.inputs["a"] == mismatch.inputs["b"]
-            assert mismatch.expected == {"gt": 0}
-            assert mismatch.actual == {"gt": 1}
-            assert not mismatch.has_missing_output
-            assert "gt expected 0 got 1" in str(mismatch)
+            assert mismatch.inputs == vectors[mismatch.step_index]
+            assert (mismatch.output, mismatch.expected, mismatch.actual) == ("gt", 0, "1'b1")
 
-    def test_missing_output_is_flagged_not_folded(self):
-        from repro.bench.golden import batch_equivalence_mismatches
-
+    def test_missing_output_mismatches_alone(self):
         dut = "module dut(input [3:0] a, input [3:0] b, output gt); assign gt = a > b; endmodule"
-        vectors = [{"a": 1, "b": 2}]
-        (mismatch,) = batch_equivalence_mismatches(dut, self.REFERENCE, vectors)
-        assert mismatch.lane == 0
-        assert mismatch.missing_outputs == ["eq"]
-        assert mismatch.has_missing_output
-        assert "eq missing from DUT" in str(mismatch)
+        mismatches = design_mismatches(dut, self.REFERENCE, [{"a": 1, "b": 2}])
         # The correctly-driven output is not reported as mismatching.
-        assert "gt" not in mismatch.expected
+        assert self._rows(mismatches) == [(0, "eq", 0, "<missing>")]
+        assert "output 'eq' expected 0 got <missing>" in str(mismatches[0])
 
     def test_xz_dut_output_reported_as_literal(self):
-        from repro.bench.golden import batch_equivalence_mismatches
-
         dut = (
             "module dut(input [3:0] a, input [3:0] b, output gt, output eq);\n"
             "    assign gt = a > b;\n"
             "    assign eq = 1'bx;\n"
             "endmodule\n"
         )
-        vectors = [{"a": 2, "b": 2}]
-        (mismatch,) = batch_equivalence_mismatches(dut, self.REFERENCE, vectors)
-        assert mismatch.expected == {"eq": 1}
-        assert mismatch.actual == {"eq": "1'bx"}
+        mismatches = design_mismatches(dut, self.REFERENCE, [{"a": 2, "b": 2}])
+        assert self._rows(mismatches) == [(0, "eq", 1, "1'bx")]
 
-    def test_index_list_api_is_a_thin_wrapper(self):
-        from repro.bench.golden import batch_equivalence_mismatches
-
-        dut = (
-            "module dut(input [3:0] a, input [3:0] b, output gt, output eq);\n"
-            "    assign gt = a >= b;\n"
-            "    assign eq = a == b;\n"
-            "endmodule\n"
-        )
+    def test_xz_reference_output_constrains_nothing(self):
+        reference = self.REFERENCE.replace("assign eq = a == b;", "assign eq = 1'bz;")
+        dut = self.REFERENCE.replace("assign eq = a == b;", "assign eq = a != b;")
         vectors = [{"a": a, "b": b} for a in range(4) for b in range(4)]
-        lanes = [m.lane for m in batch_equivalence_mismatches(dut, self.REFERENCE, vectors)]
-        assert batch_equivalence_check(dut, self.REFERENCE, vectors) == lanes
+        assert design_mismatches(dut, reference, vectors) == []
 
-
-class TestRejectedDesignReplay:
-    """A design generated code rejects replays on one scalar simulator per vector.
-
-    The expected lists were produced by the batch interpreter this path
-    replaced; the scalar lanes must reproduce them record for record.
-    """
-
-    REFERENCE = TestBatchEquivalenceCheck.REFERENCE
-
-    def test_non_constant_shift_dut(self):
-        from repro.bench.golden import LaneMismatch, batch_equivalence_mismatches
+    def test_rejected_dut_is_scored_on_the_scalar_simulator(self):
+        """Generated code rejects the DUT: the scalar steps give the same records."""
         from repro.verilog import codegen
 
         dut = (
@@ -385,38 +339,26 @@ class TestRejectedDesignReplay:
         )
         vectors = [{"a": a, "b": b} for a in (0, 3, 9, 14) for b in (0, 2, 5, 13)]
         codegen.reset_fallback_stats()
-        assert batch_equivalence_mismatches(dut, self.REFERENCE, vectors) == [
-            LaneMismatch(lane=5, inputs={"a": 3, "b": 2}, expected={"gt": 1}, actual={"gt": 0}),
-            LaneMismatch(lane=11, inputs={"a": 9, "b": 13}, expected={"gt": 0}, actual={"gt": 1}),
+        assert self._rows(design_mismatches(dut, self.REFERENCE, vectors)) == [
+            (5, "gt", 1, "1'b0"),
+            (11, "gt", 0, "1'b1"),
         ]
         assert codegen.fallback_stats()["reasons"] == {"non-constant-shift": 1}
         codegen.reset_fallback_stats()
 
     def test_xz_literal_dut_with_missing_output(self):
-        from repro.bench.golden import LaneMismatch, batch_equivalence_mismatches
-
         dut = (
             "module dut(input [3:0] a, input [3:0] b, output gt);\n"
             "    assign gt = b[3] ? 1'bx : (a >> b[1:0]) > b;\n"
             "endmodule\n"
         )
         vectors = [{"a": 0, "b": 13}, {"a": 3, "b": 2}, {"a": 0, "b": 0}]
-        assert batch_equivalence_mismatches(dut, self.REFERENCE, vectors) == [
-            LaneMismatch(
-                lane=0,
-                inputs={"a": 0, "b": 13},
-                expected={"gt": 0},
-                actual={"gt": "1'bx"},
-                missing_outputs=["eq"],
-            ),
-            LaneMismatch(
-                lane=1,
-                inputs={"a": 3, "b": 2},
-                expected={"gt": 1},
-                actual={"gt": 0},
-                missing_outputs=["eq"],
-            ),
-            LaneMismatch(lane=2, inputs={"a": 0, "b": 0}, missing_outputs=["eq"]),
+        assert self._rows(design_mismatches(dut, self.REFERENCE, vectors)) == [
+            (0, "gt", 0, "1'bx"),
+            (0, "eq", 0, "<missing>"),
+            (1, "gt", 1, "1'b0"),
+            (1, "eq", 0, "<missing>"),
+            (2, "eq", 1, "<missing>"),
         ]
 
 

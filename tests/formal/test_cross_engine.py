@@ -6,8 +6,9 @@ round-trip), all three equivalence engines must return the same verdict —
 
 * the **SAT miter** (:func:`prove_combinational_equivalence`),
 * the **bit-parallel truth table** (:meth:`BitTable.equivalent`),
-* the **batched simulation sweep** (:func:`batch_equivalence_mismatches`,
-  exhaustive at these widths),
+* the **batched simulation sweep** (the DUT scored against the reference's
+  recorded outputs, :func:`scoring.design_mismatches`, exhaustive at these
+  widths),
 
 and every SAT counterexample must reproduce as a *real* mismatch on the
 batched simulator (the differential-oracle requirement of the formal layer).
@@ -20,13 +21,13 @@ import random
 
 import pytest
 
-from repro.bench.golden import batch_equivalence_mismatches
 from repro.formal import prove_combinational_equivalence, prove_expr_equivalence
 from repro.logic.bittable import BitTable
 from repro.logic.expr import RandomExpressionGenerator
 from repro.logic.synth import STYLES, SynthesisRequest, expression_to_module
 from repro.verilog.parser import parse_source
 from repro.verilog.writer import write_source
+from scoring import design_mismatches
 
 VARIABLES = ["a", "b", "c", "d"]
 
@@ -86,9 +87,7 @@ class TestCrossEngineAgreement:
                 BitTable.from_expr(right, variables=VARIABLES)
             )
             sat_result = prove_combinational_equivalence(dut, reference)
-            sweep = batch_equivalence_mismatches(
-                dut, reference, exhaustive_vectors(VARIABLES)
-            )
+            sweep = design_mismatches(dut, reference, exhaustive_vectors(VARIABLES))
             context = (trial, style_left, style_right, left.to_verilog(), right.to_verilog())
             assert sat_result.equivalent == table_verdict, context
             assert (not sweep) == table_verdict, context
@@ -98,11 +97,9 @@ class TestCrossEngineAgreement:
                 # The SAT counterexample must be a real mismatch on the batched
                 # simulator (not just a formal-model artefact).
                 counterexample = sat_result.counterexample
-                replayed = batch_equivalence_mismatches(
-                    dut, reference, [counterexample.inputs]
-                )
-                assert len(replayed) == 1, context
-                assert replayed[0].inputs == counterexample.inputs
+                replayed = design_mismatches(dut, reference, [counterexample.inputs])
+                assert replayed, context
+                assert all(mismatch.inputs == counterexample.inputs for mismatch in replayed)
                 # And the sweep must list the very same assignment among its
                 # mismatching lanes.
                 mismatching_assignments = [mismatch.inputs for mismatch in sweep]

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.bench.golden import batch_equivalence_mismatches
 from repro.formal import (
     ConflictLimitExceeded,
     EquivalenceSession,
@@ -24,6 +23,7 @@ from repro.formal import (
 )
 from repro.verilog.parser import parse_module
 from repro.verilog.writer import write_module
+from scoring import design_mismatches
 
 
 def _roundtrip(source: str) -> str:
@@ -83,7 +83,7 @@ def test_session_matches_fresh_prover_on_randomized_sweeps(seed):
             # batched simulator (the differential oracle the bench uses).
             for result in (fresh, incremental):
                 assert result.counterexample is not None
-                assert batch_equivalence_mismatches(
+                assert design_mismatches(
                     code, REFERENCE, [result.counterexample.inputs]
                 ), f"counterexample did not replay: {result.counterexample.inputs}"
 
@@ -244,7 +244,7 @@ def _exhaustively_equal(code: str, reference: str) -> bool:
         {name: (value >> bit) & 1 for bit, name in enumerate(_CONE_INPUTS)}
         for value in range(1 << len(_CONE_INPUTS))
     ]
-    return not batch_equivalence_mismatches(code, reference, vectors)
+    return not design_mismatches(code, reference, vectors)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -257,7 +257,7 @@ def test_session_matches_exhaustive_simulation_on_redundant_cones(seed):
         fresh = prove_combinational_equivalence(code, reference)
         assert incremental.equivalent == fresh.equivalent == expected, code
         if not expected:
-            assert batch_equivalence_mismatches(
+            assert design_mismatches(
                 code, reference, [incremental.counterexample.inputs]
             ), f"counterexample did not replay: {incremental.counterexample.inputs}"
     assert _exhaustively_equal(rewrite, reference)
@@ -278,7 +278,7 @@ def test_session_refutes_a_complemented_output():
     result = EquivalenceSession(reference).prove(code)
     assert not result.equivalent
     assert not prove_combinational_equivalence(code, reference).equivalent
-    assert batch_equivalence_mismatches(code, reference, [result.counterexample.inputs])
+    assert design_mismatches(code, reference, [result.counterexample.inputs])
 
 
 def test_session_separates_structurally_similar_functions():
@@ -304,6 +304,6 @@ def test_session_separates_structurally_similar_functions():
     for step in (1, 3):
         result = session.prove(ring(step))
         assert not result.equivalent
-        assert batch_equivalence_mismatches(
+        assert design_mismatches(
             ring(step), reference, [result.counterexample.inputs]
         )

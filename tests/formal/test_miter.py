@@ -6,11 +6,7 @@ import random
 
 import pytest
 
-from repro.bench.golden import (
-    VerilogGolden,
-    batch_equivalence_mismatches,
-    formal_equivalence_check,
-)
+from repro.bench.golden import VerilogGolden, formal_equivalence_check
 from repro.formal import (
     FormalEncodingError,
     prove_combinational_equivalence,
@@ -18,6 +14,8 @@ from repro.formal import (
     prove_sequential_equivalence,
 )
 from repro.logic.expr import RandomExpressionGenerator, reference_equivalent
+from repro.verilog.simulator import LogicVector
+from scoring import design_mismatches
 
 
 class TestExprEquivalence:
@@ -99,10 +97,11 @@ class TestCombinationalMiters:
         assert not result.equivalent
         counterexample = result.counterexample
         assert counterexample.mismatching_outputs == [(0, "o")]
-        replayed = batch_equivalence_mismatches(dut, reference, [counterexample.inputs])
-        assert len(replayed) == 1
-        assert replayed[0].expected["o"] == counterexample.reference_outputs[0]["o"]
-        assert replayed[0].actual["o"] == counterexample.dut_outputs[0]["o"]
+        (replayed,) = design_mismatches(dut, reference, [counterexample.inputs])
+        assert replayed.output == "o"
+        assert replayed.expected == counterexample.reference_outputs[0]["o"]
+        actual = LogicVector.from_int(counterexample.dut_outputs[0]["o"], 1)
+        assert replayed.actual == actual.to_verilog_literal()
 
     def test_missing_output_reported(self):
         dut = "module m(input a, output o); assign o = a; endmodule"
@@ -203,7 +202,7 @@ class TestGoldenIntegration:
         result = formal_equivalence_check(dut, reference)
         assert not result.equivalent
         # Replay already ran inside the call; the counterexample must be real.
-        assert batch_equivalence_mismatches(dut, reference, [result.counterexample.inputs])
+        assert design_mismatches(dut, reference, [result.counterexample.inputs])
 
     def test_verilog_golden_prove_equivalent(self):
         reference = "module m(input a, input b, output o); assign o = ~(a & b); endmodule"

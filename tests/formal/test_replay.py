@@ -1,17 +1,20 @@
 """Counterexample replay and the one reset protocol.
 
-``bench.golden._replay_sequential_counterexample`` starts each design from
-its post-reset state (:func:`repro.verilog.simulator.testbench.reset_state`,
-memoised on the compiled design; the sequential unroller proved from the
-same snapshot and the testbench runners score from it) and runs its cycles
-on generated code once the state passes the x/z gate.  The oracle here
-uses neither the memo nor generated code: a fresh scalar simulator per
-design, reset by a live pulse of the task's pin (:func:`_pulsed`), then
-scalar clock cycles.
+``bench.golden._counterexample_reproduces`` records the reference's outputs
+over a counterexample's steps with the testbench runner's own steps and
+scores the DUT against them on ``BatchTestbenchRunner``: a sequential design
+starts from its post-reset state
+(:func:`repro.verilog.simulator.testbench.reset_state`, memoised on the
+compiled design; the sequential unroller proved from the same snapshot) and
+runs its cycles on generated code once the state passes the x/z gate.  The
+oracle here uses neither the memo nor generated code: a fresh scalar
+simulator per design, reset by a live pulse of the task's pin
+(:func:`_pulsed`), then scalar clock cycles.
 
-Every sequential counterexample of a tiny formal-mode Table V run must replay
-to the same verdict on every prefix of its steps, and a doctored one must
-still raise ``FormalError``.  The reset must run once per design, clock and
+Every counterexample of a tiny formal-mode Table V run must replay to the
+same verdict on every prefix of its steps, no journaled outcome may carry
+the "did not reproduce" ``FormalError``, and a doctored counterexample must
+still raise it.  The reset must run once per design, clock and
 ``ResetSpec`` across a whole run, in formal and in simulation mode.  The
 memoised snapshot must equal the live pulse on every paper-scale sequential
 reference, and a candidate that renames the task's reset pin must get the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 
 import pytest
 
@@ -39,12 +43,13 @@ from repro.runs.engine import RunEngine
 from repro.runs.presets import table5_manifest
 from repro.runs.store import RunStore
 from repro.verilog.design import CompiledDesign, DesignDatabase, set_default_database
+from repro.verilog.errors import SimulationError
 from repro.verilog.simulator import ModuleSimulator
 from repro.verilog.simulator.testbench import ExpectedTrace, ResetSpec, reset_state
 
 pytestmark = pytest.mark.formal
 
-REPLAY_PARAMETERS = inspect.signature(golden._replay_sequential_counterexample)
+REPLAY_PARAMETERS = inspect.signature(golden._counterexample_reproduces)
 
 
 def _pulsed(source, name, clock, reset) -> ModuleSimulator:
@@ -68,23 +73,30 @@ def _scalar_replay(
     reference_source,
     steps,
     checked_outputs,
+    sequential,
     clock,
     reset,
     module_name,
     reference_module_name,
 ) -> bool:
-    """The oracle: reset two fresh scalar simulators, then scalar cycles.
+    """The oracle: two fresh scalar simulators, reset and clocked when sequential.
 
     Each design is driven with the step inputs that are its own input ports.
     """
-    dut = _pulsed(dut_source, module_name, clock, reset)
-    reference = _pulsed(reference_source, reference_module_name, clock, reset)
+    if sequential:
+        dut = _pulsed(dut_source, module_name, clock, reset)
+        reference = _pulsed(reference_source, reference_module_name, clock, reset)
+    else:
+        dut = ModuleSimulator.from_source(dut_source, module_name)
+        reference = ModuleSimulator.from_source(reference_source, reference_module_name)
     for step_inputs in steps:
         for simulator in (dut, reference):
             ports = simulator.input_names()
-            simulator.clock_cycle(
-                clock, {name: value for name, value in step_inputs.items() if name in ports}
-            )
+            own = {name: value for name, value in step_inputs.items() if name in ports}
+            if sequential:
+                simulator.clock_cycle(clock, own)
+            else:
+                simulator.apply_inputs(own)
         for name in checked_outputs:
             expected = reference.get(name)
             if expected.has_unknown:
@@ -155,12 +167,12 @@ def _prefixes(replay: dict):
 def _tiny_table5_run(mode: str, **changes) -> dict:
     """A tiny Table V run in ``mode`` under a fresh design database.
 
-    Returns the arguments of every sequential counterexample replay, and
-    every post-reset state requested and every reset run (see
-    :func:`_spy_resets`), all in call order.
+    Returns the arguments of every counterexample replay, every post-reset
+    state requested and every reset run (see :func:`_spy_resets`), all in
+    call order, and the journal's records.
     """
     replays: list[dict] = []
-    replay = golden._replay_sequential_counterexample
+    replay = golden._counterexample_reproduces
 
     def spy_replay(*args, **kwargs):
         replays.append(dict(REPLAY_PARAMETERS.bind(*args, **kwargs).arguments))
@@ -171,14 +183,15 @@ def _tiny_table5_run(mode: str, **changes) -> dict:
     previous = set_default_database(DesignDatabase())
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(golden, "_replay_sequential_counterexample", spy_replay)
+            patch.setattr(golden, "_counterexample_reproduces", spy_replay)
             requested, pulses = _spy_resets(patch)
             store = RunStore.ephemeral()
             RunEngine(manifest, store).run()
     finally:
         set_default_database(previous)
-    assert list(store.records())
-    return {"replays": replays, "requested": requested, "pulses": pulses}
+    records = list(store.records())
+    assert records
+    return {"replays": replays, "requested": requested, "pulses": pulses, "records": records}
 
 
 @pytest.fixture(scope="module")
@@ -193,20 +206,32 @@ def table5_simulation_run():
     return _tiny_table5_run("simulation", differential_oracle=True)
 
 
+def _sequential(replays: list[dict]) -> list[dict]:
+    return [replay for replay in replays if replay["sequential"]]
+
+
+def test_every_refutation_reproduces(table5_run):
+    """Both kinds of refutation replay, and none is journaled as unreproduced."""
+    replays = table5_run["replays"]
+    assert 0 < len(_sequential(replays)) < len(replays)
+    for record in table5_run["records"]:
+        assert "did not reproduce" not in json.dumps(record), record
+
+
 def test_replay_matches_the_scalar_replay_on_every_prefix(table5_run):
     replays = table5_run["replays"]
-    assert len(replays) >= 20
+    assert len(_sequential(replays)) >= 20
     for replay in replays:
-        assert golden._replay_sequential_counterexample(**replay), replay["dut_source"]
+        assert golden._counterexample_reproduces(**replay), replay["dut_source"]
         for prefix in _prefixes(replay):
-            assert golden._replay_sequential_counterexample(**prefix) == _scalar_replay(
+            assert golden._counterexample_reproduces(**prefix) == _scalar_replay(
                 **prefix
             ), (replay["dut_source"], len(prefix["steps"]))
 
 
 def test_a_doctored_counterexample_raises_formal_error(table5_run, monkeypatch):
     """Cut each counterexample before its first mismatch: no output differs."""
-    replays = table5_run["replays"]
+    replays = _sequential(table5_run["replays"])
     doctored = []
     for replay in replays:
         matching = [prefix for prefix in _prefixes(replay) if not _scalar_replay(**prefix)]
@@ -238,7 +263,7 @@ def test_reset_pulse_runs_once_per_design_and_clocking(table5_run):
     assert len(pulses) == len(set(pulses))
     # Every replayed design was reset (once, above), so no replay reset again.
     database = DesignDatabase()
-    for replay in table5_run["replays"]:
+    for replay in _sequential(table5_run["replays"]):
         for source, name in (
             (replay["dut_source"], replay["module_name"]),
             (replay["reference_source"], replay["reference_module_name"]),
@@ -258,14 +283,14 @@ def test_simulation_mode_resets_each_design_once(table5_simulation_run):
 
 
 def test_a_handed_over_replay_builds_no_scalar_simulator(table5_run, monkeypatch):
-    replays = table5_run["replays"]
+    replays = _sequential(table5_run["replays"])
     built, runs = _count_engines(monkeypatch)
     replay = replays[0]
     # The first replay memoises both reset states, as the proof would have.
-    golden._replay_sequential_counterexample(**replay)
+    golden._counterexample_reproduces(**replay)
     built.clear()
     runs.clear()
-    assert golden._replay_sequential_counterexample(**replay)
+    assert golden._counterexample_reproduces(**replay)
     assert built == []
     assert len(runs) == 2
 
@@ -317,17 +342,46 @@ def test_replay_leaves_generated_code_where_the_gate_refuses(
         reference_source=reference,
         steps=STEPS,
         checked_outputs=["q"],
+        sequential=True,
         clock="clk",
         reset=ResetSpec(signal="rst"),
         module_name=None,
         reference_module_name=None,
     )
-    assert golden._replay_sequential_counterexample(**replay)
+    assert golden._counterexample_reproduces(**replay)
     # Two memoised reset states, then the simulators the cycles needed.
     assert len(built) == 2 + engines["scalar"]
     assert len(runs) == engines["generated"]
     for prefix in _prefixes(replay):
-        assert golden._replay_sequential_counterexample(**prefix) == _scalar_replay(**prefix)
+        assert golden._counterexample_reproduces(**prefix) == _scalar_replay(**prefix)
+
+
+#: The replication count is an input: x before it is driven, which raises.
+REPLICATED = """
+module rep(input [1:0] n, input a, output [3:0] y);
+    assign y = {n{a}};
+endmodule
+"""
+
+
+def test_a_simulation_error_before_any_mismatch_is_raised(fresh_database):
+    """Whichever design raises, its error surfaces, as the text the journal keeps."""
+    constant = REPLICATED.replace("{n{a}}", "{4{a}}")
+    replay = dict(
+        dut_source=REPLICATED,
+        reference_source=constant,
+        steps=[{"n": 1, "a": 1}],
+        checked_outputs=["y"],
+        sequential=False,
+        clock="clk",
+        reset=ResetSpec(),
+        module_name=None,
+        reference_module_name=None,
+    )
+    for dut, reference in ((REPLICATED, constant), (constant, REPLICATED)):
+        swapped = dict(replay, dut_source=dut, reference_source=reference)
+        with pytest.raises(SimulationError, match="^replication count must be positive$"):
+            golden._counterexample_reproduces(**swapped)
 
 
 # --------------------------------------------------------------------------- one reset protocol
@@ -440,20 +494,21 @@ def test_an_extra_candidate_input_replays_with_each_designs_own_inputs(fresh_dat
         assert not verdict.passed and verdict.error is None and verdict.mismatches, mode
     (mismatch,) = verdicts["formal"].mismatches
     assert mismatch.inputs["hold"] == 1
-    result = golden.formal_equivalence_check(
-        HOLD_COUNTER, RST_COUNTER, outputs=["q"], reset=reset, induction_depth=4, replay=False
+    result = formal.prove_sequential_by_induction(
+        HOLD_COUNTER, RST_COUNTER, depth=4, reset=reset, outputs=["q"]
     )
     replay = dict(
         dut_source=HOLD_COUNTER,
         reference_source=RST_COUNTER,
         steps=result.counterexample.steps,
         checked_outputs=["q"],
+        sequential=True,
         clock="clk",
         reset=reset,
         module_name=None,
         reference_module_name=None,
     )
-    outcomes = [golden._replay_sequential_counterexample(**prefix) for prefix in _prefixes(replay)]
+    outcomes = [golden._counterexample_reproduces(**prefix) for prefix in _prefixes(replay)]
     assert outcomes == [_scalar_replay(**prefix) for prefix in _prefixes(replay)]
     # The first mismatching prefix ends at the step formal mode reports.
     assert outcomes.index(True) == mismatch.step_index + 1

@@ -1,5 +1,8 @@
 """Score an in-test pipeline on an in-test suite through the run engine.
 
+(:func:`design_mismatches` scores one design against another instead, on
+the path a SAT counterexample replays on.)
+
 Tests build a one-profile ``custom`` manifest, execute it with
 :class:`~repro.runs.engine.RunEngine` into an ephemeral store and read the
 suite result back through :class:`~repro.runs.aggregate.StreamingAggregator`
@@ -19,6 +22,8 @@ from repro.runs.aggregate import StreamingAggregator
 from repro.runs.engine import RunEngine
 from repro.runs.manifest import ProfileSpec, RunManifest, SuiteSpec
 from repro.runs.store import RunStore
+from repro.verilog.design import get_default_database
+from repro.verilog.simulator.testbench import BatchTestbenchRunner, Mismatch, ReplayGolden
 
 #: The profile id of a one-profile manifest.
 PROFILE = "stub"
@@ -99,3 +104,25 @@ def score(
     engine = stub_engine(pipeline, suite, config)
     engine.run()
     return engine_result(engine)
+
+
+def design_mismatches(
+    dut_source: str,
+    reference_source: str,
+    vectors: Sequence[dict[str, int]],
+    outputs: Sequence[str] | None = None,
+) -> list[Mismatch]:
+    """Every mismatch of the DUT against a reference design on combinational vectors.
+
+    The reference's ``outputs`` (default: its output ports) are recorded as
+    an ``ExpectedTrace``, x/z values left out, and the DUT is scored against
+    it on ``BatchTestbenchRunner``, as a SAT counterexample replays.
+    """
+    reference = get_default_database().compile(reference_source)
+    if outputs is None:
+        outputs = [port.name for port in reference.output_ports()]
+    runner = BatchTestbenchRunner(max_mismatches=len(vectors) * len(outputs) + 1)
+    trace = runner.record(reference, list(vectors), outputs, sequential=False)
+    return runner.run(
+        dut_source, ReplayGolden(trace), list(vectors), check_outputs=list(outputs)
+    ).mismatches

@@ -30,11 +30,8 @@ from repro.verilog.simulator import (
     ModuleSimulator,
     ResetSpec,
     TestbenchRunner,
-    differential_combinational,
-    simulate_combinational,
-    simulate_combinational_batch,
-    simulate_lanes,
 )
+from repro.verilog.simulator.testbench import ExpectedTrace, ReplayGolden
 
 
 # --------------------------------------------------------------------------- random RTL
@@ -168,6 +165,28 @@ def _outcome(result):
     return result.passed, result.total_checks, result.failure_summary
 
 
+def _lane_outputs(source: str, vectors: list[dict]) -> list[dict[str, LogicVector]]:
+    """Each vector's outputs on a fresh scalar simulator.
+
+    Every lane of one batch pass must equal them, unless generated code
+    cannot take the design or the vectors.
+    """
+    try:
+        batch = BatchSimulator.from_source(source, lanes=len(vectors))
+        batch.apply_inputs({name: [vector[name] for vector in vectors] for name in vectors[0]})
+    except LaneFallback:
+        batch = None
+    outputs = []
+    for lane, vector in enumerate(vectors):
+        scalar = ModuleSimulator.from_source(source)
+        scalar.apply_inputs(dict(vector))
+        expected = {name: scalar.get(name) for name in scalar.output_names()}
+        if batch is not None:
+            assert {name: batch.get_lane(name, lane) for name in expected} == expected, vector
+        outputs.append(expected)
+    return outputs
+
+
 # --------------------------------------------------------------------------- combinational
 class TestCombinationalDifferential:
     @pytest.mark.parametrize("seed", range(24))
@@ -175,8 +194,7 @@ class TestCombinationalDifferential:
         source, widths = _random_combinational(seed)
         rng = random.Random(seed + 1000)
         vectors = _random_vectors(rng, widths, 24)
-        # differential_combinational raises SimulationError on any divergence.
-        outputs = differential_combinational(source, vectors)
+        outputs = _lane_outputs(source, vectors)
         assert len(outputs) == len(vectors)
         # Every module of the grammar lowers: this compared generated code.
         assert codegen.fallback_stats()["total"] == 0
@@ -208,14 +226,7 @@ class TestCombinationalDifferential:
         with pytest.raises(LaneFallback) as excinfo:
             batch.apply_inputs({"a": a_values, "b": b_values})
         assert excinfo.value.reason == codegen.XZ_STATE
-        vectors = [{"a": a, "b": b} for a, b in zip(a_values, b_values)]
-        lanes = simulate_lanes(source, vectors)
-        for lane in range(2):
-            scalar = ModuleSimulator.from_source(source)
-            scalar.apply_inputs(dict(vectors[lane]))
-            assert lanes["s"][lane] == scalar.get("s")
-            assert lanes["e"][lane] == scalar.get("e")
-        assert codegen.fallback_stats()["reasons"] == {codegen.XZ_STATE: 2}
+        assert codegen.fallback_stats()["reasons"] == {codegen.XZ_STATE: 1}
 
     def test_data_dependent_shift_matches(self):
         source = (
@@ -226,23 +237,20 @@ class TestCombinationalDifferential:
             "endmodule\n"
         )
         vectors = [{"en": e, "sel": s} for e in (0, 1) for s in range(8)]
-        outputs = differential_combinational(source, vectors)
-        assert [o["out"].to_int() for o in outputs[8:]] == [1 << s for s in range(8)]
+        golden = CombinationalGolden(lambda v: {"out": (1 << v["sel"]) if v["en"] else 0})
+        result = BatchTestbenchRunner(differential=True).run(source, golden, vectors)
+        assert result.passed and result.total_checks == len(vectors)
         assert codegen.fallback_stats()["reasons"] == {"non-constant-shift": 1}
 
-    def test_inconsistent_stimulus_keys_rejected(self):
-        from repro.verilog.errors import SimulationError
-
+    def test_inconsistent_stimulus_keys_run_on_the_scalar_simulator(self):
         source = "module m(input a, input b, output y); assign y = a ^ b; endmodule"
-        with pytest.raises(SimulationError):
-            simulate_combinational_batch(source, [{"a": 1, "b": 0}, {"a": 1}])
-
-    def test_matches_scalar_helper_output_format(self):
-        source = "module m(input a, input b, output y); assign y = a & b; endmodule"
-        vectors = [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)]
-        assert simulate_combinational_batch(source, vectors) == simulate_combinational(
-            source, vectors
-        )
+        # The second vector keeps ``b`` from the first, as serially applied
+        # inputs do; independent lanes could not.
+        stimulus = [{"a": 1, "b": 1}, {"a": 0}]
+        golden = ReplayGolden(ExpectedTrace(False, ({"y": 0}, {"y": 1})))
+        result = BatchTestbenchRunner(differential=True).run(source, golden, stimulus)
+        assert result.passed and result.total_checks == 2
+        assert codegen.fallback_stats()["total"] == 0
 
 
 class TestIndexWrapRegressions:
@@ -256,7 +264,7 @@ class TestIndexWrapRegressions:
             "endmodule\n"
         )
         vectors = [{"v": 0b100000000, "sel": 0}, {"v": 0b100000001, "sel": 0}]
-        outputs = differential_combinational(source, vectors)
+        outputs = _lane_outputs(source, vectors)
         assert outputs[0]["o"].to_int() == 0
         assert outputs[1]["o"].to_int() == 1
 
@@ -270,8 +278,54 @@ class TestIndexWrapRegressions:
             "endmodule\n"
         )
         vectors = [{"sel": 0}, {"sel": 1}, {"sel": 7}]
-        outputs = differential_combinational(source, vectors)
+        outputs = _lane_outputs(source, vectors)
         assert [o["out"].to_int() for o in outputs] == [1, 2, 128]
+
+
+class TestTernaryWidth:
+    """``?:`` is as wide as its wider branch, taken or not (IEEE 1364)."""
+
+    EXPRESSION = "(c ? a : 7'h11) << 1"
+
+    def test_known_condition_widens_the_taken_branch_on_every_engine(self):
+        source = (
+            "module m(input c, input [1:0] a, output [7:0] y);\n"
+            f"    assign y = {self.EXPRESSION};\n"
+            "endmodule\n"
+        )
+        scalar = ModuleSimulator.from_source(source)
+        scalar.apply_inputs({"c": 1, "a": 3})
+        assert scalar.get("y").to_int() == 6
+        batch = BatchSimulator.from_source(source, lanes=1)
+        batch.apply_inputs({"c": [1], "a": [3]})
+        assert batch.get_lane("y", 0).to_int() == 6
+        clocked = (
+            "module r(input clk, input rst, input c, input [1:0] a, output reg [7:0] y);\n"
+            f"    always @(posedge clk) if (rst) y <= 8'd0; else y <= {self.EXPRESSION};\n"
+            "endmodule\n"
+        )
+        compiled = compile_design(clocked)
+        simulator = ModuleSimulator(compiled)
+        simulator.apply_inputs({"clk": 0, "rst": 1, "c": 0, "a": 0})
+        simulator.clock_cycle()
+        simulator.apply_inputs({"rst": 0})
+        run = codegen.SequenceRun(compiled.codegen.sequence, simulator.signals, "clk", "r")
+        run.cycle({"c": 1, "a": 3})
+        assert run.read("y").to_int() == 6
+        simulator.clock_cycle("clk", {"c": 1, "a": 3})
+        assert simulator.get("y").to_int() == 6
+
+    def test_the_branch_not_taken_does_not_raise(self):
+        # A zero replication raises when evaluated; the constant condition
+        # never takes that branch, so it only lends its width.
+        source = (
+            "module m(input [1:0] a, output [7:0] y);\n"
+            "    assign y = 1'b1 ? a : {0{a}};\n"
+            "endmodule\n"
+        )
+        scalar = ModuleSimulator.from_source(source)
+        scalar.apply_inputs({"a": 3})
+        assert scalar.get("y").to_int() == 3
 
 
 class TestLatchFallback:

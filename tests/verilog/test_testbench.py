@@ -550,3 +550,46 @@ class TestExpectedTraceReplay:
                     runner.run(source, model, stimulus)
         # Stopped before the bad vector, neither raises.
         assert _replay_agrees(source, lambda: golden, stimulus[:2]).error is None
+
+
+class TestOmittedOutputsAndRecordedDesigns:
+    ADDER = (
+        "module add(input [3:0] a, input [3:0] b, output [4:0] s, output z);\n"
+        "    assign s = a + b;\n"
+        "    assign z = s == 5'd0;\n"
+        "endmodule\n"
+    )
+
+    def test_an_output_the_expected_row_omits_is_skipped(self):
+        stimulus = [{"a": 1, "b": 2}, {"a": 3, "b": 3}]
+        # ``s`` is wrong on the second vector, where the row omits it.
+        trace = ExpectedTrace(False, ({"s": 3, "z": 0}, {"z": 0}))
+        for runner in (Runner(), BatchTestbenchRunner(differential=True)):
+            result = runner.run(self.ADDER, ReplayGolden(trace), stimulus, check_outputs=["s", "z"])
+            assert result.passed and result.total_checks == 3
+            wrong = ExpectedTrace(False, ({"s": 3, "z": 0}, {"s": 7, "z": 0}))
+            result = runner.run(self.ADDER, ReplayGolden(wrong), stimulus, check_outputs=["s", "z"])
+            assert [(m.step_index, m.output) for m in result.mismatches] == [(1, "s")]
+
+    def test_record_steps_a_design_as_a_dut_and_leaves_out_xz(self):
+        from repro.verilog.design import compile_design
+
+        stimulus = [{"a": 1, "b": 2}, {"a": 0, "b": 0}]
+        compiled = compile_design(self.ADDER.replace("s == 5'd0", "s == 5'd0 ? 1'bx : 1'b0"))
+        for runner in (Runner(), BatchTestbenchRunner()):
+            trace = runner.record(compiled, stimulus, ["s", "z", "missing"], sequential=False)
+            assert trace == ExpectedTrace(False, ({"s": 3, "z": 0}, {"s": 0}))
+
+    def test_record_starts_a_clocked_design_from_reset(self):
+        from repro.verilog.design import compile_design
+
+        counter = (
+            "module c(input clk, input rst, input en, output reg [3:0] count);\n"
+            "    always @(posedge clk) if (rst) count <= 4'd0; else if (en) count <= count + 4'd1;\n"
+            "endmodule\n"
+        )
+        stimulus = [{"en": 1}, {"en": 0}, {"en": 1}]
+        golden = CounterGoldenLocal()
+        for runner in (Runner(reset=ResetSpec()), BatchTestbenchRunner(reset=ResetSpec())):
+            trace = runner.record(compile_design(counter), stimulus, ["count"], sequential=True)
+            assert trace == ExpectedTrace.record(golden, stimulus)
